@@ -1,11 +1,16 @@
 """Galerkin assembly over the rational tensor-product space.
 
-Stiffness matrices are the weighted diffusion forms  A_kl = int w grad(phi_k)
-. grad(phi_l) dx ; with w = 1 this is the Poisson bilinear form. Assembly
-loops over nonzero knot spans with per-direction Gauss rules of degree + 1
-points; the element loop order is fixed and local blocks are mirrored from
-their upper triangle, so matrices come out bit-symmetric and runs are
-reproducible.
+Stiffness matrices are the weighted diffusion forms
+A_kl = int w grad(phi_k) . grad(phi_l) dx ; with w = 1 this is the Poisson
+bilinear form. Elements are the nonzero knot-span rectangles, each with
+per-direction Gauss rules of degree + 1 points. Assembly runs one Python
+iteration per element row: the directional basis tables are sliced once
+into per-element blocks, and the local rational basis, its gradients and
+the element matrices of a whole row are formed by batched einsum and
+matmul. Local blocks are mirrored from their upper triangle, and the COO
+entries are laid out in the fixed (row, column) element order before a
+stable merge, so every sum accumulates in the same order on every run:
+matrices come out bit-symmetric and runs are reproducible.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -149,66 +154,102 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
 
 
 def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
-    """Dense directional derivative tables and weight-sum grids for assembly."""
+    """Per-element blocks of everything the local rational basis needs.
+
+    ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
+    ``eu`` (its Gauss points against the p+1 functions nonzero there), and
+    likewise ``Lv`` along v. ``W`` holds the weight sums
+    sum_ij w_ij d^a N_i d^b N_j for (a, b) = (0, 0), (1, 0), (0, 1) in the
+    element blocks of :func:`_grid_blocks`. ``cols_u``, ``cols_v`` give the
+    global indices of the local functions of each element.
+    """
     w = g.weights.w
     Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in range(2)]
     Dv = [basis_matrix(g.kv_v, quad.pts_v, a) for a in range(2)]
-    W = {
-        (0, 0): Du[0] @ w @ Dv[0].T,
-        (1, 0): Du[1] @ w @ Dv[0].T,
-        (0, 1): Du[0] @ w @ Dv[1].T,
-    }
-    return Du, Dv, W
+    W = tuple(_grid_blocks(Du[a] @ w @ Dv[b].T, quad) for a, b in ((0, 0), (1, 0), (0, 1)))
+    cols_u = _local_columns(g.kv_u)
+    cols_v = _local_columns(g.kv_v)
+    Lu = [_local_blocks(D, cols_u, quad.q_u) for D in Du]
+    Lv = [_local_blocks(D, cols_v, quad.q_v) for D in Dv]
+    return Lu, Lv, W, cols_u, cols_v
 
 
-def _local_rational(g, quad, Du, Dv, W, eu, ev, span_u, span_v):
-    """Values and parametric gradients of the local rational basis on one
-    element's quadrature block, flattened to (nloc, nq)."""
-    p, q = g.kv_u.degree, g.kv_v.degree
-    ru = slice(eu * quad.q_u, (eu + 1) * quad.q_u)
-    rv = slice(ev * quad.q_v, (ev + 1) * quad.q_v)
-    cu = slice(span_u - p, span_u + 1)
-    cv = slice(span_v - q, span_v + 1)
+def _local_columns(kv) -> np.ndarray:
+    """(nel, p+1) global indices of the functions nonzero on each element."""
+    spans = np.asarray(kv.nonzero_spans)
+    return spans[:, None] - kv.degree + np.arange(kv.degree + 1)
 
-    Nu0, Nu1 = Du[0][ru, cu], Du[1][ru, cu]
-    Nv0, Nv1 = Dv[0][rv, cv], Dv[1][rv, cv]
-    wloc = g.weights.w[cu, cv]
-    Wb, Wu, Wv = W[0, 0][ru, rv], W[1, 0][ru, rv], W[0, 1][ru, rv]
 
-    A0 = np.einsum("ai,bj,ij->ijab", Nu0, Nv0, wloc)
-    Au = np.einsum("ai,bj,ij->ijab", Nu1, Nv0, wloc)
-    Av = np.einsum("ai,bj,ij->ijab", Nu0, Nv1, wloc)
-    R = A0 / Wb
-    Ru = (Au - R * Wu) / Wb
-    Rv = (Av - R * Wv) / Wb
+def _local_blocks(D: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """Slice a (nel * q, n) table into its (nel, q, p+1) element blocks."""
+    rows = np.arange(D.shape[0]).reshape(-1, q)
+    return D[rows[:, :, None], cols[:, None, :]]
 
-    nloc = (p + 1) * (q + 1)
-    nq = quad.q_u * quad.q_v
-    i0, j0 = span_u - p, span_v - q
-    gidx = ((i0 + np.arange(p + 1))[:, None] * g.kv_v.n + (j0 + np.arange(q + 1))).ravel()
+
+def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
+    """Regroup a (nel_u * q_u, nel_v * q_v) quadrature grid into per-element
+    flattened blocks of shape (nel_u, nel_v, q_u * q_v)."""
+    nu, nv = x.shape[0] // quad.q_u, x.shape[1] // quad.q_v
+    blocks = x.reshape(nu, quad.q_u, nv, quad.q_v).transpose(0, 2, 1, 3)
+    return blocks.reshape(nu, nv, quad.q_u * quad.q_v)
+
+
+def _row_rational(g, quad, tables, eu):
+    """Values and parametric gradients of the local rational basis on every
+    element of row ``eu``, each of shape (nel_v, nloc, nq), plus the
+    (nel_v, nloc) global indices of the local functions."""
+    Lu, Lv, W, cols_u, cols_v = tables
+    wloc = g.weights.w[cols_u[eu][:, None, None], cols_v[None, :, :]].transpose(1, 0, 2)
+    A0 = np.einsum("ai,ebj,eij->eijab", Lu[0][eu], Lv[0], wloc)
+    Au = np.einsum("ai,ebj,eij->eijab", Lu[1][eu], Lv[0], wloc)
+    Av = np.einsum("ai,ebj,eij->eijab", Lu[0][eu], Lv[1], wloc)
+    W0, Wu, Wv = (x[eu].reshape(-1, 1, 1, quad.q_u, quad.q_v) for x in W)
+    R = A0 / W0
+    Ru = (Au - R * Wu) / W0
+    Rv = (Av - R * Wv) / W0
+
+    nel_v, nloc = len(cols_v), A0.shape[1] * A0.shape[2]
+    gidx = (cols_u[eu][None, :, None] * g.kv_v.n + cols_v[:, None, :]).reshape(nel_v, nloc)
     return (
-        R.reshape(nloc, nq),
-        Ru.reshape(nloc, nq),
-        Rv.reshape(nloc, nq),
+        R.reshape(nel_v, nloc, -1),
+        Ru.reshape(nel_v, nloc, -1),
+        Rv.reshape(nel_v, nloc, -1),
         gidx,
-        ru,
-        rv,
     )
 
 
-def _merge_coo(rows, cols, vals, n):
-    """Deterministic duplicate merge: stable sort by (row, col), then one
-    sequential reduction per entry. Visit order of the element loop therefore
-    fixes every accumulation order, making assembly bit-reproducible and the
-    result exactly symmetric when the per-element blocks are."""
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    first = np.empty(len(r), dtype=bool)
+def _merge_coo(keys, vals, n):
+    """Deterministic duplicate merge of COO entries with flat keys
+    ``row * n + col``: stable sort by key, then one sequential reduction per
+    entry, straight into CSR arrays. Visit order of the element loop
+    therefore fixes every accumulation order, making assembly
+    bit-reproducible and the result exactly symmetric when the per-element
+    blocks are."""
+    # each temporary is dropped once spent: at m=128 every one is 34 MB
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    v = vals[order]
+    del order
+    first = np.empty(len(k), dtype=bool)
     first[0] = True
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    np.not_equal(k[1:], k[:-1], out=first[1:])
     starts = np.flatnonzero(first)
+    del first
     merged = np.add.reduceat(v, starts)
-    return sp.csr_matrix((merged, (r[starts], c[starts])), shape=(n, n))
+    del v
+    rows, cols = np.divmod(k[starts], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((merged, cols, indptr), shape=(n, n))
+
+
+def _first_bad_element(*masks):
+    """Index of the first element, in (eu, ev) order, where any of the
+    per-element masks is set, or None."""
+    bad = np.logical_or.reduce(masks)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
 def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int = 0):
@@ -223,42 +264,43 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
     geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
     shape = (len(quad.pts_u), len(quad.pts_v))
     wvals = _resolve_weight(weight, geo, shape)
-    Du, Dv, W = _element_tables(g, quad)
 
     det = geo.det
     jac = geo.jac
-    xi_x = jac[..., 1, 1] / det
-    xi_y = -jac[..., 0, 1] / det
-    eta_x = -jac[..., 1, 0] / det
-    eta_y = jac[..., 0, 0] / det
-    wq2d = np.multiply.outer(quad.wts_u, quad.wts_v)
+    wblk = _grid_blocks(wvals, quad)
+    dblk = _grid_blocks(det, quad)
+    bad_w = np.any(wblk <= 0.0, axis=-1)
+    bad = _first_bad_element(bad_w, np.any(dblk <= 0.0, axis=-1))
+    if bad is not None:
+        what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
+        raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
+
+    tables = _element_tables(g, quad)
+    xi_x = _grid_blocks(jac[..., 1, 1] / det, quad)[..., None, :]
+    xi_y = _grid_blocks(-jac[..., 0, 1] / det, quad)[..., None, :]
+    eta_x = _grid_blocks(-jac[..., 1, 0] / det, quad)[..., None, :]
+    eta_y = _grid_blocks(jac[..., 0, 0] / det, quad)[..., None, :]
+    c = _grid_blocks(np.multiply.outer(quad.wts_u, quad.wts_v), quad) * dblk * wblk
 
     n = g.ndof
-    rows, cols, vals = [], [], []
-    for eu, span_u in enumerate(g.kv_u.nonzero_spans):
-        for ev, span_v in enumerate(g.kv_v.nonzero_spans):
-            R, Ru, Rv, gidx, ru, rv = _local_rational(g, quad, Du, Dv, W, eu, ev, span_u, span_v)
-            wblk = wvals[ru, rv]
-            if np.any(wblk <= 0.0):
-                raise AssemblyError(
-                    f"nonpositive diffusion weight in element ({eu}, {ev})"
-                )
-            dblk = det[ru, rv]
-            if np.any(dblk <= 0.0):
-                raise AssemblyError(
-                    f"nonpositive Jacobian determinant in element ({eu}, {ev})"
-                )
-            gx = Ru * xi_x[ru, rv].ravel() + Rv * eta_x[ru, rv].ravel()
-            gy = Ru * xi_y[ru, rv].ravel() + Rv * eta_y[ru, rv].ravel()
-            c = (wq2d[ru, rv] * dblk * wblk).ravel()
-            K = (gx * c) @ gx.T + (gy * c) @ gy.T
-            upper = np.triu(K)
-            K = upper + upper.T - np.diag(np.diag(K))
-            rows.append(np.repeat(gidx, len(gidx)))
-            cols.append(np.tile(gidx, len(gidx)))
-            vals.append(K.ravel())
+    nel_u, nel_v = c.shape[:2]
+    nloc = (g.kv_u.degree + 1) * (g.kv_v.degree + 1)
+    row_size = nel_v * nloc * nloc
+    keys = np.empty(nel_u * row_size, dtype=np.int64)
+    vals = np.empty(nel_u * row_size)
+    lower = np.tril_indices(nloc, -1)
+    for eu in range(nel_u):
+        R, Ru, Rv, gidx = _row_rational(g, quad, tables, eu)
+        gx = Ru * xi_x[eu] + Rv * eta_x[eu]
+        gy = Ru * xi_y[eu] + Rv * eta_y[eu]
+        ce = c[eu][:, None, :]
+        K = (gx * ce) @ gx.transpose(0, 2, 1) + (gy * ce) @ gy.transpose(0, 2, 1)
+        K[:, lower[0], lower[1]] = K[:, lower[1], lower[0]]
+        out = slice(eu * row_size, (eu + 1) * row_size)
+        keys[out] = (gidx[:, :, None] * n + gidx[:, None, :]).ravel()
+        vals[out] = K.ravel()
 
-    return _merge_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
+    return _merge_coo(keys, vals, n)
 
 
 def assemble_load(g: NurbsGeometry, f, extra_quad: int = 0) -> np.ndarray:
@@ -270,18 +312,19 @@ def assemble_load(g: NurbsGeometry, f, extra_quad: int = 0) -> np.ndarray:
     quad = quadrature_grid(g, extra_quad)
     geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
-    Du, Dv, W = _element_tables(g, quad)
-    wq2d = np.multiply.outer(quad.wts_u, quad.wts_v)
+    fblk = _grid_blocks(fvals, quad)
+    bad = _first_bad_element(~np.all(np.isfinite(fblk), axis=-1))
+    if bad is not None:
+        raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
+
+    tables = _element_tables(g, quad)
+    wq = _grid_blocks(np.multiply.outer(quad.wts_u, quad.wts_v), quad)
+    c = wq * _grid_blocks(geo.det, quad) * fblk
 
     b = np.zeros(g.ndof)
-    for eu, span_u in enumerate(g.kv_u.nonzero_spans):
-        for ev, span_v in enumerate(g.kv_v.nonzero_spans):
-            R, _, _, gidx, ru, rv = _local_rational(g, quad, Du, Dv, W, eu, ev, span_u, span_v)
-            fblk = fvals[ru, rv]
-            if not np.all(np.isfinite(fblk)):
-                raise AssemblyError(f"non-finite source value in element ({eu}, {ev})")
-            c = (wq2d[ru, rv] * geo.det[ru, rv] * fblk).ravel()
-            np.add.at(b, gidx, R @ c)
+    for eu in range(c.shape[0]):
+        R, _, _, gidx = _row_rational(g, quad, tables, eu)
+        np.add.at(b, gidx.ravel(), (R @ c[eu][:, :, None]).ravel())
     return b
 
 

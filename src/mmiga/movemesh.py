@@ -155,6 +155,14 @@ class LogicalMesh:
 
 @dataclass
 class TraceEntry:
+    """One outer iteration as written to ``trace.csv``.
+
+    ``cpu_seconds`` keeps its historical name but is cumulative wall time
+    from ``time.perf_counter`` since :func:`move_mesh_solve` started. It
+    includes the logical-mesh initialization and the error-norm evaluation
+    of this and every earlier iteration.
+    """
+
     iteration: int
     xi_inf_err: float
     tau_used: float
@@ -244,9 +252,7 @@ def init_logical_mesh(
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
     on the boundary; the nodal values are frozen for the whole run."""
-    lin = lin or LinearSolverSettings()
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    fields = tuple(solve_poisson(g0, zero, bmap.component(k), lin) for k in range(2))
+    fields = _solve_components(assemble_weighted_stiffness(g0), g0, bmap, lin)
     gu = greville_abscissae(g0.kv_u)
     gv = greville_abscissae(g0.kv_v)
     vals = [eval_field_grid(g0, f, gu, gv, nders=0).values for f in fields]
@@ -304,10 +310,17 @@ def solve_harmonic_map(
     One weighted stiffness matrix (weight 1/M) is shared by both components;
     each component gets its own Dirichlet data from the boundary map.
     """
-    lin = lin or LinearSolverSettings()
     quad = quadrature_grid(g)
     m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v)
-    A = assemble_weighted_stiffness(g, 1.0 / m)
+    return _solve_components(assemble_weighted_stiffness(g, 1.0 / m), g, bmap, lin)
+
+
+def _solve_components(
+    A, g: NurbsGeometry, bmap: BoundaryMap, lin: LinearSolverSettings | None
+) -> tuple[FieldCoefficients, FieldCoefficients]:
+    """Both logical-map components from one stiffness matrix ``A``: zero
+    source, Dirichlet data from each component of the boundary map."""
+    lin = lin or LinearSolverSettings()
     out = []
     zero = np.zeros(g.ndof)
     for k in range(2):

@@ -5,7 +5,9 @@ All knot vectors live on the parametric interval [0, 1] and are open
 so the basis is interpolatory there. Evaluation follows the banded triangular
 schemes of Piegl & Tiller (The NURBS Book, algorithms A2.1-A2.3): only the
 ``degree + 1`` basis functions that can be nonzero on the span containing the
-query point are computed and returned.
+query point are computed and returned. The scheme runs over whole arrays of
+query points at once; a single point is the one-element case of the same
+routine.
 
 The closed-interval convention is used at the right end: ``t = 1`` evaluates
 on the last span of nonzero length, so bases are defined on all of [0, 1].
@@ -182,20 +184,41 @@ def find_span(kv: KnotVector, t: float) -> int:
     return span
 
 
-def _basis_all_ders(knots: np.ndarray, p: int, t: float, span: int, nders: int) -> np.ndarray:
-    """Values and derivatives of the p+1 nonzero basis functions (A2.3).
+def _find_spans(kv: KnotVector, t: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`find_span`: the index of the last knot <= t,
+    clipped to p .. n-1. Like find_span it is left-closed at interior knots
+    and puts t = 1 on the last span of nonzero length."""
+    return np.clip(np.searchsorted(kv.knots, t, side="right") - 1, kv.degree, kv.n - 1)
 
-    Returns an array of shape (nders+1, p+1); row k holds the k-th
-    derivatives, row 0 the values. The 0/0 convention of the recursion never
-    arises here because the span has nonzero length.
+
+def _basis_ders(kv: KnotVector, pts: np.ndarray, nders: int, spans: np.ndarray | None = None):
+    """Values and derivatives of the p+1 nonzero basis functions at every
+    point of ``pts`` at once (algorithm A2.3, vectorized over the points).
+
+    ``spans`` defaults to the span of each point under the convention of
+    :func:`find_span`. Returns ``(spans, ders)`` with ``ders`` of shape
+    (nders+1, p+1, len(pts)); ``ders[k, a, m]`` is the k-th derivative of
+    basis function ``spans[m] - p + a`` at ``pts[m]``. Python loops run over
+    degree indices only, and every arithmetic step is the scalar scheme's
+    applied elementwise, so each point gets the bits a one-point call gives.
+    The 0/0 convention of the recursion never arises because every span has
+    nonzero length.
     """
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    knots, p = kv.knots, kv.degree
+    if not 0 <= nders <= p:
+        raise ValueError(f"derivative order must lie in [0, {p}], got {nders}")
+    t = np.asarray(pts, dtype=float)
+    if spans is None:
+        spans = _find_spans(kv, t)
+    npts = len(t)
+
+    ndu = np.empty((p + 1, p + 1, npts))
+    left = np.empty((p + 1, npts))
+    right = np.empty((p + 1, npts))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = t - knots[span + 1 - j]
-        right[j] = knots[span + j] - t
+        left[j] = t - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - t
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -204,12 +227,12 @@ def _basis_all_ders(knots: np.ndarray, p: int, t: float, span: int, nders: int) 
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
+    ders = np.zeros((nders + 1, p + 1, npts))
+    ders[0] = ndu[:, p]
     if nders == 0:
-        return ders
+        return spans, ders
 
-    a = np.empty((2, p + 1))
+    a = np.empty((2, p + 1, npts))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -233,9 +256,9 @@ def _basis_all_ders(knots: np.ndarray, p: int, t: float, span: int, nders: int) 
 
     fac = float(p)
     for k in range(1, nders + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return ders
+    return spans, ders
 
 
 def eval_basis(kv: KnotVector, t: float, nders: int = 0, span: int | None = None) -> BasisEval:
@@ -252,12 +275,9 @@ def eval_basis(kv: KnotVector, t: float, nders: int = 0, span: int | None = None
         Span override. Defaults to ``find_span(kv, t)``; passing the span
         explicitly allows one-sided limits at interior knots.
     """
-    p = kv.degree
-    if not 0 <= nders <= p:
-        raise ValueError(f"derivative order must lie in [0, {p}], got {nders}")
-    if span is None:
-        span = find_span(kv, t)
-    return BasisEval(span, _basis_all_ders(kv.knots, p, t, span, nders))
+    spans = None if span is None else np.array([span])
+    spans, ders = _basis_ders(kv, np.array([t], dtype=float), nders, spans)
+    return BasisEval(int(spans[0]), np.ascontiguousarray(ders[..., 0]))
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
@@ -271,15 +291,17 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
 def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     """Dense matrix B with B[k, i] = (d/dt)^der N_i at pts[k].
 
-    Rows are banded: at most degree+1 consecutive nonzero columns. Used for
-    Greville collocation and grid evaluation.
+    Rows are banded: at most degree+1 consecutive nonzero columns. All points
+    are tabulated in one vectorized pass (spans by a sorted search, then the
+    triangular scheme over the point axis) and the local values are
+    scattered into the band with one indexed assignment. Used for Greville
+    collocation, grid evaluation and assembly tables.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    out = np.zeros((len(pts), kv.n))
     p = kv.degree
-    for k, t in enumerate(pts):
-        ev = eval_basis(kv, t, nders=der)
-        out[k, ev.span - p: ev.span + 1] = ev.ders[der]
+    spans, ders = _basis_ders(kv, pts, der)
+    out = np.zeros((len(pts), kv.n))
+    out[np.arange(len(pts))[:, None], spans[:, None] - p + np.arange(p + 1)] = ders[der].T
     return out
 
 

@@ -121,6 +121,55 @@ def test_stiffness_rejects_nonpositive_weight():
         assemble_weighted_stiffness(g, weight=lambda x, y: x - 0.5)
 
 
+def _mesh_3x4(p=2):
+    kv_u = make_open_knot_vector(p, 3)
+    kv_v = make_open_knot_vector(p, 4)
+    return build_identity_geometry(Rectangle(0, 1, 0, 1), kv_u, kv_v)
+
+
+def _in_element(x, y, eu, ev, nu=3, nv=4):
+    return (eu / nu < x) & (x < (eu + 1) / nu) & (ev / nv < y) & (y < (ev + 1) / nv)
+
+
+def test_stiffness_names_element_with_nonpositive_weight():
+    g = _mesh_3x4()
+    with pytest.raises(AssemblyError, match=r"diffusion weight in element \(1, 2\)"):
+        assemble_weighted_stiffness(g, weight=lambda x, y: np.where(_in_element(x, y, 1, 2), 0.0, 1.0))
+
+
+def test_stiffness_weight_error_wins_in_first_bad_element():
+    # fold the map by pushing one interior control point past its neighbour
+    g = _mesh_3x4()
+    cp = g.control_points.copy()
+    cp[2, 3] = cp[3, 3] + (cp[3, 3] - cp[2, 3])
+    g = NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
+    quad = quadrature_grid(g)
+    det = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1).det
+    folded = [
+        (eu, ev)
+        for eu in range(3)
+        for ev in range(4)
+        if np.any(det[eu * quad.q_u:(eu + 1) * quad.q_u, ev * quad.q_v:(ev + 1) * quad.q_v] <= 0.0)
+    ]
+    # (2, 0) comes after the first folded element in row order but before
+    # it in column order
+    first, later = folded[0], (2, 0)
+    assert first < later and first[1] > later[1]
+
+    def block(e):
+        w = np.ones_like(det)
+        w[e[0] * quad.q_u:(e[0] + 1) * quad.q_u, e[1] * quad.q_v:(e[1] + 1) * quad.q_v] = -1.0
+        return w
+
+    where = rf"in element \({first[0]}, {first[1]}\)"
+    with pytest.raises(AssemblyError, match="Jacobian determinant " + where):
+        assemble_weighted_stiffness(g)
+    with pytest.raises(AssemblyError, match="diffusion weight " + where):
+        assemble_weighted_stiffness(g, block(first))
+    with pytest.raises(AssemblyError, match="Jacobian determinant " + where):
+        assemble_weighted_stiffness(g, block(later))
+
+
 def test_interior_stiffness_spd():
     g = _perturbed(p=2, m=4, seed=4)
     A = assemble_weighted_stiffness(g)
@@ -163,6 +212,12 @@ def test_load_rejects_non_finite_source():
 
     with pytest.raises(AssemblyError, match="element"):
         assemble_load(g, f)
+
+
+def test_load_names_element_with_non_finite_source():
+    g = _mesh_3x4()
+    with pytest.raises(AssemblyError, match=r"source value in element \(1, 2\)"):
+        assemble_load(g, lambda x, y: np.where(_in_element(x, y, 1, 2), np.nan, 1.0))
 
 
 # ----------------------------------------------------------------- dirichlet

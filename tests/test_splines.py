@@ -3,6 +3,7 @@ import pytest
 
 from mmiga.splines import (
     KnotVector,
+    _find_spans,
     TensorWeights,
     basis_matrix,
     eval_basis,
@@ -255,3 +256,32 @@ def test_basis_matrix_rows_sum_to_one():
     assert np.allclose(B.sum(axis=1), 1.0, atol=1e-13)
     D = basis_matrix(kv, pts, der=1)
     assert np.allclose(D.sum(axis=1), 0.0, atol=1e-10)
+
+
+def _probe_points(kv, seed):
+    """Random points, every knot with its repeats, and both ends."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0, 1, 25), kv.knots, [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_vectorised_span_lookup_matches_find_span(p):
+    for mult in range(1, p + 1):
+        kv = make_open_knot_vector(p, 4, mult)
+        pts = _probe_points(kv, seed=p + 10 * mult)
+        expected = [find_span(kv, float(t)) for t in pts]
+        assert _find_spans(kv, pts).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_basis_matrix_matches_recursive_oracle(p):
+    for mult in range(1, p + 1):
+        kv = make_open_knot_vector(p, 4, mult)
+        pts = _probe_points(kv, seed=p + 10 * mult)
+        for der in range(p + 1):
+            B = basis_matrix(kv, pts, der)
+            expected = np.array(
+                [[bspline_deriv_recursive(kv.knots, p, i, t, der) for i in range(kv.n)] for t in pts]
+            )
+            scale = max(1.0, np.abs(expected).max())
+            assert np.allclose(B, expected, rtol=0.0, atol=1e-12 * scale), (mult, der)
