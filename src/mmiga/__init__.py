@@ -8,13 +8,13 @@ from .assembly import (
     dof_map,
     eval_field,
     eval_field_grid,
-    gauss_rule,
     solve_poisson,
 )
 from .geometry import (
     NurbsGeometry,
     Rectangle,
     build_identity_geometry,
+    gauss_rule,
     map_point,
     mesh_nodes,
     min_jacobian,
@@ -48,7 +48,6 @@ from .splines import (
     KnotVector,
     TensorWeights,
     eval_basis,
-    eval_nurbs_2d,
     find_span,
     greville_abscissae,
     make_open_knot_vector,

@@ -5,12 +5,16 @@ A_kl = int w grad(phi_k) . grad(phi_l) dx ; with w = 1 this is the Poisson
 bilinear form. Elements are the nonzero knot-span rectangles, each with
 per-direction Gauss rules of degree + 1 points. Assembly runs one Python
 iteration per element row: the directional basis tables are sliced once
-into per-element blocks, and the local rational basis, its gradients and
-the element matrices of a whole row are formed by batched einsum and
-matmul. Local blocks are mirrored from their upper triangle, and the COO
-entries are laid out in the fixed (row, column) element order before a
-stable merge, so every sum accumulates in the same order on every run:
-matrices come out bit-symmetric and runs are reproducible.
+into per-element blocks, and the weighted numerators of a whole row are
+formed by batched einsum. The local rational basis then follows from the
+quotient rule every rational evaluation shares,
+:func:`~mmiga.splines.rational_derivatives`: with its gradients for the
+stiffness, values only for the load. The element matrices of a row come
+from one batched matmul. Local blocks are mirrored from their upper
+triangle, and the COO entries are laid out in the fixed (row, column)
+element order before a stable merge, so every sum accumulates in the same
+order on every run: matrices come out bit-symmetric and runs are
+reproducible.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -29,12 +33,14 @@ from .errors import AssemblyError
 from .geometry import (
     GeometryGrid,
     NurbsGeometry,
+    QuadratureRule,  # re-exported: the Gauss rule lives in geometry
     element_quadrature_1d,
     eval_geometry_grid,
+    gauss_rule,
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import basis_matrix
+from .splines import basis_matrix, rational_derivatives
 
 __all__ = [
     "QuadratureRule",
@@ -53,21 +59,6 @@ __all__ = [
     "eval_field",
     "eval_field_grid",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule mapped to [0, 1]; exact on degree 2q-1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_rule(q: int) -> QuadratureRule:
-    if not 1 <= q <= 16:
-        raise ValueError(f"point count must lie in [1, 16], got {q}")
-    x, w = np.polynomial.legendre.leggauss(q)
-    return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
 
 
 @dataclass(frozen=True)
@@ -153,20 +144,25 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
     return vals
 
 
-def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
-    """Per-element blocks of everything the local rational basis needs.
+def _element_tables(g: NurbsGeometry, quad: TensorQuadrature, nders: int):
+    """Per-element blocks of everything the local rational basis needs, up
+    to derivative order ``nders`` (0 for values, 1 for gradients too).
 
     ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
     ``eu`` (its Gauss points against the p+1 functions nonzero there), and
-    likewise ``Lv`` along v. ``W`` holds the weight sums
-    sum_ij w_ij d^a N_i d^b N_j for (a, b) = (0, 0), (1, 0), (0, 1) in the
-    element blocks of :func:`_grid_blocks`. ``cols_u``, ``cols_v`` give the
-    global indices of the local functions of each element.
+    likewise ``Lv`` along v. ``W[a, b]`` holds the weight sum
+    sum_ij w_ij d^a N_i d^b N_j for a + b <= nders in the element blocks of
+    :func:`_grid_blocks`. ``cols_u``, ``cols_v`` give the global indices of
+    the local functions of each element.
     """
     w = g.weights.w
-    Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in range(2)]
-    Dv = [basis_matrix(g.kv_v, quad.pts_v, a) for a in range(2)]
-    W = tuple(_grid_blocks(Du[a] @ w @ Dv[b].T, quad) for a, b in ((0, 0), (1, 0), (0, 1)))
+    Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in range(nders + 1)]
+    Dv = [basis_matrix(g.kv_v, quad.pts_v, a) for a in range(nders + 1)]
+    W = {
+        (a, b): _grid_blocks(Du[a] @ w @ Dv[b].T, quad)
+        for a in range(nders + 1)
+        for b in range(nders + 1 - a)
+    }
     cols_u = _local_columns(g.kv_u)
     cols_v = _local_columns(g.kv_v)
     Lu = [_local_blocks(D, cols_u, quad.q_u) for D in Du]
@@ -195,27 +191,19 @@ def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
 
 
 def _row_rational(g, quad, tables, eu):
-    """Values and parametric gradients of the local rational basis on every
-    element of row ``eu``, each of shape (nel_v, nloc, nq), plus the
-    (nel_v, nloc) global indices of the local functions."""
+    """The local rational basis on every element of row ``eu``: a map
+    (a, b) -> d^{a+b} R / du^a dv^b for the orders ``tables`` holds, each of
+    shape (nel_v, nloc, nq), plus the (nel_v, nloc) global indices of the
+    local functions."""
     Lu, Lv, W, cols_u, cols_v = tables
     wloc = g.weights.w[cols_u[eu][:, None, None], cols_v[None, :, :]].transpose(1, 0, 2)
-    A0 = np.einsum("ai,ebj,eij->eijab", Lu[0][eu], Lv[0], wloc)
-    Au = np.einsum("ai,ebj,eij->eijab", Lu[1][eu], Lv[0], wloc)
-    Av = np.einsum("ai,ebj,eij->eijab", Lu[0][eu], Lv[1], wloc)
-    W0, Wu, Wv = (x[eu].reshape(-1, 1, 1, quad.q_u, quad.q_v) for x in W)
-    R = A0 / W0
-    Ru = (Au - R * Wu) / W0
-    Rv = (Av - R * Wv) / W0
+    num = {(a, b): np.einsum("ai,ebj,eij->eijab", Lu[a][eu], Lv[b], wloc) for a, b in W}
+    wsum = {ab: x[eu].reshape(-1, 1, 1, quad.q_u, quad.q_v) for ab, x in W.items()}
+    R = rational_derivatives(num, wsum, len(Lu) - 1)
 
-    nel_v, nloc = len(cols_v), A0.shape[1] * A0.shape[2]
+    nel_v, nloc = len(cols_v), wloc.shape[1] * wloc.shape[2]
     gidx = (cols_u[eu][None, :, None] * g.kv_v.n + cols_v[:, None, :]).reshape(nel_v, nloc)
-    return (
-        R.reshape(nel_v, nloc, -1),
-        Ru.reshape(nel_v, nloc, -1),
-        Rv.reshape(nel_v, nloc, -1),
-        gidx,
-    )
+    return {ab: x.reshape(nel_v, nloc, -1) for ab, x in R.items()}, gidx
 
 
 def _merge_coo(keys, vals, n):
@@ -275,7 +263,7 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    tables = _element_tables(g, quad)
+    tables = _element_tables(g, quad, 1)
     xi_x = _grid_blocks(jac[..., 1, 1] / det, quad)[..., None, :]
     xi_y = _grid_blocks(-jac[..., 0, 1] / det, quad)[..., None, :]
     eta_x = _grid_blocks(-jac[..., 1, 0] / det, quad)[..., None, :]
@@ -290,7 +278,8 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
     vals = np.empty(nel_u * row_size)
     lower = np.tril_indices(nloc, -1)
     for eu in range(nel_u):
-        R, Ru, Rv, gidx = _row_rational(g, quad, tables, eu)
+        R, gidx = _row_rational(g, quad, tables, eu)
+        Ru, Rv = R[1, 0], R[0, 1]
         gx = Ru * xi_x[eu] + Rv * eta_x[eu]
         gy = Ru * xi_y[eu] + Rv * eta_y[eu]
         ce = c[eu][:, None, :]
@@ -317,14 +306,14 @@ def assemble_load(g: NurbsGeometry, f, extra_quad: int = 0) -> np.ndarray:
     if bad is not None:
         raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
 
-    tables = _element_tables(g, quad)
+    tables = _element_tables(g, quad, 0)
     wq = _grid_blocks(np.multiply.outer(quad.wts_u, quad.wts_v), quad)
     c = wq * _grid_blocks(geo.det, quad) * fblk
 
     b = np.zeros(g.ndof)
     for eu in range(c.shape[0]):
-        R, _, _, gidx = _row_rational(g, quad, tables, eu)
-        np.add.at(b, gidx.ravel(), (R @ c[eu][:, :, None]).ravel())
+        R, gidx = _row_rational(g, quad, tables, eu)
+        np.add.at(b, gidx.ravel(), (R[0, 0] @ c[eu][:, :, None]).ravel())
     return b
 
 

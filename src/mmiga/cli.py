@@ -179,14 +179,13 @@ class RunConfig:
     movemesh: MoveMeshConfig = field(default_factory=MoveMeshConfig)
     solver: LinearSolverSettings = LinearSolverSettings()
     output_dir: str = "out"
-    deterministic: bool = True
     vtk_samples: int = 4
 
 
 _TOP_KEYS = {
     "mode", "problem", "degree", "refinement", "levels", "elements",
     "elements_list", "monitor", "movemesh", "solver", "output_dir",
-    "deterministic", "vtk_samples",
+    "vtk_samples",
 }
 _MONITOR_KEYS = {"kind", "eps", "alpha", "beta", "smoothing"}
 _MOVEMESH_KEYS = {"tau", "tolerance", "max_outer", "movement_cap", "logical"}
@@ -296,9 +295,6 @@ def parse_config(doc: dict) -> RunConfig:
         f"vtk_samples: expected integer >= 2, got {vtk_samples!r}",
     )
 
-    deterministic = doc.get("deterministic", True)
-    _require(isinstance(deterministic, bool), "deterministic: expected true/false")
-
     return RunConfig(
         mode=mode,
         problem=problem,
@@ -311,7 +307,6 @@ def parse_config(doc: dict) -> RunConfig:
         movemesh=movecfg,
         solver=solver,
         output_dir=doc.get("output_dir", "out"),
-        deterministic=deterministic,
         vtk_samples=vtk_samples,
     )
 

@@ -10,7 +10,6 @@ thanks to the tensor structure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .splines import (
     KnotVector,
     TensorWeights,
     basis_matrix,
-    eval_nurbs_2d,
     greville_abscissae,
+    rational_derivatives,
 )
 
 __all__ = [
@@ -30,6 +29,8 @@ __all__ = [
     "PhysicalMesh",
     "GeometryGrid",
     "MapPointEval",
+    "QuadratureRule",
+    "gauss_rule",
     "build_identity_geometry",
     "map_point",
     "eval_geometry_grid",
@@ -167,9 +168,11 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     """Mixed parametric derivatives of S(u, v) = sum_ij R_ij(u, v) c_ij.
 
     ``coeffs`` has shape (n1, n2, m); the result maps (a, b) with
-    a + b <= nders to arrays of shape (Nu, Nv, m). Everything reduces to
+    a + b <= nders to arrays of shape (Nu, Nv, m). The derivatives of the
+    weighted numerator sum_ij w_ij N_i N_j c_ij and of the weight sum are
     dense matrix products with the directional derivative collocation
-    matrices, then the generalized quotient rule divides out the weight sum.
+    matrices; :func:`~mmiga.splines.rational_derivatives` then divides out
+    the weight sum. A single point is the 1x1 grid.
     """
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -184,21 +187,9 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     for a in range(nders + 1):
         wc_u = np.tensordot(Du[a], wc, axes=1)  # (Nu, n2, m)
         for b in range(nders + 1 - a):
-            wsum[a, b] = Du[a] @ w @ Dv[b].T
+            wsum[a, b] = (Du[a] @ w @ Dv[b].T)[:, :, None]
             num[a, b] = Dv[b] @ wc_u  # (Nu, Nv, m)
-
-    sums = {}
-    for total in range(nders + 1):
-        for a in range(total + 1):
-            b = total - a
-            acc = num[a, b].copy()
-            for c in range(a + 1):
-                for d in range(b + 1):
-                    if c == 0 and d == 0:
-                        continue
-                    acc -= (comb(a, c) * comb(b, d)) * wsum[c, d][:, :, None] * sums[a - c, b - d]
-            sums[a, b] = acc / wsum[0, 0][:, :, None]
-    return sums
+    return rational_derivatives(num, wsum, nders)
 
 
 def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> GeometryGrid:
@@ -220,26 +211,14 @@ def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> Geomet
 
 def map_point(g: NurbsGeometry, s, nders: int = 1) -> MapPointEval:
     """Geometry map at a single parametric point with Jacobian (and, for
-    nders=2, second parametric derivatives)."""
-    ev = eval_nurbs_2d(g.kv_u, g.kv_v, g.weights, s, nders=nders)
-    p, q = g.kv_u.degree, g.kv_v.degree
-    cp = g.control_points[ev.i0: ev.i0 + p + 1, ev.j0: ev.j0 + q + 1]
-    point = np.einsum("ij,ijm->m", ev.ders[0, 0], cp)
-    jac = None
-    if nders >= 1:
-        du = np.einsum("ij,ijm->m", ev.ders[1, 0], cp)
-        dv = np.einsum("ij,ijm->m", ev.ders[0, 1], cp)
-        jac = np.stack([du, dv], axis=-1)
-    second = None
-    if nders >= 2:
-        second = np.stack(
-            [
-                np.einsum("ij,ijm->m", ev.ders[2, 0], cp),
-                np.einsum("ij,ijm->m", ev.ders[1, 1], cp),
-                np.einsum("ij,ijm->m", ev.ders[0, 2], cp),
-            ]
-        )
-    return MapPointEval(point, jac, second)
+    nders=2, second parametric derivatives): the 1x1 case of
+    :func:`eval_geometry_grid`."""
+    grid = eval_geometry_grid(g, [float(s[0])], [float(s[1])], nders)
+    return MapPointEval(
+        grid.points[0, 0],
+        None if grid.jac is None else grid.jac[0, 0],
+        None if grid.second is None else grid.second[0, 0],
+    )
 
 
 def build_identity_geometry(rect: Rectangle, kv_u: KnotVector, kv_v: KnotVector) -> NurbsGeometry:
@@ -308,9 +287,19 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeome
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
 
 
-def _gauss01(q):
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Legendre rule mapped to [0, 1]; exact on degree 2q-1."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+
+def gauss_rule(q: int) -> QuadratureRule:
+    if not 1 <= q <= 16:
+        raise ValueError(f"point count must lie in [1, 16], got {q}")
     x, w = np.polynomial.legendre.leggauss(q)
-    return (x + 1.0) / 2.0, w / 2.0
+    return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
 
 
 def element_quadrature_1d(kv: KnotVector, q: int):
@@ -318,12 +307,12 @@ def element_quadrature_1d(kv: KnotVector, q: int):
 
     Returns (pts, wts) of length len(nonzero_spans) * q, ordered span by span.
     """
-    xg, wg = _gauss01(q)
+    rule = gauss_rule(q)
     pts, wts = [], []
     for span in kv.nonzero_spans:
         a, b = kv.knots[span], kv.knots[span + 1]
-        pts.append(a + (b - a) * xg)
-        wts.append((b - a) * wg)
+        pts.append(a + (b - a) * rule.points)
+        wts.append((b - a) * rule.weights)
     return np.concatenate(pts), np.concatenate(wts)
 
 

@@ -1,4 +1,4 @@
-"""Open knot vectors and B-spline / NURBS basis evaluation.
+"""Open knot vectors, B-spline basis evaluation and the NURBS quotient rule.
 
 All knot vectors live on the parametric interval [0, 1] and are open
 (clamped): the first and last ``degree + 1`` knots sit on the interval ends,
@@ -8,6 +8,12 @@ schemes of Piegl & Tiller (The NURBS Book, algorithms A2.1-A2.3): only the
 query point are computed and returned. The scheme runs over whole arrays of
 query points at once; a single point is the one-element case of the same
 routine.
+
+Rational (NURBS) derivatives are formed in one place only:
+:func:`rational_derivatives` applies the generalized quotient rule to the
+mixed derivatives of a weighted numerator and of the weight sum. Grid
+evaluation of the geometry and of fields, point evaluation and the element
+blocks of assembly all go through it.
 
 The closed-interval convention is used at the right end: ``t = 1`` evaluates
 on the last span of nonzero length, so bases are defined on all of [0, 1].
@@ -24,13 +30,12 @@ __all__ = [
     "KnotVector",
     "BasisEval",
     "TensorWeights",
-    "Nurbs2DEval",
     "make_open_knot_vector",
     "find_span",
     "eval_basis",
     "greville_abscissae",
     "basis_matrix",
-    "eval_nurbs_2d",
+    "rational_derivatives",
 ]
 
 
@@ -305,70 +310,25 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Nurbs2DEval:
-    """Local values/derivatives of the nonzero bivariate rational basis.
+def rational_derivatives(num, wsum, nders: int) -> dict:
+    """Mixed derivatives of a quotient R = A / W by the generalized quotient
+    rule (Piegl & Tiller, The NURBS Book, eq. 4.20).
 
-    ``ders[a, b]`` is the (p+1, q+1) block of mixed parametric derivatives
-    d^{a+b} R / du^a dv^b; local entry (alpha, beta) belongs to the global
-    basis function (i0 + alpha, j0 + beta).
+    ``num[a, b]`` and ``wsum[a, b]`` are d^{a+b} / du^a dv^b of the numerator
+    A and of the weight sum W for a + b <= nders, as arrays that broadcast
+    against each other. Returns the map (a, b) -> d^{a+b} R / du^a dv^b for
+    a + b <= nders, built from lower orders up:
+
+        R^(a,b) = (A^(a,b) - sum_{(c,d) != (0,0)} C(a,c) C(b,d) W^(c,d) R^(a-c,b-d)) / W^(0,0)
     """
-
-    i0: int
-    j0: int
-    ders: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.ders[0, 0]
-
-
-def eval_nurbs_2d(
-    kv_u: KnotVector,
-    kv_v: KnotVector,
-    weights: TensorWeights | np.ndarray,
-    s,
-    nders: int = 0,
-) -> Nurbs2DEval:
-    """Evaluate the nonzero bivariate NURBS basis functions at s = (u, v).
-
-    The rational derivatives are obtained from the product-rule expansion of
-    numerator and weight sums; with unit weights they reduce to plain tensor
-    products of B-spline values.
-
-    Parameters
-    ----------
-    kv_u, kv_v : KnotVector
-        Directional knot vectors (degrees p, q).
-    weights : TensorWeights or (n1, n2) array
-        Positive weight grid.
-    s : pair of floats
-        Parametric point in [0, 1]^2.
-    nders : int
-        Highest derivative order per direction, nders <= min(p, q).
-    """
-    w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
-    p, q = kv_u.degree, kv_v.degree
-    if not 0 <= nders <= min(p, q):
-        raise ValueError(f"derivative order must lie in [0, {min(p, q)}], got {nders}")
-    u, v = float(s[0]), float(s[1])
-    eu = eval_basis(kv_u, u, nders)
-    ev = eval_basis(kv_v, v, nders)
-    i0, j0 = eu.first_index, ev.first_index
-    wloc = w[i0: i0 + p + 1, j0: j0 + q + 1]
-
-    # Mixed derivatives of the numerators A_ij = w_ij N_i N_j and of their
-    # sum W; then recover R = A / W by the generalized quotient rule.
-    num = np.einsum("ai,bj,ij->abij", eu.ders, ev.ders, wloc)
-    wsum = num.sum(axis=(2, 3))
-    ders = np.empty_like(num)
-    for a in range(nders + 1):
-        for b in range(nders + 1):
-            acc = num[a, b].copy()
+    out = {}
+    for total in range(nders + 1):
+        for a in range(total + 1):
+            b = total - a
+            acc = num[a, b]
             for c in range(a + 1):
                 for d in range(b + 1):
-                    if c == 0 and d == 0:
-                        continue
-                    acc -= comb(a, c) * comb(b, d) * wsum[c, d] * ders[a - c, b - d]
-            ders[a, b] = acc / wsum[0, 0]
-    return Nurbs2DEval(i0, j0, ders)
+                    if c or d:
+                        acc = acc - (comb(a, c) * comb(b, d)) * wsum[c, d] * out[a - c, b - d]
+            out[a, b] = acc / wsum[0, 0]
+    return out

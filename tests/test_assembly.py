@@ -3,6 +3,8 @@ import pytest
 
 from mmiga.assembly import (
     FieldCoefficients,
+    _element_tables,
+    _row_rational,
     apply_dirichlet,
     assemble_load,
     assemble_weighted_stiffness,
@@ -22,6 +24,7 @@ from mmiga.geometry import (
     map_point,
     refit_from_node_targets,
     mesh_nodes,
+    rational_grid_sums,
 )
 from mmiga.linalg import LinearSolverSettings
 from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
@@ -168,6 +171,31 @@ def test_stiffness_weight_error_wins_in_first_bad_element():
         assemble_weighted_stiffness(g, block(first))
     with pytest.raises(AssemblyError, match="Jacobian determinant " + where):
         assemble_weighted_stiffness(g, block(later))
+
+
+def test_assembly_local_basis_matches_grid_evaluation():
+    # the element-row basis of assembly and rational_grid_sums with one-hot
+    # coefficients must give the same values and parametric gradients
+    g0 = _mesh_3x4(p=3)
+    rng = np.random.default_rng(4)
+    w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
+    g = NurbsGeometry(g0.kv_u, g0.kv_v, w, g0.control_points)
+    quad = quadrature_grid(g)
+    eu = 1
+    R, gidx = _row_rational(g, quad, _element_tables(g, quad, 1), eu)
+
+    rows = slice(eu * quad.q_u, (eu + 1) * quad.q_u)
+    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, w, one_hot, quad.pts_u[rows], quad.pts_v, 1)
+    nel_v, nloc = gidx.shape
+    for ab in [(0, 0), (1, 0), (0, 1)]:
+        # (q_u, nel_v * q_v, ndof) -> (nel_v, ndof, q_u * q_v), then pick the
+        # local functions of each element
+        grid = sums[ab].reshape(quad.q_u, nel_v, quad.q_v, -1).transpose(1, 3, 0, 2)
+        grid = grid.reshape(nel_v, g.ndof, -1)
+        expected = np.take_along_axis(grid, gidx[:, :, None], axis=1)
+        assert R[ab].shape == expected.shape
+        assert np.allclose(R[ab], expected, rtol=0, atol=1e-13), ab
 
 
 def test_interior_stiffness_spd():

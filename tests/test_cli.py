@@ -133,9 +133,10 @@ def test_range_validation(key, value):
         parse_config(doc)
 
 
-def test_unknown_key_exits_2(tmp_path):
+@pytest.mark.parametrize("key", ["bogus", "deterministic"])
+def test_unknown_key_exits_2(tmp_path, key):
     doc = dict(BASE_CONV)
-    doc["bogus"] = 1
+    doc[key] = 1
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
 

@@ -94,6 +94,7 @@ def test_affine_reproduction_through_control_net_transform():
 
 
 def test_grid_evaluation_agrees_with_pointwise():
+    # map_point is the 1x1 grid; a multi-point grid must give the same values
     g = _perturbed(p=2, m=3, seed=5)
     pu = np.array([0.1, 0.37, 0.92])
     pv = np.array([0.2, 0.55])

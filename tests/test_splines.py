@@ -7,11 +7,12 @@ from mmiga.splines import (
     TensorWeights,
     basis_matrix,
     eval_basis,
-    eval_nurbs_2d,
     find_span,
     greville_abscissae,
     make_open_knot_vector,
 )
+
+from mmiga.geometry import rational_grid_sums
 
 from oracles import bspline_deriv_recursive, bspline_value_recursive
 
@@ -208,15 +209,23 @@ def test_tensor_weights_reject_nonpositive():
         TensorWeights(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def _one_hot(kv_u, kv_v):
+    """Coefficients that pick out every basis function: (n1, n2, n1 * n2)."""
+    return np.eye(kv_u.n * kv_v.n).reshape(kv_u.n, kv_v.n, -1)
+
+
 def test_nurbs_2d_unit_weights_degenerate_to_products():
-    kv = make_open_knot_vector(2, 3, 1)
-    w = TensorWeights(np.ones((kv.n, kv.n)))
-    s = (0.37, 0.81)
-    ev = eval_nurbs_2d(kv, kv, w, s)
-    bu = eval_basis(kv, s[0])
-    bv = eval_basis(kv, s[1])
-    assert np.allclose(ev.values, np.outer(bu.values, bv.values), atol=1e-14)
-    assert ev.i0 == bu.first_index and ev.j0 == bv.first_index
+    kv_u = make_open_knot_vector(2, 3, 1)
+    kv_v = make_open_knot_vector(3, 2, 1)
+    w = TensorWeights(np.ones((kv_u.n, kv_v.n)))
+    pu = np.array([0.0, 0.37, 0.5, 1.0])
+    pv = np.array([0.12, 0.81, 1.0])
+    sums = rational_grid_sums(kv_u, kv_v, w, _one_hot(kv_u, kv_v), pu, pv, 2)
+    for (a, b), vals in sums.items():
+        expected = np.einsum(
+            "ki,lj->klij", basis_matrix(kv_u, pu, a), basis_matrix(kv_v, pv, b)
+        ).reshape(vals.shape)
+        assert np.allclose(vals, expected, atol=1e-12), (a, b)
 
 
 def test_nurbs_2d_partition_of_unity_random_weights():
@@ -224,29 +233,44 @@ def test_nurbs_2d_partition_of_unity_random_weights():
     kv_v = make_open_knot_vector(2, 5, 1)
     rng = np.random.default_rng(5)
     w = TensorWeights(rng.uniform(0.5, 2.0, size=(kv_u.n, kv_v.n)))
-    for s in rng.uniform(0, 1, size=(50, 2)):
-        ev = eval_nurbs_2d(kv_u, kv_v, w, s)
-        assert abs(ev.values.sum() - 1.0) <= 1e-13
+    pu, pv = rng.uniform(0, 1, size=(2, 10))
+    sums = rational_grid_sums(kv_u, kv_v, w, _one_hot(kv_u, kv_v), pu, pv, 2)
+    assert np.allclose(sums[0, 0].sum(axis=-1), 1.0, rtol=0, atol=1e-13)
+    for ab in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        assert np.allclose(sums[ab].sum(axis=-1), 0.0, atol=1e-10), ab
 
 
 def test_nurbs_2d_derivatives_match_finite_differences():
-    # circular-arc style weights in one direction
-    kv = make_open_knot_vector(2, 1, 1)  # single span, 3 basis functions
-    w1d = np.array([1.0, np.sqrt(2) / 2, 1.0])
-    w = TensorWeights(np.outer(w1d, np.ones(3)))
-
-    def value(u, v):
-        return eval_nurbs_2d(kv, kv, w, (u, v), nders=0).values
-
-    s = (0.5, 0.5)
+    # every (a, b) with a + b <= 2 under weights that vary in both directions:
+    # first derivatives against central differences of the values, second
+    # derivatives against central differences of the first derivatives
+    kv_u = make_open_knot_vector(3, 3, 1)
+    kv_v = make_open_knot_vector(2, 4, 1)
+    rng = np.random.default_rng(11)
+    w = TensorWeights(rng.uniform(0.5, 2.0, size=(kv_u.n, kv_v.n)))
+    coeffs = _one_hot(kv_u, kv_v)
     h = 1e-6
-    ev = eval_nurbs_2d(kv, kv, w, s, nders=2)
-    fd_u = (value(s[0] + h, s[1]) - value(s[0] - h, s[1])) / (2 * h)
-    fd_v = (value(s[0], s[1] + h) - value(s[0], s[1] - h)) / (2 * h)
-    assert np.allclose(ev.ders[1, 0], fd_u, rtol=1e-5, atol=1e-8)
-    assert np.allclose(ev.ders[0, 1], fd_v, rtol=1e-5, atol=1e-8)
-    fd_uu = (value(s[0] + h, s[1]) - 2 * value(*s) + value(s[0] - h, s[1])) / h**2
-    assert np.allclose(ev.ders[2, 0], fd_uu, rtol=1e-3, atol=1e-4)
+    for u, v in rng.uniform(0.05, 0.95, size=(6, 2)):
+        pu, pv = u + np.array([-h, 0.0, h]), v + np.array([-h, 0.0, h])
+        sums = rational_grid_sums(kv_u, kv_v, w, coeffs, pu, pv, 2)
+
+        def fd(ab, axis):
+            f = sums[ab]
+            if axis == 0:
+                return (f[2, 1] - f[0, 1]) / (2 * h)
+            return (f[1, 2] - f[1, 0]) / (2 * h)
+
+        for (a, b), base, axis in [
+            ((1, 0), (0, 0), 0),
+            ((0, 1), (0, 0), 1),
+            ((2, 0), (1, 0), 0),
+            ((1, 1), (1, 0), 1),
+            ((1, 1), (0, 1), 0),
+            ((0, 2), (0, 1), 1),
+        ]:
+            exact = sums[a, b][1, 1]
+            scale = np.abs(exact).max()
+            assert np.allclose(exact, fd(base, axis), rtol=0, atol=1e-8 * scale), (a, b, axis)
 
 
 def test_basis_matrix_rows_sum_to_one():
