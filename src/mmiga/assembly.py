@@ -3,7 +3,8 @@
 Stiffness matrices are the weighted diffusion forms
 A_kl = int w grad(phi_k) . grad(phi_l) dx ; with w = 1 this is the Poisson
 bilinear form. Elements are the nonzero knot-span rectangles, each with
-per-direction Gauss rules of degree + 1 points. Assembly runs one Python
+per-direction Gauss rules of degree + 1 points, as laid out by
+:func:`~mmiga.geometry.quadrature_grid`. Assembly runs one Python
 iteration per element row: the directional basis tables are sliced once
 into per-element blocks, and the weighted numerators of a whole row are
 formed by batched einsum. The local rational basis then follows from the
@@ -33,10 +34,12 @@ from .errors import AssemblyError
 from .geometry import (
     GeometryGrid,
     NurbsGeometry,
-    QuadratureRule,  # re-exported: the Gauss rule lives in geometry
+    QuadratureRule,  # re-exported: the Gauss rule and grid live in geometry
+    TensorQuadrature,
     element_quadrature_1d,
     eval_geometry_grid,
     gauss_rule,
+    quadrature_grid,
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
@@ -55,6 +58,7 @@ __all__ = [
     "assemble_weighted_stiffness",
     "assemble_load",
     "apply_dirichlet",
+    "solve_dirichlet",
     "solve_poisson",
     "eval_field",
     "eval_field_grid",
@@ -107,29 +111,6 @@ class FieldCoefficients:
     @property
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.shape)
-
-
-@dataclass(frozen=True)
-class TensorQuadrature:
-    """Per-direction element Gauss grids for one geometry."""
-
-    pts_u: np.ndarray
-    wts_u: np.ndarray
-    pts_v: np.ndarray
-    wts_v: np.ndarray
-    q_u: int
-    q_v: int
-
-
-def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
-    """The assembly quadrature grid: degree + 1 (+extra) points per direction
-    per element. Exposed so coefficient fields (e.g. mesh-density weights)
-    can be tabulated on exactly the points assembly will use."""
-    q_u = g.kv_u.degree + 1 + extra
-    q_v = g.kv_v.degree + 1 + extra
-    pu, wu = element_quadrature_1d(g.kv_u, q_u)
-    pv, wv = element_quadrature_1d(g.kv_v, q_v)
-    return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
 
 
 def _resolve_weight(weight, geo: GeometryGrid, shape):
@@ -386,10 +367,23 @@ def apply_dirichlet(A, b, g: NurbsGeometry, bc) -> ReducedSystem:
 
     xb_flat = np.zeros(n1 * n2)
     xb_flat[dm.boundary] = xb.ravel()[dm.boundary]
-    A = A.tocsr()
-    A_ii = A[dm.interior][:, dm.interior]
-    rhs = b[dm.interior] - A[dm.interior][:, dm.boundary] @ xb_flat[dm.boundary]
-    return ReducedSystem(A_ii.tocsr(), rhs, xb_flat, dm)
+    A_i = A.tocsr()[dm.interior]
+    rhs = b[dm.interior] - A_i[:, dm.boundary] @ xb_flat[dm.boundary]
+    return ReducedSystem(A_i[:, dm.interior].tocsr(), rhs, xb_flat, dm)
+
+
+def solve_dirichlet(
+    A, b, g: NurbsGeometry, bc, lin: LinearSolverSettings | None = None
+) -> FieldCoefficients:
+    """Solve A x = b with x = ``bc`` on the boundary: eliminate the boundary
+    coefficients (:func:`apply_dirichlet`), solve the interior system by CG
+    and scatter the interior solution back into the full coefficient grid."""
+    lin = lin or LinearSolverSettings()
+    red = apply_dirichlet(A, b, g, bc)
+    x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit, precond=lin.precond)
+    full = red.boundary_values.copy()
+    full[red.dofs.interior] = x_int
+    return FieldCoefficients(full, g.shape)
 
 
 def solve_poisson(
@@ -399,14 +393,7 @@ def solve_poisson(
     lin: LinearSolverSettings | None = None,
 ) -> FieldCoefficients:
     """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary."""
-    lin = lin or LinearSolverSettings()
-    A = assemble_weighted_stiffness(g)
-    b = assemble_load(g, f)
-    red = apply_dirichlet(A, b, g, bc)
-    x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit, precond=lin.precond)
-    full = red.boundary_values.copy()
-    full[red.dofs.interior] = x_int
-    return FieldCoefficients(full, g.shape)
+    return solve_dirichlet(assemble_weighted_stiffness(g), assemble_load(g, f), g, bc, lin)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ Jacobian feeds every physical-space derivative in the package. Mesh nodes are
 the images of Greville parameter pairs, which makes re-fitting the control
 net after node movement a square collocation problem (two banded 1D sweeps
 thanks to the tensor structure).
+
+The element partition is defined here and nowhere else: elements are the
+nonzero-measure knot spans of each direction (:func:`element_spans`), and
+every per-element sample grid is laid out on them span by span, the Gauss
+grid of assembly, ``min_jacobian`` and the error norms
+(:func:`quadrature_grid`) included.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .splines import (
 __all__ = [
     "Rectangle",
     "NurbsGeometry",
-    "Element",
-    "PhysicalMesh",
     "GeometryGrid",
     "MapPointEval",
     "QuadratureRule",
+    "TensorQuadrature",
     "gauss_rule",
+    "quadrature_grid",
     "build_identity_geometry",
     "map_point",
     "eval_geometry_grid",
@@ -109,28 +115,6 @@ class NurbsGeometry:
 
 
 @dataclass(frozen=True)
-class Element:
-    """Nonzero-measure knot-span rectangle in the parametric domain."""
-
-    iu: int  # element counter along u
-    iv: int
-    span_u: int  # knot span index
-    span_v: int
-    u0: float
-    u1: float
-    v0: float
-    v1: float
-
-
-@dataclass(frozen=True)
-class PhysicalMesh:
-    """Greville-image node grid plus the element list."""
-
-    nodes: np.ndarray  # (n1, n2, 2)
-    elements: tuple[Element, ...]
-
-
-@dataclass(frozen=True)
 class MapPointEval:
     point: np.ndarray  # (2,)
     jac: np.ndarray  # (2, 2), jac[a, b] = d x_a / d s_b
@@ -149,21 +133,6 @@ class GeometryGrid:
     second: np.ndarray | None  # (Nu, Nv, 3, 2)
 
 
-def parametric_elements(kv_u: KnotVector, kv_v: KnotVector) -> tuple[Element, ...]:
-    """All nonzero-measure elements of the tensor-product partition."""
-    out = []
-    for iu, su in enumerate(kv_u.nonzero_spans):
-        for iv, sv in enumerate(kv_v.nonzero_spans):
-            out.append(
-                Element(
-                    iu, iv, su, sv,
-                    kv_u.knots[su], kv_u.knots[su + 1],
-                    kv_v.knots[sv], kv_v.knots[sv + 1],
-                )
-            )
-    return tuple(out)
-
-
 def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     """Mixed parametric derivatives of S(u, v) = sum_ij R_ij(u, v) c_ij.
 
@@ -174,6 +143,8 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     matrices; :func:`~mmiga.splines.rational_derivatives` then divides out
     the weight sum. A single point is the 1x1 grid.
     """
+    if nders < 0:
+        raise ValueError(f"derivative order must be >= 0, got {nders}")
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
     Du = [basis_matrix(kv_u, pts_u, a) for a in range(nders + 1)]
@@ -236,12 +207,12 @@ def build_identity_geometry(rect: Rectangle, kv_u: KnotVector, kv_v: KnotVector)
     return NurbsGeometry(kv_u, kv_v, TensorWeights(np.ones((kv_u.n, kv_v.n))), cp)
 
 
-def mesh_nodes(g: NurbsGeometry) -> PhysicalMesh:
-    """Physical mesh: node grid at Greville parameter pairs + element list."""
+def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
+    """The (n1, n2, 2) physical node grid: images of the Greville parameter
+    pairs. The elements are the nonzero knot spans (:func:`element_spans`)."""
     gu = greville_abscissae(g.kv_u)
     gv = greville_abscissae(g.kv_v)
-    grid = eval_geometry_grid(g, gu, gv, nders=0)
-    return PhysicalMesh(grid.points, parametric_elements(g.kv_u, g.kv_v))
+    return eval_geometry_grid(g, gu, gv, nders=0).points
 
 
 def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeometry:
@@ -272,7 +243,7 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeome
         q = banded_solve(Bv, tmp.T).T  # sweep along v
         cp[:, :, m] = q / w
 
-    current = mesh_nodes(g).nodes
+    current = mesh_nodes(g)
     boundary_fixed = (
         np.array_equal(targets[0, :], current[0, :])
         and np.array_equal(targets[-1, :], current[-1, :])
@@ -302,27 +273,57 @@ def gauss_rule(q: int) -> QuadratureRule:
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
 
 
+def element_spans(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the elements along one direction: the
+    nonzero-measure knot spans, in order."""
+    spans = np.asarray(kv.nonzero_spans)
+    return kv.knots[spans], kv.knots[spans + 1]
+
+
 def element_quadrature_1d(kv: KnotVector, q: int):
     """Per-span Gauss points/weights along one direction, concatenated.
 
     Returns (pts, wts) of length len(nonzero_spans) * q, ordered span by span.
     """
     rule = gauss_rule(q)
-    pts, wts = [], []
-    for span in kv.nonzero_spans:
-        a, b = kv.knots[span], kv.knots[span + 1]
-        pts.append(a + (b - a) * rule.points)
-        wts.append((b - a) * rule.weights)
-    return np.concatenate(pts), np.concatenate(wts)
+    left, right = element_spans(kv)
+    length = right - left
+    pts = left[:, None] + length[:, None] * rule.points
+    return pts.ravel(), (length[:, None] * rule.weights).ravel()
+
+
+@dataclass(frozen=True)
+class TensorQuadrature:
+    """Per-direction element Gauss grids for one geometry."""
+
+    pts_u: np.ndarray
+    wts_u: np.ndarray
+    pts_v: np.ndarray
+    wts_v: np.ndarray
+    q_u: int
+    q_v: int
+
+
+def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
+    """The element Gauss grid: degree + 1 (+extra) points per direction per
+    element, ordered element by element. Assembly and :func:`min_jacobian`
+    use ``extra=0``, the error norms ``extra=1``; coefficient fields (e.g.
+    mesh-density weights) can be tabulated on exactly the points assembly
+    will use."""
+    q_u = g.kv_u.degree + 1 + extra
+    q_v = g.kv_v.degree + 1 + extra
+    pu, wu = element_quadrature_1d(g.kv_u, q_u)
+    pv, wv = element_quadrature_1d(g.kv_v, q_v)
+    return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
 
 
 def min_jacobian(g: NurbsGeometry) -> float:
-    """Smallest Jacobian determinant over all element Gauss points.
+    """Smallest Jacobian determinant over the assembly Gauss points
+    (:func:`quadrature_grid`).
 
     A positive value certifies mesh validity at the sampled resolution;
     folding between quadrature points is not detected.
     """
-    pu, _ = element_quadrature_1d(g.kv_u, g.kv_u.degree + 1)
-    pv, _ = element_quadrature_1d(g.kv_v, g.kv_v.degree + 1)
-    grid = eval_geometry_grid(g, pu, pv, nders=1)
+    quad = quadrature_grid(g)
+    grid = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
     return float(grid.det.min())

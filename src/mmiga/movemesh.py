@@ -24,10 +24,9 @@ import numpy as np
 
 from .assembly import (
     FieldCoefficients,
-    apply_dirichlet,
     assemble_weighted_stiffness,
     eval_field_grid,
-    quadrature_grid,
+    solve_dirichlet,
     solve_poisson,
 )
 from .errors import DegenerateMapError, MeshWrapError
@@ -37,9 +36,10 @@ from .geometry import (
     eval_geometry_grid,
     mesh_nodes,
     min_jacobian,
+    quadrature_grid,
     refit_from_node_targets,
 )
-from .linalg import LinearSolverSettings, cg_solve
+from .linalg import LinearSolverSettings
 from .postproc import ExactSolution, error_norms
 from .splines import greville_abscissae
 
@@ -320,16 +320,8 @@ def _solve_components(
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Both logical-map components from one stiffness matrix ``A``: zero
     source, Dirichlet data from each component of the boundary map."""
-    lin = lin or LinearSolverSettings()
-    out = []
     zero = np.zeros(g.ndof)
-    for k in range(2):
-        red = apply_dirichlet(A, zero, g, bmap.component(k))
-        x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit, precond=lin.precond)
-        full = red.boundary_values.copy()
-        full[red.dofs.interior] = x_int
-        out.append(FieldCoefficients(full, g.shape))
-    return tuple(out)
+    return tuple(solve_dirichlet(A, zero, g, bmap.component(k), lin) for k in range(2))
 
 
 def _xi_at_nodes(g, xi, lm, nders=0):
@@ -417,7 +409,7 @@ def update_mesh(g: NurbsGeometry, movement: np.ndarray, tau: float):
     if np.max(np.abs(movement[0, :])) != 0.0 or np.max(np.abs(movement[-1, :])) != 0.0 \
             or np.max(np.abs(movement[:, 0])) != 0.0 or np.max(np.abs(movement[:, -1])) != 0.0:
         raise ValueError("boundary rows of the movement grid must be zero")
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     tau_k = float(tau)
     worst = None
     for _ in range(MAX_TAU_HALVINGS + 1):
@@ -491,7 +483,7 @@ def move_mesh_solve(
 
         movement = compute_movement(g, xi, lm, prev_movement)
         if cfg.movement_cap is not None:
-            movement = limit_movement(movement, mesh_nodes(g).nodes, cfg.movement_cap)
+            movement = limit_movement(movement, mesh_nodes(g), cfg.movement_cap)
         try:
             g, tau_used = update_mesh(g, movement, cfg.tau)
         except MeshWrapError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldCoefficients, eval_field_grid
-from .geometry import NurbsGeometry, element_quadrature_1d, eval_geometry_grid
+from .geometry import NurbsGeometry, element_spans, eval_geometry_grid, quadrature_grid
 
 __all__ = [
     "ExactSolution",
@@ -49,7 +49,6 @@ class ErrorReport:
     per_element_L2: np.ndarray  # (nel_u, nel_v)
     dofs: int
     h: float  # largest element diameter (physical)
-    cpu_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,20 @@ class LevelOrders:
 
 
 def _element_lattice(kv, samples):
-    """Per-element closed sample lattice (interior edges sampled twice)."""
-    pts = []
-    for span in kv.nonzero_spans:
-        a, b = kv.knots[span], kv.knots[span + 1]
-        pts.append(np.linspace(a, b, samples))
-    return np.concatenate(pts)
+    """Per-element closed sample lattice, element by element (interior
+    edges sampled twice)."""
+    left, right = element_spans(kv)
+    return np.linspace(left, right, samples, axis=1).ravel()
 
 
-def error_norms(
-    g: NurbsGeometry,
-    u: FieldCoefficients,
-    exact: ExactSolution,
-    cpu_seconds: float = 0.0,
-) -> ErrorReport:
+def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
     """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map."""
-    p, q = g.kv_u.degree, g.kv_v.degree
-    qu, qv = p + 2, q + 2
-    pu, wu = element_quadrature_1d(g.kv_u, qu)
-    pv, wv = element_quadrature_1d(g.kv_v, qv)
-    geo = eval_geometry_grid(g, pu, pv, nders=1)
-    fg = eval_field_grid(g, u, pu, pv, nders=1, geo=geo)
+    quad = quadrature_grid(g, extra=1)
+    qu, qv = quad.q_u, quad.q_v
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    fg = eval_field_grid(g, u, quad.pts_u, quad.pts_v, nders=1, geo=geo)
     X, Y = geo.points[..., 0], geo.points[..., 1]
-    w2 = np.multiply.outer(wu, wv) * geo.det
+    w2 = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det
 
     e_val = fg.values - exact.u(X, Y)
     e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
@@ -124,7 +114,6 @@ def error_norms(
         per_element_L2=per_element_L2,
         dofs=g.ndof,
         h=h,
-        cpu_seconds=cpu_seconds,
     )
 
 
@@ -173,23 +162,18 @@ def export_vtk(g: NurbsGeometry, fields: dict, samples_per_element: int, path):
     if s < 2:
         raise ValueError("samples_per_element must be >= 2")
 
-    def lattice(kv):
-        pts = [np.array([0.0])]
-        for span in kv.nonzero_spans:
-            a, b = kv.knots[span], kv.knots[span + 1]
-            pts.append(np.linspace(a, b, s)[1:])
-        return np.concatenate(pts)
+    def lattice(kv):  # the element lattices with each shared edge kept once
+        pts = _element_lattice(kv, s).reshape(-1, s)
+        return np.concatenate([pts[0, :1], pts[:, 1:].ravel()])
 
     lu, lv = lattice(g.kv_u), lattice(g.kv_v)
     nu, nv = len(lu), len(lv)
     pts = eval_geometry_grid(g, lu, lv, nders=0).points
     data = {name: eval_field_grid(g, f, lu, lv, nders=0).values for name, f in fields.items()}
 
-    nel_u = len(g.kv_u.nonzero_spans)
-    nel_v = len(g.kv_v.nonzero_spans)
     cells = []
-    for iu in range(nel_u * (s - 1)):
-        for iv in range(nel_v * (s - 1)):
+    for iu in range(nu - 1):
+        for iv in range(nv - 1):
             a = iu * nv + iv
             cells.append((a, a + nv, a + nv + 1, a + 1))
 

@@ -208,7 +208,7 @@ def test_criterion_6_case3_hessian_monitor(case3_run, case2_setup):
     rep1 = error_norms(state.geometry, state.solution, case2_setup.exact)
 
     def mean_near_distance(g, quantile=0.1):
-        pts = mesh_nodes(g).nodes.reshape(-1, 2)
+        pts = mesh_nodes(g).reshape(-1, 2)
         d = np.abs(np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5) - 0.25)
         k = max(1, int(quantile * len(d)))
         return float(np.sort(d)[:k].mean())
@@ -312,7 +312,7 @@ def test_criterion_8_property_suites():
     checks[f"affine reproduction <= 1e-12 (got {worst:.1e})"] = worst <= 1e-12
 
     # refit idempotence at 1e-12
-    refit = refit_from_node_targets(g, mesh_nodes(g).nodes)
+    refit = refit_from_node_targets(g, mesh_nodes(g))
     drift = np.max(np.abs(refit.control_points - g.control_points))
     checks[f"refit idempotence <= 1e-12 (got {drift:.1e})"] = drift <= 1e-12
 
@@ -323,8 +323,8 @@ def test_criterion_8_property_suites():
     g0 = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
     state = move_mesh_solve(problem, g0, MonitorSpec("gradient", alpha=0.1),
                             MoveMeshConfig(max_outer=3))
-    first = mesh_nodes(state.initial_geometry).nodes
-    last = mesh_nodes(state.geometry).nodes
+    first = mesh_nodes(state.initial_geometry)
+    last = mesh_nodes(state.geometry)
     checks["boundary nodes bit-identical across iterations"] = (
         np.array_equal(first[0, :], last[0, :])
         and np.array_equal(first[-1, :], last[-1, :])
@@ -358,7 +358,7 @@ def test_criterion_9_fd_laplace_oracle_equivalence():
 
     bm = make_boundary_map(Rectangle(0, 1, 0, 1), Rectangle(0, 1, 0, 1))
     lm = init_logical_mesh(g, bm, LinearSolverSettings(tol=1e-12))
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     worst = 0.0
     for k in range(2):
         x, y, U = fd_laplace_dirichlet(lambda px, py: bm(px, py)[k], n=257)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmiga.assembly import FieldCoefficients, eval_field_grid
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
@@ -9,6 +10,7 @@ from mmiga.geometry import (
     map_point,
     mesh_nodes,
     min_jacobian,
+    quadrature_grid,
     refit_from_node_targets,
 )
 from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
@@ -107,38 +109,57 @@ def test_grid_evaluation_agrees_with_pointwise():
             assert np.allclose(grid.second[i, j], ev.second, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda g: eval_geometry_grid(g, [0.3], [0.6], nders=-1),
+        lambda g: map_point(g, (0.3, 0.6), -1),
+        lambda g: eval_field_grid(
+            g, FieldCoefficients.from_grid(np.ones(g.shape)), [0.3], [0.6], nders=-1
+        ),
+    ],
+    ids=["eval_geometry_grid", "map_point", "eval_field_grid"],
+)
+def test_negative_derivative_order_is_a_value_error(evaluate):
+    with pytest.raises(ValueError, match="derivative order"):
+        evaluate(_identity())
+
+
 def test_mesh_nodes_are_greville_images():
     g = _identity(p=2, m=2)
-    mesh = mesh_nodes(g)
+    nodes = mesh_nodes(g)
     expected = [0.0, 0.25, 0.75, 1.0]
-    assert np.allclose(mesh.nodes[:, 0, 0], expected, atol=1e-14)
-    assert np.allclose(mesh.nodes[0, :, 1], expected, atol=1e-14)
-    assert len(mesh.elements) == 4
+    assert np.allclose(nodes[:, 0, 0], expected, atol=1e-14)
+    assert np.allclose(nodes[0, :, 1], expected, atol=1e-14)
 
 
 def test_mesh_nodes_affine_geometry():
     g = _identity(p=2, m=2, rect=Rectangle(-1, 1, -1, 1))
-    mesh = mesh_nodes(g)
+    nodes = mesh_nodes(g)
     gu = greville_abscissae(g.kv_u)
-    assert np.allclose(mesh.nodes[:, 0, 0], 2 * gu - 1, atol=1e-13)
+    assert np.allclose(nodes[:, 0, 0], 2 * gu - 1, atol=1e-13)
 
 
 def test_element_count_excludes_zero_measure_spans():
     kv = make_open_knot_vector(3, 4, 3)  # interior multiplicity 3
     g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
-    assert len(mesh_nodes(g).elements) == 16
+    quad = quadrature_grid(g)
+    assert len(quad.pts_u) == len(quad.pts_v) == 4 * (3 + 1)
+    # each run of p + 1 Gauss points lies inside its own breakpoint interval
+    element = np.searchsorted(kv.breakpoints, quad.pts_u) - 1
+    assert np.array_equal(element, np.repeat(np.arange(4), 4))
 
 
 def test_refit_fixed_point():
     g = _perturbed(p=3, m=4, seed=8)
-    refit = refit_from_node_targets(g, mesh_nodes(g).nodes)
+    refit = refit_from_node_targets(g, mesh_nodes(g))
     assert np.allclose(refit.control_points, g.control_points, atol=1e-12)
 
 
 def test_refit_affine_targets_give_affine_net():
     g = _identity(p=2, m=3)
     A = np.array([[2.0, 0.5], [0.0, 1.5]])
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     refit = refit_from_node_targets(g, nodes @ A.T)
     assert np.allclose(refit.control_points, g.control_points @ A.T, atol=1e-12)
 
@@ -164,7 +185,7 @@ def test_refit_reproduces_biquadratic_map():
 
 def test_refit_preserves_boundary_curve():
     g = _perturbed(p=3, m=4, seed=9)
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     targets = nodes.copy()
     targets[1:-1, 1:-1] += 0.01
     refit = refit_from_node_targets(g, targets)
@@ -182,7 +203,7 @@ def test_refit_preserves_boundary_curve():
 
 def test_refit_boundary_ring_bitwise_stable_when_targets_match():
     g = _perturbed(p=3, m=4, seed=10)
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     targets = nodes.copy()
     targets[1:-1, 1:-1] += 0.005
     refit = refit_from_node_targets(g, targets)

@@ -130,7 +130,7 @@ def test_init_logical_mesh_matches_fd_laplace_oracle():
     lm = init_logical_mesh(g, bm, LinearSolverSettings(tol=1e-12))
     x, y, U0 = fd_laplace_dirichlet(lambda px, py: bm(px, py)[0], n=257)
     _, _, U1 = fd_laplace_dirichlet(lambda px, py: bm(px, py)[1], n=257)
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     ref0 = bilinear_interp(x, y, U0, nodes[..., 0].ravel(), nodes[..., 1].ravel())
     ref1 = bilinear_interp(x, y, U1, nodes[..., 0].ravel(), nodes[..., 1].ravel())
     assert np.max(np.abs(lm.nodes[..., 0].ravel() - ref0)) <= 1e-3
@@ -220,7 +220,7 @@ def test_harmonic_map_against_fd_oracle_and_circle_concentration():
 
     # largest map defect sits on the annulus of rapid variation
     defect = np.linalg.norm(lm.nodes - np.stack(vals, axis=-1), axis=-1)
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     r = np.hypot(nodes[..., 0] - 0.5, nodes[..., 1] - 0.5)
     k = np.unravel_index(np.argmax(defect), defect.shape)
     assert abs(r[k] - 0.25) < 0.1
@@ -325,7 +325,7 @@ def test_movement_degenerate_jacobian_raises_with_node():
 
 def test_limit_movement_caps_only_large_steps():
     g = _identity(p=2, m=4)
-    nodes = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g)
     mv = np.zeros_like(nodes)
     mv[2, 2] = [1.0, 0.0]  # absurdly large
     mv[1, 2] = [1e-4, 0.0]  # small, must pass through untouched
@@ -349,8 +349,8 @@ def test_update_mesh_small_uniform_shift_moves_half():
     mv[1:-1, 1:-1, 0] = 0.01
     g2, tau = update_mesh(g, mv, 0.5)
     assert tau == 0.5
-    nodes = mesh_nodes(g2).nodes
-    ref = mesh_nodes(g).nodes
+    nodes = mesh_nodes(g2)
+    ref = mesh_nodes(g)
     assert np.allclose(nodes[2:-2, 2:-2, 0] - ref[2:-2, 2:-2, 0], 0.005, atol=1e-10)
 
 
@@ -404,8 +404,8 @@ def test_move_mesh_reduces_error_and_keeps_mesh_valid():
     assert state.trace[-1].L2 < state.trace[0].L2
     assert state.trace[-1].xi_inf_err <= state.trace[0].xi_inf_err
     # boundary nodes bit-identical across iterations
-    first = mesh_nodes(state.initial_geometry).nodes
-    last = mesh_nodes(state.geometry).nodes
+    first = mesh_nodes(state.initial_geometry)
+    last = mesh_nodes(state.geometry)
     assert np.array_equal(first[0, :], last[0, :])
     assert np.array_equal(first[-1, :], last[-1, :])
     assert np.array_equal(first[:, 0], last[:, 0])
@@ -417,8 +417,8 @@ def test_move_mesh_concentrates_nodes_at_circle():
     spec = MonitorSpec("hessian", beta=0.01)
     cfg = MoveMeshConfig(max_outer=6)
     state = move_mesh_solve(TANH_PROBLEM, g, spec, cfg)
-    before = mesh_nodes(state.initial_geometry).nodes.reshape(-1, 2)
-    after = mesh_nodes(state.geometry).nodes.reshape(-1, 2)
+    before = mesh_nodes(state.initial_geometry).reshape(-1, 2)
+    after = mesh_nodes(state.geometry).reshape(-1, 2)
 
     def mean_near_distance(pts, quantile=0.1):
         d = np.abs(np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5) - 0.25)
