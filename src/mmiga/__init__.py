@@ -48,7 +48,6 @@ from .splines import (
     KnotVector,
     TensorWeights,
     eval_basis,
-    find_span,
     greville_abscissae,
     make_open_knot_vector,
 )

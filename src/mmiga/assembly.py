@@ -4,14 +4,21 @@ Stiffness matrices are the weighted diffusion forms
 A_kl = int w grad(phi_k) . grad(phi_l) dx ; with w = 1 this is the Poisson
 bilinear form. Elements are the nonzero knot-span rectangles, each with
 per-direction Gauss rules of degree + 1 points, as laid out by
-:func:`~mmiga.geometry.quadrature_grid`. Assembly runs one Python
-iteration per element row: the directional basis tables are sliced once
-into per-element blocks, and the weighted numerators of a whole row are
-formed by batched einsum. The local rational basis then follows from the
-quotient rule every rational evaluation shares,
-:func:`~mmiga.splines.rational_derivatives`: with its gradients for the
-stiffness, values only for the load. The element matrices of a row come
-from one batched matmul. Local blocks are mirrored from their upper
+:func:`~mmiga.geometry.quadrature_grid`.
+
+Each form tabulates the basis once, in the layout it contracts with. The
+load is a sum over the whole grid, so it uses dense directional tables
+(:func:`~mmiga.splines.basis_matrix`): it is the adjoint of grid
+evaluation, b = w o (Du^T C Dv), with C the quadrature weights times
+det J times f over the weight sum at each point. The stiffness pairs
+functions element by element, so it uses local tables: the banded scheme
+evaluated on each element's own span gives the (nel, q, p+1) element
+blocks directly. It runs one Python iteration per element row: the
+weighted numerators of a whole row are formed by batched einsum, their
+local sums are the weight sums, and the local rational basis and its
+gradients follow from the quotient rule every rational evaluation shares,
+:func:`~mmiga.splines.rational_derivatives`. The element matrices of a row
+come from one batched matmul. Local blocks are mirrored from their upper
 triangle, and the COO entries are laid out in the fixed (row, column)
 element order before a stable merge, so every sum accumulates in the same
 order on every run: matrices come out bit-symmetric and runs are
@@ -43,7 +50,7 @@ from .geometry import (
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import basis_matrix, rational_derivatives
+from .splines import _basis_ders, basis_matrix, rational_derivatives
 
 __all__ = [
     "QuadratureRule",
@@ -125,42 +132,24 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
     return vals
 
 
-def _element_tables(g: NurbsGeometry, quad: TensorQuadrature, nders: int):
-    """Per-element blocks of everything the local rational basis needs, up
-    to derivative order ``nders`` (0 for values, 1 for gradients too).
+def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
+    """Per-element blocks of the B-spline values and first derivatives the
+    stiffness needs, straight from the banded scheme.
 
     ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
     ``eu`` (its Gauss points against the p+1 functions nonzero there), and
-    likewise ``Lv`` along v. ``W[a, b]`` holds the weight sum
-    sum_ij w_ij d^a N_i d^b N_j for a + b <= nders in the element blocks of
-    :func:`_grid_blocks`. ``cols_u``, ``cols_v`` give the global indices of
-    the local functions of each element.
+    likewise ``Lv`` along v; ``cols_u``, ``cols_v`` give the (nel, p+1)
+    global indices of the local functions of each element. Returned as
+    ``((Lu, cols_u), (Lv, cols_v))``.
     """
-    w = g.weights.w
-    Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in range(nders + 1)]
-    Dv = [basis_matrix(g.kv_v, quad.pts_v, a) for a in range(nders + 1)]
-    W = {
-        (a, b): _grid_blocks(Du[a] @ w @ Dv[b].T, quad)
-        for a in range(nders + 1)
-        for b in range(nders + 1 - a)
-    }
-    cols_u = _local_columns(g.kv_u)
-    cols_v = _local_columns(g.kv_v)
-    Lu = [_local_blocks(D, cols_u, quad.q_u) for D in Du]
-    Lv = [_local_blocks(D, cols_v, quad.q_v) for D in Dv]
-    return Lu, Lv, W, cols_u, cols_v
-
-
-def _local_columns(kv) -> np.ndarray:
-    """(nel, p+1) global indices of the functions nonzero on each element."""
-    spans = np.asarray(kv.nonzero_spans)
-    return spans[:, None] - kv.degree + np.arange(kv.degree + 1)
-
-
-def _local_blocks(D: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
-    """Slice a (nel * q, n) table into its (nel, q, p+1) element blocks."""
-    rows = np.arange(D.shape[0]).reshape(-1, q)
-    return D[rows[:, :, None], cols[:, None, :]]
+    tables = []
+    for kv, pts, q in ((g.kv_u, quad.pts_u, quad.q_u), (g.kv_v, quad.pts_v, quad.q_v)):
+        p = kv.degree
+        spans = np.asarray(kv.nonzero_spans)
+        _, ders = _basis_ders(kv, pts, 1, spans=np.repeat(spans, q))
+        blocks = ders.reshape(2, p + 1, len(spans), q).transpose(0, 2, 3, 1)
+        tables.append((blocks, spans[:, None] - p + np.arange(p + 1)))
+    return tables
 
 
 def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
@@ -171,16 +160,19 @@ def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
     return blocks.reshape(nu, nv, quad.q_u * quad.q_v)
 
 
-def _row_rational(g, quad, tables, eu):
+def _row_rational(g, tables, eu):
     """The local rational basis on every element of row ``eu``: a map
-    (a, b) -> d^{a+b} R / du^a dv^b for the orders ``tables`` holds, each of
-    shape (nel_v, nloc, nq), plus the (nel_v, nloc) global indices of the
-    local functions."""
-    Lu, Lv, W, cols_u, cols_v = tables
+    (a, b) -> d^{a+b} R / du^a dv^b for a + b <= 1, each of shape
+    (nel_v, nloc, nq), plus the (nel_v, nloc) global indices of the local
+    functions. The weight sums are the local sums of the numerators."""
+    (Lu, cols_u), (Lv, cols_v) = tables
     wloc = g.weights.w[cols_u[eu][:, None, None], cols_v[None, :, :]].transpose(1, 0, 2)
-    num = {(a, b): np.einsum("ai,ebj,eij->eijab", Lu[a][eu], Lv[b], wloc) for a, b in W}
-    wsum = {ab: x[eu].reshape(-1, 1, 1, quad.q_u, quad.q_v) for ab, x in W.items()}
-    R = rational_derivatives(num, wsum, len(Lu) - 1)
+    num = {
+        (a, b): np.einsum("ai,ebj,eij->eijab", Lu[a][eu], Lv[b], wloc)
+        for a, b in ((0, 0), (1, 0), (0, 1))
+    }
+    wsum = {ab: x.sum(axis=(1, 2), keepdims=True) for ab, x in num.items()}
+    R = rational_derivatives(num, wsum, 1)
 
     nel_v, nloc = len(cols_v), wloc.shape[1] * wloc.shape[2]
     gidx = (cols_u[eu][None, :, None] * g.kv_v.n + cols_v[:, None, :]).reshape(nel_v, nloc)
@@ -244,7 +236,7 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    tables = _element_tables(g, quad, 1)
+    tables = _element_tables(g, quad)
     xi_x = _grid_blocks(jac[..., 1, 1] / det, quad)[..., None, :]
     xi_y = _grid_blocks(-jac[..., 0, 1] / det, quad)[..., None, :]
     eta_x = _grid_blocks(-jac[..., 1, 0] / det, quad)[..., None, :]
@@ -259,7 +251,7 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
     vals = np.empty(nel_u * row_size)
     lower = np.tril_indices(nloc, -1)
     for eu in range(nel_u):
-        R, gidx = _row_rational(g, quad, tables, eu)
+        R, gidx = _row_rational(g, tables, eu)
         Ru, Rv = R[1, 0], R[0, 1]
         gx = Ru * xi_x[eu] + Rv * eta_x[eu]
         gy = Ru * xi_y[eu] + Rv * eta_y[eu]
@@ -276,6 +268,11 @@ def assemble_weighted_stiffness(g: NurbsGeometry, weight=None, extra_quad: int =
 def assemble_load(g: NurbsGeometry, f, extra_quad: int = 0) -> np.ndarray:
     """Load vector b_k = int f phi_k dx with the assembly quadrature.
 
+    With R_ij = w_ij N_i N_j / W, the load is the transpose of the grid
+    contraction :func:`~mmiga.geometry.rational_grid_sums` performs:
+    b = w o (Du^T C Dv), where Du, Dv are the directional value tables and
+    C = (wts_u x wts_v) det J f / W on the quadrature grid.
+
     ``f(x, y)`` must be vectorized over arrays; non-finite values abort
     naming the element.
     """
@@ -287,15 +284,11 @@ def assemble_load(g: NurbsGeometry, f, extra_quad: int = 0) -> np.ndarray:
     if bad is not None:
         raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
 
-    tables = _element_tables(g, quad, 0)
-    wq = _grid_blocks(np.multiply.outer(quad.wts_u, quad.wts_v), quad)
-    c = wq * _grid_blocks(geo.det, quad) * fblk
-
-    b = np.zeros(g.ndof)
-    for eu in range(c.shape[0]):
-        R, gidx = _row_rational(g, quad, tables, eu)
-        np.add.at(b, gidx.ravel(), (R[0, 0] @ c[eu][:, :, None]).ravel())
-    return b
+    w = g.weights.w
+    Du = basis_matrix(g.kv_u, quad.pts_u)
+    Dv = basis_matrix(g.kv_v, quad.pts_v)
+    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals / (Du @ w @ Dv.T)
+    return (w * (Du.T @ c @ Dv)).ravel()
 
 
 @dataclass(frozen=True)

@@ -71,12 +71,6 @@ class Rectangle:
     def diameter(self) -> float:
         return float(np.hypot(self.width, self.height))
 
-    def contains(self, x, y, tol=1e-12) -> bool:
-        return bool(
-            np.all(x >= self.x0 - tol) and np.all(x <= self.x1 + tol)
-            and np.all(y >= self.y0 - tol) and np.all(y <= self.y1 + tol)
-        )
-
 
 @dataclass(frozen=True)
 class NurbsGeometry:

@@ -31,7 +31,6 @@ __all__ = [
     "BasisEval",
     "TensorWeights",
     "make_open_knot_vector",
-    "find_span",
     "eval_basis",
     "greville_abscissae",
     "basis_matrix",
@@ -166,33 +165,12 @@ def make_open_knot_vector(degree: int, spans: int, multiplicity: int = 1) -> Kno
     return KnotVector(degree, np.array(knots))
 
 
-def find_span(kv: KnotVector, t: float) -> int:
-    """Locate the knot span index containing t (algorithm A2.1).
-
-    Returns i with knots[i] <= t < knots[i+1] and knots[i] < knots[i+1];
-    t = 1 returns the last span of nonzero length.
-    """
-    knots, p = kv.knots, kv.degree
-    low = p
-    high = len(knots) - 1 - p
-    if t >= knots[high]:
-        return high - 1
-    if t <= knots[low]:
-        return low
-    span = (low + high) // 2
-    while t < knots[span] or t >= knots[span + 1]:
-        if t < knots[span]:
-            high = span
-        else:
-            low = span
-        span = (low + high) // 2
-    return span
-
-
 def _find_spans(kv: KnotVector, t: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`find_span`: the index of the last knot <= t,
-    clipped to p .. n-1. Like find_span it is left-closed at interior knots
-    and puts t = 1 on the last span of nonzero length."""
+    """Knot span of every point: the index i of the last knot <= t, clipped
+    to p .. n-1, so knots[i] <= t < knots[i+1] with knots[i] < knots[i+1].
+    Spans are left-closed at interior knots (a point on a knot belongs to
+    the span to its right, past any repeats), and t = 1 falls on the last
+    span of nonzero length."""
     return np.clip(np.searchsorted(kv.knots, t, side="right") - 1, kv.degree, kv.n - 1)
 
 
@@ -200,14 +178,16 @@ def _basis_ders(kv: KnotVector, pts: np.ndarray, nders: int, spans: np.ndarray |
     """Values and derivatives of the p+1 nonzero basis functions at every
     point of ``pts`` at once (algorithm A2.3, vectorized over the points).
 
-    ``spans`` defaults to the span of each point under the convention of
-    :func:`find_span`. Returns ``(spans, ders)`` with ``ders`` of shape
-    (nders+1, p+1, len(pts)); ``ders[k, a, m]`` is the k-th derivative of
-    basis function ``spans[m] - p + a`` at ``pts[m]``. Python loops run over
-    degree indices only, and every arithmetic step is the scalar scheme's
-    applied elementwise, so each point gets the bits a one-point call gives.
-    The 0/0 convention of the recursion never arises because every span has
-    nonzero length.
+    ``spans`` defaults to the span of each point (:func:`_find_spans`:
+    knots[i] <= t < knots[i+1] on a span of nonzero length, left-closed at
+    interior knots, t = 1 on the last nonzero span). Returns
+    ``(spans, ders)`` with ``ders`` of shape (nders+1, p+1, len(pts));
+    ``ders[k, a, m]`` is the k-th derivative of basis function
+    ``spans[m] - p + a`` at ``pts[m]``. Python loops run over degree indices
+    only, and every arithmetic step is the scalar scheme's applied
+    elementwise, so each point gets the bits a one-point call gives. The 0/0
+    convention of the recursion never arises because every span has nonzero
+    length.
     """
     knots, p = kv.knots, kv.degree
     if not 0 <= nders <= p:
@@ -277,8 +257,10 @@ def eval_basis(kv: KnotVector, t: float, nders: int = 0, span: int | None = None
     nders : int
         Highest derivative order, 0 <= nders <= degree.
     span : int, optional
-        Span override. Defaults to ``find_span(kv, t)``; passing the span
-        explicitly allows one-sided limits at interior knots.
+        Span override. Defaults to the span i with knots[i] <= t <
+        knots[i+1] of nonzero length: left-closed at interior knots, and
+        t = 1 on the last nonzero span. Passing the span explicitly allows
+        one-sided limits at interior knots.
     """
     spans = None if span is None else np.array([span])
     spans, ders = _basis_ders(kv, np.array([t], dtype=float), nders, spans)
@@ -300,7 +282,9 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     are tabulated in one vectorized pass (spans by a sorted search, then the
     triangular scheme over the point axis) and the local values are
     scattered into the band with one indexed assignment. Used for Greville
-    collocation, grid evaluation and assembly tables.
+    collocation, grid evaluation, the edge projections and the load, which
+    contract over whole grids; the stiffness takes element blocks from
+    :func:`_basis_ders` directly.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     p = kv.degree

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the package.
 
 Everything here is deliberately written with different algorithms than the
-library: direct recursion instead of triangular schemes, finite differences
+library: bisection instead of a sorted search for knot spans, direct
+recursion instead of triangular schemes, finite differences
 instead of chain rules, finite-difference stencils instead of Galerkin, and
 scipy direct solves instead of conjugate gradients.
 """
@@ -9,6 +10,29 @@ scipy direct solves instead of conjugate gradients.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+def find_span(kv, t):
+    """Knot span containing t by bisection (The NURBS Book, algorithm A2.1).
+
+    Returns i with knots[i] <= t < knots[i+1] and knots[i] < knots[i+1];
+    t = 1 returns the last span of nonzero length.
+    """
+    knots, p = kv.knots, kv.degree
+    low = p
+    high = len(knots) - 1 - p
+    if t >= knots[high]:
+        return high - 1
+    if t <= knots[low]:
+        return low
+    span = (low + high) // 2
+    while t < knots[span] or t >= knots[span + 1]:
+        if t < knots[span]:
+            high = span
+        else:
+            low = span
+        span = (low + high) // 2
+    return span
 
 
 def bspline_value_recursive(knots, p, i, t):

@@ -124,9 +124,9 @@ def test_stiffness_rejects_nonpositive_weight():
         assemble_weighted_stiffness(g, weight=lambda x, y: x - 0.5)
 
 
-def _mesh_3x4(p=2):
-    kv_u = make_open_knot_vector(p, 3)
-    kv_v = make_open_knot_vector(p, 4)
+def _mesh_3x4(p=2, mult=1):
+    kv_u = make_open_knot_vector(p, 3, mult)
+    kv_v = make_open_knot_vector(p, 4, mult)
     return build_identity_geometry(Rectangle(0, 1, 0, 1), kv_u, kv_v)
 
 
@@ -173,16 +173,18 @@ def test_stiffness_weight_error_wins_in_first_bad_element():
         assemble_weighted_stiffness(g, block(later))
 
 
-def test_assembly_local_basis_matches_grid_evaluation():
+@pytest.mark.parametrize("mult", [1, 3])
+def test_assembly_local_basis_matches_grid_evaluation(mult):
     # the element-row basis of assembly and rational_grid_sums with one-hot
-    # coefficients must give the same values and parametric gradients
-    g0 = _mesh_3x4(p=3)
+    # coefficients must give the same values and parametric gradients, on
+    # C^2 and on C^0 knots
+    g0 = _mesh_3x4(p=3, mult=mult)
     rng = np.random.default_rng(4)
     w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
     g = NurbsGeometry(g0.kv_u, g0.kv_v, w, g0.control_points)
     quad = quadrature_grid(g)
     eu = 1
-    R, gidx = _row_rational(g, quad, _element_tables(g, quad, 1), eu)
+    R, gidx = _row_rational(g, _element_tables(g, quad), eu)
 
     rows = slice(eu * quad.q_u, (eu + 1) * quad.q_u)
     one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
@@ -228,6 +230,28 @@ def test_load_matches_refined_quadrature_oracle():
     b = assemble_load(g, f)
     b_fine = assemble_load(g, f, extra_quad=4)
     assert np.allclose(b, b_fine, atol=1e-10)
+
+
+def test_load_on_rational_geometry_matches_one_hot_quadrature():
+    # on a perturbed net with random weights the load must be the quadrature
+    # sum of f R_k det J with R_k from grid evaluation of one-hot fields
+    g0 = _mesh_3x4(p=3)
+    rng = np.random.default_rng(10)
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.03 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
+    g = NurbsGeometry(g0.kv_u, g0.kv_v, w, cp)
+    f = lambda x, y: 1.0 + np.sin(3.0 * x) * np.exp(y)
+    b = assemble_load(g, f)
+
+    quad = quadrature_grid(g)
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    fvals = f(geo.points[..., 0], geo.points[..., 1])
+    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
+    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
+    R = rational_grid_sums(g.kv_u, g.kv_v, w, one_hot, quad.pts_u, quad.pts_v, 0)[0, 0]
+    expected = np.einsum("uv,uvk->k", c, R)
+    assert np.allclose(b, expected, rtol=0, atol=1e-13)
 
 
 def test_load_rejects_non_finite_source():

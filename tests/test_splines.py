@@ -7,14 +7,13 @@ from mmiga.splines import (
     TensorWeights,
     basis_matrix,
     eval_basis,
-    find_span,
     greville_abscissae,
     make_open_knot_vector,
 )
 
 from mmiga.geometry import rational_grid_sums
 
-from oracles import bspline_deriv_recursive, bspline_value_recursive
+from oracles import bspline_deriv_recursive, bspline_value_recursive, find_span
 
 
 def test_make_open_knot_vector_hat_basis():
@@ -56,16 +55,16 @@ def test_knot_vector_rejects_decreasing():
 
 def test_find_span_conventions():
     kv = KnotVector(1, np.array([0, 0, 0.5, 1, 1]))
-    assert find_span(kv, 0.25) == 1
-    assert find_span(kv, 1.0) == 2  # right endpoint: last nonempty span
+    assert eval_basis(kv, 0.25).span == 1
+    assert eval_basis(kv, 1.0).span == 2  # right endpoint: last nonempty span
     kv2 = KnotVector(2, np.array([0, 0, 0, 0.5, 1, 1, 1]))
-    assert find_span(kv2, 0.5) == 3  # left-closed convention
+    assert eval_basis(kv2, 0.5).span == 3  # left-closed convention
 
 
 def test_find_span_skips_zero_length_spans():
     kv = make_open_knot_vector(3, 2, 3)
-    assert find_span(kv, 0.5) == 6
-    assert find_span(kv, 1.0) == 6
+    assert eval_basis(kv, 0.5).span == 6
+    assert eval_basis(kv, 1.0).span == 6
 
 
 def test_eval_basis_linear_hats():
