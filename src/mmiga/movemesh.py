@@ -23,8 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
+    Discretization,
     FieldCoefficients,
     assemble_weighted_stiffness,
+    boundary_values,
+    discretization,
     eval_field_grid,
     solve_dirichlet,
     solve_poisson,
@@ -248,11 +251,21 @@ def _physical_rect(g: NurbsGeometry) -> Rectangle:
 
 
 def init_logical_mesh(
-    g0: NurbsGeometry, bmap: BoundaryMap, lin: LinearSolverSettings | None = None
+    g0: NurbsGeometry,
+    bmap: BoundaryMap,
+    lin: LinearSolverSettings | None = None,
+    *,
+    disc: Discretization | None = None,
+    boundary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
-    on the boundary; the nodal values are frozen for the whole run."""
-    fields = _solve_components(assemble_weighted_stiffness(g0), g0, bmap, lin)
+    on the boundary; the nodal values are frozen for the whole run.
+
+    ``disc`` goes to the stiffness assembly, and ``boundary`` holds the
+    :func:`~mmiga.assembly.boundary_values` of the two components of
+    ``bmap`` on ``g0``, when the caller has them."""
+    A = assemble_weighted_stiffness(g0, disc=disc)
+    fields = _solve_components(A, g0, bmap, lin, boundary)
     gu = greville_abscissae(g0.kv_u)
     gv = greville_abscissae(g0.kv_v)
     vals = [eval_field_grid(g0, f, gu, gv, nders=0).values for f in fields]
@@ -304,24 +317,67 @@ def solve_harmonic_map(
     u: FieldCoefficients,
     bmap: BoundaryMap,
     lin: LinearSolverSettings | None = None,
+    *,
+    disc: Discretization | None = None,
+    boundary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Logical map from the variable-diffusion solve -div(grad(xi)/M) = 0.
 
     One weighted stiffness matrix (weight 1/M) is shared by both components;
     each component gets its own Dirichlet data from the boundary map.
+    ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`.
     """
-    quad = quadrature_grid(g)
+    quad = quadrature_grid(g) if disc is None else disc.quad
     m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v)
-    return _solve_components(assemble_weighted_stiffness(g, 1.0 / m), g, bmap, lin)
+    A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc)
+    return _solve_components(A, g, bmap, lin, boundary)
 
 
 def _solve_components(
-    A, g: NurbsGeometry, bmap: BoundaryMap, lin: LinearSolverSettings | None
+    A,
+    g: NurbsGeometry,
+    bmap: BoundaryMap,
+    lin: LinearSolverSettings | None,
+    boundary: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Both logical-map components from one stiffness matrix ``A``: zero
-    source, Dirichlet data from each component of the boundary map."""
+    source, Dirichlet data from each component of the boundary map (or its
+    precomputed ``boundary`` vectors)."""
     zero = np.zeros(g.ndof)
-    return tuple(solve_dirichlet(A, zero, g, bmap.component(k), lin) for k in range(2))
+    return tuple(
+        solve_dirichlet(A, zero, g, bmap.component(k), lin,
+                        boundary=None if boundary is None else boundary[k])
+        for k in range(2)
+    )
+
+
+@dataclass(frozen=True)
+class _DirichletData:
+    """Boundary vectors of one run: the PDE's and both map components',
+    with the boundary ring of control points they were built from."""
+
+    ring: np.ndarray
+    u: np.ndarray
+    xi: tuple[np.ndarray, np.ndarray]
+
+
+def _boundary_ring(g: NurbsGeometry) -> np.ndarray:
+    cp = g.control_points
+    return np.concatenate([cp[0, :], cp[-1, :], cp[:, 0], cp[:, -1]])
+
+
+def _dirichlet_data(
+    g: NurbsGeometry, bc, bmap: BoundaryMap, prev: _DirichletData | None = None
+) -> _DirichletData:
+    """The boundary vectors on ``g``: ``prev`` when ``g``'s boundary ring of
+    control points is bitwise the one ``prev`` was built from, else fresh
+    ones. Knots and weights are not compared; within a run the
+    :class:`~mmiga.assembly.Discretization` holds them fixed."""
+    ring = _boundary_ring(g)
+    if prev is not None and np.array_equal(ring, prev.ring):
+        return prev
+    xi = tuple(boundary_values(g, bmap.component(k)) for k in range(2))
+    return _DirichletData(ring, boundary_values(g, bc), xi)
 
 
 def _xi_at_nodes(g, xi, lm, nders=0):
@@ -442,6 +498,16 @@ def move_mesh_solve(
     iteration; error norms are filled in when the problem carries an exact
     solution. Wall time covers assembly, solves and movement, not I/O.
 
+    Mesh moves change control points only, so the work that depends on
+    knots, weights and boundary alone is done once per run: one
+    :class:`~mmiga.assembly.Discretization` of ``g0`` (its build time and
+    size are logged at INFO) serves every stiffness assembly, and the
+    Dirichlet vectors of ``problem.bc`` and of both map components are
+    built once and rebuilt only if an accepted mesh's boundary ring of
+    control points differs bitwise from the one they came from. The trace's
+    ``min_jacobian`` is taken from the quadrature-grid evaluation the PDE
+    solve of the same mesh made.
+
     The loop terminates on convergence, on the iteration cap, or on a mesh
     wrap the damped update could not prevent; in the wrap case the last valid
     state is returned with ``wrap_failure`` holding the diagnostics.
@@ -450,10 +516,26 @@ def move_mesh_solve(
     tol = cfg.stop_tolerance()
     t_start = time.perf_counter()
 
+    disc = discretization(g0)
+    logger.info(
+        "discretization built in %.3f s, %d bytes",
+        time.perf_counter() - t_start,
+        disc.nbytes,
+    )
     bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
-    lm = init_logical_mesh(g0, bmap, cfg.lin)
+    bdata = _dirichlet_data(g0, problem.bc, bmap)
+    lm = init_logical_mesh(g0, bmap, cfg.lin, disc=disc, boundary=bdata.xi)
+
+    def poisson(geom, boundary):
+        """The PDE solution on ``geom`` and the quadrature-grid evaluation
+        it was assembled on."""
+        geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, nders=1)
+        sol = solve_poisson(geom, problem.f, problem.bc, cfg.lin, disc=disc,
+                            boundary=boundary, geo=geo)
+        return sol, geo
+
     g = g0
-    u = solve_poisson(g, problem.f, problem.bc, cfg.lin)
+    u, geo = poisson(g, bdata.u)
 
     state = MoveMeshState(g, u, lm.fields, lm)
     state.snapshots.append((0, g, u))
@@ -466,18 +548,21 @@ def move_mesh_solve(
         rep = error_norms(geom, field, problem.exact)
         return rep.L2, rep.H1_semi, rep.L_inf
 
+    def record(it, xi_err, tau_used):
+        l2, h1, linf = norms(g, u)
+        state.trace.append(
+            TraceEntry(it, xi_err, tau_used, float(geo.det.min()), l2, h1, linf,
+                       time.perf_counter() - t_start)
+        )
+
     for it in range(1, cfg.max_outer + 1):
-        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin)
+        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin, disc=disc, boundary=bdata.xi)
         vals = _xi_at_nodes(g, xi, lm, nders=0)
         defect = lm.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         xi_err = float(np.max(np.abs(defect)))
 
         if xi_err < tol:
-            l2, h1, linf = norms(g, u)
-            state.trace.append(
-                TraceEntry(it, xi_err, 0.0, min_jacobian(g), l2, h1, linf,
-                           time.perf_counter() - t_start)
-            )
+            record(it, xi_err, 0.0)
             state.converged = True
             break
 
@@ -488,21 +573,13 @@ def move_mesh_solve(
             g, tau_used = update_mesh(g, movement, cfg.tau)
         except MeshWrapError as exc:
             logger.warning("outer iteration %d ended on mesh wrap: %s", it, exc)
-            l2, h1, linf = norms(g, u)
-            state.trace.append(
-                TraceEntry(it, xi_err, 0.0, min_jacobian(g), l2, h1, linf,
-                           time.perf_counter() - t_start)
-            )
+            record(it, xi_err, 0.0)
             state.wrap_failure = str(exc)
             break
         prev_movement = movement
-        u = solve_poisson(g, problem.f, problem.bc, cfg.lin)
-
-        l2, h1, linf = norms(g, u)
-        state.trace.append(
-            TraceEntry(it, xi_err, tau_used, min_jacobian(g), l2, h1, linf,
-                       time.perf_counter() - t_start)
-        )
+        bdata = _dirichlet_data(g, problem.bc, bmap, bdata)
+        u, geo = poisson(g, bdata.u)
+        record(it, xi_err, tau_used)
         state.snapshots.append((it, g, u))
 
     state.geometry = g

@@ -204,3 +204,45 @@ def bilinear_interp(x, y, U, px, py):
         + U[ix, iy + 1] * (1 - tx) * ty
         + U[ix + 1, iy + 1] * tx * ty
     )
+
+
+def move_mesh_reference(problem, g0, spec, cfg):
+    """The outer loop of ``movemesh.move_mesh_solve`` written with the public
+    one-shot calls alone: every solve builds its own stiffness blocks, merge
+    plan, Dirichlet vectors and geometry grids, and the trace takes
+    ``min_jacobian`` of each mesh afresh. Mesh wraps are not handled.
+
+    Returns the trace rows without ``cpu_seconds``, as tuples, and the final
+    geometry, solution and logical map.
+    """
+    from mmiga import assembly, geometry, movemesh, postproc
+
+    corners = geometry.eval_geometry_grid(g0, [0.0, 1.0], [0.0, 1.0], nders=0).points
+    xs, ys = corners[..., 0], corners[..., 1]
+    physical = geometry.Rectangle(xs.min(), xs.max(), ys.min(), ys.max())
+    bmap = movemesh.make_boundary_map(physical, cfg.logical)
+    lm = movemesh.init_logical_mesh(g0, bmap, cfg.lin)
+    g = g0
+    u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
+    xi, prev, rows = lm.fields, None, []
+
+    def row(it, err, tau):
+        rep = postproc.error_norms(g, u, problem.exact)
+        return (it, err, tau, geometry.min_jacobian(g), rep.L2, rep.H1_semi, rep.L_inf)
+
+    for it in range(1, cfg.max_outer + 1):
+        xi = movemesh.solve_harmonic_map(g, spec, u, bmap, cfg.lin)
+        vals = [assembly.eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
+        err = float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
+        if err < cfg.stop_tolerance():
+            rows.append(row(it, err, 0.0))
+            break
+        movement = movemesh.compute_movement(g, xi, lm, prev)
+        if cfg.movement_cap is not None:
+            movement = movemesh.limit_movement(movement, geometry.mesh_nodes(g),
+                                               cfg.movement_cap)
+        g, tau = movemesh.update_mesh(g, movement, cfg.tau)
+        prev = movement
+        u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
+        rows.append(row(it, err, tau))
+    return rows, g, u, xi

@@ -4,10 +4,13 @@ import pytest
 from mmiga.assembly import (
     FieldCoefficients,
     _element_tables,
+    _local_dofs,
     _row_rational,
     apply_dirichlet,
     assemble_load,
     assemble_weighted_stiffness,
+    boundary_values,
+    discretization,
     dof_map,
     eval_field,
     eval_field_grid,
@@ -184,7 +187,9 @@ def test_assembly_local_basis_matches_grid_evaluation(mult):
     g = NurbsGeometry(g0.kv_u, g0.kv_v, w, g0.control_points)
     quad = quadrature_grid(g)
     eu = 1
-    R, gidx = _row_rational(g, _element_tables(g, quad), eu)
+    tables = _element_tables(g, quad)
+    R = _row_rational(g, tables, eu)
+    gidx = _local_dofs(tables, g.kv_v.n)[eu]
 
     rows = slice(eu * quad.q_u, (eu + 1) * quad.q_u)
     one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
@@ -198,6 +203,76 @@ def test_assembly_local_basis_matches_grid_evaluation(mult):
         expected = np.take_along_axis(grid, gidx[:, :, None], axis=1)
         assert R[ab].shape == expected.shape
         assert np.allclose(R[ab], expected, rtol=0, atol=1e-13), ab
+
+
+def _random_rational(p, mult, seed):
+    """A perturbed 3 x 4 element net with random weights."""
+    g0 = _mesh_3x4(p=p, mult=min(mult, p))  # p=2 takes its C^0 multiplicity
+    rng = np.random.default_rng(seed)
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
+    return NurbsGeometry(g0.kv_u, g0.kv_v, w, cp)
+
+
+@pytest.mark.parametrize("weight_kind", ["none", "array", "callable"])
+@pytest.mark.parametrize("mult", [1, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_stiffness_with_discretization_is_bit_identical(p, mult, weight_kind):
+    g = _random_rational(p, mult, seed=10 * p + mult)
+    disc = discretization(g)
+    # a second control net on the same knots and weights reuses it
+    g2 = refit_from_node_targets(g, mesh_nodes(g) * 1.01)
+    quad = quadrature_grid(g)
+    weight = {
+        "none": None,
+        "array": np.random.default_rng(1).uniform(0.5, 2.0, (len(quad.pts_u), len(quad.pts_v))),
+        "callable": lambda x, y: 1.0 + x * x + 0.5 * y,
+    }[weight_kind]
+    for geom in (g, g2):
+        A = assemble_weighted_stiffness(geom, weight)
+        B = assemble_weighted_stiffness(geom, weight, disc=disc)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_discretization_rejects_other_knots_weights_or_quadrature():
+    g = _random_rational(3, 1, seed=5)
+    disc = discretization(g)
+    other_knots = _mesh_3x4(p=3, mult=3)
+    other_weights = NurbsGeometry(g.kv_u, g.kv_v, TensorWeights(np.ones(g.shape)),
+                                  g.control_points)
+    with pytest.raises(ValueError, match="knots"):
+        assemble_weighted_stiffness(other_knots, disc=disc)
+    with pytest.raises(ValueError, match="weights"):
+        assemble_weighted_stiffness(other_weights, disc=disc)
+    with pytest.raises(ValueError, match="quadrature"):
+        assemble_weighted_stiffness(g, extra_quad=1, disc=disc)
+
+
+def test_discretization_size_matches_memory_formula():
+    g = _random_rational(3, 1, seed=6)
+    disc = discretization(g)
+    nel, nloc, nq = 3 * 4, 4 * 4, 4 * 4
+    assert disc.Ru.shape == disc.Rv.shape == (3, 4, nloc, nq)
+    assert disc.nbytes >= 2 * nel * nloc * nq * 8
+    assert not disc.Ru.flags.writeable and not disc.plan.order.flags.writeable
+
+
+def test_forms_take_a_shared_geometry_grid_bit_identically():
+    g = _random_rational(3, 1, seed=7)
+    quad = quadrature_grid(g)
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    f = lambda x, y: 1.0 + np.sin(3.0 * x) * np.exp(y)
+    assert np.array_equal(assemble_load(g, f, geo=geo), assemble_load(g, f))
+    A, B = assemble_weighted_stiffness(g, geo=geo), assemble_weighted_stiffness(g)
+    assert np.array_equal(A.data, B.data)
+    wrong = eval_geometry_grid(g, quad.pts_u[:-1], quad.pts_v, nders=1)
+    for form in (lambda: assemble_load(g, f, geo=wrong),
+                 lambda: assemble_weighted_stiffness(g, geo=wrong)):
+        with pytest.raises(ValueError, match="quadrature grid"):
+            form()
 
 
 def test_interior_stiffness_spd():
@@ -303,6 +378,21 @@ def test_dirichlet_linear_bc_reproduced_exactly():
             vals = eval_field_grid(g, field, pu, pv).values.ravel()
             pts = eval_geometry_grid(g, pu, pv, 0).points.reshape(-1, 2)
             assert np.allclose(vals, bc(pts[:, 0], pts[:, 1]), atol=1e-12)
+
+
+def test_dirichlet_takes_precomputed_boundary_vector():
+    g = _random_rational(3, 1, seed=8)
+    bc = lambda x, y: np.sin(x) * np.cos(y)
+    A = assemble_weighted_stiffness(g)
+    b = assemble_load(g, lambda x, y: np.ones_like(x))
+    xb = boundary_values(g, bc)
+    assert not xb.flags.writeable
+    ref = apply_dirichlet(A, b, g, bc)
+    red = apply_dirichlet(A, b, g, None, boundary=xb)
+    assert np.array_equal(red.boundary_values, ref.boundary_values)
+    assert np.array_equal(red.rhs, ref.rhs)
+    with pytest.raises(ValueError, match="boundary vector"):
+        apply_dirichlet(A, b, g, bc, boundary=xb[:-1])
 
 
 def test_dirichlet_trace_interpolation_fourth_order():

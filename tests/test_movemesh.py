@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from mmiga.assembly import FieldCoefficients, solve_poisson
+from mmiga import cli
+from mmiga.assembly import FieldCoefficients, boundary_values, discretization, solve_poisson
 from mmiga.errors import DegenerateMapError, MeshWrapError
 from mmiga.geometry import (
     NurbsGeometry,
@@ -9,10 +12,12 @@ from mmiga.geometry import (
     build_identity_geometry,
     mesh_nodes,
     min_jacobian,
+    refit_from_node_targets,
 )
 from mmiga.linalg import LinearSolverSettings
 from mmiga.movemesh import (
     BoundaryMap,
+    _dirichlet_data,
     MonitorSpec,
     MoveMeshConfig,
     PoissonProblem,
@@ -29,7 +34,12 @@ from mmiga.movemesh import (
 from mmiga.postproc import ExactSolution
 from mmiga.splines import greville_abscissae, make_open_knot_vector
 
-from oracles import bilinear_interp, fd_laplace_dirichlet, fd_weighted_laplace_dirichlet
+from oracles import (
+    bilinear_interp,
+    fd_laplace_dirichlet,
+    fd_weighted_laplace_dirichlet,
+    move_mesh_reference,
+)
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 BIUNIT = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -426,3 +436,59 @@ def test_move_mesh_concentrates_nodes_at_circle():
         return np.sort(d)[:k].mean()
 
     assert mean_near_distance(after) < mean_near_distance(before)
+
+
+def test_move_mesh_matches_the_uncached_reference_loop():
+    # the run reuses one discretization, one set of Dirichlet vectors and
+    # each PDE solve's geometry grid; the reference rebuilds all of them on
+    # every call, and every figure must come out with the same bits
+    prob = cli.manufacture_rhs("case2_tanh")
+    kv = make_open_knot_vector(3, 8, 1)
+    g0 = build_identity_geometry(prob.domain, kv, kv)
+    problem = PoissonProblem(prob.f, prob.bc, prob.exact)
+    spec = MonitorSpec("gradient", alpha=0.1)
+    cfg = MoveMeshConfig(max_outer=4)
+    state = move_mesh_solve(problem, g0, spec, cfg)
+    rows, g, u, xi = move_mesh_reference(problem, g0, spec, cfg)
+    got = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
+           for t in state.trace]
+    assert len(got) == 4 and not state.converged
+    assert np.array_equal(np.array(got), np.array(rows))
+    assert np.array_equal(state.geometry.control_points, g.control_points)
+    assert np.array_equal(state.solution.values, u.values)
+    for k in range(2):
+        assert np.array_equal(state.xi[k].values, xi[k].values)
+
+
+def test_dirichlet_data_follows_the_boundary_ring():
+    g = _stretched_geometry(p=3, m=6)
+    bmap = make_boundary_map(UNIT, UNIT)
+    first = _dirichlet_data(g, tanh_exact, bmap)
+    assert np.array_equal(first.u, boundary_values(g, tanh_exact))
+
+    # interior moves keep the ring bit for bit: the vectors are reused
+    targets = mesh_nodes(g)
+    targets[1:-1, 1:-1] += 0.01
+    inner = refit_from_node_targets(g, targets)
+    assert _dirichlet_data(inner, tanh_exact, bmap, first) is first
+
+    # a moved ring gets fresh vectors, not the stale ones
+    cp = g.control_points.copy()
+    cp[0, 2:-2, 0] -= 0.05
+    moved = NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
+    fresh = _dirichlet_data(moved, tanh_exact, bmap, first)
+    assert fresh is not first
+    assert np.array_equal(fresh.u, boundary_values(moved, tanh_exact))
+    assert not np.array_equal(fresh.u, first.u)
+    for k in range(2):
+        assert np.array_equal(fresh.xi[k], boundary_values(moved, bmap.component(k)))
+
+
+def test_move_mesh_logs_the_discretization_build(caplog):
+    g = _identity(p=2, m=4)
+    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
+        move_mesh_solve(TANH_PROBLEM, g, MonitorSpec("gradient", alpha=0.0))
+    lines = [r.getMessage() for r in caplog.records if "discretization" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith("discretization built in ")
+    assert lines[0].endswith(f" s, {discretization(g).nbytes} bytes")
