@@ -274,7 +274,6 @@ class Discretization:
     kv_u: KnotVector
     kv_v: KnotVector
     weights: np.ndarray
-    extra_quad: int
     quad: TensorQuadrature
     Ru: np.ndarray
     Rv: np.ndarray
@@ -288,16 +287,15 @@ class Discretization:
                   p.order, p.starts, p.indices, p.indptr)
         return sum(a.nbytes for a in arrays)
 
-    def check(self, g: NurbsGeometry, extra_quad: int = 0) -> None:
-        """Raise ValueError unless ``g`` has the knots and weights, and the
-        call the quadrature, this discretization was built for."""
+    def check(self, g: NurbsGeometry) -> None:
+        """Raise ValueError unless ``g`` has the knots and weights this
+        discretization was built for."""
         differ = [
             name
             for name, same in (
                 ("u knots", _same_knots(g.kv_u, self.kv_u)),
                 ("v knots", _same_knots(g.kv_v, self.kv_v)),
                 ("weights", np.array_equal(g.weights.w, self.weights)),
-                ("quadrature", extra_quad == self.extra_quad),
             )
             if not same
         ]
@@ -311,10 +309,10 @@ def _same_knots(a: KnotVector, b: KnotVector) -> bool:
     return a.degree == b.degree and np.array_equal(a.knots, b.knots)
 
 
-def discretization(g: NurbsGeometry, extra_quad: int = 0) -> Discretization:
-    """Build the :class:`Discretization` of ``g``'s knots and weights with
-    degree + 1 (+``extra_quad``) Gauss points per element direction."""
-    quad = quadrature_grid(g, extra_quad)
+def discretization(g: NurbsGeometry) -> Discretization:
+    """Build the :class:`Discretization` of ``g``'s knots and weights on
+    the assembly quadrature, degree + 1 Gauss points per element direction."""
+    quad = quadrature_grid(g)
     tables = _element_tables(g, quad)
     nel_u, nel_v = len(tables[0][1]), len(tables[1][1])
     nloc = (g.kv_u.degree + 1) * (g.kv_v.degree + 1)
@@ -324,7 +322,7 @@ def discretization(g: NurbsGeometry, extra_quad: int = 0) -> Discretization:
         Ru[eu], Rv[eu] = _row_blocks(g, tables, eu)
     Ru.flags.writeable = Rv.flags.writeable = False
     plan = _merge_plan(_local_dofs(tables, g.kv_v.n), g.ndof)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, extra_quad, quad, Ru, Rv, plan)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, Ru, Rv, plan)
 
 
 def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
@@ -364,16 +362,19 @@ def assemble_weighted_stiffness(
     positive; a nonpositive value aborts assembly naming the element.
 
     With ``disc`` (:func:`discretization`), which must match ``g``'s knots
-    and weights and ``extra_quad`` (ValueError otherwise), the call takes its
-    row blocks and merge plan from there and does only the metric terms, the
-    element matrices and one reduction; without it, rows are tabulated one
-    at a time. Both give the same bits. ``geo`` is ``g`` already evaluated
+    and weights and is built on the assembly quadrature, so ``extra_quad``
+    must be 0 (ValueError otherwise), the call takes its row blocks and
+    merge plan from there and does only the metric terms, the element
+    matrices and one reduction; without it, rows are tabulated one at a
+    time. Both give the same bits. ``geo`` is ``g`` already evaluated
     with its Jacobian on the quadrature grid, when the caller has it.
     """
     if disc is None:
         quad = quadrature_grid(g, extra_quad)
+    elif extra_quad:
+        raise ValueError("a discretization is built on the assembly quadrature; extra_quad must be 0")
     else:
-        disc.check(g, extra_quad)
+        disc.check(g)
         quad = disc.quad
     geo = _quadrature_geometry(g, quad, geo)
     shape = (len(quad.pts_u), len(quad.pts_v))
@@ -525,19 +526,22 @@ def apply_dirichlet(
     The boundary coefficients are :func:`boundary_values` of ``g`` and
     ``bc``. A caller that imposes the same data on many geometries sharing
     knots, weights and boundary ring can compute them once and pass them as
-    ``boundary``; ``bc`` is then not evaluated, and keeping ``boundary`` in
-    step with ``g`` is the caller's part. The reduced interior system is
+    ``boundary``; ``bc`` is then not evaluated, only the boundary ring
+    entries of ``boundary`` are read, and keeping them in step with ``g`` is
+    the caller's part. The reduced interior system is
     A_II x_I = b_I - A_IB x_B.
     """
     dm = dof_map(*g.shape)
     if boundary is None:
         xb = boundary_values(g, bc)
     else:
-        xb = np.asarray(boundary, dtype=float)
-        if xb.shape != (dm.total,):
+        given = np.asarray(boundary, dtype=float)
+        if given.shape != (dm.total,):
             raise ValueError(
-                f"boundary vector of shape {xb.shape} does not match {dm.total} coefficients"
+                f"boundary vector of shape {given.shape} does not match {dm.total} coefficients"
             )
+        xb = np.zeros(dm.total)
+        xb[dm.boundary] = given[dm.boundary]
     A_i = A.tocsr()[dm.interior]
     rhs = b[dm.interior] - A_i[:, dm.boundary] @ xb[dm.boundary]
     return ReducedSystem(A_i[:, dm.interior].tocsr(), rhs, xb, dm)

@@ -16,6 +16,7 @@ from mmiga.assembly import (
     eval_field_grid,
     gauss_rule,
     quadrature_grid,
+    solve_dirichlet,
     solve_poisson,
 )
 from mmiga.errors import AssemblyError
@@ -393,6 +394,23 @@ def test_dirichlet_takes_precomputed_boundary_vector():
     assert np.array_equal(red.rhs, ref.rhs)
     with pytest.raises(ValueError, match="boundary vector"):
         apply_dirichlet(A, b, g, bc, boundary=xb[:-1])
+
+
+def test_dirichlet_reads_only_the_ring_of_a_given_boundary_vector():
+    g = _random_rational(3, 1, seed=9)
+    bc = lambda x, y: 1.0 + x * y
+    A = assemble_weighted_stiffness(g)
+    b = assemble_load(g, lambda x, y: np.ones_like(x))
+    ref = apply_dirichlet(A, b, g, bc)
+    dm = dof_map(*g.shape)
+    noisy = np.array(boundary_values(g, bc))
+    noisy[dm.interior] = np.random.default_rng(3).normal(size=len(dm.interior))
+    red = apply_dirichlet(A, b, g, bc, boundary=noisy)
+    assert np.all(red.boundary_values[dm.interior] == 0.0)
+    assert np.array_equal(red.boundary_values, ref.boundary_values)
+    assert np.array_equal(red.rhs, ref.rhs)
+    sol = solve_dirichlet(A, b, g, bc, boundary=noisy)
+    assert np.array_equal(sol.values, solve_dirichlet(A, b, g, bc).values)
 
 
 def test_dirichlet_trace_interpolation_fourth_order():
