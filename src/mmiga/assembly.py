@@ -58,6 +58,7 @@ from .geometry import (
     NurbsGeometry,
     QuadratureRule,  # re-exported: the Gauss rule and grid live in geometry
     TensorQuadrature,
+    boundary_mask,
     element_quadrature_1d,
     eval_geometry_grid,
     gauss_rule,
@@ -105,10 +106,8 @@ class DofMap:
 
 
 def dof_map(n1: int, n2: int) -> DofMap:
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    mask = np.zeros((n1, n2), dtype=bool)
-    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
-    return DofMap(n1, n2, idx[mask], idx[~mask])
+    ring = boundary_mask((n1, n2)).ravel()
+    return DofMap(n1, n2, np.flatnonzero(ring), np.flatnonzero(~ring))
 
 
 @dataclass(frozen=True)
@@ -262,8 +261,8 @@ def _merge(plan: _MergePlan, vals: np.ndarray) -> sp.csr_matrix:
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """The geometry-independent part of stiffness assembly, built once by
-    :func:`discretization` for one set of knot vectors, weights and
-    quadrature and passed explicitly to later assemblies.
+    :func:`discretization` for one set of knot vectors and weights, on the
+    assembly quadrature, and passed explicitly to later assemblies.
 
     ``Ru`` and ``Rv`` hold the parametric gradient blocks of the local
     rational basis of every element, shape (nel_u, nel_v, nloc, nq); they
@@ -349,7 +348,6 @@ def _first_bad_element(*masks):
 def assemble_weighted_stiffness(
     g: NurbsGeometry,
     weight=None,
-    extra_quad: int = 0,
     *,
     disc: Discretization | None = None,
     geo: GeometryGrid | None = None,
@@ -362,17 +360,14 @@ def assemble_weighted_stiffness(
     positive; a nonpositive value aborts assembly naming the element.
 
     With ``disc`` (:func:`discretization`), which must match ``g``'s knots
-    and weights and is built on the assembly quadrature, so ``extra_quad``
-    must be 0 (ValueError otherwise), the call takes its row blocks and
+    and weights (ValueError otherwise), the call takes its row blocks and
     merge plan from there and does only the metric terms, the element
     matrices and one reduction; without it, rows are tabulated one at a
     time. Both give the same bits. ``geo`` is ``g`` already evaluated
     with its Jacobian on the quadrature grid, when the caller has it.
     """
     if disc is None:
-        quad = quadrature_grid(g, extra_quad)
-    elif extra_quad:
-        raise ValueError("a discretization is built on the assembly quadrature; extra_quad must be 0")
+        quad = quadrature_grid(g)
     else:
         disc.check(g)
         quad = disc.quad
@@ -420,9 +415,7 @@ def assemble_weighted_stiffness(
     return _merge(plan, vals)
 
 
-def assemble_load(
-    g: NurbsGeometry, f, extra_quad: int = 0, *, geo: GeometryGrid | None = None
-) -> np.ndarray:
+def assemble_load(g: NurbsGeometry, f, *, geo: GeometryGrid | None = None) -> np.ndarray:
     """Load vector b_k = int f phi_k dx with the assembly quadrature.
 
     With R_ij = w_ij N_i N_j / W, the load is the transpose of the grid
@@ -434,7 +427,7 @@ def assemble_load(
     naming the element. ``geo`` is ``g`` already evaluated with its
     Jacobian on the quadrature grid, when the caller has it.
     """
-    quad = quadrature_grid(g, extra_quad)
+    quad = quadrature_grid(g)
     geo = _quadrature_geometry(g, quad, geo)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
     fblk = _grid_blocks(fvals, quad)
@@ -529,7 +522,8 @@ def apply_dirichlet(
     ``boundary``; ``bc`` is then not evaluated, only the boundary ring
     entries of ``boundary`` are read, and keeping them in step with ``g`` is
     the caller's part. The reduced interior system is
-    A_II x_I = b_I - A_IB x_B.
+    A_II x_I = b_I - A_IB x_B; its right-hand side is b_I minus the interior
+    rows of A times the full boundary vector, which is zero off the ring.
     """
     dm = dof_map(*g.shape)
     if boundary is None:
@@ -543,7 +537,7 @@ def apply_dirichlet(
         xb = np.zeros(dm.total)
         xb[dm.boundary] = given[dm.boundary]
     A_i = A.tocsr()[dm.interior]
-    rhs = b[dm.interior] - A_i[:, dm.boundary] @ xb[dm.boundary]
+    rhs = b[dm.interior] - A_i @ xb
     return ReducedSystem(A_i[:, dm.interior].tocsr(), rhs, xb, dm)
 
 

@@ -249,7 +249,7 @@ def parse_config(doc: dict) -> RunConfig:
             beta=mon.get("beta", 0.0),
             smoothing=mon.get("smoothing", 0),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"monitor: {exc}") from exc
 
     mm = doc.get("movemesh", {})
@@ -274,7 +274,7 @@ def parse_config(doc: dict) -> RunConfig:
             maxit=sol.get("maxit"),
             precond=sol.get("precond", "diagonal"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
     try:
@@ -286,7 +286,7 @@ def parse_config(doc: dict) -> RunConfig:
             movement_cap=mm.get("movement_cap", 0.5),
             lin=solver,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"movemesh: {exc}") from exc
 
     vtk_samples = doc.get("vtk_samples", 4)

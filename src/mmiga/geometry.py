@@ -37,6 +37,7 @@ __all__ = [
     "TensorQuadrature",
     "gauss_rule",
     "quadrature_grid",
+    "boundary_mask",
     "build_identity_geometry",
     "map_point",
     "eval_geometry_grid",
@@ -201,6 +202,15 @@ def build_identity_geometry(rect: Rectangle, kv_u: KnotVector, kv_v: KnotVector)
     return NurbsGeometry(kv_u, kv_v, TensorWeights(np.ones((kv_u.n, kv_v.n))), cp)
 
 
+def boundary_mask(shape: tuple[int, int]) -> np.ndarray:
+    """Boolean mask of the boundary ring of an (n1, n2) coefficient or node
+    grid: its first and last rows and columns. Mesh moves keep the ring
+    fixed, and the Dirichlet data lives on it."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
+    return mask
+
+
 def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
     """The (n1, n2, 2) physical node grid: images of the Greville parameter
     pairs. The elements are the nonzero knot spans (:func:`element_spans`)."""
@@ -214,10 +224,10 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeome
 
     Solved in homogeneous form: with Q_ij = w_ij P_ij the interpolation
     conditions are linear with plain B-spline collocation matrices, so two
-    sweeps of banded 1D solves suffice for any weight grid. When the boundary
-    rows of ``targets`` coincide bitwise with the current boundary nodes, the
-    boundary control points are carried over unchanged so repeated refits
-    keep the boundary curve bit-identical.
+    sweeps of banded 1D solves suffice for any weight grid. When the
+    :func:`boundary_mask` ring of ``targets`` coincides bitwise with the
+    current boundary nodes, the ring of control points is carried over
+    unchanged, so repeated refits keep the boundary curve bit-identical.
     """
     targets = np.asarray(targets, dtype=float)
     n1, n2 = g.shape
@@ -237,18 +247,9 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeome
         q = banded_solve(Bv, tmp.T).T  # sweep along v
         cp[:, :, m] = q / w
 
-    current = mesh_nodes(g)
-    boundary_fixed = (
-        np.array_equal(targets[0, :], current[0, :])
-        and np.array_equal(targets[-1, :], current[-1, :])
-        and np.array_equal(targets[:, 0], current[:, 0])
-        and np.array_equal(targets[:, -1], current[:, -1])
-    )
-    if boundary_fixed:
-        cp[0, :] = g.control_points[0, :]
-        cp[-1, :] = g.control_points[-1, :]
-        cp[:, 0] = g.control_points[:, 0]
-        cp[:, -1] = g.control_points[:, -1]
+    ring = boundary_mask((n1, n2))
+    if np.array_equal(targets[ring], mesh_nodes(g)[ring]):
+        cp[ring] = g.control_points[ring]
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
 
 

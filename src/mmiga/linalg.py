@@ -31,6 +31,8 @@ class LinearSolverSettings:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.maxit is not None and not isinstance(self.maxit, (int, np.integer)):
+            raise TypeError(f"maxit must be an integer or None, got {self.maxit!r}")
         if self.precond not in ("none", "diagonal"):
             raise ValueError(f"unknown preconditioner {self.precond!r}")
 

@@ -36,6 +36,7 @@ from .errors import DegenerateMapError, MeshWrapError
 from .geometry import (
     NurbsGeometry,
     Rectangle,
+    boundary_mask,
     eval_geometry_grid,
     mesh_nodes,
     min_jacobian,
@@ -88,6 +89,8 @@ class MonitorSpec:
     smoothing: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.smoothing, (int, np.integer)):
+            raise TypeError(f"smoothing count must be an integer, got {self.smoothing!r}")
         if self.kind not in ("gradient", "hessian", "combined"):
             raise ValueError(f"unknown monitor kind {self.kind!r}")
         if self.alpha < 0 or self.beta < 0:
@@ -201,6 +204,8 @@ class MoveMeshConfig:
             raise ValueError("tau must lie in (0, 1]")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not isinstance(self.max_outer, (int, np.integer)):
+            raise TypeError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.movement_cap is not None and self.movement_cap <= 0:
@@ -351,39 +356,11 @@ def _solve_components(
     )
 
 
-@dataclass(frozen=True)
-class _DirichletData:
-    """Boundary vectors of one run: the PDE's and both map components',
-    with the boundary ring of control points they were built from."""
-
-    ring: np.ndarray
-    u: np.ndarray
-    xi: tuple[np.ndarray, np.ndarray]
-
-
-def _boundary_ring(g: NurbsGeometry) -> np.ndarray:
-    cp = g.control_points
-    return np.concatenate([cp[0, :], cp[-1, :], cp[:, 0], cp[:, -1]])
-
-
-def _dirichlet_data(
-    g: NurbsGeometry, bc, bmap: BoundaryMap, prev: _DirichletData | None = None
-) -> _DirichletData:
-    """The boundary vectors on ``g``: ``prev`` when ``g``'s boundary ring of
-    control points is bitwise the one ``prev`` was built from, else fresh
-    ones. Knots and weights are not compared; within a run the
-    :class:`~mmiga.assembly.Discretization` holds them fixed."""
-    ring = _boundary_ring(g)
-    if prev is not None and np.array_equal(ring, prev.ring):
-        return prev
-    xi = tuple(boundary_values(g, bmap.component(k)) for k in range(2))
-    return _DirichletData(ring, boundary_values(g, bc), xi)
-
-
 def _xi_at_nodes(g, xi, lm, nders=0):
-    """Evaluate both map components on the fixed Greville parameter grid."""
-    grids = [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders) for f in xi]
-    return grids
+    """Evaluate both map components on the fixed Greville parameter grid;
+    derivatives share one evaluation of the geometry there."""
+    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders=nders) if nders else None
+    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo) for f in xi]
 
 
 def compute_movement(
@@ -397,7 +374,7 @@ def compute_movement(
     At each interior node the logical defect (reference logical position
     minus current map value) is pushed through the inverse Jacobian of the
     map, d(x,y)/d(xi,eta) = (1/J) [[eta_y, -xi_y], [-eta_x, xi_x]] with
-    J = xi_x eta_y - xi_y eta_x. Boundary rows stay zero.
+    J = xi_x eta_y - xi_y eta_x. The boundary ring stays zero.
 
     A node where |J| falls below 1e-12 is a degenerate-map failure; when
     ``prev_movement`` is supplied and fewer than 1% of interior nodes are
@@ -413,15 +390,13 @@ def compute_movement(
         dx = (eta_y * d_a[..., 0] - xi_y * d_a[..., 1]) / jac
         dy = (-eta_x * d_a[..., 0] + xi_x * d_a[..., 1]) / jac
     movement = np.stack([dx, dy], axis=-1)
-    movement[0, :] = movement[-1, :] = 0.0
-    movement[:, 0] = movement[:, -1] = 0.0
+    ring = boundary_mask(jac.shape)
+    movement[ring] = 0.0
 
-    degenerate = np.abs(jac) < DEGENERATE_JAC_TOL
-    degenerate[0, :] = degenerate[-1, :] = False
-    degenerate[:, 0] = degenerate[:, -1] = False
+    degenerate = (np.abs(jac) < DEGENERATE_JAC_TOL) & ~ring
     if degenerate.any():
         n_bad = int(degenerate.sum())
-        n_int = (lm.nodes.shape[0] - 2) * (lm.nodes.shape[1] - 2)
+        n_int = int(np.count_nonzero(~ring))
         first = tuple(int(v) for v in np.argwhere(degenerate)[0])
         if prev_movement is None or n_bad >= DEGENERATE_NODE_FRACTION * n_int:
             raise DegenerateMapError(
@@ -462,9 +437,8 @@ def update_mesh(g: NurbsGeometry, movement: np.ndarray, tau: float):
     times) before giving up with diagnostics.
     """
     movement = np.asarray(movement, dtype=float)
-    if np.max(np.abs(movement[0, :])) != 0.0 or np.max(np.abs(movement[-1, :])) != 0.0 \
-            or np.max(np.abs(movement[:, 0])) != 0.0 or np.max(np.abs(movement[:, -1])) != 0.0:
-        raise ValueError("boundary rows of the movement grid must be zero")
+    if np.any(movement[boundary_mask(movement.shape[:2])] != 0.0):
+        raise ValueError("boundary ring of the movement grid must be zero")
     nodes = mesh_nodes(g)
     tau_k = float(tau)
     worst = None
@@ -498,13 +472,14 @@ def move_mesh_solve(
     iteration; error norms are filled in when the problem carries an exact
     solution. Wall time covers assembly, solves and movement, not I/O.
 
-    Mesh moves change control points only, so the work that depends on
-    knots, weights and boundary alone is done once per run: one
-    :class:`~mmiga.assembly.Discretization` of ``g0`` (its build time and
-    size are logged at INFO) serves every stiffness assembly, and the
-    Dirichlet vectors of ``problem.bc`` and of both map components are
-    built once and rebuilt only if an accepted mesh's boundary ring of
-    control points differs bitwise from the one they came from. The trace's
+    Mesh moves change interior control points only, so the work that
+    depends on knots, weights and the boundary ring alone is done once per
+    run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
+    time and size are logged at INFO) serves every stiffness assembly, and
+    the Dirichlet vectors of ``problem.bc`` and of both map components are
+    built once on ``g0``. They hold bit for bit on every later mesh:
+    :func:`update_mesh` rejects any movement of the boundary ring, so the
+    re-fit carries the ring of control points over unchanged. The trace's
     ``min_jacobian`` is taken from the quadrature-grid evaluation the PDE
     solve of the same mesh made.
 
@@ -523,19 +498,20 @@ def move_mesh_solve(
         disc.nbytes,
     )
     bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
-    bdata = _dirichlet_data(g0, problem.bc, bmap)
-    lm = init_logical_mesh(g0, bmap, cfg.lin, disc=disc, boundary=bdata.xi)
+    u_boundary = boundary_values(g0, problem.bc)
+    xi_boundary = tuple(boundary_values(g0, bmap.component(k)) for k in range(2))
+    lm = init_logical_mesh(g0, bmap, cfg.lin, disc=disc, boundary=xi_boundary)
 
-    def poisson(geom, boundary):
+    def poisson(geom):
         """The PDE solution on ``geom`` and the quadrature-grid evaluation
         it was assembled on."""
         geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, nders=1)
         sol = solve_poisson(geom, problem.f, problem.bc, cfg.lin, disc=disc,
-                            boundary=boundary, geo=geo)
+                            boundary=u_boundary, geo=geo)
         return sol, geo
 
     g = g0
-    u, geo = poisson(g, bdata.u)
+    u, geo = poisson(g)
 
     state = MoveMeshState(g, u, lm.fields, lm)
     state.snapshots.append((0, g, u))
@@ -556,7 +532,7 @@ def move_mesh_solve(
         )
 
     for it in range(1, cfg.max_outer + 1):
-        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin, disc=disc, boundary=bdata.xi)
+        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin, disc=disc, boundary=xi_boundary)
         vals = _xi_at_nodes(g, xi, lm, nders=0)
         defect = lm.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         xi_err = float(np.max(np.abs(defect)))
@@ -577,8 +553,7 @@ def move_mesh_solve(
             state.wrap_failure = str(exc)
             break
         prev_movement = movement
-        bdata = _dirichlet_data(g, problem.bc, bmap, bdata)
-        u, geo = poisson(g, bdata.u)
+        u, geo = poisson(g)
         record(it, xi_err, tau_used)
         state.snapshots.append((it, g, u))
 

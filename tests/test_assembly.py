@@ -248,8 +248,6 @@ def test_discretization_rejects_other_knots_weights_or_quadrature():
         assemble_weighted_stiffness(other_knots, disc=disc)
     with pytest.raises(ValueError, match="weights"):
         assemble_weighted_stiffness(other_weights, disc=disc)
-    with pytest.raises(ValueError, match="quadrature"):
-        assemble_weighted_stiffness(g, extra_quad=1, disc=disc)
 
 
 def test_discretization_size_matches_memory_formula():
@@ -300,11 +298,22 @@ def test_load_unit_source_sums_to_area():
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
 
 
+def _one_hot_load(g, f, quad):
+    """The load as the quadrature sum over ``quad`` of f R_k det J, with
+    R_k from grid evaluation of one-hot fields."""
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    fvals = f(geo.points[..., 0], geo.points[..., 1])
+    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
+    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
+    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, quad.pts_u, quad.pts_v, 0)
+    return np.einsum("uv,uvk->k", c, R[0, 0])
+
+
 def test_load_matches_refined_quadrature_oracle():
     g = _identity(p=3, m=4, rect=Rectangle(-1, 1, -1, 1))
     f = lambda x, y: 2.0 * np.sin(x) * np.sin(y)
     b = assemble_load(g, f)
-    b_fine = assemble_load(g, f, extra_quad=4)
+    b_fine = _one_hot_load(g, f, quadrature_grid(g, extra=4))
     assert np.allclose(b, b_fine, atol=1e-10)
 
 
@@ -319,15 +328,7 @@ def test_load_on_rational_geometry_matches_one_hot_quadrature():
     g = NurbsGeometry(g0.kv_u, g0.kv_v, w, cp)
     f = lambda x, y: 1.0 + np.sin(3.0 * x) * np.exp(y)
     b = assemble_load(g, f)
-
-    quad = quadrature_grid(g)
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
-    fvals = f(geo.points[..., 0], geo.points[..., 1])
-    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
-    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
-    R = rational_grid_sums(g.kv_u, g.kv_v, w, one_hot, quad.pts_u, quad.pts_v, 0)[0, 0]
-    expected = np.einsum("uv,uvk->k", c, R)
-    assert np.allclose(b, expected, rtol=0, atol=1e-13)
+    assert np.allclose(b, _one_hot_load(g, f, quadrature_grid(g)), rtol=0, atol=1e-13)
 
 
 def test_load_rejects_non_finite_source():

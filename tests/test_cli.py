@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mmiga.cli import main, manufacture_rhs, parse_config, run
+from mmiga.cli import RunConfig, main, manufacture_rhs, parse_config, run
 from mmiga.errors import ConfigError
 
 from oracles import grad_fd
@@ -94,10 +94,11 @@ def test_manufactured_rejects_bad_expression():
 # ----------------------------------------------------------------- validation
 
 def test_parse_config_minimal_defaults():
-    cfg = parse_config(dict(BASE_CONV))
-    assert cfg.mode == "convergence" and cfg.degree == 3
-    assert cfg.solver.tol == 1e-10
-    assert cfg.movemesh.tau == 0.5
+    # parse_config spells out every default a second time: the two copies
+    # must agree
+    for mode, problem in (("convergence", "case1_sine"), ("movemesh", "case2_tanh")):
+        cfg = parse_config({"mode": mode, "problem": problem, "degree": 3})
+        assert cfg == RunConfig(mode, problem, 3)
 
 
 def test_unknown_top_level_key_rejected():
@@ -139,6 +140,20 @@ def test_unknown_key_exits_2(tmp_path, key):
     doc[key] = 1
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("movemesh", "tau", "x"),
+    ("monitor", "alpha", "big"),
+    ("solver", "tol", "tiny"),
+    ("movemesh", "max_outer", 2.5),
+])
+def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
+    doc = dict(BASE_MOVE)
+    doc[section] = {**doc.get(section, {}), key: value}
+    path = _write(tmp_path, doc)
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
 
 def test_invalid_json_exits_2(tmp_path):

@@ -5,6 +5,7 @@ from mmiga.assembly import FieldCoefficients, eval_field_grid
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
+    boundary_mask,
     build_identity_geometry,
     eval_geometry_grid,
     map_point,
@@ -211,6 +212,16 @@ def test_refit_boundary_ring_bitwise_stable_when_targets_match():
     assert np.array_equal(refit.control_points[-1, :], g.control_points[-1, :])
     assert np.array_equal(refit.control_points[:, 0], g.control_points[:, 0])
     assert np.array_equal(refit.control_points[:, -1], g.control_points[:, -1])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (4, 3), (7, 7)])
+def test_boundary_mask_counts_each_corner_once(shape):
+    n1, n2 = shape
+    mask = boundary_mask(shape)
+    assert mask.shape == shape and mask.dtype == bool
+    assert np.count_nonzero(mask) == 2 * (n1 + n2) - 4
+    assert mask[[0, 0, -1, -1], [0, -1, 0, -1]].all()
+    assert not mask[1:-1, 1:-1].any()
 
 
 def test_min_jacobian_identity_and_folded():

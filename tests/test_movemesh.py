@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from mmiga import cli
-from mmiga.assembly import FieldCoefficients, boundary_values, discretization, solve_poisson
+from mmiga.assembly import FieldCoefficients, discretization, solve_poisson
 from mmiga.errors import DegenerateMapError, MeshWrapError
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
+    boundary_mask,
     build_identity_geometry,
     mesh_nodes,
     min_jacobian,
-    refit_from_node_targets,
 )
 from mmiga.linalg import LinearSolverSettings
 from mmiga.movemesh import (
     BoundaryMap,
-    _dirichlet_data,
     MonitorSpec,
     MoveMeshConfig,
     PoissonProblem,
@@ -362,6 +361,10 @@ def test_update_mesh_small_uniform_shift_moves_half():
     nodes = mesh_nodes(g2)
     ref = mesh_nodes(g)
     assert np.allclose(nodes[2:-2, 2:-2, 0] - ref[2:-2, 2:-2, 0], 0.005, atol=1e-10)
+    # the accepted mesh keeps the boundary ring of control points bit for
+    # bit: move_mesh_solve builds its Dirichlet vectors once on that ring
+    ring = boundary_mask(g.shape)
+    assert np.array_equal(g2.control_points[ring], g.control_points[ring])
 
 
 def test_update_mesh_backtracks_on_fold():
@@ -458,30 +461,6 @@ def test_move_mesh_matches_the_uncached_reference_loop():
     assert np.array_equal(state.solution.values, u.values)
     for k in range(2):
         assert np.array_equal(state.xi[k].values, xi[k].values)
-
-
-def test_dirichlet_data_follows_the_boundary_ring():
-    g = _stretched_geometry(p=3, m=6)
-    bmap = make_boundary_map(UNIT, UNIT)
-    first = _dirichlet_data(g, tanh_exact, bmap)
-    assert np.array_equal(first.u, boundary_values(g, tanh_exact))
-
-    # interior moves keep the ring bit for bit: the vectors are reused
-    targets = mesh_nodes(g)
-    targets[1:-1, 1:-1] += 0.01
-    inner = refit_from_node_targets(g, targets)
-    assert _dirichlet_data(inner, tanh_exact, bmap, first) is first
-
-    # a moved ring gets fresh vectors, not the stale ones
-    cp = g.control_points.copy()
-    cp[0, 2:-2, 0] -= 0.05
-    moved = NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
-    fresh = _dirichlet_data(moved, tanh_exact, bmap, first)
-    assert fresh is not first
-    assert np.array_equal(fresh.u, boundary_values(moved, tanh_exact))
-    assert not np.array_equal(fresh.u, first.u)
-    for k in range(2):
-        assert np.array_equal(fresh.xi[k], boundary_values(moved, bmap.component(k)))
 
 
 def test_move_mesh_logs_the_discretization_build(caplog):
