@@ -43,6 +43,20 @@ trace space, with the corner coefficients fixed by the data at the corners.
 Those coefficients depend only on the knots, the weights and the boundary
 ring of control points, so a run whose boundary stays put computes them
 once (:func:`boundary_values`) and passes them to :func:`apply_dirichlet`.
+
+The interior system is solved by CG preconditioned with fast
+diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964) and diagonal
+scaling (Sangalli & Tani, SIAM J. Sci. Comput. 38, 2016). The interior
+Laplacian of the parametric square, K_u (x) M_v + M_u (x) K_v, is inverted
+exactly through the generalized eigendecompositions K_d U_d = M_d U_d L_d of
+each direction's interior B-spline stiffness and mass on the assembly Gauss
+rule; a symmetric diagonal scaling S matches its diagonal to that of the
+actual interior matrix, which carries the geometry, the weights and the
+diffusion coefficient. Applying P^-1 = S (U_u (x) U_v) (L_u (+) L_v)^-1
+(U_u (x) U_v)^T S to a residual is two dense matmuls each way on the
+interior coefficient grid. The factors (:class:`FastDiagonalization`)
+depend only on the knots: a :class:`Discretization` holds them for a whole
+run, and a single solve builds them for itself.
 """
 
 from __future__ import annotations
@@ -50,9 +64,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import AssemblyError
+from .errors import AssemblyError, BreakdownError
 from .geometry import (
     GeometryGrid,
     NurbsGeometry,
@@ -76,10 +91,12 @@ __all__ = [
     "FieldGrid",
     "ReducedSystem",
     "Discretization",
+    "FastDiagonalization",
     "gauss_rule",
     "dof_map",
     "quadrature_grid",
     "discretization",
+    "fast_diagonalization",
     "assemble_weighted_stiffness",
     "assemble_load",
     "boundary_values",
@@ -259,6 +276,67 @@ def _merge(plan: _MergePlan, vals: np.ndarray) -> sp.csr_matrix:
 
 
 @dataclass(frozen=True, eq=False)
+class FastDiagonalization:
+    """Factors of the fast-diagonalisation preconditioner of the interior
+    system, built by :func:`fast_diagonalization` from the knots alone.
+
+    ``U_u``, ``U_v`` are the M-orthonormal generalized eigenvectors of each
+    direction's interior stiffness and mass, ``eig`` the eigenvalue sums
+    L_u[i] + L_v[j] and ``diag`` the diagonal of K_u (x) M_v + M_u (x) K_v,
+    both over the (n1 - 2, n2 - 2) interior coefficient grid.
+    """
+
+    U_u: np.ndarray
+    U_v: np.ndarray
+    eig: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.U_u, self.U_v, self.eig, self.diag))
+
+    def preconditioner(self, A_ii):
+        """The callable r -> P^-1 r for the interior matrix ``A_ii``, whose
+        rows and columns run over the interior grid in row-major order.
+
+        The scaling S = sqrt(diag / diag(A_ii)) gives the scaled reference
+        operator S^-1 (K_u (x) M_v + M_u (x) K_v) S^-1, whose inverse this
+        applies, the diagonal of ``A_ii``. A nonpositive diagonal entry
+        means ``A_ii`` is not SPD: BreakdownError.
+        """
+        d = A_ii.diagonal()
+        if np.any(d <= 0):
+            raise BreakdownError("nonpositive diagonal entry; matrix is not SPD")
+        s = np.sqrt(self.diag / d.reshape(self.diag.shape))
+
+        def apply(r):
+            y = self.U_u.T @ (s * r.reshape(s.shape)) @ self.U_v
+            y /= self.eig
+            return (s * (self.U_u @ y @ self.U_v.T)).ravel()
+
+        return apply
+
+
+def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector,
+                         quad: TensorQuadrature) -> FastDiagonalization:
+    """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
+    ``kv_v``, with the 1D B-spline stiffness and mass integrated on the
+    directional Gauss rules of ``quad`` and restricted to the functions
+    that vanish at both ends."""
+    factors = []
+    for kv, pts, wts in ((kv_u, quad.pts_u, quad.wts_u), (kv_v, quad.pts_v, quad.wts_v)):
+        N, dN = (basis_matrix(kv, pts, der)[:, 1:-1] for der in (0, 1))
+        K = dN.T @ (wts[:, None] * dN)
+        M = N.T @ (wts[:, None] * N)
+        lam, U = scipy.linalg.eigh(K, M)
+        factors.append((U, lam, np.diag(K), np.diag(M)))
+    (U_u, lam_u, k_u, m_u), (U_v, lam_v, k_v, m_v) = factors
+    return FastDiagonalization(
+        U_u, U_v, np.add.outer(lam_u, lam_v), np.outer(k_u, m_v) + np.outer(m_u, k_v)
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Discretization:
     """The geometry-independent part of stiffness assembly, built once by
     :func:`discretization` for one set of knot vectors and weights, on the
@@ -267,7 +345,8 @@ class Discretization:
     ``Ru`` and ``Rv`` hold the parametric gradient blocks of the local
     rational basis of every element, shape (nel_u, nel_v, nloc, nq); they
     depend only on knots and weights. ``plan`` is the merge plan of the
-    element matrices, which depends only on the knots.
+    element matrices and ``fdm`` the factors of the interior preconditioner;
+    both depend only on the knots.
     """
 
     kv_u: KnotVector
@@ -277,14 +356,16 @@ class Discretization:
     Ru: np.ndarray
     Rv: np.ndarray
     plan: _MergePlan
+    fdm: FastDiagonalization
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays, row blocks and merge plan included."""
+        """Bytes held in arrays: row blocks, merge plan and preconditioner
+        factors included."""
         q, p = self.quad, self.plan
         arrays = (self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.Ru, self.Rv,
                   p.order, p.starts, p.indices, p.indptr)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays) + self.fdm.nbytes
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -321,7 +402,8 @@ def discretization(g: NurbsGeometry) -> Discretization:
         Ru[eu], Rv[eu] = _row_blocks(g, tables, eu)
     Ru.flags.writeable = Rv.flags.writeable = False
     plan = _merge_plan(_local_dofs(tables, g.kv_v.n), g.ndof)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, Ru, Rv, plan)
+    fdm = fast_diagonalization(g.kv_u, g.kv_v, quad)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, Ru, Rv, plan, fdm)
 
 
 def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
@@ -549,14 +631,26 @@ def solve_dirichlet(
     lin: LinearSolverSettings | None = None,
     *,
     boundary: np.ndarray | None = None,
+    disc: Discretization | None = None,
 ) -> FieldCoefficients:
     """Solve A x = b with x = ``bc`` on the boundary: eliminate the boundary
     coefficients (:func:`apply_dirichlet`, which also explains
-    ``boundary``), solve the interior system by CG and scatter the interior
-    solution back into the full coefficient grid."""
+    ``boundary``), solve the interior system by CG with the
+    fast-diagonalisation preconditioner and scatter the interior solution
+    back into the full coefficient grid.
+
+    The preconditioner factors come from ``disc``, which must match ``g``
+    (ValueError otherwise), or are built for this call; both give the same
+    bits."""
     lin = lin or LinearSolverSettings()
+    if disc is None:
+        fdm = fast_diagonalization(g.kv_u, g.kv_v, quadrature_grid(g))
+    else:
+        disc.check(g)
+        fdm = disc.fdm
     red = apply_dirichlet(A, b, g, bc, boundary=boundary)
-    x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit, precond=lin.precond)
+    x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
+                        precond=fdm.preconditioner(red.matrix))
     full = red.boundary_values.copy()
     full[red.dofs.interior] = x_int
     return FieldCoefficients(full, g.shape)
@@ -576,13 +670,13 @@ def solve_poisson(
 
     The geometry is evaluated on the quadrature grid once, for both forms,
     unless the caller passes that evaluation as ``geo``. ``disc`` goes to
-    :func:`assemble_weighted_stiffness` and ``boundary`` to
-    :func:`apply_dirichlet`.
+    :func:`assemble_weighted_stiffness` and :func:`solve_dirichlet`, and
+    ``boundary`` to :func:`apply_dirichlet`.
     """
     geo = _quadrature_geometry(g, quadrature_grid(g) if disc is None else disc.quad, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, geo=geo)
-    return solve_dirichlet(A, b, g, bc, lin, boundary=boundary)
+    return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc)
 
 
 @dataclass(frozen=True)

@@ -189,12 +189,18 @@ _TOP_KEYS = {
 }
 _MONITOR_KEYS = {"kind", "eps", "alpha", "beta", "smoothing"}
 _MOVEMESH_KEYS = {"tau", "tolerance", "max_outer", "movement_cap", "logical"}
-_SOLVER_KEYS = {"tol", "maxit", "precond"}
+_SOLVER_KEYS = {"tol", "maxit"}
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _is_int(x) -> bool:
+    """An integer in JSON terms: ``true``/``false`` load as bool, a subclass
+    of int, and are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -209,7 +215,7 @@ def parse_config(doc: dict) -> RunConfig:
     mode = doc["mode"]
     _require(mode in ("convergence", "movemesh"), f"mode: expected convergence|movemesh, got {mode!r}")
     degree = doc["degree"]
-    _require(isinstance(degree, int) and 1 <= degree <= 4, f"degree: expected integer in [1, 4], got {degree!r}")
+    _require(_is_int(degree) and 1 <= degree <= 4, f"degree: expected integer in [1, 4], got {degree!r}")
     refinement = doc.get("refinement", "k")
     _require(refinement in ("k", "hp"), f"refinement: expected k|hp, got {refinement!r}")
 
@@ -222,16 +228,16 @@ def parse_config(doc: dict) -> RunConfig:
             _require(problem == "case2_tanh", "problem: convergence cases require mode=convergence")
 
     levels = doc.get("levels", 4)
-    _require(isinstance(levels, int) and 1 <= levels <= 8, f"levels: expected integer in [1, 8], got {levels!r}")
+    _require(_is_int(levels) and 1 <= levels <= 8, f"levels: expected integer in [1, 8], got {levels!r}")
     elements = doc.get("elements", 32)
-    _require(isinstance(elements, int) and elements >= 2, f"elements: expected integer >= 2, got {elements!r}")
+    _require(_is_int(elements) and elements >= 2, f"elements: expected integer >= 2, got {elements!r}")
 
     elements_list = doc.get("elements_list")
     if elements_list is not None:
         _require(mode == "convergence", "elements_list: only valid in convergence mode")
         _require(
             isinstance(elements_list, list) and len(elements_list) >= 2
-            and all(isinstance(m, int) and m >= 1 for m in elements_list),
+            and all(_is_int(m) and m >= 1 for m in elements_list),
             "elements_list: expected a list of >= 2 positive integers",
         )
         elements_list = tuple(elements_list)
@@ -272,7 +278,6 @@ def parse_config(doc: dict) -> RunConfig:
         solver = LinearSolverSettings(
             tol=sol.get("tol", 1e-10),
             maxit=sol.get("maxit"),
-            precond=sol.get("precond", "diagonal"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -291,7 +296,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     vtk_samples = doc.get("vtk_samples", 4)
     _require(
-        isinstance(vtk_samples, int) and vtk_samples >= 2,
+        _is_int(vtk_samples) and vtk_samples >= 2,
         f"vtk_samples: expected integer >= 2, got {vtk_samples!r}",
     )
 

@@ -2,9 +2,13 @@
 
 The conjugate gradient loop is written out explicitly so iteration counts,
 breakdown detection and bit-reproducibility are under our control; matrices
-are stored in scipy compressed-row form. Banded systems (Greville collocation
-matrices, which are totally positive, and the edge-trace mass matrices of the
-Dirichlet projection) go through LAPACK's banded solver.
+are stored in scipy compressed-row form. The preconditioner is either named
+(``"diagonal"`` for Jacobi, ``"none"``) or a callable applying an SPD
+approximation of A^-1 to the residual; the Galerkin solves pass the
+fast-diagonalisation preconditioner that :mod:`mmiga.assembly` builds from
+the knots. Banded systems (Greville collocation matrices, which are totally
+positive, and the edge-trace mass matrices of the Dirichlet projection) go
+through LAPACK's banded solver.
 """
 
 from __future__ import annotations
@@ -22,39 +26,46 @@ __all__ = ["LinearSolverSettings", "cg_solve", "banded_solve"]
 
 @dataclass(frozen=True)
 class LinearSolverSettings:
-    """Iterative-solver knobs: relative residual, iteration cap, preconditioner."""
+    """Iterative-solver knobs: relative residual and iteration cap."""
 
     tol: float = 1e-10
     maxit: int | None = None  # defaults to 10 * n
-    precond: str = "diagonal"  # "none" or "diagonal"
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.maxit is not None and not isinstance(self.maxit, (int, np.integer)):
+        if self.maxit is not None and (
+            isinstance(self.maxit, bool) or not isinstance(self.maxit, (int, np.integer))
+        ):
             raise TypeError(f"maxit must be an integer or None, got {self.maxit!r}")
-        if self.precond not in ("none", "diagonal"):
-            raise ValueError(f"unknown preconditioner {self.precond!r}")
 
 
 def cg_solve(A, b, tol=1e-10, maxit=None, precond="diagonal", callback=None):
     """Conjugate gradients for SPD A; returns (x, iterations).
 
-    Stops when ||b - A x|| <= tol * ||b||. Raises ConvergenceError when the
-    iteration cap is hit and BreakdownError on a nonpositive curvature
-    direction (A not SPD). ``callback(x)`` is invoked after every iteration.
+    ``precond`` is "diagonal" (Jacobi), "none", or a callable returning
+    M^-1 r for an SPD M^-1 and a residual r. Stops when
+    ||b - A x|| <= tol * ||b||. Raises ConvergenceError when the iteration
+    cap is hit and BreakdownError on a nonpositive curvature direction (A not
+    SPD). ``callback(x)`` is invoked after every iteration.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if maxit is None:
         maxit = 10 * n
-    if precond == "diagonal":
+    if callable(precond):
+        apply = precond
+    elif precond == "diagonal":
         d = A.diagonal() if sp.issparse(A) else np.diag(A)
         if np.any(d <= 0):
             raise BreakdownError("nonpositive diagonal entry; matrix is not SPD")
         dinv = 1.0 / d
+
+        def apply(r):
+            return r * dinv
     elif precond == "none":
-        dinv = None
+        def apply(r):
+            return r
     else:
         raise ValueError(f"unknown preconditioner {precond!r}")
 
@@ -63,7 +74,7 @@ def cg_solve(A, b, tol=1e-10, maxit=None, precond="diagonal", callback=None):
     if bnorm == 0.0:
         return x, 0
     r = b.copy()
-    z = r * dinv if dinv is not None else r
+    z = apply(r)
     p = z.copy()
     rz = r @ z
     for it in range(1, maxit + 1):
@@ -80,7 +91,7 @@ def cg_solve(A, b, tol=1e-10, maxit=None, precond="diagonal", callback=None):
             callback(x.copy())
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it
-        z = r * dinv if dinv is not None else r
+        z = apply(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -34,6 +34,7 @@ from .assembly import (
 )
 from .errors import DegenerateMapError, MeshWrapError
 from .geometry import (
+    GeometryGrid,
     NurbsGeometry,
     Rectangle,
     boundary_mask,
@@ -89,7 +90,7 @@ class MonitorSpec:
     smoothing: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.smoothing, (int, np.integer)):
+        if isinstance(self.smoothing, bool) or not isinstance(self.smoothing, (int, np.integer)):
             raise TypeError(f"smoothing count must be an integer, got {self.smoothing!r}")
         if self.kind not in ("gradient", "hessian", "combined"):
             raise ValueError(f"unknown monitor kind {self.kind!r}")
@@ -204,7 +205,7 @@ class MoveMeshConfig:
             raise ValueError("tau must lie in (0, 1]")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.max_outer, (int, np.integer)):
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, (int, np.integer)):
             raise TypeError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
@@ -270,17 +271,20 @@ def init_logical_mesh(
     :func:`~mmiga.assembly.boundary_values` of the two components of
     ``bmap`` on ``g0``, when the caller has them."""
     A = assemble_weighted_stiffness(g0, disc=disc)
-    fields = _solve_components(A, g0, bmap, lin, boundary)
+    fields = _solve_components(A, g0, bmap, lin, boundary, disc)
     gu = greville_abscissae(g0.kv_u)
     gv = greville_abscissae(g0.kv_v)
     vals = [eval_field_grid(g0, f, gu, gv, nders=0).values for f in fields]
     return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), gu, gv)
 
 
-def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v):
-    """Monitor values on a tensor grid of parametric points."""
+def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
+                 geo: GeometryGrid | None = None):
+    """Monitor values on a tensor grid of parametric points. ``geo`` is
+    ``g`` already evaluated on that grid, when the caller has it; see
+    :func:`~mmiga.assembly.eval_field_grid`."""
     nders = 2 if spec.needs_hessian else 1
-    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders)
+    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
     m2 = spec.eps * np.ones_like(fg.values)
     if spec.alpha > 0.0:
         m2 = m2 + spec.alpha * (fg.grad**2).sum(axis=-1)
@@ -325,17 +329,23 @@ def solve_harmonic_map(
     *,
     disc: Discretization | None = None,
     boundary: tuple[np.ndarray, np.ndarray] | None = None,
+    geo: GeometryGrid | None = None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Logical map from the variable-diffusion solve -div(grad(xi)/M) = 0.
 
     One weighted stiffness matrix (weight 1/M) is shared by both components;
     each component gets its own Dirichlet data from the boundary map.
-    ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`.
+    ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`. The
+    monitor and the stiffness share one evaluation of ``g`` with its
+    Jacobian on the quadrature grid: ``geo`` when the caller has it (the
+    PDE solve of the same mesh made one), else a fresh one.
     """
     quad = quadrature_grid(g) if disc is None else disc.quad
-    m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v)
-    A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc)
-    return _solve_components(A, g, bmap, lin, boundary)
+    if geo is None:
+        geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v, geo=geo)
+    A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
+    return _solve_components(A, g, bmap, lin, boundary, disc)
 
 
 def _solve_components(
@@ -344,14 +354,16 @@ def _solve_components(
     bmap: BoundaryMap,
     lin: LinearSolverSettings | None,
     boundary: tuple[np.ndarray, np.ndarray] | None,
+    disc: Discretization | None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Both logical-map components from one stiffness matrix ``A``: zero
     source, Dirichlet data from each component of the boundary map (or its
-    precomputed ``boundary`` vectors)."""
+    precomputed ``boundary`` vectors), preconditioner factors from ``disc``
+    when given."""
     zero = np.zeros(g.ndof)
     return tuple(
         solve_dirichlet(A, zero, g, bmap.component(k), lin,
-                        boundary=None if boundary is None else boundary[k])
+                        boundary=None if boundary is None else boundary[k], disc=disc)
         for k in range(2)
     )
 
@@ -479,9 +491,9 @@ def move_mesh_solve(
     the Dirichlet vectors of ``problem.bc`` and of both map components are
     built once on ``g0``. They hold bit for bit on every later mesh:
     :func:`update_mesh` rejects any movement of the boundary ring, so the
-    re-fit carries the ring of control points over unchanged. The trace's
-    ``min_jacobian`` is taken from the quadrature-grid evaluation the PDE
-    solve of the same mesh made.
+    re-fit carries the ring of control points over unchanged. The
+    quadrature-grid evaluation the PDE solve of a mesh made also serves the
+    map solve on that mesh and the trace's ``min_jacobian``.
 
     The loop terminates on convergence, on the iteration cap, or on a mesh
     wrap the damped update could not prevent; in the wrap case the last valid
@@ -532,7 +544,8 @@ def move_mesh_solve(
         )
 
     for it in range(1, cfg.max_outer + 1):
-        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin, disc=disc, boundary=xi_boundary)
+        xi = solve_harmonic_map(g, spec, u, bmap, cfg.lin, disc=disc, boundary=xi_boundary,
+                                geo=geo)
         vals = _xi_at_nodes(g, xi, lm, nders=0)
         defect = lm.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         xi_err = float(np.max(np.abs(defect)))

@@ -14,12 +14,13 @@ from mmiga.assembly import (
     dof_map,
     eval_field,
     eval_field_grid,
+    fast_diagonalization,
     gauss_rule,
     quadrature_grid,
     solve_dirichlet,
     solve_poisson,
 )
-from mmiga.errors import AssemblyError
+from mmiga.errors import AssemblyError, BreakdownError
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
@@ -30,7 +31,7 @@ from mmiga.geometry import (
     mesh_nodes,
     rational_grid_sums,
 )
-from mmiga.linalg import LinearSolverSettings
+from mmiga.linalg import LinearSolverSettings, cg_solve
 from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
 
 from oracles import grad_fd, hess_fd
@@ -255,7 +256,8 @@ def test_discretization_size_matches_memory_formula():
     disc = discretization(g)
     nel, nloc, nq = 3 * 4, 4 * 4, 4 * 4
     assert disc.Ru.shape == disc.Rv.shape == (3, 4, nloc, nq)
-    assert disc.nbytes >= 2 * nel * nloc * nq * 8
+    assert disc.nbytes >= 2 * nel * nloc * nq * 8 + disc.fdm.nbytes
+    assert disc.fdm.U_u.shape == (g.shape[0] - 2,) * 2
     assert not disc.Ru.flags.writeable and not disc.plan.order.flags.writeable
 
 
@@ -430,6 +432,88 @@ def test_dirichlet_trace_interpolation_fourth_order():
         errs.append(np.max(np.abs(vals - bc(pts[:, 0], pts[:, 1]))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] > 3.5
+
+
+# ------------------------------------------------------------ preconditioner
+
+def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y)):
+    A = assemble_weighted_stiffness(g)
+    return apply_dirichlet(A, assemble_load(g, f), g, bc)
+
+
+def _fdm(g):
+    return fast_diagonalization(g.kv_u, g.kv_v, quadrature_grid(g))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("mult", [1, 3])
+def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
+    # unit weights on a square: the interior matrix is K (x) M + M (x) K
+    # itself, so the preconditioned system is the identity up to rounding
+    g = _identity(p=3, m=m, rect=Rectangle(-1, 1, -1, 1), mult=mult)
+    red = _reduced(g)
+    _, it = cg_solve(red.matrix, red.rhs, tol=1e-12,
+                     precond=_fdm(g).preconditioner(red.matrix))
+    assert it <= 2
+
+
+@pytest.mark.parametrize("mult", [1, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_preconditioned_solve_matches_a_direct_solve(p, mult):
+    from scipy.sparse.linalg import spsolve
+
+    g = _random_rational(p, mult, seed=20 + 10 * p + mult)
+    f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
+    A = assemble_weighted_stiffness(g)
+    red = apply_dirichlet(A, assemble_load(g, f), g, bc)
+    ref = spsolve(red.matrix.tocsc(), red.rhs)
+    u = solve_dirichlet(A, assemble_load(g, f), g, bc, LinearSolverSettings(tol=1e-12))
+    x = u.values[red.dofs.interior]
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_preconditioner_is_symmetric_positive_definite():
+    g = _random_rational(3, 1, seed=31)
+    red = _reduced(g)
+    apply = _fdm(g).preconditioner(red.matrix)
+    n = red.matrix.shape[0]
+    P = np.column_stack([apply(e) for e in np.eye(n)])
+    assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))
+    for r in np.random.default_rng(4).normal(size=(20, n)):
+        assert apply(r) @ r > 0.0
+
+
+def test_solves_with_and_without_discretization_are_bit_identical():
+    g = _random_rational(3, 3, seed=32)
+    disc = discretization(g)
+    f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
+    u = solve_poisson(g, f, bc)
+    assert np.array_equal(solve_poisson(g, f, bc, disc=disc).values, u.values)
+    A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
+    assert np.array_equal(solve_dirichlet(A, b, g, bc, disc=disc).values,
+                          solve_dirichlet(A, b, g, bc).values)
+    with pytest.raises(ValueError, match="knots"):
+        solve_dirichlet(A, b, g, bc, disc=discretization(_mesh_3x4(p=3, mult=1)))
+
+
+def test_nonpositive_interior_diagonal_raises_breakdown():
+    g = _random_rational(3, 1, seed=33)
+    A = assemble_weighted_stiffness(g).tocsr()
+    i = dof_map(*g.shape).interior[5]
+    A[i, i] = -A[i, i]
+    with pytest.raises(BreakdownError, match="diagonal"):
+        solve_dirichlet(A, np.ones(g.ndof), g, lambda x, y: x + y)
+
+
+@pytest.mark.parametrize("pu,mu", [(1, 1), (3, 2)])
+def test_empty_interior_returns_the_boundary_solution(pu, mu):
+    # degree 1 on one element along v: two functions there, so no interior
+    kv_u = make_open_knot_vector(pu, mu)
+    kv_v = make_open_knot_vector(1, 1)
+    g = build_identity_geometry(Rectangle(0, 2, 0, 1), kv_u, kv_v)
+    bc = lambda x, y: 1.0 + x - 2.0 * y
+    u = solve_poisson(g, lambda x, y: np.zeros_like(x), bc)
+    assert np.array_equal(u.values, boundary_values(g, bc))
 
 
 # ------------------------------------------------------------------- poisson

@@ -1,11 +1,23 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mmiga.cli import RunConfig, main, manufacture_rhs, parse_config, run
+from mmiga.cli import (
+    _MONITOR_KEYS,
+    _MOVEMESH_KEYS,
+    _SOLVER_KEYS,
+    RunConfig,
+    main,
+    manufacture_rhs,
+    parse_config,
+    run,
+)
 from mmiga.errors import ConfigError
+from mmiga.linalg import LinearSolverSettings
+from mmiga.movemesh import MonitorSpec, MoveMeshConfig
 
 from oracles import grad_fd
 
@@ -134,26 +146,52 @@ def test_range_validation(key, value):
         parse_config(doc)
 
 
-@pytest.mark.parametrize("key", ["bogus", "deterministic"])
-def test_unknown_key_exits_2(tmp_path, key):
-    doc = dict(BASE_CONV)
-    doc[key] = 1
+@pytest.mark.parametrize("extra", [
+    pytest.param({"bogus": 1}, id="bogus"),
+    pytest.param({"deterministic": 1}, id="deterministic"),
+    pytest.param({"solver": {"precond": "diagonal"}}, id="solver.precond"),
+])
+def test_unknown_key_exits_2(tmp_path, extra):
+    doc = {**BASE_CONV, **extra}
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
 
 
+# section None puts the key at the top level; JSON true/false load as bool,
+# a subclass of int, and must not pass for integers
 @pytest.mark.parametrize("section,key,value", [
     ("movemesh", "tau", "x"),
     ("monitor", "alpha", "big"),
     ("solver", "tol", "tiny"),
     ("movemesh", "max_outer", 2.5),
+    (None, "degree", True),
+    (None, "levels", True),
+    (None, "elements", True),
+    (None, "vtk_samples", True),
+    ("movemesh", "max_outer", True),
+    ("monitor", "smoothing", False),
+    ("solver", "maxit", True),
 ])
 def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     doc = dict(BASE_MOVE)
-    doc[section] = {**doc.get(section, {}), key: value}
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {**doc.get(section, {}), key: value}
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+    assert capsys.readouterr().err.startswith(f"config error: {section or key}: ")
+
+
+def test_config_section_keys_are_the_dataclass_fields():
+    # a key parsed into no field, or a field no key sets, is a setting the
+    # schema offers and the run never reads
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert _SOLVER_KEYS == names(LinearSolverSettings)
+    assert _MONITOR_KEYS == names(MonitorSpec)
+    assert _MOVEMESH_KEYS == names(MoveMeshConfig) - {"lin"}
 
 
 def test_invalid_json_exits_2(tmp_path):

@@ -43,6 +43,15 @@ def test_cg_residual_contract_and_preconditioner_helps():
     assert it_jac < it_plain
 
 
+def test_cg_takes_a_callable_preconditioner():
+    A = _laplacian_1d(50)
+    b = np.random.default_rng(4).normal(size=50)
+    inv = np.linalg.inv(A.toarray())
+    x, it = cg_solve(A, b, tol=1e-12, precond=lambda r: inv @ r)
+    assert it == 1
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_cg_error_monotone_in_energy_norm():
     rng = np.random.default_rng(1)
     A = _laplacian_1d(60).toarray()
