@@ -1,40 +1,36 @@
 """Galerkin assembly over the rational tensor-product space.
 
 Stiffness matrices are the weighted diffusion forms
-A_kl = int w grad(phi_k) . grad(phi_l) dx ; with w = 1 this is the Poisson
-bilinear form. Elements are the nonzero knot-span rectangles, each with
-per-direction Gauss rules of degree + 1 points, as laid out by
+A_kl = int a grad(R_k) . grad(R_l) dx of the rational basis R_k, with a
+diffusion weight a; with a = 1 this is the Poisson bilinear form.
+Elements are the nonzero knot-span rectangles, each with per-direction
+Gauss rules of degree + 1 points, as laid out by
 :func:`~mmiga.geometry.quadrature_grid`.
 
-Each form tabulates the basis once, in the layout it contracts with. The
-load is a sum over the whole grid, so it uses dense directional tables
+The load is a sum over the whole grid, so it uses dense directional tables
 (:func:`~mmiga.splines.basis_matrix`): it is the adjoint of grid
 evaluation, b = w o (Du^T C Dv), with C the quadrature weights times
-det J times f over the weight sum at each point. The stiffness pairs
-functions element by element, so it uses local tables: the banded scheme
-evaluated on each element's own span gives the (nel, q, p+1) element
-blocks directly. It runs one Python iteration per element row: the
-weighted numerators of a whole row are formed by batched einsum, their
-local sums are the weight sums, and the local rational basis and its
-gradients follow from the quotient rule every rational evaluation shares,
-:func:`~mmiga.splines.rational_derivatives`. The element matrices of a row
-come from one batched matmul. Local blocks are mirrored from their upper
-triangle, and the COO entries are laid out in the fixed (row, column)
-element order before a stable merge, so every sum accumulates in the same
-order on every run: matrices come out bit-symmetric and runs are
-reproducible.
+det J times f over the weight sum at each point.
 
-Only the metric terms of the stiffness depend on the control points. A
-caller that assembles many times on geometries sharing knots and weights,
-as the moving-mesh loop does, builds a :class:`Discretization` once
-(:func:`discretization`) and passes it to every assembly. It holds the
-quadrature grid, the parametric gradient blocks Ru, Rv of every element
-row, and the merge plan: the stable argsort of the COO keys, the reduction
-starts and the CSR ``indices``/``indptr``. The row blocks take
-2 * nel * (p+1)^2 * q^2 floats (q = p + 1 Gauss points per direction):
-4.2 MB at 32 x 32 elements of degree 3, 67 MB at 128 x 128. A single solve
-passes none and streams: it tabulates one row at a time, never holding
-all rows' blocks, and its result has the same bits.
+The stiffness is sum-factorised (Antolin, Buffa, Calabro, Martinelli &
+Sangalli, CMAME 285, 2015): with R_k = w_k N_k / W,
+A_kl = w_k w_l sum_q phi_k^T H phi_l, where phi = (dN/du, dN/dv, N) of the
+B-spline product, H = (c / W^2) E^T J^-1 J^-T E, E = [I | -grad W / W] and
+c = Gauss weight * det J * a. Each (alpha, beta) term is contracted one
+direction at a time against element-local 1D pair tables d^a N_i d^b N_i'
+by matmul, and summed over elements into band form by fixed 0/1 scatter
+matrices. Only upper entries are formed; a fixed gather reads the CSR
+values out of the band, every lower entry from its mirror, so matrices are
+bit-symmetric and every sum runs in the same order on every run. With all
+weights equal, grad W = 0 and the terms in N itself are skipped. The CSR
+pattern holds the pairs of functions sharing an element, so on C^0 knots
+pairs with |i - i'| <= p that share none are not stored.
+
+All but the metric terms depend only on the knots: a
+:class:`Discretization` (:func:`discretization`) holds the quadrature,
+pair tables, scatter and gather maps and preconditioner factors, 8 MB at
+128 x 128 elements of degree 3. A single solve builds one; the
+moving-mesh loop builds one per run and passes it to every call.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -55,8 +51,7 @@ actual interior matrix, which carries the geometry, the weights and the
 diffusion coefficient. Applying P^-1 = S (U_u (x) U_v) (L_u (+) L_v)^-1
 (U_u (x) U_v)^T S to a residual is two dense matmuls each way on the
 interior coefficient grid. The factors (:class:`FastDiagonalization`)
-depend only on the knots: a :class:`Discretization` holds them for a whole
-run, and a single solve builds them for itself.
+depend only on the knots, and a :class:`Discretization` holds them.
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ from .geometry import (
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import KnotVector, _basis_ders, basis_matrix, rational_derivatives
+from .splines import KnotVector, _basis_ders, basis_matrix
 
 __all__ = [
     "QuadratureRule",
@@ -172,9 +167,9 @@ def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
 
     ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
     ``eu`` (its Gauss points against the p+1 functions nonzero there), and
-    likewise ``Lv`` along v; ``cols_u``, ``cols_v`` give the (nel, p+1)
-    global indices of the local functions of each element. Returned as
-    ``((Lu, cols_u), (Lv, cols_v))``.
+    likewise ``Lv`` along v; ``first_u``, ``first_v`` give the global index
+    of the first of those functions on each element. Returned as
+    ``((Lu, first_u), (Lv, first_v))``.
     """
     tables = []
     for kv, pts, q in ((g.kv_u, quad.pts_u, quad.q_u), (g.kv_v, quad.pts_v, quad.q_v)):
@@ -182,7 +177,7 @@ def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
         spans = np.asarray(kv.nonzero_spans)
         _, ders = _basis_ders(kv, pts, 1, spans=np.repeat(spans, q))
         blocks = ders.reshape(2, p + 1, len(spans), q).transpose(0, 2, 3, 1)
-        tables.append((blocks, spans[:, None] - p + np.arange(p + 1)))
+        tables.append((blocks, spans - p))
     return tables
 
 
@@ -192,87 +187,6 @@ def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
     nu, nv = x.shape[0] // quad.q_u, x.shape[1] // quad.q_v
     blocks = x.reshape(nu, quad.q_u, nv, quad.q_v).transpose(0, 2, 1, 3)
     return blocks.reshape(nu, nv, quad.q_u * quad.q_v)
-
-
-def _local_dofs(tables, n_v: int) -> np.ndarray:
-    """The (nel_u, nel_v, nloc) global indices of the local functions of
-    every element, in the local order of :func:`_row_blocks`."""
-    (_, cols_u), (_, cols_v) = tables
-    gidx = cols_u[:, None, :, None] * n_v + cols_v[None, :, None, :]
-    return gidx.reshape(len(cols_u), len(cols_v), -1)
-
-
-def _row_rational(g, tables, eu):
-    """The local rational basis on every element of row ``eu``: a map
-    (a, b) -> d^{a+b} R / du^a dv^b for a + b <= 1, each of shape
-    (nel_v, nloc, nq), local functions ordered as in :func:`_local_dofs`.
-    The weight sums are the local sums of the numerators."""
-    (Lu, cols_u), (Lv, cols_v) = tables
-    wloc = g.weights.w[cols_u[eu][:, None, None], cols_v[None, :, :]].transpose(1, 0, 2)
-    num = {
-        (a, b): np.einsum("ai,ebj,eij->eijab", Lu[a][eu], Lv[b], wloc)
-        for a, b in ((0, 0), (1, 0), (0, 1))
-    }
-    wsum = {ab: x.sum(axis=(1, 2), keepdims=True) for ab, x in num.items()}
-    R = rational_derivatives(num, wsum, 1)
-    nel_v, nloc = len(cols_v), wloc.shape[1] * wloc.shape[2]
-    return {ab: x.reshape(nel_v, nloc, -1) for ab, x in R.items()}
-
-
-def _row_blocks(g, tables, eu):
-    """The parametric gradient blocks (Ru, Rv) the stiffness contracts on
-    element row ``eu``."""
-    R = _row_rational(g, tables, eu)
-    return R[1, 0], R[0, 1]
-
-
-@dataclass(frozen=True)
-class _MergePlan:
-    """How the element matrices' COO entries, laid out in the fixed
-    (row, column) element order, merge into one CSR matrix: ``order`` is the
-    stable argsort of their flat keys ``row * n + col``, ``starts`` the first
-    sorted entry of each distinct key, ``indices`` and ``indptr`` the CSR
-    pattern. It depends only on the knot vectors."""
-
-    n: int
-    order: np.ndarray
-    starts: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def _merge_plan(gidx: np.ndarray, n: int) -> _MergePlan:
-    """The merge plan of the element blocks with local-to-global indices
-    ``gidx`` (:func:`_local_dofs`)."""
-    # each temporary is dropped once spent: at m=128 every one is 34 MB
-    keys = (gidx[..., :, None] * n + gidx[..., None, :]).ravel()
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    del keys
-    first = np.empty(len(k), dtype=bool)
-    first[0] = True
-    np.not_equal(k[1:], k[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    rows, cols = np.divmod(k[starts], n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    for a in (order, starts, cols, indptr):
-        a.flags.writeable = False
-    return _MergePlan(n, order, starts, cols, indptr)
-
-
-def _merge(plan: _MergePlan, vals: np.ndarray) -> sp.csr_matrix:
-    """Deterministic duplicate merge of the COO values ``vals``: one
-    sequential reduction per entry in the stable key order of ``plan``,
-    straight into CSR arrays. The visit order of the element loop therefore
-    fixes every accumulation order, making assembly bit-reproducible and the
-    result exactly symmetric when the per-element blocks are."""
-    merged = np.add.reduceat(vals[plan.order], plan.starts)
-    # copies of the pattern: a caller may edit its matrix in place
-    return sp.csr_matrix(
-        (merged, plan.indices.copy(), plan.indptr.copy()), shape=(plan.n, plan.n)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,35 +250,49 @@ def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector,
     )
 
 
+# phi = (dN/du, dN/dv, N) of the B-spline product N = N_i(u) N_j(v): the
+# derivative orders in u and in v of each component
+_PHI = ((1, 0), (0, 1), (0, 0))
+# the (alpha, beta) terms of phi_k^T H phi_l: those of the metric block
+# first, then the five that involve N itself, which vanish when W is constant
+_TERMS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """The geometry-independent part of stiffness assembly, built once by
-    :func:`discretization` for one set of knot vectors and weights, on the
-    assembly quadrature, and passed explicitly to later assemblies.
+    """The knot-only part of assembly and solve, built once by
+    :func:`discretization` and checked against the knots and weights of
+    each geometry passed with it.
 
-    ``Ru`` and ``Rv`` hold the parametric gradient blocks of the local
-    rational basis of every element, shape (nel_u, nel_v, nloc, nq); they
-    depend only on knots and weights. ``plan`` is the merge plan of the
-    element matrices and ``fdm`` the factors of the interior preconditioner;
-    both depend only on the knots.
+    ``pairs_u`` holds the u pair tables d^a N_i d^b N_i' for i <= i',
+    (4, nel_u, (p+1)(p+2)/2, q_u) indexed by 2a + b, and ``scatter_u`` adds
+    them into band rows (i, i' - i); ``pairs_v`` holds the v pair tables of
+    all of :data:`_TERMS` side by side, (nel_v, (p+1)^2, 9 q_v), and
+    ``scatter_v`` adds them into band rows (j, j' - j + p). ``gather``
+    reads the CSR values ``indices``/``indptr`` out of the band, and
+    ``fdm`` holds the preconditioner factors.
     """
 
     kv_u: KnotVector
     kv_v: KnotVector
     weights: np.ndarray
     quad: TensorQuadrature
-    Ru: np.ndarray
-    Rv: np.ndarray
-    plan: _MergePlan
+    pairs_u: np.ndarray
+    scatter_u: sp.csr_matrix
+    pairs_v: np.ndarray
+    scatter_v: sp.csr_matrix
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     fdm: FastDiagonalization
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: row blocks, merge plan and preconditioner
-        factors included."""
-        q, p = self.quad, self.plan
-        arrays = (self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.Ru, self.Rv,
-                  p.order, p.starts, p.indices, p.indptr)
+        """Bytes held in arrays, preconditioner factors included."""
+        q = self.quad
+        arrays = [self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.pairs_u, self.pairs_v,
+                  self.gather, self.indices, self.indptr]
+        arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
         return sum(a.nbytes for a in arrays) + self.fdm.nbytes
 
     def check(self, g: NurbsGeometry) -> None:
@@ -389,21 +317,69 @@ def _same_knots(a: KnotVector, b: KnotVector) -> bool:
     return a.degree == b.degree and np.array_equal(a.knots, b.knots)
 
 
+def _scatter(first, i, d, width, n):
+    """0/1 matrix adding the pair (i[k], i[k] + d[k]) of local functions of
+    element e, entry e * len(i) + k, into band row (first[e] + i[k]) * width
+    + d[k] of an (n, width) band."""
+    rows = ((first[:, None] + i) * width + d).ravel()
+    return sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                         shape=(n * width, len(rows)))
+
+
+def _shared(first, p, n):
+    """The (n, 2p + 1) mask of the pairs (i, i + d - p) of functions both
+    nonzero on some element, given the first function ``first`` of each."""
+    mask = np.zeros((n, 2 * p + 1), dtype=bool)
+    a = np.arange(p + 1)
+    mask[first[:, None, None] + a[:, None], a - a[:, None] + p] = True
+    return mask
+
+
+def _csr_maps(mask_u, mask_v, p_u, p_v):
+    """The gather, CSR ``indices`` and ``indptr`` of the pairs sharing an
+    element: entry (i, j), (i + di, j + dj) is read from the band
+    (n2, 2 p_v + 1, n1, p_u + 1) when di > 0, or di = 0 and dj >= 0, and
+    else from its mirror. Read-only, int32 when every position fits."""
+    n1, n2 = len(mask_u), len(mask_v)
+    size = n1 * n2 * (2 * p_u + 1) * (2 * p_v + 1)
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    di, dj = np.arange(-p_u, p_u + 1), np.arange(-p_v, p_v + 1)
+    i, j = np.arange(n1)[:, None], np.arange(n2)[:, None, None]
+    pos_u = np.where(di >= 0, i * (p_u + 1) + di, (i + di) * (p_u + 1) - di)
+    upper = (di[:, None] > 0) | ((di[:, None] == 0) & (dj >= 0))
+    pos_v = np.where(upper, j * (2 * p_v + 1) + dj + p_v, (j + dj) * (2 * p_v + 1) + p_v - dj)
+    valid = mask_u[:, None, :, None] & mask_v[None, :, None, :]
+    gather = (pos_u.astype(dtype)[:, None, :, None]
+              + (n1 * (p_u + 1) * pos_v).astype(dtype))[valid]
+    cols = (((i + di) * n2).astype(dtype)[:, None, :, None]
+            + (j[:, :, 0] + dj).astype(dtype)[None, :, None, :])[valid]
+    indptr = np.zeros(n1 * n2 + 1, dtype=dtype)
+    np.cumsum(np.outer(mask_u.sum(1), mask_v.sum(1)).ravel(), out=indptr[1:])
+    for a in (gather, cols, indptr):
+        a.flags.writeable = False
+    return gather, cols, indptr
+
+
 def discretization(g: NurbsGeometry) -> Discretization:
-    """Build the :class:`Discretization` of ``g``'s knots and weights on
-    the assembly quadrature, degree + 1 Gauss points per element direction."""
+    """Build the :class:`Discretization` of ``g``'s knots on the assembly
+    quadrature, degree + 1 Gauss points per element direction."""
     quad = quadrature_grid(g)
-    tables = _element_tables(g, quad)
-    nel_u, nel_v = len(tables[0][1]), len(tables[1][1])
-    nloc = (g.kv_u.degree + 1) * (g.kv_v.degree + 1)
-    Ru = np.empty((nel_u, nel_v, nloc, quad.q_u * quad.q_v))
-    Rv = np.empty_like(Ru)
-    for eu in range(nel_u):
-        Ru[eu], Rv[eu] = _row_blocks(g, tables, eu)
-    Ru.flags.writeable = Rv.flags.writeable = False
-    plan = _merge_plan(_local_dofs(tables, g.kv_v.n), g.ndof)
+    (Lu, first_u), (Lv, first_v) = _element_tables(g, quad)
+    n1, n2 = g.shape
+    p_u, p_v = g.kv_u.degree, g.kv_v.degree
+    iu, ju = np.triu_indices(p_u + 1)
+    pairs_u = np.stack([(Lu[a][:, :, iu] * Lu[b][:, :, ju]).transpose(0, 2, 1)
+                        for a in (0, 1) for b in (0, 1)])
+    iv, jv = np.divmod(np.arange((p_v + 1) ** 2), p_v + 1)
+    pairs_v = np.concatenate([Lv[_PHI[al][1]][:, :, iv] * Lv[_PHI[be][1]][:, :, jv]
+                              for al, be in _TERMS], axis=1).transpose(0, 2, 1).copy()
+    pairs_u.flags.writeable = pairs_v.flags.writeable = False
+    scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
+    scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
+    maps = _csr_maps(_shared(first_u, p_u, n1), _shared(first_v, p_v, n2), p_u, p_v)
     fdm = fast_diagonalization(g.kv_u, g.kv_v, quad)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, Ru, Rv, plan, fdm)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, pairs_u, scatter_u,
+                          pairs_v, scatter_v, *maps, fdm)
 
 
 def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
@@ -427,6 +403,51 @@ def _first_bad_element(*masks):
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
+def _metric(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid, wvals):
+    """The entries (alpha, beta), alpha <= beta, of
+    H = (c / W^2) E^T J^-1 J^-T E over the quadrature grid, with
+    c = Gauss weight * det J * ``wvals`` and E = [I | -grad W / W]. With
+    all weights equal, grad W = 0 and the factor w_k w_l / W^2 of the form
+    is 1: only the 2 x 2 metric block c J^-1 J^-T is returned."""
+    j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
+    # c J^-1 J^-T = (c / det^2) adj(J) adj(J)^T
+    s = np.multiply.outer(quad.wts_u, quad.wts_v) * wvals / geo.det
+    H = {(0, 0): s * (j01 * j01 + j11 * j11),
+         (0, 1): -s * (j00 * j01 + j10 * j11),
+         (1, 1): s * (j00 * j00 + j10 * j10)}
+    w = g.weights.w
+    if np.all(w == w.flat[0]):
+        return H
+    Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in (0, 1)]
+    Dv = [basis_matrix(g.kv_v, quad.pts_v, b) for b in (0, 1)]
+    W = Du[0] @ w @ Dv[0].T
+    e_u = -(Du[1] @ w @ Dv[0].T) / W
+    e_v = -(Du[0] @ w @ Dv[1].T) / W
+    H = {ab: h / (W * W) for ab, h in H.items()}
+    H[0, 2] = H[0, 0] * e_u + H[0, 1] * e_v
+    H[1, 2] = H[0, 1] * e_u + H[1, 1] * e_v
+    H[2, 2] = H[0, 2] * e_u + H[1, 2] * e_v
+    return H
+
+
+def _band(disc: Discretization, H) -> np.ndarray:
+    """The upper band (n2, 2 p_v + 1, n1, p_u + 1) of the terms of
+    :data:`_TERMS` that ``H`` holds: each contracted along u and scattered
+    into u band rows, then all at once along v and into v band rows."""
+    _, nel_u, n_pu, q_u = disc.pairs_u.shape
+    nel_v, q_v = len(disc.pairs_v), disc.quad.q_v
+    m = disc.scatter_u.shape[0]
+    terms = _TERMS[:4 if len(H) == 3 else 9]
+    z = np.empty((nel_v, len(terms) * q_v, m))
+    for t, (al, be) in enumerate(terms):
+        h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
+        x = disc.pairs_u[2 * _PHI[al][0] + _PHI[be][0]] @ h
+        xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
+        z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, nel_v, q_v).transpose(1, 2, 0)
+    y = disc.pairs_v[:, :, :len(terms) * q_v] @ z
+    return disc.scatter_v @ y.reshape(-1, m)
+
+
 def assemble_weighted_stiffness(
     g: NurbsGeometry,
     weight=None,
@@ -441,60 +462,32 @@ def assemble_weighted_stiffness(
     the grid returned by :func:`quadrature_grid`. It must be strictly
     positive; a nonpositive value aborts assembly naming the element.
 
-    With ``disc`` (:func:`discretization`), which must match ``g``'s knots
-    and weights (ValueError otherwise), the call takes its row blocks and
-    merge plan from there and does only the metric terms, the element
-    matrices and one reduction; without it, rows are tabulated one at a
-    time. Both give the same bits. ``geo`` is ``g`` already evaluated
-    with its Jacobian on the quadrature grid, when the caller has it.
+    ``disc`` (:func:`discretization`) must match ``g``'s knots and weights
+    (ValueError otherwise); without it the call builds its own, with the
+    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
+    quadrature grid, when the caller has it.
     """
-    if disc is None:
-        quad = quadrature_grid(g)
-    else:
-        disc.check(g)
-        quad = disc.quad
+    disc = discretization(g) if disc is None else disc
+    disc.check(g)
+    quad = disc.quad
     geo = _quadrature_geometry(g, quad, geo)
-    shape = (len(quad.pts_u), len(quad.pts_v))
-    wvals = _resolve_weight(weight, geo, shape)
+    wvals = _resolve_weight(weight, geo, (len(quad.pts_u), len(quad.pts_v)))
 
-    det = geo.det
-    jac = geo.jac
-    wblk = _grid_blocks(wvals, quad)
-    dblk = _grid_blocks(det, quad)
-    bad_w = np.any(wblk <= 0.0, axis=-1)
-    bad = _first_bad_element(bad_w, np.any(dblk <= 0.0, axis=-1))
-    if bad is not None:
+    if np.any(wvals <= 0.0) or np.any(geo.det <= 0.0):
+        bad_w = np.any(_grid_blocks(wvals, quad) <= 0.0, axis=-1)
+        bad = _first_bad_element(bad_w, np.any(_grid_blocks(geo.det, quad) <= 0.0, axis=-1))
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    xi_x = _grid_blocks(jac[..., 1, 1] / det, quad)[..., None, :]
-    xi_y = _grid_blocks(-jac[..., 0, 1] / det, quad)[..., None, :]
-    eta_x = _grid_blocks(-jac[..., 1, 0] / det, quad)[..., None, :]
-    eta_y = _grid_blocks(jac[..., 0, 0] / det, quad)[..., None, :]
-    c = _grid_blocks(np.multiply.outer(quad.wts_u, quad.wts_v), quad) * dblk * wblk
-
-    nel_u, nel_v = c.shape[:2]
-    if disc is None:
-        tables = _element_tables(g, quad)
-        plan = _merge_plan(_local_dofs(tables, g.kv_v.n), g.ndof)
-        rows = (_row_blocks(g, tables, eu) for eu in range(nel_u))
-    else:
-        plan = disc.plan
-        rows = zip(disc.Ru, disc.Rv)
-
-    nloc = (g.kv_u.degree + 1) * (g.kv_v.degree + 1)
-    row_size = nel_v * nloc * nloc
-    vals = np.empty(nel_u * row_size)
-    lower = np.tril_indices(nloc, -1)
-    for eu, (Ru, Rv) in enumerate(rows):
-        gx = Ru * xi_x[eu] + Rv * eta_x[eu]
-        gy = Ru * xi_y[eu] + Rv * eta_y[eu]
-        ce = c[eu][:, None, :]
-        K = (gx * ce) @ gx.transpose(0, 2, 1) + (gy * ce) @ gy.transpose(0, 2, 1)
-        K[:, lower[0], lower[1]] = K[:, lower[1], lower[0]]
-        vals[eu * row_size:(eu + 1) * row_size] = K.ravel()
-
-    return _merge(plan, vals)
+    H = _metric(g, quad, geo, wvals)
+    data = _band(disc, H).ravel()[disc.gather]
+    if len(H) > 3:
+        w = g.weights.w.ravel()
+        rows = np.repeat(np.arange(g.ndof), np.diff(disc.indptr))
+        data *= w[rows] * w[disc.indices]
+    # copies of the pattern: a caller may edit its matrix in place
+    return sp.csr_matrix((data, disc.indices.copy(), disc.indptr.copy()),
+                         shape=(g.ndof, g.ndof))
 
 
 def assemble_load(g: NurbsGeometry, f, *, geo: GeometryGrid | None = None) -> np.ndarray:
@@ -670,10 +663,13 @@ def solve_poisson(
 
     The geometry is evaluated on the quadrature grid once, for both forms,
     unless the caller passes that evaluation as ``geo``. ``disc`` goes to
-    :func:`assemble_weighted_stiffness` and :func:`solve_dirichlet`, and
-    ``boundary`` to :func:`apply_dirichlet`.
+    :func:`assemble_weighted_stiffness` and :func:`solve_dirichlet`; without
+    it the solve builds one for both. ``boundary`` goes to
+    :func:`apply_dirichlet`.
     """
-    geo = _quadrature_geometry(g, quadrature_grid(g) if disc is None else disc.quad, geo)
+    if disc is None:
+        disc = discretization(g)
+    geo = _quadrature_geometry(g, disc.quad, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, geo=geo)
     return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc)

@@ -203,6 +203,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _section(doc: dict, name: str, keys: set, default: dict) -> dict:
+    """The object ``doc[name]``, or ``default``, with no unknown key and no
+    JSON ``true``/``false``: no key of a section takes one, and a bool, a
+    subclass of int, must pass neither for an integer nor for a real."""
+    sec = doc.get(name, default)
+    _require(isinstance(sec, dict), f"{name}: expected an object")
+    unknown = set(sec) - keys
+    if unknown:
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
+    for key, value in sec.items():
+        _require(not isinstance(value, bool), f"{name}: {key} must be a number, got {value!r}")
+    return sec
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document against the strict schema."""
     _require(isinstance(doc, dict), "top level: expected an object")
@@ -242,11 +256,7 @@ def parse_config(doc: dict) -> RunConfig:
         )
         elements_list = tuple(elements_list)
 
-    mon = doc.get("monitor", {"kind": "gradient", "alpha": 0.1})
-    _require(isinstance(mon, dict), "monitor: expected an object")
-    unknown = set(mon) - _MONITOR_KEYS
-    if unknown:
-        raise ConfigError(f"monitor.{sorted(unknown)[0]}: unknown key")
+    mon = _section(doc, "monitor", _MONITOR_KEYS, {"kind": "gradient", "alpha": 0.1})
     try:
         monitor = MonitorSpec(
             mon.get("kind", "gradient"),
@@ -258,22 +268,14 @@ def parse_config(doc: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"monitor: {exc}") from exc
 
-    mm = doc.get("movemesh", {})
-    _require(isinstance(mm, dict), "movemesh: expected an object")
-    unknown = set(mm) - _MOVEMESH_KEYS
-    if unknown:
-        raise ConfigError(f"movemesh.{sorted(unknown)[0]}: unknown key")
+    mm = _section(doc, "movemesh", _MOVEMESH_KEYS, {})
     logical = mm.get("logical", [[0.0, 1.0], [0.0, 1.0]])
     try:
         logical_rect = Rectangle(logical[0][0], logical[0][1], logical[1][0], logical[1][1])
     except (TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"movemesh.logical: {exc}") from exc
 
-    sol = doc.get("solver", {})
-    _require(isinstance(sol, dict), "solver: expected an object")
-    unknown = set(sol) - _SOLVER_KEYS
-    if unknown:
-        raise ConfigError(f"solver.{sorted(unknown)[0]}: unknown key")
+    sol = _section(doc, "solver", _SOLVER_KEYS, {})
     try:
         solver = LinearSolverSettings(
             tol=sol.get("tol", 1e-10),

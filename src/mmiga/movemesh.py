@@ -282,7 +282,10 @@ def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_
                  geo: GeometryGrid | None = None):
     """Monitor values on a tensor grid of parametric points. ``geo`` is
     ``g`` already evaluated on that grid, when the caller has it; see
-    :func:`~mmiga.assembly.eval_field_grid`."""
+    :func:`~mmiga.assembly.eval_field_grid`. A smoothed monitor is
+    evaluated on the Greville grid alone, and ``geo`` is not read."""
+    if spec.smoothing > 0:
+        return _smooth_monitor(spec, g, u, pts_u, pts_v)
     nders = 2 if spec.needs_hessian else 1
     fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
     m2 = spec.eps * np.ones_like(fg.values)
@@ -290,13 +293,10 @@ def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_
         m2 = m2 + spec.alpha * (fg.grad**2).sum(axis=-1)
     if spec.beta > 0.0:
         m2 = m2 + spec.beta * (fg.hess**2).sum(axis=(-2, -1))
-    m = np.sqrt(m2)
-    if spec.smoothing > 0:
-        m = _smooth_monitor(spec, g, u, m, pts_u, pts_v)
-    return m
+    return np.sqrt(m2)
 
 
-def _smooth_monitor(spec, g, u, m, pts_u, pts_v):
+def _smooth_monitor(spec, g, u, pts_u, pts_v):
     """Nodal-averaging smoothing: evaluate on the Greville grid, average
     neighbors ``smoothing`` times, interpolate back bilinearly."""
     from scipy.interpolate import RegularGridInterpolator

@@ -35,6 +35,20 @@ def find_span(kv, t):
     return span
 
 
+def shared_element_pattern(kv_u, kv_v):
+    """Sparsity pattern of the stiffness as a boolean CSR matrix: functions
+    (i, j) and (i', j') are coupled when, in each direction, their supports
+    [knots[i], knots[i + p + 1]] overlap on an interval of positive length,
+    so that some element of nonzero measure carries both."""
+
+    def overlap(kv):
+        t, p = kv.knots, kv.degree
+        left, right = t[:kv.n], t[p + 1:p + 1 + kv.n]
+        return np.maximum.outer(left, left) < np.minimum.outer(right, right)
+
+    return sp.csr_matrix(np.kron(overlap(kv_u), overlap(kv_v)))
+
+
 def bspline_value_recursive(knots, p, i, t):
     """Direct Cox-de Boor recursion for a single N_{i,p}(t); 0/0 taken as 0.
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmiga.assembly import (
     FieldCoefficients,
-    _element_tables,
-    _local_dofs,
-    _row_rational,
     apply_dirichlet,
     assemble_load,
     assemble_weighted_stiffness,
@@ -34,7 +33,7 @@ from mmiga.geometry import (
 from mmiga.linalg import LinearSolverSettings, cg_solve
 from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
 
-from oracles import grad_fd, hess_fd
+from oracles import grad_fd, hess_fd, shared_element_pattern
 
 
 def _identity(p=2, m=2, rect=Rectangle(0, 1, 0, 1), mult=1):
@@ -178,43 +177,76 @@ def test_stiffness_weight_error_wins_in_first_bad_element():
         assemble_weighted_stiffness(g, block(later))
 
 
-@pytest.mark.parametrize("mult", [1, 3])
-def test_assembly_local_basis_matches_grid_evaluation(mult):
-    # the element-row basis of assembly and rational_grid_sums with one-hot
-    # coefficients must give the same values and parametric gradients, on
-    # C^2 and on C^0 knots
-    g0 = _mesh_3x4(p=3, mult=mult)
-    rng = np.random.default_rng(4)
-    w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
-    g = NurbsGeometry(g0.kv_u, g0.kv_v, w, g0.control_points)
-    quad = quadrature_grid(g)
-    eu = 1
-    tables = _element_tables(g, quad)
-    R = _row_rational(g, tables, eu)
-    gidx = _local_dofs(tables, g.kv_v.n)[eu]
-
-    rows = slice(eu * quad.q_u, (eu + 1) * quad.q_u)
-    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
-    sums = rational_grid_sums(g.kv_u, g.kv_v, w, one_hot, quad.pts_u[rows], quad.pts_v, 1)
-    nel_v, nloc = gidx.shape
-    for ab in [(0, 0), (1, 0), (0, 1)]:
-        # (q_u, nel_v * q_v, ndof) -> (nel_v, ndof, q_u * q_v), then pick the
-        # local functions of each element
-        grid = sums[ab].reshape(quad.q_u, nel_v, quad.q_v, -1).transpose(1, 3, 0, 2)
-        grid = grid.reshape(nel_v, g.ndof, -1)
-        expected = np.take_along_axis(grid, gidx[:, :, None], axis=1)
-        assert R[ab].shape == expected.shape
-        assert np.allclose(R[ab], expected, rtol=0, atol=1e-13), ab
+def _net(p, mult, weights, seed):
+    """A perturbed 3 x 4 element net of degree p with interior knot
+    multiplicity ``mult`` and unit, equal non-unit or random weights."""
+    g0 = _mesh_3x4(p=p, mult=mult)
+    rng = np.random.default_rng(seed)
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    w = {"unit": np.ones(g0.shape), "equal": np.full(g0.shape, 1.7),
+         "random": rng.uniform(0.7, 1.4, size=g0.shape)}[weights]
+    return NurbsGeometry(g0.kv_u, g0.kv_v, TensorWeights(w), cp)
 
 
 def _random_rational(p, mult, seed):
     """A perturbed 3 x 4 element net with random weights."""
-    g0 = _mesh_3x4(p=p, mult=min(mult, p))  # p=2 takes its C^0 multiplicity
-    rng = np.random.default_rng(seed)
-    cp = g0.control_points.copy()
-    cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
-    w = TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
-    return NurbsGeometry(g0.kv_u, g0.kv_v, w, cp)
+    return _net(p, min(mult, p), "random", seed)  # p=2 takes its C^0 multiplicity
+
+
+def _one_hot_stiffness(g, wvals):
+    """The stiffness as the dense quadrature sum of c grad R_k . grad R_l,
+    c = Gauss weight * det J * ``wvals``, with R_k and its parametric
+    gradient from grid evaluation of one-hot fields."""
+    quad = quadrature_grid(g)
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
+    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, quad.pts_u, quad.pts_v, 1)
+    # d R / d x_b = sum_a d R / d s_a (J^-1)[a, b]
+    grad = np.einsum("uvka,uvab->uvkb", np.stack([R[1, 0], R[0, 1]], axis=-1),
+                     np.linalg.inv(geo.jac))
+    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * wvals
+    return np.einsum("uv,uvkb,uvlb->kl", c, grad, grad)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3]), c0=st.booleans(),
+       weights=st.sampled_from(["unit", "equal", "random"]), variable=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_stiffness_matches_one_hot_quadrature_oracle(p, c0, weights, variable, seed):
+    # C^{p-1} or C^0 knots; a variable diffusion weight or none
+    g = _net(p, p if c0 else 1, weights, seed)
+    quad = quadrature_grid(g)
+    wvals = np.ones((len(quad.pts_u), len(quad.pts_v)))
+    if variable:
+        wvals = 1.0 + 0.5 * np.sin(3.0 * np.add.outer(quad.pts_u, 2.0 * quad.pts_v))
+    A = assemble_weighted_stiffness(g, wvals if variable else None)
+    K = _one_hot_stiffness(g, wvals)
+    assert np.max(np.abs(A.toarray() - K)) <= 1e-13 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("p,mult", [(2, 1), (2, 2), (3, 1), (3, 3)])
+def test_stiffness_is_bit_symmetric_and_reproducible(p, mult, weights):
+    g = _net(p, mult, weights, seed=40 + p + mult)
+    weight = lambda x, y: 1.0 + x * x + 0.5 * np.sin(5.0 * y)
+    A = assemble_weighted_stiffness(g, weight)
+    assert (A != A.T).nnz == 0
+    B = assemble_weighted_stiffness(g, weight)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stiffness_pattern_is_the_shared_element_pattern(p):
+    # on C^0 knots some pairs with |i - i'| <= p share no element: they are
+    # not stored
+    g = _net(p, p, "random", seed=50 + p)
+    A = assemble_weighted_stiffness(g)
+    S = shared_element_pattern(g.kv_u, g.kv_v)
+    near = [np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= p for n in g.shape]
+    assert S.nnz < np.kron(*near).sum()
+    assert np.array_equal(A.indices, S.indices) and np.array_equal(A.indptr, S.indptr)
 
 
 @pytest.mark.parametrize("weight_kind", ["none", "array", "callable"])
@@ -252,13 +284,26 @@ def test_discretization_rejects_other_knots_weights_or_quadrature():
 
 
 def test_discretization_size_matches_memory_formula():
+    # 3 x 4 cubic elements, 6 x 7 functions: 10 upper u pairs and 16 v pairs
+    # per element, 4 Gauss points per direction, 30 x 37 stored entries
     g = _random_rational(3, 1, seed=6)
     disc = discretization(g)
-    nel, nloc, nq = 3 * 4, 4 * 4, 4 * 4
-    assert disc.Ru.shape == disc.Rv.shape == (3, 4, nloc, nq)
-    assert disc.nbytes >= 2 * nel * nloc * nq * 8 + disc.fdm.nbytes
+    assert disc.pairs_u.shape == (4, 3, 10, 4)
+    assert disc.pairs_v.shape == (4, 16, 9 * 4)
+    assert disc.scatter_u.shape == (6 * 4, 3 * 10) and disc.scatter_v.shape == (7 * 7, 4 * 16)
+    nnz = 30 * 37
+    assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
+    assert disc.gather.dtype == disc.indices.dtype == np.int32
+    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size
+    scatter = sum(a.nbytes for s in (disc.scatter_u, disc.scatter_v)
+                  for a in (s.data, s.indices, s.indptr))
+    ints = 2 * nnz + 6 * 7 + 1
+    assert disc.nbytes == 8 * floats + 4 * ints + scatter + disc.fdm.nbytes
     assert disc.fdm.U_u.shape == (g.shape[0] - 2,) * 2
-    assert not disc.Ru.flags.writeable and not disc.plan.order.flags.writeable
+    assert not disc.pairs_u.flags.writeable and not disc.gather.flags.writeable
+    # knot-only data stays small: under 10 MB at 128 x 128 cubic elements
+    kv = make_open_knot_vector(3, 128)
+    assert discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)).nbytes < 10e6
 
 
 def test_forms_take_a_shared_geometry_grid_bit_identically():

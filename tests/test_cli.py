@@ -158,7 +158,7 @@ def test_unknown_key_exits_2(tmp_path, extra):
 
 
 # section None puts the key at the top level; JSON true/false load as bool,
-# a subclass of int, and must not pass for integers
+# a subclass of int, and must pass neither for integers nor for real numbers
 @pytest.mark.parametrize("section,key,value", [
     ("movemesh", "tau", "x"),
     ("monitor", "alpha", "big"),
@@ -171,6 +171,13 @@ def test_unknown_key_exits_2(tmp_path, extra):
     ("movemesh", "max_outer", True),
     ("monitor", "smoothing", False),
     ("solver", "maxit", True),
+    ("movemesh", "tau", True),
+    ("movemesh", "tolerance", True),
+    ("movemesh", "movement_cap", True),
+    ("monitor", "eps", True),
+    ("monitor", "alpha", True),
+    ("monitor", "beta", False),
+    ("solver", "tol", True),
 ])
 def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     doc = dict(BASE_MOVE)

@@ -176,6 +176,26 @@ def test_monitor_kind_normalization():
         MonitorSpec("combined", eps=0.0)
 
 
+def test_smoothed_monitor_evaluates_the_field_once_on_the_greville_grid(monkeypatch):
+    from mmiga import movemesh
+
+    g = _identity(p=3, m=8)
+    u = FieldCoefficients(np.random.default_rng(2).normal(size=g.ndof), g.shape)
+    calls = []
+
+    def counting(g_, u_, pts_u, pts_v, *args, **kwargs):
+        calls.append((np.asarray(pts_u), np.asarray(pts_v)))
+        return real(g_, u_, pts_u, pts_v, *args, **kwargs)
+
+    real = movemesh.eval_field_grid
+    monkeypatch.setattr(movemesh, "eval_field_grid", counting)
+    pts = np.linspace(0, 1, 32)
+    monitor_grid(MonitorSpec("gradient", alpha=0.1, smoothing=2), g, u, pts, pts)
+    gu = greville_abscissae(g.kv_u)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], gu) and np.array_equal(calls[0][1], gu)
+
+
 def test_monitor_peaks_on_the_layer_circle():
     g = _identity(p=3, m=32)
     u = solve_poisson(g, tanh_rhs, tanh_exact)
