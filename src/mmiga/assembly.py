@@ -7,10 +7,11 @@ Elements are the nonzero knot-span rectangles, each with per-direction
 Gauss rules of degree + 1 points, as laid out by
 :func:`~mmiga.geometry.quadrature_grid`.
 
-The load is a sum over the whole grid, so it uses dense directional tables
-(:func:`~mmiga.splines.basis_matrix`): it is the adjoint of grid
-evaluation, b = w o (Du^T C Dv), with C the quadrature weights times
-det J times f over the weight sum at each point.
+The load is a sum over the whole grid, so it uses the dense directional
+tables of the quadrature grid (:class:`~mmiga.geometry.GridBasis`): it is
+the adjoint of grid evaluation, b = w o (Du^T C Dv), with C the quadrature
+weights times det J times f over the weight sum at each point; with all
+weights equal, R_ij = N_i N_j and b = Du^T C Dv.
 
 The stiffness is sum-factorised (Antolin, Buffa, Calabro, Martinelli &
 Sangalli, CMAME 285, 2015): with R_k = w_k N_k / W,
@@ -27,10 +28,13 @@ pattern holds the pairs of functions sharing an element, so on C^0 knots
 pairs with |i - i'| <= p that share none are not stored.
 
 All but the metric terms depend only on the knots: a
-:class:`Discretization` (:func:`discretization`) holds the quadrature,
-pair tables, scatter and gather maps and preconditioner factors, 8 MB at
-128 x 128 elements of degree 3. A single solve builds one; the
-moving-mesh loop builds one per run and passes it to every call.
+:class:`Discretization` (:func:`discretization`) holds the quadrature and
+its basis tables, pair tables, scatter and gather maps and preconditioner
+factors, 9.9 MB at 128 x 128 elements of degree 3 with equal weights. A
+single solve builds one; the moving-mesh loop builds one per run and
+passes it to every call. The first solve that eliminates the boundary
+adds the interior-interior maps of the CSR pattern, which the later solves
+of a run reuse.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -57,6 +61,7 @@ depend only on the knots, and a :class:`Discretization` holds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -65,18 +70,24 @@ import scipy.sparse as sp
 from .errors import AssemblyError, BreakdownError
 from .geometry import (
     GeometryGrid,
+    GridBasis,
     NurbsGeometry,
     QuadratureRule,  # re-exported: the Gauss rule and grid live in geometry
     TensorQuadrature,
+    _equal_weights,
+    _grid_tables,
+    _same_knots,
+    _spline_sums,
     boundary_mask,
     element_quadrature_1d,
     eval_geometry_grid,
     gauss_rule,
+    grid_basis,
     quadrature_grid,
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import KnotVector, _basis_ders, basis_matrix
+from .splines import KnotVector
 
 __all__ = [
     "QuadratureRule",
@@ -161,9 +172,10 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
     return vals
 
 
-def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
+def _element_tables(kv_u: KnotVector, kv_v: KnotVector, quad: TensorQuadrature,
+                    basis: GridBasis):
     """Per-element blocks of the B-spline values and first derivatives the
-    stiffness needs, straight from the banded scheme.
+    stiffness needs, read out of the quadrature grid's ``basis`` tables.
 
     ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
     ``eu`` (its Gauss points against the p+1 functions nonzero there), and
@@ -172,12 +184,11 @@ def _element_tables(g: NurbsGeometry, quad: TensorQuadrature):
     ``((Lu, first_u), (Lv, first_v))``.
     """
     tables = []
-    for kv, pts, q in ((g.kv_u, quad.pts_u, quad.q_u), (g.kv_v, quad.pts_v, quad.q_v)):
-        p = kv.degree
-        spans = np.asarray(kv.nonzero_spans)
-        _, ders = _basis_ders(kv, pts, 1, spans=np.repeat(spans, q))
-        blocks = ders.reshape(2, p + 1, len(spans), q).transpose(0, 2, 3, 1)
-        tables.append((blocks, spans - p))
+    for kv, D, q in ((kv_u, basis.Du, quad.q_u), (kv_v, basis.Dv, quad.q_v)):
+        first = np.asarray(kv.nonzero_spans) - kv.degree
+        rows = np.arange(len(first) * q).reshape(-1, q, 1)
+        cols = first[:, None, None] + np.arange(kv.degree + 1)
+        tables.append((np.stack([D[a][rows, cols] for a in (0, 1)]), first))
     return tables
 
 
@@ -231,15 +242,17 @@ class FastDiagonalization:
         return apply
 
 
-def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector,
-                         quad: TensorQuadrature) -> FastDiagonalization:
+def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector, quad: TensorQuadrature,
+                         tables: GridBasis | None = None) -> FastDiagonalization:
     """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
     ``kv_v``, with the 1D B-spline stiffness and mass integrated on the
     directional Gauss rules of ``quad`` and restricted to the functions
-    that vanish at both ends."""
+    that vanish at both ends. ``tables`` are the :class:`GridBasis` of the
+    grid of ``quad``, when the caller has them."""
+    tables = _grid_tables(tables, kv_u, kv_v, quad.pts_u, quad.pts_v, 1)
     factors = []
-    for kv, pts, wts in ((kv_u, quad.pts_u, quad.wts_u), (kv_v, quad.pts_v, quad.wts_v)):
-        N, dN = (basis_matrix(kv, pts, der)[:, 1:-1] for der in (0, 1))
+    for D, wts in ((tables.Du, quad.wts_u), (tables.Dv, quad.wts_v)):
+        N, dN = (D[der][:, 1:-1] for der in (0, 1))
         K = dN.T @ (wts[:, None] * dN)
         M = N.T @ (wts[:, None] * N)
         lam, U = scipy.linalg.eigh(K, M)
@@ -264,19 +277,24 @@ class Discretization:
     :func:`discretization` and checked against the knots and weights of
     each geometry passed with it.
 
-    ``pairs_u`` holds the u pair tables d^a N_i d^b N_i' for i <= i',
-    (4, nel_u, (p+1)(p+2)/2, q_u) indexed by 2a + b, and ``scatter_u`` adds
-    them into band rows (i, i' - i); ``pairs_v`` holds the v pair tables of
-    all of :data:`_TERMS` side by side, (nel_v, (p+1)^2, 9 q_v), and
-    ``scatter_v`` adds them into band rows (j, j' - j + p). ``gather``
-    reads the CSR values ``indices``/``indptr`` out of the band, and
-    ``fdm`` holds the preconditioner factors.
+    ``basis`` holds the directional value and first-derivative tables of
+    the quadrature grid ``quad`` (:class:`~mmiga.geometry.GridBasis`), which
+    the geometry and field evaluations on that grid, the metric, the load
+    and the preconditioner share. ``pairs_u`` holds the u pair tables
+    d^a N_i d^b N_i' for i <= i', (4, nel_u, (p+1)(p+2)/2, q_u) indexed by
+    2a + b, and ``scatter_u`` adds them into band rows (i, i' - i);
+    ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
+    weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
+    weights are equal, and ``scatter_v`` adds them into band rows
+    (j, j' - j + p). ``gather`` reads the CSR values ``indices``/``indptr``
+    out of the band, and ``fdm`` holds the preconditioner factors.
     """
 
     kv_u: KnotVector
     kv_v: KnotVector
     weights: np.ndarray
     quad: TensorQuadrature
+    basis: GridBasis
     pairs_u: np.ndarray
     scatter_u: sp.csr_matrix
     pairs_v: np.ndarray
@@ -288,12 +306,22 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays, preconditioner factors included."""
+        """Bytes held in arrays: basis tables and preconditioner factors
+        included, and the :attr:`interior` maps once a solve has built
+        them."""
         q = self.quad
         arrays = [self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.pairs_u, self.pairs_v,
                   self.gather, self.indices, self.indptr]
         arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
-        return sum(a.nbytes for a in arrays) + self.fdm.nbytes
+        arrays += self.__dict__.get("interior", ())
+        return sum(a.nbytes for a in arrays) + self.basis.nbytes + self.fdm.nbytes
+
+    @cached_property
+    def interior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The interior-interior block of the CSR pattern
+        (:func:`_interior_block`), built by the first solve that eliminates
+        the boundary with this discretization and kept for the later ones."""
+        return _interior_block(self.indices, self.indptr, dof_map(*self.weights.shape).interior)
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -311,10 +339,6 @@ class Discretization:
             raise ValueError(
                 f"geometry does not match the discretization: {', '.join(differ)} differ"
             )
-
-
-def _same_knots(a: KnotVector, b: KnotVector) -> bool:
-    return a.degree == b.degree and np.array_equal(a.knots, b.knots)
 
 
 def _scatter(first, i, d, width, n):
@@ -364,29 +388,60 @@ def discretization(g: NurbsGeometry) -> Discretization:
     """Build the :class:`Discretization` of ``g``'s knots on the assembly
     quadrature, degree + 1 Gauss points per element direction."""
     quad = quadrature_grid(g)
-    (Lu, first_u), (Lv, first_v) = _element_tables(g, quad)
+    basis = grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
+    (Lu, first_u), (Lv, first_v) = _element_tables(g.kv_u, g.kv_v, quad, basis)
     n1, n2 = g.shape
     p_u, p_v = g.kv_u.degree, g.kv_v.degree
     iu, ju = np.triu_indices(p_u + 1)
     pairs_u = np.stack([(Lu[a][:, :, iu] * Lu[b][:, :, ju]).transpose(0, 2, 1)
                         for a in (0, 1) for b in (0, 1)])
     iv, jv = np.divmod(np.arange((p_v + 1) ** 2), p_v + 1)
+    terms = _TERMS[:4] if _equal_weights(g.weights.w) else _TERMS
     pairs_v = np.concatenate([Lv[_PHI[al][1]][:, :, iv] * Lv[_PHI[be][1]][:, :, jv]
-                              for al, be in _TERMS], axis=1).transpose(0, 2, 1).copy()
+                              for al, be in terms], axis=1).transpose(0, 2, 1).copy()
     pairs_u.flags.writeable = pairs_v.flags.writeable = False
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
     scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
     maps = _csr_maps(_shared(first_u, p_u, n1), _shared(first_v, p_v, n2), p_u, p_v)
-    fdm = fast_diagonalization(g.kv_u, g.kv_v, quad)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, pairs_u, scatter_u,
+    fdm = fast_diagonalization(g.kv_u, g.kv_v, quad, basis)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, basis, pairs_u, scatter_u,
                           pairs_v, scatter_v, *maps, fdm)
 
 
-def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
+def _interior_block(indices: np.ndarray, indptr: np.ndarray, interior: np.ndarray):
+    """The interior-interior block of a CSR pattern: the positions of its
+    entries in the pattern, in order, and its ``indices`` and ``indptr``
+    renumbered over the sorted flat indices ``interior``. It is the row and
+    column slice of a matrix holding each entry's own position, so taking
+    the values at those positions gives that slice of any matrix with this
+    pattern. Read-only."""
+    n = len(indptr) - 1
+    positions = sp.csr_matrix((np.arange(len(indices), dtype=indices.dtype), indices, indptr),
+                              shape=(n, n))
+    block = positions[interior][:, interior]
+    block = (block.data, block.indices, block.indptr)
+    for a in block:
+        a.flags.writeable = False
+    return block
+
+
+def _quadrature(g: NurbsGeometry, disc: Discretization | None):
+    """The assembly quadrature of ``g`` and the basis tables of its grid:
+    ``disc``'s, checked against ``g``, or built for this call."""
+    if disc is None:
+        quad = quadrature_grid(g)
+        return quad, grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
+    disc.check(g)
+    return disc.quad, disc.basis
+
+
+def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, tables: GridBasis,
+                         geo: GeometryGrid | None):
     """``g`` with its Jacobian on the quadrature grid ``quad``: ``geo`` when
-    the caller has evaluated it already, else a fresh evaluation."""
+    the caller has evaluated it already, else a fresh evaluation on the
+    basis ``tables`` of that grid."""
     if geo is None:
-        return eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+        return eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
     if geo.jac is None or not (
         np.array_equal(geo.pts_u, quad.pts_u) and np.array_equal(geo.pts_v, quad.pts_v)
     ):
@@ -403,12 +458,13 @@ def _first_bad_element(*masks):
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def _metric(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid, wvals):
+def _metric(g: NurbsGeometry, disc: Discretization, geo: GeometryGrid, wvals):
     """The entries (alpha, beta), alpha <= beta, of
     H = (c / W^2) E^T J^-1 J^-T E over the quadrature grid, with
     c = Gauss weight * det J * ``wvals`` and E = [I | -grad W / W]. With
     all weights equal, grad W = 0 and the factor w_k w_l / W^2 of the form
     is 1: only the 2 x 2 metric block c J^-1 J^-T is returned."""
+    quad = disc.quad
     j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
     # c J^-1 J^-T = (c / det^2) adj(J) adj(J)^T
     s = np.multiply.outer(quad.wts_u, quad.wts_v) * wvals / geo.det
@@ -416,13 +472,12 @@ def _metric(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid, wvals):
          (0, 1): -s * (j00 * j01 + j10 * j11),
          (1, 1): s * (j00 * j00 + j10 * j10)}
     w = g.weights.w
-    if np.all(w == w.flat[0]):
+    if _equal_weights(w):
         return H
-    Du = [basis_matrix(g.kv_u, quad.pts_u, a) for a in (0, 1)]
-    Dv = [basis_matrix(g.kv_v, quad.pts_v, b) for b in (0, 1)]
-    W = Du[0] @ w @ Dv[0].T
-    e_u = -(Du[1] @ w @ Dv[0].T) / W
-    e_v = -(Du[0] @ w @ Dv[1].T) / W
+    sums = _spline_sums(disc.basis, w[..., None], 1)
+    W = sums[0, 0][:, 0]
+    e_u = -sums[1, 0][:, 0] / W
+    e_v = -sums[0, 1][:, 0] / W
     H = {ab: h / (W * W) for ab, h in H.items()}
     H[0, 2] = H[0, 0] * e_u + H[0, 1] * e_v
     H[1, 2] = H[0, 1] * e_u + H[1, 1] * e_v
@@ -468,9 +523,8 @@ def assemble_weighted_stiffness(
     quadrature grid, when the caller has it.
     """
     disc = discretization(g) if disc is None else disc
-    disc.check(g)
-    quad = disc.quad
-    geo = _quadrature_geometry(g, quad, geo)
+    quad, tables = _quadrature(g, disc)
+    geo = _quadrature_geometry(g, quad, tables, geo)
     wvals = _resolve_weight(weight, geo, (len(quad.pts_u), len(quad.pts_v)))
 
     if np.any(wvals <= 0.0) or np.any(geo.det <= 0.0):
@@ -479,7 +533,7 @@ def assemble_weighted_stiffness(
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    H = _metric(g, quad, geo, wvals)
+    H = _metric(g, disc, geo, wvals)
     data = _band(disc, H).ravel()[disc.gather]
     if len(H) > 3:
         w = g.weights.w.ravel()
@@ -490,20 +544,29 @@ def assemble_weighted_stiffness(
                          shape=(g.ndof, g.ndof))
 
 
-def assemble_load(g: NurbsGeometry, f, *, geo: GeometryGrid | None = None) -> np.ndarray:
+def assemble_load(
+    g: NurbsGeometry,
+    f,
+    *,
+    disc: Discretization | None = None,
+    geo: GeometryGrid | None = None,
+) -> np.ndarray:
     """Load vector b_k = int f phi_k dx with the assembly quadrature.
 
     With R_ij = w_ij N_i N_j / W, the load is the transpose of the grid
     contraction :func:`~mmiga.geometry.rational_grid_sums` performs:
     b = w o (Du^T C Dv), where Du, Dv are the directional value tables and
-    C = (wts_u x wts_v) det J f / W on the quadrature grid.
+    C = (wts_u x wts_v) det J f / W on the quadrature grid. With all weights
+    equal, R_ij = N_i N_j and b = Du^T C Dv with C = (wts_u x wts_v) det J f.
 
     ``f(x, y)`` must be vectorized over arrays; non-finite values abort
-    naming the element. ``geo`` is ``g`` already evaluated with its
-    Jacobian on the quadrature grid, when the caller has it.
+    naming the element. The tables come from ``disc``, which must match
+    ``g`` (ValueError otherwise), or are built for this call; both give the
+    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
+    quadrature grid, when the caller has it.
     """
-    quad = quadrature_grid(g)
-    geo = _quadrature_geometry(g, quad, geo)
+    quad, tables = _quadrature(g, disc)
+    geo = _quadrature_geometry(g, quad, tables, geo)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
     fblk = _grid_blocks(fvals, quad)
     bad = _first_bad_element(~np.all(np.isfinite(fblk), axis=-1))
@@ -511,9 +574,11 @@ def assemble_load(g: NurbsGeometry, f, *, geo: GeometryGrid | None = None) -> np
         raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
 
     w = g.weights.w
-    Du = basis_matrix(g.kv_u, quad.pts_u)
-    Dv = basis_matrix(g.kv_v, quad.pts_v)
-    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals / (Du @ w @ Dv.T)
+    Du, Dv = tables.Du[0], tables.Dv[0]
+    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
+    if _equal_weights(w):
+        return (Du.T @ c @ Dv).ravel()
+    c = c / _spline_sums(tables, w[..., None], 0)[0, 0][:, 0]
     return (w * (Du.T @ c @ Dv)).ravel()
 
 
@@ -545,7 +610,9 @@ def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
     corners = g.control_points[sl][[0, -1]]
 
     t, wt = element_quadrature_1d(kv, kv.degree + 1)
-    geo = eval_geometry_grid(g, *((t, [side]) if axis == 0 else ([side], t)), nders=1)
+    pts = (t, [side]) if axis == 0 else ([side], t)
+    tables = grid_basis(g.kv_u, g.kv_v, *pts, 1)
+    geo = eval_geometry_grid(g, *pts, 1, tables)
     x = geo.points.reshape(-1, 2)
     dmu = wt * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
     bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(t))
@@ -553,7 +620,7 @@ def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
     if not (np.all(np.isfinite(bvals)) and np.all(np.isfinite(cvals))):
         raise AssemblyError("non-finite boundary value on edge sample")
 
-    N = basis_matrix(kv, t)
+    N = (tables.Du, tables.Dv)[axis][0]
     R = N * w_edge / (N @ w_edge)[:, None]
     M = (R * dmu[:, None]).T @ R
     rhs = R.T @ (dmu * bvals)
@@ -587,7 +654,13 @@ def boundary_values(g: NurbsGeometry, bc) -> np.ndarray:
 
 
 def apply_dirichlet(
-    A, b, g: NurbsGeometry, bc, *, boundary: np.ndarray | None = None
+    A,
+    b,
+    g: NurbsGeometry,
+    bc,
+    *,
+    boundary: np.ndarray | None = None,
+    disc: Discretization | None = None,
 ) -> ReducedSystem:
     """Eliminate boundary coefficients approximating ``bc`` on the four edges.
 
@@ -597,8 +670,14 @@ def apply_dirichlet(
     ``boundary``; ``bc`` is then not evaluated, only the boundary ring
     entries of ``boundary`` are read, and keeping them in step with ``g`` is
     the caller's part. The reduced interior system is
-    A_II x_I = b_I - A_IB x_B; its right-hand side is b_I minus the interior
-    rows of A times the full boundary vector, which is zero off the ring.
+    A_II x_I = b_I - A_IB x_B; its right-hand side is the interior entries
+    of b - A x_B, with x_B the full boundary vector, zero off the ring.
+
+    A_II takes its values from ``A.data`` at the positions of the
+    interior-interior entries (:func:`_interior_block`). When ``A`` has the
+    CSR pattern of ``disc``, the positions and the renumbered pattern are
+    ``disc.interior``, built once per discretization; otherwise they are
+    taken from ``A``'s own pattern. Both give the same bits.
     """
     dm = dof_map(*g.shape)
     if boundary is None:
@@ -611,9 +690,17 @@ def apply_dirichlet(
             )
         xb = np.zeros(dm.total)
         xb[dm.boundary] = given[dm.boundary]
-    A_i = A.tocsr()[dm.interior]
-    rhs = b[dm.interior] - A_i @ xb
-    return ReducedSystem(A_i[:, dm.interior].tocsr(), rhs, xb, dm)
+    A = A.tocsr()
+    if (disc is not None and np.array_equal(A.indptr, disc.indptr)
+            and np.array_equal(A.indices, disc.indices)):
+        pos, indices, indptr = disc.interior
+    else:
+        pos, indices, indptr = _interior_block(A.indices, A.indptr, dm.interior)
+    rhs = b[dm.interior] - (A @ xb)[dm.interior]
+    n_int = len(dm.interior)
+    # copies of the pattern: a caller may edit its matrix in place
+    A_ii = sp.csr_matrix((A.data.take(pos), indices.copy(), indptr.copy()), shape=(n_int, n_int))
+    return ReducedSystem(A_ii, rhs, xb, dm)
 
 
 def solve_dirichlet(
@@ -632,16 +719,16 @@ def solve_dirichlet(
     fast-diagonalisation preconditioner and scatter the interior solution
     back into the full coefficient grid.
 
-    The preconditioner factors come from ``disc``, which must match ``g``
-    (ValueError otherwise), or are built for this call; both give the same
-    bits."""
+    The preconditioner factors and the interior maps come from ``disc``,
+    which must match ``g`` (ValueError otherwise), or are built for this
+    call; both give the same bits."""
     lin = lin or LinearSolverSettings()
     if disc is None:
         fdm = fast_diagonalization(g.kv_u, g.kv_v, quadrature_grid(g))
     else:
         disc.check(g)
         fdm = disc.fdm
-    red = apply_dirichlet(A, b, g, bc, boundary=boundary)
+    red = apply_dirichlet(A, b, g, bc, boundary=boundary, disc=disc)
     x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
                         precond=fdm.preconditioner(red.matrix))
     full = red.boundary_values.copy()
@@ -663,15 +750,15 @@ def solve_poisson(
 
     The geometry is evaluated on the quadrature grid once, for both forms,
     unless the caller passes that evaluation as ``geo``. ``disc`` goes to
-    :func:`assemble_weighted_stiffness` and :func:`solve_dirichlet`; without
-    it the solve builds one for both. ``boundary`` goes to
-    :func:`apply_dirichlet`.
+    both forms and :func:`solve_dirichlet`; without it the solve builds one
+    for all three. ``boundary`` goes to :func:`apply_dirichlet`.
     """
     if disc is None:
         disc = discretization(g)
-    geo = _quadrature_geometry(g, disc.quad, geo)
+    quad, tables = _quadrature(g, disc)
+    geo = _quadrature_geometry(g, quad, tables, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
-    b = assemble_load(g, f, geo=geo)
+    b = assemble_load(g, f, disc=disc, geo=geo)
     return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc)
 
 
@@ -699,19 +786,24 @@ def eval_field_grid(
     pts_v,
     nders: int = 0,
     geo: GeometryGrid | None = None,
+    tables: GridBasis | None = None,
 ) -> FieldGrid:
     """Evaluate a coefficient field on a tensor grid with physical derivatives.
 
     The gradient comes from the Jacobian-inverse chain rule; the Hessian uses
     the full second-order transformation including the second parametric
-    derivatives of the geometry map.
+    derivatives of the geometry map. ``geo`` is ``g`` already evaluated on
+    the grid, and ``tables`` the :class:`~mmiga.geometry.GridBasis` of the
+    grid, when the caller has them; the field and, when ``geo`` is missing,
+    the geometry are evaluated on the same tables.
     """
     pts_u = np.atleast_1d(np.asarray(pts_u, float))
     pts_v = np.atleast_1d(np.asarray(pts_v, float))
+    tables = _grid_tables(tables, g.kv_u, g.kv_v, pts_u, pts_v, nders)
     if nders >= 1 and (geo is None or (nders >= 2 and geo.second is None)):
-        geo = eval_geometry_grid(g, pts_u, pts_v, nders=nders)
+        geo = eval_geometry_grid(g, pts_u, pts_v, nders, tables)
     sums = rational_grid_sums(
-        g.kv_u, g.kv_v, g.weights, u.grid[:, :, None], pts_u, pts_v, nders
+        g.kv_u, g.kv_v, g.weights, u.grid[:, :, None], pts_u, pts_v, nders, tables
     )
     values = sums[0, 0][..., 0]
     if nders == 0:

@@ -32,12 +32,16 @@ __all__ = [
     "Rectangle",
     "NurbsGeometry",
     "GeometryGrid",
+    "GridBasis",
     "MapPointEval",
     "QuadratureRule",
     "TensorQuadrature",
     "gauss_rule",
     "quadrature_grid",
     "boundary_mask",
+    "grid_basis",
+    "greville_basis",
+    "rational_grid_sums",
     "build_identity_geometry",
     "map_point",
     "eval_geometry_grid",
@@ -128,45 +132,153 @@ class GeometryGrid:
     second: np.ndarray | None  # (Nu, Nv, 3, 2)
 
 
-def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
+@dataclass(frozen=True, eq=False)
+class GridBasis:
+    """Directional B-spline tables of one tensor grid of parametric points,
+    built once by :func:`grid_basis` for a grid that many evaluations share.
+
+    ``Du[a]`` is ``basis_matrix(kv_u, pts_u, a)`` for a = 0 .. ``nders``,
+    and ``Dv[b]`` likewise along v. Every evaluation that takes tables
+    checks that they were built for its knots and points, and gives the same
+    bits as the same call without them.
+    """
+
+    kv_u: KnotVector
+    kv_v: KnotVector
+    pts_u: np.ndarray
+    pts_v: np.ndarray
+    Du: tuple
+    Dv: tuple
+
+    @property
+    def nders(self) -> int:
+        return len(self.Du) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in the tables."""
+        return sum(a.nbytes for a in (*self.Du, *self.Dv))
+
+    def upto(self, kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> "GridBasis":
+        """These tables, with any derivative order up to ``nders`` they lack
+        added, after checking that they were built for the knots ``kv_u``,
+        ``kv_v`` and the points ``pts_u`` x ``pts_v`` (ValueError
+        otherwise)."""
+        differ = [
+            name
+            for name, same in (
+                ("u knots", _same_knots(kv_u, self.kv_u)),
+                ("v knots", _same_knots(kv_v, self.kv_v)),
+                ("u points", np.array_equal(pts_u, self.pts_u)),
+                ("v points", np.array_equal(pts_v, self.pts_v)),
+            )
+            if not same
+        ]
+        if differ:
+            raise ValueError(f"basis tables do not match the grid: {', '.join(differ)} differ")
+        if nders <= self.nders:
+            return self
+        more = range(self.nders + 1, nders + 1)
+        return GridBasis(kv_u, kv_v, self.pts_u, self.pts_v,
+                         self.Du + tuple(basis_matrix(kv_u, self.pts_u, a) for a in more),
+                         self.Dv + tuple(basis_matrix(kv_v, self.pts_v, b) for b in more))
+
+
+def _same_knots(a: KnotVector, b: KnotVector) -> bool:
+    return a.degree == b.degree and np.array_equal(a.knots, b.knots)
+
+
+def _equal_weights(w: np.ndarray) -> bool:
+    """True when all weights are equal: R_ij = N_i N_j exactly."""
+    return bool(np.all(w == w.flat[0]))
+
+
+def _points(pts) -> np.ndarray:
+    return np.atleast_1d(np.asarray(pts, dtype=float))
+
+
+def grid_basis(kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> GridBasis:
+    """The :class:`GridBasis` of the knots ``kv_u``, ``kv_v`` on the grid
+    ``pts_u`` x ``pts_v``, with derivative orders 0 .. ``nders``."""
+    if nders < 0:
+        raise ValueError(f"derivative order must be >= 0, got {nders}")
+    pts_u, pts_v = _points(pts_u), _points(pts_v)
+    return GridBasis(kv_u, kv_v, pts_u, pts_v,
+                     tuple(basis_matrix(kv_u, pts_u, a) for a in range(nders + 1)),
+                     tuple(basis_matrix(kv_v, pts_v, b) for b in range(nders + 1)))
+
+
+def _grid_tables(tables: GridBasis | None, kv_u, kv_v, pts_u, pts_v, nders: int) -> GridBasis:
+    """``tables`` checked against the grid and completed up to order
+    ``nders`` (:meth:`GridBasis.upto`), or new tables when there are none."""
+    if tables is None:
+        return grid_basis(kv_u, kv_v, pts_u, pts_v, nders)
+    return tables.upto(kv_u, kv_v, pts_u, pts_v, nders)
+
+
+def _spline_sums(tables: GridBasis, coeffs: np.ndarray, nders: int) -> dict:
+    """Mixed derivatives of the plain B-spline sum sum_ij N_i N_j c_ij on
+    the grid of ``tables``, for coefficients ``coeffs`` of shape (n1, n2, k):
+    the map (a, b) -> (Nu, k, Nv) for a + b <= nders. Two matrix products
+    per derivative pair: the whole coefficient block, flattened to
+    (n1 k, n2), along v, and the result, read as (n1, k Nv), along u. The
+    coefficient axis sits between the grid axes, so each coefficient's
+    values are (Nu, Nv) with unit stride along v."""
+    n1, n2, k = coeffs.shape
+    nu, nv = len(tables.pts_u), len(tables.pts_v)
+    flat = coeffs.transpose(0, 2, 1).reshape(n1 * k, n2)
+    out = {}
+    for b in range(nders + 1):
+        x = (flat @ tables.Dv[b].T).reshape(n1, k * nv)
+        for a in range(nders + 1 - b):
+            out[a, b] = (tables.Du[a] @ x).reshape(nu, k, nv)
+    return out
+
+
+def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders, tables=None):
     """Mixed parametric derivatives of S(u, v) = sum_ij R_ij(u, v) c_ij.
 
     ``coeffs`` has shape (n1, n2, m); the result maps (a, b) with
-    a + b <= nders to arrays of shape (Nu, Nv, m). The derivatives of the
-    weighted numerator sum_ij w_ij N_i N_j c_ij and of the weight sum are
-    dense matrix products with the directional derivative collocation
-    matrices; :func:`~mmiga.splines.rational_derivatives` then divides out
-    the weight sum. A single point is the 1x1 grid.
+    a + b <= nders to arrays of shape (Nu, Nv, m), views with unit stride
+    along v. Each is two matrix products with the directional derivative
+    tables (:func:`grid_basis`; ``tables`` when the caller has them for this
+    grid, else built here). The weight sum rides along as one more coefficient column, so the weighted
+    numerator sum_ij w_ij N_i N_j c_ij and the weight sum come out of the
+    same products, and :func:`~mmiga.splines.rational_derivatives` divides
+    the weight sum out. When all weights are equal, R_ij = N_i N_j exactly:
+    the coefficients are contracted as they are, with no weight column and
+    no quotient rule. A single point is the 1x1 grid.
     """
     if nders < 0:
         raise ValueError(f"derivative order must be >= 0, got {nders}")
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
-    Du = [basis_matrix(kv_u, pts_u, a) for a in range(nders + 1)]
-    Dv = [basis_matrix(kv_v, pts_v, a) for a in range(nders + 1)]
-    wc = w[:, :, None] * coeffs
-
-    # one contraction per direction; a single three-operand einsum would run
-    # as an unoptimized quadruple loop
-    wsum = {}
-    num = {}
-    for a in range(nders + 1):
-        wc_u = np.tensordot(Du[a], wc, axes=1)  # (Nu, n2, m)
-        for b in range(nders + 1 - a):
-            wsum[a, b] = (Du[a] @ w @ Dv[b].T)[:, :, None]
-            num[a, b] = Dv[b] @ wc_u  # (Nu, Nv, m)
-    return rational_derivatives(num, wsum, nders)
+    pts_u, pts_v = _points(pts_u), _points(pts_v)
+    tables = _grid_tables(tables, kv_u, kv_v, pts_u, pts_v, nders)
+    if _equal_weights(w):
+        sums = _spline_sums(tables, coeffs, nders)
+    else:
+        m = coeffs.shape[-1]
+        sums = _spline_sums(tables, np.concatenate([w[..., None] * coeffs, w[..., None]], axis=-1),
+                            nders)
+        num = {ab: s[:, :m] for ab, s in sums.items()}
+        wsum = {ab: s[:, m:] for ab, s in sums.items()}
+        sums = rational_derivatives(num, wsum, nders)
+    return {ab: np.moveaxis(s, 1, 2) for ab, s in sums.items()}
 
 
-def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> GeometryGrid:
-    """Evaluate F (and derivatives) on the tensor grid pts_u x pts_v."""
-    pts_u = np.atleast_1d(np.asarray(pts_u, float))
-    pts_v = np.atleast_1d(np.asarray(pts_v, float))
-    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pts_u, pts_v, nders)
+def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1,
+                       tables: GridBasis | None = None) -> GeometryGrid:
+    """Evaluate F (and derivatives) on the tensor grid pts_u x pts_v;
+    ``tables`` as in :func:`rational_grid_sums`."""
+    pts_u, pts_v = _points(pts_u), _points(pts_v)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pts_u, pts_v, nders,
+                              tables)
     points = sums[0, 0]
     if nders >= 1:
-        jac = np.stack([sums[1, 0], sums[0, 1]], axis=-1)  # (Nu, Nv, 2, 2)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        du, dv = sums[1, 0], sums[0, 1]
+        jac = np.stack([du, dv], axis=-1)  # (Nu, Nv, 2, 2)
+        det = du[..., 0] * dv[..., 1] - dv[..., 0] * du[..., 1]
     else:
         jac = det = None
     second = None
@@ -211,32 +323,50 @@ def boundary_mask(shape: tuple[int, int]) -> np.ndarray:
     return mask
 
 
-def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
+def greville_basis(g: NurbsGeometry, nders: int = 1) -> GridBasis:
+    """The :class:`GridBasis` of ``g``'s knots on the Greville grid, the
+    parameters of the mesh nodes; it also holds the collocation matrices of
+    :func:`refit_from_node_targets`."""
+    return grid_basis(g.kv_u, g.kv_v, greville_abscissae(g.kv_u), greville_abscissae(g.kv_v),
+                      nders)
+
+
+def _greville_tables(g: NurbsGeometry, tables: GridBasis | None) -> GridBasis:
+    return _grid_tables(tables, g.kv_u, g.kv_v, greville_abscissae(g.kv_u),
+                        greville_abscissae(g.kv_v), 0)
+
+
+def mesh_nodes(g: NurbsGeometry, tables: GridBasis | None = None) -> np.ndarray:
     """The (n1, n2, 2) physical node grid: images of the Greville parameter
-    pairs. The elements are the nonzero knot spans (:func:`element_spans`)."""
-    gu = greville_abscissae(g.kv_u)
-    gv = greville_abscissae(g.kv_v)
-    return eval_geometry_grid(g, gu, gv, nders=0).points
+    pairs. The elements are the nonzero knot spans (:func:`element_spans`).
+    ``tables`` are the :func:`greville_basis` tables, when the caller has
+    them."""
+    tables = _greville_tables(g, tables)
+    return eval_geometry_grid(g, tables.pts_u, tables.pts_v, 0, tables).points
 
 
-def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeometry:
+def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
+                            nodes: np.ndarray | None = None,
+                            tables: GridBasis | None = None) -> NurbsGeometry:
     """New geometry (same knots/weights) whose Greville-pair images hit targets.
 
     Solved in homogeneous form: with Q_ij = w_ij P_ij the interpolation
     conditions are linear with plain B-spline collocation matrices, so two
     sweeps of banded 1D solves suffice for any weight grid. When the
-    :func:`boundary_mask` ring of ``targets`` coincides bitwise with the
-    current boundary nodes, the ring of control points is carried over
+    :func:`boundary_mask` ring of ``targets`` coincides bitwise with that of
+    the current nodes, the ring of control points is carried over
     unchanged, so repeated refits keep the boundary curve bit-identical.
+
+    ``nodes`` are ``mesh_nodes(g)`` and ``tables`` the
+    :func:`greville_basis` tables, when the caller has them; a caller that
+    refits one geometry many times passes both and evaluates ``g`` once.
     """
     targets = np.asarray(targets, dtype=float)
     n1, n2 = g.shape
     if targets.shape != (n1, n2, 2):
         raise ValueError(f"targets shape {targets.shape} does not match ({n1}, {n2}, 2)")
-    gu = greville_abscissae(g.kv_u)
-    gv = greville_abscissae(g.kv_v)
-    Bu = basis_matrix(g.kv_u, gu)
-    Bv = basis_matrix(g.kv_v, gv)
+    tables = _greville_tables(g, tables)
+    Bu, Bv = tables.Du[0], tables.Dv[0]
     w = g.weights.w
     wgrid = Bu @ w @ Bv.T  # weight sum at the collocation grid
 
@@ -248,7 +378,9 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeome
         cp[:, :, m] = q / w
 
     ring = boundary_mask((n1, n2))
-    if np.array_equal(targets[ring], mesh_nodes(g)[ring]):
+    if nodes is None:
+        nodes = mesh_nodes(g, tables)
+    if np.array_equal(targets[ring], nodes[ring]):
         cp[ring] = g.control_points[ring]
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
 
@@ -312,13 +444,14 @@ def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
     return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
 
 
-def min_jacobian(g: NurbsGeometry) -> float:
+def min_jacobian(g: NurbsGeometry, tables: GridBasis | None = None) -> float:
     """Smallest Jacobian determinant over the assembly Gauss points
-    (:func:`quadrature_grid`).
+    (:func:`quadrature_grid`); ``tables`` are the :class:`GridBasis` of
+    that grid, when the caller has them.
 
     A positive value certifies mesh validity at the sampled resolution;
     folding between quadrature points is not detected.
     """
     quad = quadrature_grid(g)
-    grid = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    grid = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
     return float(grid.det.min())

@@ -25,6 +25,7 @@ import numpy as np
 from .assembly import (
     Discretization,
     FieldCoefficients,
+    _quadrature,
     assemble_weighted_stiffness,
     boundary_values,
     discretization,
@@ -35,17 +36,19 @@ from .assembly import (
 from .errors import DegenerateMapError, MeshWrapError
 from .geometry import (
     GeometryGrid,
+    GridBasis,
     NurbsGeometry,
     Rectangle,
     boundary_mask,
     eval_geometry_grid,
+    greville_basis,
+    grid_basis,
     mesh_nodes,
     min_jacobian,
-    quadrature_grid,
     refit_from_node_targets,
 )
 from .linalg import LinearSolverSettings
-from .postproc import ExactSolution, error_norms
+from .postproc import ExactSolution, error_grids, error_norms
 from .splines import greville_abscissae
 
 __all__ = [
@@ -150,7 +153,11 @@ class LogicalMesh:
     """Reference logical mesh: the initialization solve and its nodal values.
 
     ``nodes[i, j]`` stores the logical position of physical node (i, j) from
-    the initialization solve; it stays fixed for the whole run.
+    the initialization solve; it stays fixed for the whole run. ``basis``
+    holds the value and first-derivative tables of the Greville grid
+    ``params_u`` x ``params_v`` (:func:`~mmiga.geometry.greville_basis`),
+    which every evaluation at the nodes shares, the refit's collocation
+    included; without it each evaluation builds its own.
     """
 
     logical: Rectangle
@@ -158,6 +165,7 @@ class LogicalMesh:
     nodes: np.ndarray  # (n1, n2, 2)
     params_u: np.ndarray
     params_v: np.ndarray
+    basis: GridBasis | None = None
 
 
 @dataclass
@@ -272,22 +280,24 @@ def init_logical_mesh(
     ``bmap`` on ``g0``, when the caller has them."""
     A = assemble_weighted_stiffness(g0, disc=disc)
     fields = _solve_components(A, g0, bmap, lin, boundary, disc)
-    gu = greville_abscissae(g0.kv_u)
-    gv = greville_abscissae(g0.kv_v)
-    vals = [eval_field_grid(g0, f, gu, gv, nders=0).values for f in fields]
-    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), gu, gv)
+    basis = greville_basis(g0)
+    vals = [eval_field_grid(g0, f, basis.pts_u, basis.pts_v, tables=basis).values
+            for f in fields]
+    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), basis.pts_u, basis.pts_v,
+                       basis)
 
 
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
-                 geo: GeometryGrid | None = None):
+                 geo: GeometryGrid | None = None, tables: GridBasis | None = None):
     """Monitor values on a tensor grid of parametric points. ``geo`` is
-    ``g`` already evaluated on that grid, when the caller has it; see
+    ``g`` already evaluated on that grid, and ``tables`` the basis tables
+    of the grid, when the caller has them; see
     :func:`~mmiga.assembly.eval_field_grid`. A smoothed monitor is
-    evaluated on the Greville grid alone, and ``geo`` is not read."""
+    evaluated on the Greville grid alone, and neither is read."""
     if spec.smoothing > 0:
         return _smooth_monitor(spec, g, u, pts_u, pts_v)
     nders = 2 if spec.needs_hessian else 1
-    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
+    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo, tables=tables)
     m2 = spec.eps * np.ones_like(fg.values)
     if spec.alpha > 0.0:
         m2 = m2 + spec.alpha * (fg.grad**2).sum(axis=-1)
@@ -338,12 +348,13 @@ def solve_harmonic_map(
     ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`. The
     monitor and the stiffness share one evaluation of ``g`` with its
     Jacobian on the quadrature grid: ``geo`` when the caller has it (the
-    PDE solve of the same mesh made one), else a fresh one.
+    PDE solve of the same mesh made one), else a fresh one; the monitor's
+    field evaluation takes the basis tables of ``disc``.
     """
-    quad = quadrature_grid(g) if disc is None else disc.quad
+    quad, tables = _quadrature(g, disc)
     if geo is None:
-        geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
-    m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v, geo=geo)
+        geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
+    m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v, geo=geo, tables=tables)
     A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
     return _solve_components(A, g, bmap, lin, boundary, disc)
 
@@ -369,10 +380,15 @@ def _solve_components(
 
 
 def _xi_at_nodes(g, xi, lm, nders=0):
-    """Evaluate both map components on the fixed Greville parameter grid;
-    derivatives share one evaluation of the geometry there."""
-    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders=nders) if nders else None
-    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo) for f in xi]
+    """Evaluate both map components on the fixed Greville parameter grid,
+    on the tables of ``lm``; derivatives share one evaluation of the
+    geometry there."""
+    tables = lm.basis
+    if tables is None:
+        tables = grid_basis(g.kv_u, g.kv_v, lm.params_u, lm.params_v, nders)
+    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders, tables) if nders else None
+    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo, tables=tables)
+            for f in xi]
 
 
 def compute_movement(
@@ -441,23 +457,38 @@ def limit_movement(movement: np.ndarray, nodes: np.ndarray, frac: float = 0.5) -
     return movement * scale[..., None]
 
 
-def update_mesh(g: NurbsGeometry, movement: np.ndarray, tau: float):
+def update_mesh(
+    g: NurbsGeometry,
+    movement: np.ndarray,
+    tau: float,
+    *,
+    nodes: np.ndarray | None = None,
+    greville: GridBasis | None = None,
+    quadrature: GridBasis | None = None,
+):
     """Damped node update with wrap prevention.
 
     Targets are nodes + tau * movement; the geometry is re-fitted and its
     minimum Jacobian checked. A nonpositive Jacobian halves tau (at most six
     times) before giving up with diagnostics.
+
+    ``nodes`` are ``mesh_nodes(g)``, ``greville`` the tables of the
+    Greville grid (:func:`~mmiga.geometry.greville_basis`) and
+    ``quadrature`` those of the assembly quadrature grid, when the caller
+    has them; every tau trial reuses them, so ``g`` is evaluated at most
+    once.
     """
     movement = np.asarray(movement, dtype=float)
     if np.any(movement[boundary_mask(movement.shape[:2])] != 0.0):
         raise ValueError("boundary ring of the movement grid must be zero")
-    nodes = mesh_nodes(g)
+    if nodes is None:
+        nodes = mesh_nodes(g, greville)
     tau_k = float(tau)
     worst = None
     for _ in range(MAX_TAU_HALVINGS + 1):
         targets = nodes + tau_k * movement
-        candidate = refit_from_node_targets(g, targets)
-        mj = min_jacobian(candidate)
+        candidate = refit_from_node_targets(g, targets, nodes=nodes, tables=greville)
+        mj = min_jacobian(candidate, quadrature)
         if mj > 0.0:
             return candidate, tau_k
         worst = mj
@@ -487,13 +518,19 @@ def move_mesh_solve(
     Mesh moves change interior control points only, so the work that
     depends on knots, weights and the boundary ring alone is done once per
     run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
-    time and size are logged at INFO) serves every stiffness assembly, and
-    the Dirichlet vectors of ``problem.bc`` and of both map components are
-    built once on ``g0``. They hold bit for bit on every later mesh:
-    :func:`update_mesh` rejects any movement of the boundary ring, so the
-    re-fit carries the ring of control points over unchanged. The
-    quadrature-grid evaluation the PDE solve of a mesh made also serves the
-    map solve on that mesh and the trace's ``min_jacobian``.
+    time and size are logged at INFO) serves every assembly and solve, with
+    the basis tables of the quadrature grid, and the Dirichlet vectors of
+    ``problem.bc`` and of both map components are built once on ``g0``.
+    They hold bit for bit on every later mesh: :func:`update_mesh` rejects
+    any movement of the boundary ring, so the re-fit carries the ring of
+    control points over unchanged. The basis tables of the other fixed
+    point sets are built once too: the Greville grid of the nodes, which
+    the logical mesh holds and the refit's collocation shares, and the
+    three grids of the error norms (:func:`~mmiga.postproc.error_grids`).
+    The quadrature-grid evaluation the PDE solve of a mesh made also serves
+    the map solve on that mesh and the trace's ``min_jacobian``, and the
+    nodes of each accepted mesh are evaluated once, for the movement cap
+    and every tau trial of the update.
 
     The loop terminates on convergence, on the iteration cap, or on a mesh
     wrap the damped update could not prevent; in the wrap case the last valid
@@ -517,7 +554,7 @@ def move_mesh_solve(
     def poisson(geom):
         """The PDE solution on ``geom`` and the quadrature-grid evaluation
         it was assembled on."""
-        geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, nders=1)
+        geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, 1, disc.basis)
         sol = solve_poisson(geom, problem.f, problem.bc, cfg.lin, disc=disc,
                             boundary=u_boundary, geo=geo)
         return sol, geo
@@ -530,10 +567,12 @@ def move_mesh_solve(
     prev_movement = None
     xi = lm.fields
 
+    grids = None if problem.exact is None else error_grids(g0)
+
     def norms(geom, field):
         if problem.exact is None:
             return (float("nan"),) * 3
-        rep = error_norms(geom, field, problem.exact)
+        rep = error_norms(geom, field, problem.exact, tables=grids)
         return rep.L2, rep.H1_semi, rep.L_inf
 
     def record(it, xi_err, tau_used):
@@ -556,10 +595,12 @@ def move_mesh_solve(
             break
 
         movement = compute_movement(g, xi, lm, prev_movement)
+        nodes = mesh_nodes(g, lm.basis)
         if cfg.movement_cap is not None:
-            movement = limit_movement(movement, mesh_nodes(g), cfg.movement_cap)
+            movement = limit_movement(movement, nodes, cfg.movement_cap)
         try:
-            g, tau_used = update_mesh(g, movement, cfg.tau)
+            g, tau_used = update_mesh(g, movement, cfg.tau, nodes=nodes, greville=lm.basis,
+                                      quadrature=disc.basis)
         except MeshWrapError as exc:
             logger.warning("outer iteration %d ended on mesh wrap: %s", it, exc)
             record(it, xi_err, 0.0)

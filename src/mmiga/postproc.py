@@ -14,12 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldCoefficients, eval_field_grid
-from .geometry import NurbsGeometry, element_spans, eval_geometry_grid, quadrature_grid
+from .geometry import (
+    GridBasis,
+    NurbsGeometry,
+    element_spans,
+    eval_geometry_grid,
+    grid_basis,
+    quadrature_grid,
+)
 
 __all__ = [
     "ExactSolution",
     "ErrorReport",
+    "ErrorGrids",
     "LevelOrders",
+    "error_grids",
     "error_norms",
     "convergence_orders",
     "export_vtk",
@@ -61,6 +70,18 @@ class LevelOrders:
     Linf: float | None
 
 
+@dataclass(frozen=True, eq=False)
+class ErrorGrids:
+    """Basis tables (:class:`~mmiga.geometry.GridBasis`) of the three point
+    sets :func:`error_norms` evaluates on: the error quadrature grid
+    (``quadrature_grid(g, extra=1)``, values and first derivatives), the
+    max-norm lattice and the breakpoints (values)."""
+
+    quadrature: GridBasis
+    lattice: GridBasis
+    corners: GridBasis
+
+
 def _element_lattice(kv, samples):
     """Per-element closed sample lattice, element by element (interior
     edges sampled twice)."""
@@ -68,12 +89,33 @@ def _element_lattice(kv, samples):
     return np.linspace(left, right, samples, axis=1).ravel()
 
 
-def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
-    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map."""
+def _error_points(g: NurbsGeometry):
     quad = quadrature_grid(g, extra=1)
+    lattice = [_element_lattice(kv, LINF_SAMPLES) for kv in (g.kv_u, g.kv_v)]
+    return quad, lattice, [g.kv_u.breakpoints, g.kv_v.breakpoints]
+
+
+def error_grids(g: NurbsGeometry) -> ErrorGrids:
+    """The :class:`ErrorGrids` of ``g``'s knots, for a caller that measures
+    the error of many geometries on the same knots."""
+    quad, lattice, corners = _error_points(g)
+    return ErrorGrids(grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1),
+                      grid_basis(g.kv_u, g.kv_v, *lattice, 0),
+                      grid_basis(g.kv_u, g.kv_v, *corners, 0))
+
+
+def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution,
+                tables: ErrorGrids | None = None) -> ErrorReport:
+    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map.
+
+    ``tables`` are the :func:`error_grids` of ``g``'s knots, when the
+    caller has them; without them the call builds its own, with the same
+    bits."""
+    quad, (lu, lv), (bu, bv) = _error_points(g)
+    tables = error_grids(g) if tables is None else tables
     qu, qv = quad.q_u, quad.q_v
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
-    fg = eval_field_grid(g, u, quad.pts_u, quad.pts_v, nders=1, geo=geo)
+    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables.quadrature)
+    fg = eval_field_grid(g, u, quad.pts_u, quad.pts_v, nders=1, geo=geo, tables=tables.quadrature)
     X, Y = geo.points[..., 0], geo.points[..., 1]
     w2 = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det
 
@@ -88,16 +130,12 @@ def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) ->
     per_element_L2 = np.sqrt(l2_cells)
 
     # deterministic per-element lattice max, corners included
-    lu = _element_lattice(g.kv_u, LINF_SAMPLES)
-    lv = _element_lattice(g.kv_v, LINF_SAMPLES)
-    lgeo = eval_geometry_grid(g, lu, lv, nders=0)
-    lvals = eval_field_grid(g, u, lu, lv, nders=0).values
+    lgeo = eval_geometry_grid(g, lu, lv, 0, tables.lattice)
+    lvals = eval_field_grid(g, u, lu, lv, tables=tables.lattice).values
     linf = float(np.max(np.abs(lvals - exact.u(lgeo.points[..., 0], lgeo.points[..., 1]))))
 
     # element size: largest corner-to-corner distance over all elements
-    bu = g.kv_u.breakpoints
-    bv = g.kv_v.breakpoints
-    corners = eval_geometry_grid(g, bu, bv, nders=0).points
+    corners = eval_geometry_grid(g, bu, bv, 0, tables.corners).points
     diag = corners[1:, 1:] - corners[:-1, :-1]
     anti = corners[1:, :-1] - corners[:-1, 1:]
     h = float(

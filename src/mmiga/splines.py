@@ -11,9 +11,10 @@ routine.
 
 Rational (NURBS) derivatives are formed in one place only:
 :func:`rational_derivatives` applies the generalized quotient rule to the
-mixed derivatives of a weighted numerator and of the weight sum. Grid
-evaluation of the geometry and of fields, point evaluation and the element
-blocks of assembly all go through it.
+mixed derivatives of a weighted numerator and of the weight sum, for grid
+and point evaluation of the geometry and of fields. When all weights are
+equal, R_ij = N_i N_j exactly: grid evaluation, the load and the stiffness
+then use the plain B-spline product and skip the quotient rule.
 
 The closed-interval convention is used at the right end: ``t = 1`` evaluates
 on the last span of nonzero length, so bases are defined on all of [0, 1].
@@ -281,10 +282,11 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     Rows are banded: at most degree+1 consecutive nonzero columns. All points
     are tabulated in one vectorized pass (spans by a sorted search, then the
     triangular scheme over the point axis) and the local values are
-    scattered into the band with one indexed assignment. Used for Greville
-    collocation, grid evaluation, the edge projections and the load, which
-    contract over whole grids; the stiffness takes element blocks from
-    :func:`_basis_ders` directly.
+    scattered into the band with one indexed assignment. Grid evaluation
+    tabulates through it once per point set
+    (:func:`~mmiga.geometry.grid_basis`), and the Greville collocation, the
+    edge projections, the load, the preconditioner and the element blocks
+    of the stiffness read those tables.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     p = kv.degree

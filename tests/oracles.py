@@ -260,3 +260,32 @@ def move_mesh_reference(problem, g0, spec, cfg):
         u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
         rows.append(row(it, err, tau))
     return rows, g, u, xi
+
+
+def rational_basis_derivatives(kv_u, kv_v, w, pts_u, pts_v):
+    """Every rational basis function R_ij = w_ij N_i N_j / W and its mixed
+    parametric derivatives up to second order on the grid pts_u x pts_v,
+    as (a, b) -> array (Nu, Nv, n1, n2).
+
+    The 1D values come from the direct recursion, and the quotient rule is
+    written out order by order for each function, not through the
+    generalized rule the library applies to whole sums.
+    """
+
+    def table(kv, pts, order):
+        return np.array([[bspline_deriv_recursive(kv.knots, kv.degree, i, t, order)
+                          for i in range(kv.n)] for t in pts])
+
+    orders = range(min(2, kv_u.degree) + 1)
+    Bu = [table(kv_u, pts_u, a) for a in orders]
+    Bv = [table(kv_v, pts_v, b) for b in orders]
+    A = {(a, b): np.einsum("ui,vj,ij->uvij", Bu[a], Bv[b], w)
+         for a in orders for b in orders if a + b <= 2}
+    W = {ab: x.sum(axis=(2, 3))[:, :, None, None] for ab, x in A.items()}
+    R = {(0, 0): A[0, 0] / W[0, 0]}
+    R[1, 0] = (A[1, 0] - W[1, 0] * R[0, 0]) / W[0, 0]
+    R[0, 1] = (A[0, 1] - W[0, 1] * R[0, 0]) / W[0, 0]
+    R[2, 0] = (A[2, 0] - 2 * W[1, 0] * R[1, 0] - W[2, 0] * R[0, 0]) / W[0, 0]
+    R[1, 1] = (A[1, 1] - W[1, 0] * R[0, 1] - W[0, 1] * R[1, 0] - W[1, 1] * R[0, 0]) / W[0, 0]
+    R[0, 2] = (A[0, 2] - 2 * W[0, 1] * R[0, 1] - W[0, 2] * R[0, 0]) / W[0, 0]
+    return R

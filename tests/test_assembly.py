@@ -294,7 +294,9 @@ def test_discretization_size_matches_memory_formula():
     nnz = 30 * 37
     assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
     assert disc.gather.dtype == disc.indices.dtype == np.int32
-    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size
+    # the value and first-derivative tables of the 12 x 16 Gauss grid
+    tables = 2 * 12 * 6 + 2 * 16 * 7
+    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size + tables
     scatter = sum(a.nbytes for s in (disc.scatter_u, disc.scatter_v)
                   for a in (s.data, s.indices, s.indptr))
     ints = 2 * nnz + 6 * 7 + 1
@@ -459,6 +461,33 @@ def test_dirichlet_reads_only_the_ring_of_a_given_boundary_vector():
     assert np.array_equal(red.rhs, ref.rhs)
     sol = solve_dirichlet(A, b, g, bc, boundary=noisy)
     assert np.array_equal(sol.values, solve_dirichlet(A, b, g, bc).values)
+
+
+@pytest.mark.parametrize("p,mult", [(2, 1), (3, 3)])
+def test_reduced_system_is_the_interior_slice_with_or_without_discretization(p, mult):
+    # the reference is the sliced matrix and b_I - A_I x_B, the elimination
+    # by scipy slicing; the interior maps must reproduce it bit for bit
+    g = _random_rational(p, mult, seed=60 + p + mult)
+    disc = discretization(g)
+    bc = lambda x, y: np.sin(x) * np.cos(y)
+    A = assemble_weighted_stiffness(g, lambda x, y: 1.0 + x * y, disc=disc)
+    b = assemble_load(g, lambda x, y: np.exp(x - y), disc=disc)
+    I = dof_map(*g.shape).interior
+    xb = boundary_values(g, bc)
+    thinned = A.copy()  # another pattern: one interior-interior entry not stored
+    r = I[len(I) // 2]
+    row = slice(A.indptr[r], A.indptr[r + 1])
+    thinned.data[row][A.indices[row] == r + 1] = 0.0
+    thinned.eliminate_zeros()
+    for M in (A, thinned):
+        ref = M[I][:, I]
+        for kwargs in ({}, {"disc": disc}):
+            red = apply_dirichlet(M, b, g, bc, **kwargs)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(red.matrix, name), getattr(ref, name)), name
+            assert np.array_equal(red.rhs, b[I] - M[I] @ xb)
+    assert len(thinned[I][:, I].data) == len(A[I][:, I].data) - 1
+    assert not disc.interior[0].flags.writeable
 
 
 def test_dirichlet_trace_interpolation_fourth_order():

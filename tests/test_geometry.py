@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmiga.assembly import FieldCoefficients, eval_field_grid
 from mmiga.geometry import (
@@ -8,15 +10,18 @@ from mmiga.geometry import (
     boundary_mask,
     build_identity_geometry,
     eval_geometry_grid,
+    greville_basis,
+    grid_basis,
     map_point,
     mesh_nodes,
     min_jacobian,
     quadrature_grid,
+    rational_grid_sums,
     refit_from_node_targets,
 )
 from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
 
-from oracles import grad_fd
+from oracles import grad_fd, rational_basis_derivatives
 
 
 def _identity(p=2, m=2, rect=Rectangle(0, 1, 0, 1)):
@@ -247,3 +252,94 @@ def test_jacobian_grid_matches_finite_differences_randomized():
                 f = lambda u, v: map_point(g, (u, v), nders=0).point[comp]
                 fd = grad_fd(f, (pu[i], pv[j]), h)
                 assert np.allclose(grid.jac[i, j, comp], fd, rtol=1e-5, atol=1e-8)
+
+
+# ------------------------------------------------- grid contraction and tables
+
+def _net(p, c0, weights, seed):
+    """A perturbed 3 x 4 element net of degree p, C^{p-1} or C^0, with
+    unit, equal non-unit or random weights."""
+    mult = p if c0 else 1
+    g0 = build_identity_geometry(Rectangle(0, 1, 0, 1), make_open_knot_vector(p, 3, mult),
+                                 make_open_knot_vector(p, 4, mult))
+    rng = np.random.default_rng(seed)
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    w = {"unit": np.ones(g0.shape), "equal": np.full(g0.shape, 1.7),
+         "random": rng.uniform(0.7, 1.4, size=g0.shape)}[weights]
+    return NurbsGeometry(g0.kv_u, g0.kv_v, TensorWeights(w), cp)
+
+
+# points in [0, 1]: the ends, knots of both knot vectors and repeats among them
+_POINTS = st.lists(st.sampled_from([0.0, 1.0, 1 / 3, 0.5, 0.25]) | st.floats(0.0, 1.0),
+                   min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3]), c0=st.booleans(),
+       weights=st.sampled_from(["unit", "equal", "random"]), nders=st.integers(0, 2),
+       pts_u=_POINTS, pts_v=_POINTS, seed=st.integers(0, 2**16))
+@example(p=3, c0=False, weights="random", nders=2, pts_u=[0.4], pts_v=[0.7], seed=0)
+@example(p=2, c0=True, weights="equal", nders=2, pts_u=[0.0, 0.5, 0.5, 1.0],
+         pts_v=[1.0, 0.25, 0.0], seed=1)
+def test_grid_sums_match_the_one_hot_oracle(p, c0, weights, nders, pts_u, pts_v, seed):
+    # one-hot coefficients make every basis function a column of the sums
+    g = _net(p, c0, weights, seed)
+    one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, pts_u, pts_v, nders)
+    R = rational_basis_derivatives(g.kv_u, g.kv_v, g.weights.w, pts_u, pts_v)
+    assert sorted(sums) == sorted(ab for ab in R if sum(ab) <= nders)
+    for ab, vals in sums.items():
+        ref = R[ab].reshape(vals.shape)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), ab
+
+
+@pytest.mark.parametrize("weights", ["unit", "equal", "random"])
+def test_evaluations_with_tables_give_the_same_bits(weights):
+    g = _net(3, False, weights, seed=21)
+    pu, pv = np.array([0.0, 0.3, 0.3, 0.61, 1.0]), np.array([0.2, 0.5, 1.0])
+    u = FieldCoefficients(np.random.default_rng(22).normal(size=g.ndof), g.shape)
+    coeffs = np.random.default_rng(23).normal(size=(*g.shape, 3))
+    low, full = grid_basis(g.kv_u, g.kv_v, pu, pv, 1), grid_basis(g.kv_u, g.kv_v, pu, pv, 2)
+    for nders in (0, 1, 2):
+        ref = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders)
+        for tables in (low, full):  # order 2 is added to the first-order tables
+            got = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders, tables)
+            assert all(np.array_equal(got[ab], ref[ab]) for ab in ref)
+            geo, geo_t = (eval_geometry_grid(g, pu, pv, nders, t) for t in (None, tables))
+            assert np.array_equal(geo.points, geo_t.points)
+            fg, fg_t = (eval_field_grid(g, u, pu, pv, nders, tables=t) for t in (None, tables))
+            for name in ("values", "grad", "hess"):
+                a, b = getattr(fg, name), getattr(fg_t, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
+    greville = greville_basis(g)
+    nodes = mesh_nodes(g)
+    assert np.array_equal(mesh_nodes(g, greville), nodes)
+    targets = nodes.copy()
+    targets[1:-1, 1:-1] += 0.01
+    refit = refit_from_node_targets(g, targets)
+    for kwargs in ({"tables": greville}, {"nodes": nodes, "tables": greville}):
+        other = refit_from_node_targets(g, targets, **kwargs)
+        assert np.array_equal(other.control_points, refit.control_points)
+    quad = quadrature_grid(g)
+    gauss = grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
+    assert min_jacobian(g, gauss) == min_jacobian(g)
+
+
+def test_tables_of_other_points_or_knots_are_rejected():
+    g = _net(3, False, "random", seed=24)
+    pu, pv = np.linspace(0, 1, 5), np.linspace(0, 1, 4)
+    other = _net(3, True, "random", seed=24)
+    cases = {
+        "u points": grid_basis(g.kv_u, g.kv_v, pu[:-1], pv, 1),
+        "v points": grid_basis(g.kv_u, g.kv_v, pu, pv + 0.01 * pv * (1 - pv), 1),
+        "u knots": grid_basis(other.kv_u, g.kv_v, pu, pv, 1),
+        "v knots": grid_basis(g.kv_u, other.kv_v, pu, pv, 1),
+    }
+    for what, tables in cases.items():
+        with pytest.raises(ValueError, match=what):
+            rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pu, pv, 1, tables)
+        with pytest.raises(ValueError, match=what):
+            eval_geometry_grid(g, pu, pv, 1, tables)
+    with pytest.raises(ValueError, match="points"):
+        mesh_nodes(g, grid_basis(g.kv_u, g.kv_v, pu, pv, 1))

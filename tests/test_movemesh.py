@@ -483,6 +483,36 @@ def test_move_mesh_matches_the_uncached_reference_loop():
         assert np.array_equal(state.xi[k].values, xi[k].values)
 
 
+def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch):
+    # every fixed point set of the run is tabulated before the loop, so
+    # more outer iterations make no more basis_matrix calls
+    from mmiga import assembly, geometry, movemesh, postproc, splines
+
+    calls = []
+
+    def counting(kv, pts, der=0):
+        calls.append(der)
+        return real(kv, pts, der)
+
+    real = splines.basis_matrix
+    # geometry is the one module that tabulates: every table is a GridBasis
+    assert not any(hasattr(m, "basis_matrix") for m in (assembly, movemesh, postproc))
+    monkeypatch.setattr(geometry, "basis_matrix", counting)
+    prob = cli.manufacture_rhs("case2_tanh")
+    kv = make_open_knot_vector(3, 8, 1)
+    g0 = build_identity_geometry(prob.domain, kv, kv)
+    problem = PoissonProblem(prob.f, prob.bc, prob.exact)
+    counts = []
+    for max_outer in (1, 3):
+        calls.clear()
+        state = move_mesh_solve(problem, g0, MonitorSpec("gradient", alpha=0.1),
+                                MoveMeshConfig(max_outer=max_outer))
+        assert len(state.trace) == max_outer and not state.converged
+        assert all(t.tau_used > 0 for t in state.trace)  # every iteration moved the mesh
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_move_mesh_logs_the_discretization_build(caplog):
     g = _identity(p=2, m=4)
     with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
