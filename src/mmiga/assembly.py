@@ -8,10 +8,11 @@ Gauss rules of degree + 1 points, as laid out by
 :func:`~mmiga.geometry.quadrature_grid`.
 
 The load is a sum over the whole grid, so it uses the dense directional
-tables of the quadrature grid (:class:`~mmiga.geometry.GridBasis`): it is
-the adjoint of grid evaluation, b = w o (Du^T C Dv), with C the quadrature
-weights times det J times f over the weight sum at each point; with all
-weights equal, R_ij = N_i N_j and b = Du^T C Dv.
+tables of the quadrature grid (:class:`~mmiga.geometry.GridBasis`, the
+knot vectors' ``gauss`` memo entries): it is the adjoint of grid
+evaluation, b = w o (Du^T C Dv), with C the quadrature weights times det J
+times f over the weight sum at each point; with all weights equal,
+R_ij = N_i N_j and b = Du^T C Dv.
 
 The stiffness is sum-factorised (Antolin, Buffa, Calabro, Martinelli &
 Sangalli, CMAME 285, 2015): with R_k = w_k N_k / W,
@@ -27,14 +28,15 @@ weights equal, grad W = 0 and the terms in N itself are skipped. The CSR
 pattern holds the pairs of functions sharing an element, so on C^0 knots
 pairs with |i - i'| <= p that share none are not stored.
 
-All but the metric terms depend only on the knots: a
-:class:`Discretization` (:func:`discretization`) holds the quadrature and
-its basis tables, pair tables, scatter and gather maps and preconditioner
-factors, 9.9 MB at 128 x 128 elements of degree 3 with equal weights. A
-single solve builds one; the moving-mesh loop builds one per run and
-passes it to every call. The first solve that eliminates the boundary
-adds the interior-interior maps of the CSR pattern, which the later solves
-of a run reuse.
+All but the metric terms depend only on the knots. The basis tables of the
+quadrature grid live with the knot vectors
+(:class:`~mmiga.splines.KnotVector`), and a :class:`Discretization`
+(:func:`discretization`) holds the quadrature, pair tables, scatter and
+gather maps and preconditioner factors, 8.1 MB at 128 x 128 elements of
+degree 3 with equal weights. A single solve builds one; the moving-mesh
+loop builds one per run and passes it to every call. The first solve that
+eliminates the boundary adds the interior-interior maps of the CSR
+pattern, which the later solves of a run reuse.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -79,15 +81,14 @@ from .geometry import (
     _same_knots,
     _spline_sums,
     boundary_mask,
-    element_quadrature_1d,
     eval_geometry_grid,
+    fixed_basis,
     gauss_rule,
-    grid_basis,
     quadrature_grid,
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import KnotVector
+from .splines import KnotVector, tabulate
 
 __all__ = [
     "QuadratureRule",
@@ -172,10 +173,9 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
     return vals
 
 
-def _element_tables(kv_u: KnotVector, kv_v: KnotVector, quad: TensorQuadrature,
-                    basis: GridBasis):
+def _element_tables(kv_u: KnotVector, kv_v: KnotVector):
     """Per-element blocks of the B-spline values and first derivatives the
-    stiffness needs, read out of the quadrature grid's ``basis`` tables.
+    stiffness needs, read out of the knot vectors' ``gauss`` tables.
 
     ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
     ``eu`` (its Gauss points against the p+1 functions nonzero there), and
@@ -184,11 +184,11 @@ def _element_tables(kv_u: KnotVector, kv_v: KnotVector, quad: TensorQuadrature,
     ``((Lu, first_u), (Lv, first_v))``.
     """
     tables = []
-    for kv, D, q in ((kv_u, basis.Du, quad.q_u), (kv_v, basis.Dv, quad.q_v)):
+    for kv in (kv_u, kv_v):
         first = np.asarray(kv.nonzero_spans) - kv.degree
-        rows = np.arange(len(first) * q).reshape(-1, q, 1)
+        rows = np.arange(len(first) * (kv.degree + 1)).reshape(-1, kv.degree + 1, 1)
         cols = first[:, None, None] + np.arange(kv.degree + 1)
-        tables.append((np.stack([D[a][rows, cols] for a in (0, 1)]), first))
+        tables.append((np.stack([kv.gauss.D[a][rows, cols] for a in (0, 1)]), first))
     return tables
 
 
@@ -242,19 +242,16 @@ class FastDiagonalization:
         return apply
 
 
-def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector, quad: TensorQuadrature,
-                         tables: GridBasis | None = None) -> FastDiagonalization:
+def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector) -> FastDiagonalization:
     """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
-    ``kv_v``, with the 1D B-spline stiffness and mass integrated on the
-    directional Gauss rules of ``quad`` and restricted to the functions
-    that vanish at both ends. ``tables`` are the :class:`GridBasis` of the
-    grid of ``quad``, when the caller has them."""
-    tables = _grid_tables(tables, kv_u, kv_v, quad.pts_u, quad.pts_v, 1)
+    ``kv_v``, with the 1D B-spline stiffness and mass integrated on their
+    assembly Gauss rules (the ``gauss`` memo entries) and restricted to the
+    functions that vanish at both ends."""
     factors = []
-    for D, wts in ((tables.Du, quad.wts_u), (tables.Dv, quad.wts_v)):
-        N, dN = (D[der][:, 1:-1] for der in (0, 1))
-        K = dN.T @ (wts[:, None] * dN)
-        M = N.T @ (wts[:, None] * N)
+    for gauss in (kv_u.gauss, kv_v.gauss):
+        N, dN = (gauss.D[der][:, 1:-1] for der in (0, 1))
+        K = dN.T @ (gauss.wts[:, None] * dN)
+        M = N.T @ (gauss.wts[:, None] * N)
         lam, U = scipy.linalg.eigh(K, M)
         factors.append((U, lam, np.diag(K), np.diag(M)))
     (U_u, lam_u, k_u, m_u), (U_v, lam_v, k_v, m_v) = factors
@@ -277,10 +274,8 @@ class Discretization:
     :func:`discretization` and checked against the knots and weights of
     each geometry passed with it.
 
-    ``basis`` holds the directional value and first-derivative tables of
-    the quadrature grid ``quad`` (:class:`~mmiga.geometry.GridBasis`), which
-    the geometry and field evaluations on that grid, the metric, the load
-    and the preconditioner share. ``pairs_u`` holds the u pair tables
+    ``quad`` is the assembly quadrature, whose basis tables are the knot
+    vectors' ``gauss`` memo entries. ``pairs_u`` holds the u pair tables
     d^a N_i d^b N_i' for i <= i', (4, nel_u, (p+1)(p+2)/2, q_u) indexed by
     2a + b, and ``scatter_u`` adds them into band rows (i, i' - i);
     ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
@@ -294,7 +289,6 @@ class Discretization:
     kv_v: KnotVector
     weights: np.ndarray
     quad: TensorQuadrature
-    basis: GridBasis
     pairs_u: np.ndarray
     scatter_u: sp.csr_matrix
     pairs_v: np.ndarray
@@ -306,15 +300,14 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: basis tables and preconditioner factors
-        included, and the :attr:`interior` maps once a solve has built
-        them."""
+        """Bytes held in arrays: preconditioner factors included, and the
+        :attr:`interior` maps once a solve has built them."""
         q = self.quad
         arrays = [self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.pairs_u, self.pairs_v,
                   self.gather, self.indices, self.indptr]
         arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
         arrays += self.__dict__.get("interior", ())
-        return sum(a.nbytes for a in arrays) + self.basis.nbytes + self.fdm.nbytes
+        return sum(a.nbytes for a in arrays) + self.fdm.nbytes
 
     @cached_property
     def interior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,9 +380,7 @@ def _csr_maps(mask_u, mask_v, p_u, p_v):
 def discretization(g: NurbsGeometry) -> Discretization:
     """Build the :class:`Discretization` of ``g``'s knots on the assembly
     quadrature, degree + 1 Gauss points per element direction."""
-    quad = quadrature_grid(g)
-    basis = grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
-    (Lu, first_u), (Lv, first_v) = _element_tables(g.kv_u, g.kv_v, quad, basis)
+    (Lu, first_u), (Lv, first_v) = _element_tables(g.kv_u, g.kv_v)
     n1, n2 = g.shape
     p_u, p_v = g.kv_u.degree, g.kv_v.degree
     iu, ju = np.triu_indices(p_u + 1)
@@ -403,8 +394,8 @@ def discretization(g: NurbsGeometry) -> Discretization:
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
     scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
     maps = _csr_maps(_shared(first_u, p_u, n1), _shared(first_v, p_v, n2), p_u, p_v)
-    fdm = fast_diagonalization(g.kv_u, g.kv_v, quad, basis)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, quad, basis, pairs_u, scatter_u,
+    fdm = fast_diagonalization(g.kv_u, g.kv_v)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, quadrature_grid(g), pairs_u, scatter_u,
                           pairs_v, scatter_v, *maps, fdm)
 
 
@@ -425,23 +416,11 @@ def _interior_block(indices: np.ndarray, indptr: np.ndarray, interior: np.ndarra
     return block
 
 
-def _quadrature(g: NurbsGeometry, disc: Discretization | None):
-    """The assembly quadrature of ``g`` and the basis tables of its grid:
-    ``disc``'s, checked against ``g``, or built for this call."""
-    if disc is None:
-        quad = quadrature_grid(g)
-        return quad, grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
-    disc.check(g)
-    return disc.quad, disc.basis
-
-
-def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, tables: GridBasis,
-                         geo: GeometryGrid | None):
+def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
     """``g`` with its Jacobian on the quadrature grid ``quad``: ``geo`` when
-    the caller has evaluated it already, else a fresh evaluation on the
-    basis ``tables`` of that grid."""
+    the caller has evaluated it already, else a fresh evaluation."""
     if geo is None:
-        return eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
+        return eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, fixed_basis(g, "gauss"))
     if geo.jac is None or not (
         np.array_equal(geo.pts_u, quad.pts_u) and np.array_equal(geo.pts_v, quad.pts_v)
     ):
@@ -474,7 +453,7 @@ def _metric(g: NurbsGeometry, disc: Discretization, geo: GeometryGrid, wvals):
     w = g.weights.w
     if _equal_weights(w):
         return H
-    sums = _spline_sums(disc.basis, w[..., None], 1)
+    sums = _spline_sums(fixed_basis(g, "gauss"), w[..., None], 1)
     W = sums[0, 0][:, 0]
     e_u = -sums[1, 0][:, 0] / W
     e_v = -sums[0, 1][:, 0] / W
@@ -522,9 +501,11 @@ def assemble_weighted_stiffness(
     same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
     quadrature grid, when the caller has it.
     """
-    disc = discretization(g) if disc is None else disc
-    quad, tables = _quadrature(g, disc)
-    geo = _quadrature_geometry(g, quad, tables, geo)
+    if disc is None:
+        disc = discretization(g)
+    disc.check(g)
+    quad = disc.quad
+    geo = _quadrature_geometry(g, quad, geo)
     wvals = _resolve_weight(weight, geo, (len(quad.pts_u), len(quad.pts_v)))
 
     if np.any(wvals <= 0.0) or np.any(geo.det <= 0.0):
@@ -560,13 +541,16 @@ def assemble_load(
     equal, R_ij = N_i N_j and b = Du^T C Dv with C = (wts_u x wts_v) det J f.
 
     ``f(x, y)`` must be vectorized over arrays; non-finite values abort
-    naming the element. The tables come from ``disc``, which must match
-    ``g`` (ValueError otherwise), or are built for this call; both give the
-    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
+    naming the element. ``disc``, when given, must match ``g`` (ValueError
+    otherwise). ``geo`` is ``g`` already evaluated with its Jacobian on the
     quadrature grid, when the caller has it.
     """
-    quad, tables = _quadrature(g, disc)
-    geo = _quadrature_geometry(g, quad, tables, geo)
+    if disc is None:
+        quad = quadrature_grid(g)
+    else:
+        disc.check(g)
+        quad = disc.quad
+    geo = _quadrature_geometry(g, quad, geo)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
     fblk = _grid_blocks(fvals, quad)
     bad = _first_bad_element(~np.all(np.isfinite(fblk), axis=-1))
@@ -574,7 +558,8 @@ def assemble_load(
         raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
 
     w = g.weights.w
-    Du, Dv = tables.Du[0], tables.Dv[0]
+    tables = fixed_basis(g, "gauss")
+    Du, Dv = tables.u.D[0], tables.v.D[0]
     c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
     if _equal_weights(w):
         return (Du.T @ c @ Dv).ravel()
@@ -600,27 +585,26 @@ def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
     rational basis R_i = N_i w_i / sum_j N_j w_j with the edge weights. The
     two end coefficients take the data at the corners, so adjacent edges
     agree; the others minimize the L2 misfit to ``bc`` along the true edge
-    curve F(t), with arc-length measure |F'(t)| dt and degree + 1 Gauss
-    points per knot span. Returns the index of the edge in the coefficient
-    grid and its coefficients.
+    curve F(t), with arc-length measure |F'(t)| dt on the assembly Gauss
+    grid along the edge (the ``gauss`` memo entry). Returns the index of
+    the edge in the coefficient grid and its coefficients.
     """
     kv = (g.kv_u, g.kv_v)[axis]
     sl = (slice(None), -side) if axis == 0 else (-side, slice(None))
     w_edge = g.weights.w[sl]
     corners = g.control_points[sl][[0, -1]]
 
-    t, wt = element_quadrature_1d(kv, kv.degree + 1)
-    pts = (t, [side]) if axis == 0 else ([side], t)
-    tables = grid_basis(g.kv_u, g.kv_v, *pts, 1)
-    geo = eval_geometry_grid(g, *pts, 1, tables)
+    gauss, across = kv.gauss, tabulate((g.kv_v, g.kv_u)[axis], [side], 1)
+    tables = GridBasis(g.kv_u, g.kv_v, *((gauss, across) if axis == 0 else (across, gauss)))
+    geo = eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables)
     x = geo.points.reshape(-1, 2)
-    dmu = wt * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
-    bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(t))
+    dmu = gauss.wts * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
+    bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(x))
     cvals = np.broadcast_to(np.asarray(bc(corners[:, 0], corners[:, 1]), dtype=float), 2)
     if not (np.all(np.isfinite(bvals)) and np.all(np.isfinite(cvals))):
         raise AssemblyError("non-finite boundary value on edge sample")
 
-    N = (tables.Du, tables.Dv)[axis][0]
+    N = gauss.D[0]
     R = N * w_edge / (N @ w_edge)[:, None]
     M = (R * dmu[:, None]).T @ R
     rhs = R.T @ (dmu * bvals)
@@ -724,7 +708,7 @@ def solve_dirichlet(
     call; both give the same bits."""
     lin = lin or LinearSolverSettings()
     if disc is None:
-        fdm = fast_diagonalization(g.kv_u, g.kv_v, quadrature_grid(g))
+        fdm = fast_diagonalization(g.kv_u, g.kv_v)
     else:
         disc.check(g)
         fdm = disc.fdm
@@ -755,8 +739,8 @@ def solve_poisson(
     """
     if disc is None:
         disc = discretization(g)
-    quad, tables = _quadrature(g, disc)
-    geo = _quadrature_geometry(g, quad, tables, geo)
+    disc.check(g)
+    geo = _quadrature_geometry(g, disc.quad, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, disc=disc, geo=geo)
     return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc)
@@ -794,8 +778,9 @@ def eval_field_grid(
     the full second-order transformation including the second parametric
     derivatives of the geometry map. ``geo`` is ``g`` already evaluated on
     the grid, and ``tables`` the :class:`~mmiga.geometry.GridBasis` of the
-    grid, when the caller has them; the field and, when ``geo`` is missing,
-    the geometry are evaluated on the same tables.
+    grid, when the caller has them (as in
+    :func:`~mmiga.geometry.rational_grid_sums`); the field and, when ``geo``
+    is missing, the geometry are evaluated on the same tables.
     """
     pts_u = np.atleast_1d(np.asarray(pts_u, float))
     pts_v = np.atleast_1d(np.asarray(pts_v, float))

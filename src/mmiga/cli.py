@@ -296,6 +296,9 @@ def parse_config(doc: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"movemesh: {exc}") from exc
 
+    output_dir = doc.get("output_dir", "out")
+    _require(isinstance(output_dir, str), f"output_dir: expected a path string, got {output_dir!r}")
+
     vtk_samples = doc.get("vtk_samples", 4)
     _require(
         _is_int(vtk_samples) and vtk_samples >= 2,
@@ -313,7 +316,7 @@ def parse_config(doc: dict) -> RunConfig:
         monitor=monitor,
         movemesh=movecfg,
         solver=solver,
-        output_dir=doc.get("output_dir", "out"),
+        output_dir=output_dir,
         vtk_samples=vtk_samples,
     )
 
@@ -406,7 +409,10 @@ def run(config_path, out_dir=None, quiet=False) -> int:
     try:
         cfg = parse_config(doc)
         outdir = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: cannot create {str(outdir)!r}: {exc}") from exc
         if cfg.mode == "convergence":
             run_convergence(cfg, outdir, quiet)
             return 0

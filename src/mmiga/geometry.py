@@ -6,11 +6,16 @@ the images of Greville parameter pairs, which makes re-fitting the control
 net after node movement a square collocation problem (two banded 1D sweeps
 thanks to the tensor structure).
 
-The element partition is defined here and nowhere else: elements are the
-nonzero-measure knot spans of each direction (:func:`element_spans`), and
-every per-element sample grid is laid out on them span by span, the Gauss
-grid of assembly, ``min_jacobian`` and the error norms
-(:func:`quadrature_grid`) included.
+Elements are the nonzero-measure knot spans of each direction
+(:func:`~mmiga.splines.element_spans`), and every per-element sample grid is
+laid out on them span by span, the Gauss grid of assembly, ``min_jacobian``
+and the error norms (:func:`quadrature_grid`) included.
+
+Grid evaluation contracts the control net with directional basis tables
+(:class:`GridBasis`). On a grid the knots fix, the tables are the memo
+entries of the two knot vectors (:func:`fixed_basis`), built once for all
+the geometries that share them; every other grid is tabulated per call
+(:func:`grid_basis`).
 """
 
 from __future__ import annotations
@@ -20,12 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import banded_solve
-from .splines import (
+from .splines import (  # the Gauss rule is re-exported here
     KnotVector,
+    PointTables,
+    QuadratureRule,
     TensorWeights,
-    basis_matrix,
+    basis_matrix,  # noqa: F401  (the benchmark's self-test reads it here)
+    element_quadrature_1d,
+    gauss_rule,
     greville_abscissae,
     rational_derivatives,
+    tabulate,
 )
 
 __all__ = [
@@ -40,7 +50,7 @@ __all__ = [
     "quadrature_grid",
     "boundary_mask",
     "grid_basis",
-    "greville_basis",
+    "fixed_basis",
     "rational_grid_sums",
     "build_identity_geometry",
     "map_point",
@@ -134,54 +144,37 @@ class GeometryGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridBasis:
-    """Directional B-spline tables of one tensor grid of parametric points,
-    built once by :func:`grid_basis` for a grid that many evaluations share.
-
-    ``Du[a]`` is ``basis_matrix(kv_u, pts_u, a)`` for a = 0 .. ``nders``,
-    and ``Dv[b]`` likewise along v. Every evaluation that takes tables
-    checks that they were built for its knots and points, and gives the same
-    bits as the same call without them.
+    """Directional B-spline tables of one tensor grid of parametric points:
+    ``u`` holds those of ``kv_u`` on the u points and ``v`` those of
+    ``kv_v`` on the v points (:class:`~mmiga.splines.PointTables`). A fixed
+    grid's are its knot vectors' memo entries (:func:`fixed_basis`); any
+    other grid's are built by :func:`grid_basis`.
     """
 
     kv_u: KnotVector
     kv_v: KnotVector
-    pts_u: np.ndarray
-    pts_v: np.ndarray
-    Du: tuple
-    Dv: tuple
+    u: PointTables
+    v: PointTables
 
-    @property
-    def nders(self) -> int:
-        return len(self.Du) - 1
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in the tables."""
-        return sum(a.nbytes for a in (*self.Du, *self.Dv))
-
-    def upto(self, kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> "GridBasis":
-        """These tables, with any derivative order up to ``nders`` they lack
-        added, after checking that they were built for the knots ``kv_u``,
-        ``kv_v`` and the points ``pts_u`` x ``pts_v`` (ValueError
-        otherwise)."""
+    def check(self, kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> None:
+        """Raise ValueError unless these tables were built for the knots
+        ``kv_u``, ``kv_v`` and the points ``pts_u`` x ``pts_v``, with every
+        derivative order up to ``nders``."""
         differ = [
             name
             for name, same in (
                 ("u knots", _same_knots(kv_u, self.kv_u)),
                 ("v knots", _same_knots(kv_v, self.kv_v)),
-                ("u points", np.array_equal(pts_u, self.pts_u)),
-                ("v points", np.array_equal(pts_v, self.pts_v)),
+                ("u points", np.array_equal(pts_u, self.u.pts)),
+                ("v points", np.array_equal(pts_v, self.v.pts)),
             )
             if not same
         ]
         if differ:
             raise ValueError(f"basis tables do not match the grid: {', '.join(differ)} differ")
-        if nders <= self.nders:
-            return self
-        more = range(self.nders + 1, nders + 1)
-        return GridBasis(kv_u, kv_v, self.pts_u, self.pts_v,
-                         self.Du + tuple(basis_matrix(kv_u, self.pts_u, a) for a in more),
-                         self.Dv + tuple(basis_matrix(kv_v, self.pts_v, b) for b in more))
+        have = min(len(self.u.D), len(self.v.D)) - 1
+        if nders > have:
+            raise ValueError(f"basis tables hold derivative orders up to {have}, not {nders}")
 
 
 def _same_knots(a: KnotVector, b: KnotVector) -> bool:
@@ -202,18 +195,24 @@ def grid_basis(kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> 
     ``pts_u`` x ``pts_v``, with derivative orders 0 .. ``nders``."""
     if nders < 0:
         raise ValueError(f"derivative order must be >= 0, got {nders}")
-    pts_u, pts_v = _points(pts_u), _points(pts_v)
-    return GridBasis(kv_u, kv_v, pts_u, pts_v,
-                     tuple(basis_matrix(kv_u, pts_u, a) for a in range(nders + 1)),
-                     tuple(basis_matrix(kv_v, pts_v, b) for b in range(nders + 1)))
+    return GridBasis(kv_u, kv_v, tabulate(kv_u, pts_u, nders), tabulate(kv_v, pts_v, nders))
+
+
+def fixed_basis(g: NurbsGeometry, grid: str) -> GridBasis:
+    """The :class:`GridBasis` of one of the fixed grids of ``g``'s knots:
+    the pair of the memo entries ``grid`` of its knot vectors
+    (:class:`~mmiga.splines.KnotVector`), one of "gauss", "gauss_hessian",
+    "error_gauss", "greville", "lattice" and "corners"."""
+    return GridBasis(g.kv_u, g.kv_v, getattr(g.kv_u, grid), getattr(g.kv_v, grid))
 
 
 def _grid_tables(tables: GridBasis | None, kv_u, kv_v, pts_u, pts_v, nders: int) -> GridBasis:
-    """``tables`` checked against the grid and completed up to order
-    ``nders`` (:meth:`GridBasis.upto`), or new tables when there are none."""
+    """``tables`` checked against the grid (:meth:`GridBasis.check`), or new
+    tables when there are none."""
     if tables is None:
         return grid_basis(kv_u, kv_v, pts_u, pts_v, nders)
-    return tables.upto(kv_u, kv_v, pts_u, pts_v, nders)
+    tables.check(kv_u, kv_v, pts_u, pts_v, nders)
+    return tables
 
 
 def _spline_sums(tables: GridBasis, coeffs: np.ndarray, nders: int) -> dict:
@@ -225,13 +224,13 @@ def _spline_sums(tables: GridBasis, coeffs: np.ndarray, nders: int) -> dict:
     coefficient axis sits between the grid axes, so each coefficient's
     values are (Nu, Nv) with unit stride along v."""
     n1, n2, k = coeffs.shape
-    nu, nv = len(tables.pts_u), len(tables.pts_v)
+    nu, nv = len(tables.u.pts), len(tables.v.pts)
     flat = coeffs.transpose(0, 2, 1).reshape(n1 * k, n2)
     out = {}
     for b in range(nders + 1):
-        x = (flat @ tables.Dv[b].T).reshape(n1, k * nv)
+        x = (flat @ tables.v.D[b].T).reshape(n1, k * nv)
         for a in range(nders + 1 - b):
-            out[a, b] = (tables.Du[a] @ x).reshape(nu, k, nv)
+            out[a, b] = (tables.u.D[a] @ x).reshape(nu, k, nv)
     return out
 
 
@@ -241,13 +240,15 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders, tables=
     ``coeffs`` has shape (n1, n2, m); the result maps (a, b) with
     a + b <= nders to arrays of shape (Nu, Nv, m), views with unit stride
     along v. Each is two matrix products with the directional derivative
-    tables (:func:`grid_basis`; ``tables`` when the caller has them for this
-    grid, else built here). The weight sum rides along as one more coefficient column, so the weighted
-    numerator sum_ij w_ij N_i N_j c_ij and the weight sum come out of the
-    same products, and :func:`~mmiga.splines.rational_derivatives` divides
-    the weight sum out. When all weights are equal, R_ij = N_i N_j exactly:
-    the coefficients are contracted as they are, with no weight column and
-    no quotient rule. A single point is the 1x1 grid.
+    tables of the grid: ``tables`` when the caller has them (checked
+    against the knots, the points and ``nders``; ValueError otherwise), else
+    built here (:func:`grid_basis`). The weight sum rides along as one more
+    coefficient column, so the weighted numerator sum_ij w_ij N_i N_j c_ij
+    and the weight sum come out of the same products, and
+    :func:`~mmiga.splines.rational_derivatives` divides the weight sum out.
+    When all weights are equal, R_ij = N_i N_j exactly: the coefficients
+    are contracted as they are, with no weight column and no quotient rule.
+    A single point is the 1x1 grid.
     """
     if nders < 0:
         raise ValueError(f"derivative order must be >= 0, got {nders}")
@@ -323,31 +324,16 @@ def boundary_mask(shape: tuple[int, int]) -> np.ndarray:
     return mask
 
 
-def greville_basis(g: NurbsGeometry, nders: int = 1) -> GridBasis:
-    """The :class:`GridBasis` of ``g``'s knots on the Greville grid, the
-    parameters of the mesh nodes; it also holds the collocation matrices of
-    :func:`refit_from_node_targets`."""
-    return grid_basis(g.kv_u, g.kv_v, greville_abscissae(g.kv_u), greville_abscissae(g.kv_v),
-                      nders)
-
-
-def _greville_tables(g: NurbsGeometry, tables: GridBasis | None) -> GridBasis:
-    return _grid_tables(tables, g.kv_u, g.kv_v, greville_abscissae(g.kv_u),
-                        greville_abscissae(g.kv_v), 0)
-
-
-def mesh_nodes(g: NurbsGeometry, tables: GridBasis | None = None) -> np.ndarray:
+def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
     """The (n1, n2, 2) physical node grid: images of the Greville parameter
-    pairs. The elements are the nonzero knot spans (:func:`element_spans`).
-    ``tables`` are the :func:`greville_basis` tables, when the caller has
-    them."""
-    tables = _greville_tables(g, tables)
-    return eval_geometry_grid(g, tables.pts_u, tables.pts_v, 0, tables).points
+    pairs. The elements are the nonzero knot spans
+    (:func:`~mmiga.splines.element_spans`)."""
+    tables = fixed_basis(g, "greville")
+    return eval_geometry_grid(g, tables.u.pts, tables.v.pts, 0, tables).points
 
 
 def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
-                            nodes: np.ndarray | None = None,
-                            tables: GridBasis | None = None) -> NurbsGeometry:
+                            nodes: np.ndarray | None = None) -> NurbsGeometry:
     """New geometry (same knots/weights) whose Greville-pair images hit targets.
 
     Solved in homogeneous form: with Q_ij = w_ij P_ij the interpolation
@@ -357,16 +343,14 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
     the current nodes, the ring of control points is carried over
     unchanged, so repeated refits keep the boundary curve bit-identical.
 
-    ``nodes`` are ``mesh_nodes(g)`` and ``tables`` the
-    :func:`greville_basis` tables, when the caller has them; a caller that
-    refits one geometry many times passes both and evaluates ``g`` once.
+    ``nodes`` are ``mesh_nodes(g)``, when the caller has them; a caller that
+    refits one geometry many times passes them and evaluates ``g`` once.
     """
     targets = np.asarray(targets, dtype=float)
     n1, n2 = g.shape
     if targets.shape != (n1, n2, 2):
         raise ValueError(f"targets shape {targets.shape} does not match ({n1}, {n2}, 2)")
-    tables = _greville_tables(g, tables)
-    Bu, Bv = tables.Du[0], tables.Dv[0]
+    Bu, Bv = g.kv_u.greville.D[0], g.kv_v.greville.D[0]
     w = g.weights.w
     wgrid = Bu @ w @ Bv.T  # weight sum at the collocation grid
 
@@ -379,44 +363,10 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
 
     ring = boundary_mask((n1, n2))
     if nodes is None:
-        nodes = mesh_nodes(g, tables)
+        nodes = mesh_nodes(g)
     if np.array_equal(targets[ring], nodes[ring]):
         cp[ring] = g.control_points[ring]
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule mapped to [0, 1]; exact on degree 2q-1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_rule(q: int) -> QuadratureRule:
-    if not 1 <= q <= 16:
-        raise ValueError(f"point count must lie in [1, 16], got {q}")
-    x, w = np.polynomial.legendre.leggauss(q)
-    return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
-
-
-def element_spans(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right ends of the elements along one direction: the
-    nonzero-measure knot spans, in order."""
-    spans = np.asarray(kv.nonzero_spans)
-    return kv.knots[spans], kv.knots[spans + 1]
-
-
-def element_quadrature_1d(kv: KnotVector, q: int):
-    """Per-span Gauss points/weights along one direction, concatenated.
-
-    Returns (pts, wts) of length len(nonzero_spans) * q, ordered span by span.
-    """
-    rule = gauss_rule(q)
-    left, right = element_spans(kv)
-    length = right - left
-    pts = left[:, None] + length[:, None] * rule.points
-    return pts.ravel(), (length[:, None] * rule.weights).ravel()
 
 
 @dataclass(frozen=True)
@@ -434,9 +384,10 @@ class TensorQuadrature:
 def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
     """The element Gauss grid: degree + 1 (+extra) points per direction per
     element, ordered element by element. Assembly and :func:`min_jacobian`
-    use ``extra=0``, the error norms ``extra=1``; coefficient fields (e.g.
-    mesh-density weights) can be tabulated on exactly the points assembly
-    will use."""
+    use ``extra=0``, the error norms ``extra=1`` (the knot vectors' ``gauss``
+    and ``error_gauss`` memo entries hold the same points); coefficient
+    fields (e.g. mesh-density weights) can be tabulated on exactly the
+    points assembly will use."""
     q_u = g.kv_u.degree + 1 + extra
     q_v = g.kv_v.degree + 1 + extra
     pu, wu = element_quadrature_1d(g.kv_u, q_u)
@@ -444,14 +395,12 @@ def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
     return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
 
 
-def min_jacobian(g: NurbsGeometry, tables: GridBasis | None = None) -> float:
+def min_jacobian(g: NurbsGeometry) -> float:
     """Smallest Jacobian determinant over the assembly Gauss points
-    (:func:`quadrature_grid`); ``tables`` are the :class:`GridBasis` of
-    that grid, when the caller has them.
+    (:func:`quadrature_grid`).
 
     A positive value certifies mesh validity at the sampled resolution;
     folding between quadrature points is not detected.
     """
-    quad = quadrature_grid(g)
-    grid = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
-    return float(grid.det.min())
+    tables = fixed_basis(g, "gauss")
+    return float(eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables).det.min())

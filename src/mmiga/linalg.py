@@ -2,13 +2,12 @@
 
 The conjugate gradient loop is written out explicitly so iteration counts,
 breakdown detection and bit-reproducibility are under our control; matrices
-are stored in scipy compressed-row form. The preconditioner is either named
-(``"diagonal"`` for Jacobi, ``"none"``) or a callable applying an SPD
-approximation of A^-1 to the residual; the Galerkin solves pass the
-fast-diagonalisation preconditioner that :mod:`mmiga.assembly` builds from
-the knots. Banded systems (Greville collocation matrices, which are totally
-positive, and the edge-trace mass matrices of the Dirichlet projection) go
-through LAPACK's banded solver.
+are stored in scipy compressed-row form. The preconditioner is a callable
+applying an SPD approximation of A^-1 to the residual, or None for none;
+the Galerkin solves pass the fast-diagonalisation preconditioner that
+:mod:`mmiga.assembly` builds from the knots. Banded systems (Greville
+collocation matrices, which are totally positive, and the edge-trace mass
+matrices of the Dirichlet projection) go through LAPACK's banded solver.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import BreakdownError, ConvergenceError, SingularMatrixError
 
@@ -40,11 +38,11 @@ class LinearSolverSettings:
             raise TypeError(f"maxit must be an integer or None, got {self.maxit!r}")
 
 
-def cg_solve(A, b, tol=1e-10, maxit=None, precond="diagonal", callback=None):
+def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None):
     """Conjugate gradients for SPD A; returns (x, iterations).
 
-    ``precond`` is "diagonal" (Jacobi), "none", or a callable returning
-    M^-1 r for an SPD M^-1 and a residual r. Stops when
+    ``precond`` is a callable returning M^-1 r for an SPD M^-1 and a
+    residual r, or None for the identity. Stops when
     ||b - A x|| <= tol * ||b||. Raises ConvergenceError when the iteration
     cap is hit and BreakdownError on a nonpositive curvature direction (A not
     SPD). ``callback(x)`` is invoked after every iteration.
@@ -53,21 +51,7 @@ def cg_solve(A, b, tol=1e-10, maxit=None, precond="diagonal", callback=None):
     n = b.shape[0]
     if maxit is None:
         maxit = 10 * n
-    if callable(precond):
-        apply = precond
-    elif precond == "diagonal":
-        d = A.diagonal() if sp.issparse(A) else np.diag(A)
-        if np.any(d <= 0):
-            raise BreakdownError("nonpositive diagonal entry; matrix is not SPD")
-        dinv = 1.0 / d
-
-        def apply(r):
-            return r * dinv
-    elif precond == "none":
-        def apply(r):
-            return r
-    else:
-        raise ValueError(f"unknown preconditioner {precond!r}")
+    apply = (lambda r: r) if precond is None else precond
 
     bnorm = np.linalg.norm(b)
     x = np.zeros(n)

@@ -25,7 +25,6 @@ import numpy as np
 from .assembly import (
     Discretization,
     FieldCoefficients,
-    _quadrature,
     assemble_weighted_stiffness,
     boundary_values,
     discretization,
@@ -41,14 +40,13 @@ from .geometry import (
     Rectangle,
     boundary_mask,
     eval_geometry_grid,
-    greville_basis,
-    grid_basis,
+    fixed_basis,
     mesh_nodes,
     min_jacobian,
     refit_from_node_targets,
 )
 from .linalg import LinearSolverSettings
-from .postproc import ExactSolution, error_grids, error_norms
+from .postproc import ExactSolution, error_norms
 from .splines import greville_abscissae
 
 __all__ = [
@@ -153,11 +151,8 @@ class LogicalMesh:
     """Reference logical mesh: the initialization solve and its nodal values.
 
     ``nodes[i, j]`` stores the logical position of physical node (i, j) from
-    the initialization solve; it stays fixed for the whole run. ``basis``
-    holds the value and first-derivative tables of the Greville grid
-    ``params_u`` x ``params_v`` (:func:`~mmiga.geometry.greville_basis`),
-    which every evaluation at the nodes shares, the refit's collocation
-    included; without it each evaluation builds its own.
+    the initialization solve; it stays fixed for the whole run.
+    ``params_u`` x ``params_v`` is the Greville grid of the nodes.
     """
 
     logical: Rectangle
@@ -165,7 +160,6 @@ class LogicalMesh:
     nodes: np.ndarray  # (n1, n2, 2)
     params_u: np.ndarray
     params_v: np.ndarray
-    basis: GridBasis | None = None
 
 
 @dataclass
@@ -280,11 +274,10 @@ def init_logical_mesh(
     ``bmap`` on ``g0``, when the caller has them."""
     A = assemble_weighted_stiffness(g0, disc=disc)
     fields = _solve_components(A, g0, bmap, lin, boundary, disc)
-    basis = greville_basis(g0)
-    vals = [eval_field_grid(g0, f, basis.pts_u, basis.pts_v, tables=basis).values
+    tables = fixed_basis(g0, "greville")
+    vals = [eval_field_grid(g0, f, tables.u.pts, tables.v.pts, tables=tables).values
             for f in fields]
-    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), basis.pts_u, basis.pts_v,
-                       basis)
+    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), tables.u.pts, tables.v.pts)
 
 
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
@@ -348,13 +341,13 @@ def solve_harmonic_map(
     ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`. The
     monitor and the stiffness share one evaluation of ``g`` with its
     Jacobian on the quadrature grid: ``geo`` when the caller has it (the
-    PDE solve of the same mesh made one), else a fresh one; the monitor's
-    field evaluation takes the basis tables of ``disc``.
+    PDE solve of the same mesh made one), else a fresh one.
     """
-    quad, tables = _quadrature(g, disc)
+    tables = fixed_basis(g, "gauss_hessian" if spec.needs_hessian else "gauss")
+    pts_u, pts_v = tables.u.pts, tables.v.pts
     if geo is None:
-        geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables)
-    m = monitor_grid(spec, g, u, quad.pts_u, quad.pts_v, geo=geo, tables=tables)
+        geo = eval_geometry_grid(g, pts_u, pts_v, 1, tables)
+    m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo, tables=tables)
     A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
     return _solve_components(A, g, bmap, lin, boundary, disc)
 
@@ -380,12 +373,9 @@ def _solve_components(
 
 
 def _xi_at_nodes(g, xi, lm, nders=0):
-    """Evaluate both map components on the fixed Greville parameter grid,
-    on the tables of ``lm``; derivatives share one evaluation of the
-    geometry there."""
-    tables = lm.basis
-    if tables is None:
-        tables = grid_basis(g.kv_u, g.kv_v, lm.params_u, lm.params_v, nders)
+    """Evaluate both map components on the fixed Greville parameter grid;
+    derivatives share one evaluation of the geometry there."""
+    tables = fixed_basis(g, "greville")
     geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders, tables) if nders else None
     return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo, tables=tables)
             for f in xi]
@@ -463,8 +453,6 @@ def update_mesh(
     tau: float,
     *,
     nodes: np.ndarray | None = None,
-    greville: GridBasis | None = None,
-    quadrature: GridBasis | None = None,
 ):
     """Damped node update with wrap prevention.
 
@@ -472,23 +460,20 @@ def update_mesh(
     minimum Jacobian checked. A nonpositive Jacobian halves tau (at most six
     times) before giving up with diagnostics.
 
-    ``nodes`` are ``mesh_nodes(g)``, ``greville`` the tables of the
-    Greville grid (:func:`~mmiga.geometry.greville_basis`) and
-    ``quadrature`` those of the assembly quadrature grid, when the caller
-    has them; every tau trial reuses them, so ``g`` is evaluated at most
-    once.
+    ``nodes`` are ``mesh_nodes(g)``, when the caller has them; every tau
+    trial reuses them, so ``g`` is evaluated at most once.
     """
     movement = np.asarray(movement, dtype=float)
     if np.any(movement[boundary_mask(movement.shape[:2])] != 0.0):
         raise ValueError("boundary ring of the movement grid must be zero")
     if nodes is None:
-        nodes = mesh_nodes(g, greville)
+        nodes = mesh_nodes(g)
     tau_k = float(tau)
     worst = None
     for _ in range(MAX_TAU_HALVINGS + 1):
         targets = nodes + tau_k * movement
-        candidate = refit_from_node_targets(g, targets, nodes=nodes, tables=greville)
-        mj = min_jacobian(candidate, quadrature)
+        candidate = refit_from_node_targets(g, targets, nodes=nodes)
+        mj = min_jacobian(candidate)
         if mj > 0.0:
             return candidate, tau_k
         worst = mj
@@ -518,15 +503,14 @@ def move_mesh_solve(
     Mesh moves change interior control points only, so the work that
     depends on knots, weights and the boundary ring alone is done once per
     run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
-    time and size are logged at INFO) serves every assembly and solve, with
-    the basis tables of the quadrature grid, and the Dirichlet vectors of
-    ``problem.bc`` and of both map components are built once on ``g0``.
-    They hold bit for bit on every later mesh: :func:`update_mesh` rejects
-    any movement of the boundary ring, so the re-fit carries the ring of
-    control points over unchanged. The basis tables of the other fixed
-    point sets are built once too: the Greville grid of the nodes, which
-    the logical mesh holds and the refit's collocation shares, and the
-    three grids of the error norms (:func:`~mmiga.postproc.error_grids`).
+    time and size are logged at INFO) serves every assembly and solve, and
+    the Dirichlet vectors of ``problem.bc`` and of both map components are
+    built once on ``g0``. They hold bit for bit on every later mesh:
+    :func:`update_mesh` rejects any movement of the boundary ring, so the
+    re-fit carries the ring of control points over unchanged. Every mesh of
+    the run shares the knot vectors of ``g0``, so the basis tables of the
+    fixed grids (assembly quadrature, Greville nodes and refit collocation,
+    error norms) are their memo entries, tabulated on first use only.
     The quadrature-grid evaluation the PDE solve of a mesh made also serves
     the map solve on that mesh and the trace's ``min_jacobian``, and the
     nodes of each accepted mesh are evaluated once, for the movement cap
@@ -554,7 +538,8 @@ def move_mesh_solve(
     def poisson(geom):
         """The PDE solution on ``geom`` and the quadrature-grid evaluation
         it was assembled on."""
-        geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, 1, disc.basis)
+        geo = eval_geometry_grid(geom, disc.quad.pts_u, disc.quad.pts_v, 1,
+                                 fixed_basis(geom, "gauss"))
         sol = solve_poisson(geom, problem.f, problem.bc, cfg.lin, disc=disc,
                             boundary=u_boundary, geo=geo)
         return sol, geo
@@ -567,12 +552,10 @@ def move_mesh_solve(
     prev_movement = None
     xi = lm.fields
 
-    grids = None if problem.exact is None else error_grids(g0)
-
     def norms(geom, field):
         if problem.exact is None:
             return (float("nan"),) * 3
-        rep = error_norms(geom, field, problem.exact, tables=grids)
+        rep = error_norms(geom, field, problem.exact)
         return rep.L2, rep.H1_semi, rep.L_inf
 
     def record(it, xi_err, tau_used):
@@ -595,12 +578,11 @@ def move_mesh_solve(
             break
 
         movement = compute_movement(g, xi, lm, prev_movement)
-        nodes = mesh_nodes(g, lm.basis)
+        nodes = mesh_nodes(g)
         if cfg.movement_cap is not None:
             movement = limit_movement(movement, nodes, cfg.movement_cap)
         try:
-            g, tau_used = update_mesh(g, movement, cfg.tau, nodes=nodes, greville=lm.basis,
-                                      quadrature=disc.basis)
+            g, tau_used = update_mesh(g, movement, cfg.tau, nodes=nodes)
         except MeshWrapError as exc:
             logger.warning("outer iteration %d ended on mesh wrap: %s", it, exc)
             record(it, xi_err, 0.0)

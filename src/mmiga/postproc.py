@@ -3,7 +3,10 @@
 Error quadrature runs one Gauss order higher than assembly so the measured
 norms are decoupled from the solve quadrature. The max-norm is a lattice
 max over a fixed deterministic 5x5 sample per element (corners included),
-not a true supremum.
+not a true supremum. The basis tables of the three point sets the error
+norms evaluate on (the error Gauss grid, the lattice and the breakpoints)
+are memo entries of the knot vectors, so every geometry on the same knots
+shares them.
 """
 
 from __future__ import annotations
@@ -14,30 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldCoefficients, eval_field_grid
-from .geometry import (
-    GridBasis,
-    NurbsGeometry,
-    element_spans,
-    eval_geometry_grid,
-    grid_basis,
-    quadrature_grid,
-)
+from .geometry import NurbsGeometry, eval_geometry_grid, fixed_basis
+from .splines import _element_lattice
 
 __all__ = [
     "ExactSolution",
     "ErrorReport",
-    "ErrorGrids",
     "LevelOrders",
-    "error_grids",
     "error_norms",
     "convergence_orders",
     "export_vtk",
     "export_trace",
     "read_vtk_points",
 ]
-
-LINF_SAMPLES = 5  # per-direction lattice samples per element
-
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -70,54 +62,14 @@ class LevelOrders:
     Linf: float | None
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorGrids:
-    """Basis tables (:class:`~mmiga.geometry.GridBasis`) of the three point
-    sets :func:`error_norms` evaluates on: the error quadrature grid
-    (``quadrature_grid(g, extra=1)``, values and first derivatives), the
-    max-norm lattice and the breakpoints (values)."""
-
-    quadrature: GridBasis
-    lattice: GridBasis
-    corners: GridBasis
-
-
-def _element_lattice(kv, samples):
-    """Per-element closed sample lattice, element by element (interior
-    edges sampled twice)."""
-    left, right = element_spans(kv)
-    return np.linspace(left, right, samples, axis=1).ravel()
-
-
-def _error_points(g: NurbsGeometry):
-    quad = quadrature_grid(g, extra=1)
-    lattice = [_element_lattice(kv, LINF_SAMPLES) for kv in (g.kv_u, g.kv_v)]
-    return quad, lattice, [g.kv_u.breakpoints, g.kv_v.breakpoints]
-
-
-def error_grids(g: NurbsGeometry) -> ErrorGrids:
-    """The :class:`ErrorGrids` of ``g``'s knots, for a caller that measures
-    the error of many geometries on the same knots."""
-    quad, lattice, corners = _error_points(g)
-    return ErrorGrids(grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1),
-                      grid_basis(g.kv_u, g.kv_v, *lattice, 0),
-                      grid_basis(g.kv_u, g.kv_v, *corners, 0))
-
-
-def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution,
-                tables: ErrorGrids | None = None) -> ErrorReport:
-    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map.
-
-    ``tables`` are the :func:`error_grids` of ``g``'s knots, when the
-    caller has them; without them the call builds its own, with the same
-    bits."""
-    quad, (lu, lv), (bu, bv) = _error_points(g)
-    tables = error_grids(g) if tables is None else tables
-    qu, qv = quad.q_u, quad.q_v
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, tables.quadrature)
-    fg = eval_field_grid(g, u, quad.pts_u, quad.pts_v, nders=1, geo=geo, tables=tables.quadrature)
+def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
+    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map."""
+    quad = fixed_basis(g, "error_gauss")
+    qu, qv = g.kv_u.degree + 2, g.kv_v.degree + 2
+    geo = eval_geometry_grid(g, quad.u.pts, quad.v.pts, 1, quad)
+    fg = eval_field_grid(g, u, quad.u.pts, quad.v.pts, nders=1, geo=geo, tables=quad)
     X, Y = geo.points[..., 0], geo.points[..., 1]
-    w2 = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det
+    w2 = np.multiply.outer(quad.u.wts, quad.v.wts) * geo.det
 
     e_val = fg.values - exact.u(X, Y)
     e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
@@ -130,12 +82,14 @@ def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution,
     per_element_L2 = np.sqrt(l2_cells)
 
     # deterministic per-element lattice max, corners included
-    lgeo = eval_geometry_grid(g, lu, lv, 0, tables.lattice)
-    lvals = eval_field_grid(g, u, lu, lv, tables=tables.lattice).values
+    lat = fixed_basis(g, "lattice")
+    lgeo = eval_geometry_grid(g, lat.u.pts, lat.v.pts, 0, lat)
+    lvals = eval_field_grid(g, u, lat.u.pts, lat.v.pts, tables=lat).values
     linf = float(np.max(np.abs(lvals - exact.u(lgeo.points[..., 0], lgeo.points[..., 1]))))
 
     # element size: largest corner-to-corner distance over all elements
-    corners = eval_geometry_grid(g, bu, bv, 0, tables.corners).points
+    brk = fixed_basis(g, "corners")
+    corners = eval_geometry_grid(g, brk.u.pts, brk.v.pts, 0, brk).points
     diag = corners[1:, 1:] - corners[:-1, :-1]
     anti = corners[1:, :-1] - corners[:-1, 1:]
     h = float(

@@ -18,20 +18,35 @@ then use the plain B-spline product and skip the quotient rule.
 
 The closed-interval convention is used at the right end: ``t = 1`` evaluates
 on the last span of nonzero length, so bases are defined on all of [0, 1].
+
+The knots alone fix the element partition (:func:`element_spans`) and with it
+every per-element point set. A :class:`KnotVector` tabulates its basis on the
+point sets the package evaluates on again and again: the assembly and
+error-norm Gauss grids, the Greville abscissae, the max-norm lattice and the
+breakpoints. Each is a :class:`PointTables` memo entry, built on first use and
+kept, read-only, for the life of the knot vector; a geometry re-fitted from
+another shares its knot vectors and so their tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 __all__ = [
     "KnotVector",
+    "PointTables",
+    "QuadratureRule",
     "BasisEval",
     "TensorWeights",
     "make_open_knot_vector",
+    "gauss_rule",
+    "element_spans",
+    "element_quadrature_1d",
+    "tabulate",
     "eval_basis",
     "greville_abscissae",
     "basis_matrix",
@@ -39,9 +54,29 @@ __all__ = [
 ]
 
 
+LINF_SAMPLES = 5  # per-direction samples per element of the max-norm lattice
+
+
+@dataclass(frozen=True, eq=False)
+class PointTables:
+    """B-spline tables of one knot vector on one 1D point set.
+
+    ``D[a]`` is ``basis_matrix(kv, pts, a)`` for a = 0 .. ``len(D) - 1``;
+    ``wts`` are the Gauss weights when the points are a quadrature rule.
+    """
+
+    pts: np.ndarray
+    D: tuple
+    wts: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class KnotVector:
     """Open knot vector with its polynomial degree.
+
+    The basis tables of the fixed point sets below are memo entries: each
+    is built on first use and kept, read-only, with this instance. Two
+    threads that race on an entry compute the same bits.
 
     Parameters
     ----------
@@ -90,6 +125,53 @@ class KnotVector:
     def breakpoints(self) -> np.ndarray:
         """Distinct knot values."""
         return np.unique(self.knots)
+
+    def _memo(self, pts: np.ndarray, nders: int, wts: np.ndarray | None = None) -> PointTables:
+        """Read-only tables on the new array ``pts``, for a memo entry."""
+        D = tabulate(self, pts, nders).D
+        for a in (pts, *D, wts):
+            if a is not None:
+                a.flags.writeable = False
+        return PointTables(pts, D, wts)
+
+    @cached_property
+    def gauss(self) -> PointTables:
+        """The assembly Gauss grid, degree + 1 points per element
+        (:func:`element_quadrature_1d`), with orders 0-1."""
+        pts, wts = element_quadrature_1d(self, self.degree + 1)
+        return self._memo(pts, 1, wts)
+
+    @cached_property
+    def gauss_hessian(self) -> PointTables:
+        """:attr:`gauss` with order 2 added, for Hessian monitors."""
+        g = self.gauss
+        second = basis_matrix(self, g.pts, 2)
+        second.flags.writeable = False
+        return PointTables(g.pts, g.D + (second,), g.wts)
+
+    @cached_property
+    def error_gauss(self) -> PointTables:
+        """The error-norm Gauss grid, degree + 2 points per element, with
+        orders 0-1."""
+        pts, wts = element_quadrature_1d(self, self.degree + 2)
+        return self._memo(pts, 1, wts)
+
+    @cached_property
+    def greville(self) -> PointTables:
+        """The Greville abscissae (:func:`greville_abscissae`), the
+        parameters of the mesh nodes, with orders 0-1."""
+        return self._memo(greville_abscissae(self), 1)
+
+    @cached_property
+    def lattice(self) -> PointTables:
+        """The max-norm lattice, :data:`LINF_SAMPLES` closed samples per
+        element (:func:`_element_lattice`), with order 0."""
+        return self._memo(_element_lattice(self, LINF_SAMPLES), 0)
+
+    @cached_property
+    def corners(self) -> PointTables:
+        """The :attr:`breakpoints`, the element corners, with order 0."""
+        return self._memo(self.breakpoints, 0)
 
 
 @dataclass(frozen=True)
@@ -164,6 +246,47 @@ def make_open_knot_vector(degree: int, spans: int, multiplicity: int = 1) -> Kno
         knots.extend([k / spans] * multiplicity)
     knots.extend([1.0] * (degree + 1))
     return KnotVector(degree, np.array(knots))
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Legendre rule mapped to [0, 1]; exact on degree 2q-1."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+
+def gauss_rule(q: int) -> QuadratureRule:
+    if not 1 <= q <= 16:
+        raise ValueError(f"point count must lie in [1, 16], got {q}")
+    x, w = np.polynomial.legendre.leggauss(q)
+    return QuadratureRule((x + 1.0) / 2.0, w / 2.0)
+
+
+def element_spans(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the elements along one direction: the
+    nonzero-measure knot spans, in order."""
+    spans = np.asarray(kv.nonzero_spans)
+    return kv.knots[spans], kv.knots[spans + 1]
+
+
+def element_quadrature_1d(kv: KnotVector, q: int):
+    """Per-span Gauss points/weights along one direction, concatenated.
+
+    Returns (pts, wts) of length len(nonzero_spans) * q, ordered span by span.
+    """
+    rule = gauss_rule(q)
+    left, right = element_spans(kv)
+    length = right - left
+    pts = left[:, None] + length[:, None] * rule.points
+    return pts.ravel(), (length[:, None] * rule.weights).ravel()
+
+
+def _element_lattice(kv: KnotVector, samples: int) -> np.ndarray:
+    """Per-element closed sample lattice, element by element (interior
+    edges sampled twice)."""
+    left, right = element_spans(kv)
+    return np.linspace(left, right, samples, axis=1).ravel()
 
 
 def _find_spans(kv: KnotVector, t: np.ndarray) -> np.ndarray:
@@ -283,10 +406,11 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     are tabulated in one vectorized pass (spans by a sorted search, then the
     triangular scheme over the point axis) and the local values are
     scattered into the band with one indexed assignment. Grid evaluation
-    tabulates through it once per point set
-    (:func:`~mmiga.geometry.grid_basis`), and the Greville collocation, the
-    edge projections, the load, the preconditioner and the element blocks
-    of the stiffness read those tables.
+    reads it through :func:`tabulate`: the memo entries of a
+    :class:`KnotVector` for its fixed point sets, which the Greville
+    collocation, the edge projections, the load, the preconditioner and the
+    element blocks of the stiffness share, and one call per direction for
+    any other grid (:func:`~mmiga.geometry.grid_basis`).
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     p = kv.degree
@@ -294,6 +418,12 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     out = np.zeros((len(pts), kv.n))
     out[np.arange(len(pts))[:, None], spans[:, None] - p + np.arange(p + 1)] = ders[der].T
     return out
+
+
+def tabulate(kv: KnotVector, pts, nders: int) -> PointTables:
+    """The :class:`PointTables` of ``kv`` on ``pts``, orders 0 .. ``nders``."""
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    return PointTables(pts, tuple(basis_matrix(kv, pts, a) for a in range(nders + 1)))
 
 
 def rational_derivatives(num, wsum, nders: int) -> dict:

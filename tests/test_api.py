@@ -3,6 +3,7 @@ every function the benchmark tracer wraps still lives where it looks."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -19,6 +20,22 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"mmiga.{name}")
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_only_the_grid_primitives_take_basis_tables():
+    # the tables of the knots' fixed grids live on the knot vectors; a
+    # tables parameter serves arbitrary points only
+    takers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"mmiga.{name}")
+        for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if inspect.isfunction(obj) and "tables" in inspect.signature(obj).parameters:
+                takers.add(f"{obj.__module__}.{obj.__name__}")
+    assert takers == {"mmiga.geometry.rational_grid_sums", "mmiga.geometry.eval_geometry_grid",
+                      "mmiga.assembly.eval_field_grid", "mmiga.movemesh.monitor_grid"}
+    from mmiga.movemesh import update_mesh
+
+    assert not {"greville", "quadrature"} & set(inspect.signature(update_mesh).parameters)
 
 
 def _load_tracing():

@@ -294,9 +294,7 @@ def test_discretization_size_matches_memory_formula():
     nnz = 30 * 37
     assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
     assert disc.gather.dtype == disc.indices.dtype == np.int32
-    # the value and first-derivative tables of the 12 x 16 Gauss grid
-    tables = 2 * 12 * 6 + 2 * 16 * 7
-    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size + tables
+    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size
     scatter = sum(a.nbytes for s in (disc.scatter_u, disc.scatter_v)
                   for a in (s.data, s.indices, s.indptr))
     ints = 2 * nnz + 6 * 7 + 1
@@ -516,7 +514,7 @@ def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y
 
 
 def _fdm(g):
-    return fast_diagonalization(g.kv_u, g.kv_v, quadrature_grid(g))
+    return fast_diagonalization(g.kv_u, g.kv_v)
 
 
 @pytest.mark.parametrize("m", [8, 16])

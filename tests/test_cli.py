@@ -178,6 +178,7 @@ def test_unknown_key_exits_2(tmp_path, extra):
     ("monitor", "alpha", True),
     ("monitor", "beta", False),
     ("solver", "tol", True),
+    (None, "output_dir", 5),
 ])
 def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     doc = dict(BASE_MOVE)
@@ -188,6 +189,19 @@ def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
     assert capsys.readouterr().err.startswith(f"config error: {section or key}: ")
+
+
+@pytest.mark.parametrize("via", ["config", "--out"])
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys, via):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")  # a directory under an existing file
+    if via == "config":
+        argv = [str(_write(tmp_path, {**BASE_CONV, "output_dir": target}))]
+    else:
+        argv = [str(_write(tmp_path, BASE_CONV)), "--out", target]
+    assert main(["run", *argv, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: output_dir: cannot create ")
 
 
 def test_config_section_keys_are_the_dataclass_fields():

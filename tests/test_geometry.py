@@ -10,7 +10,7 @@ from mmiga.geometry import (
     boundary_mask,
     build_identity_geometry,
     eval_geometry_grid,
-    greville_basis,
+    fixed_basis,
     grid_basis,
     map_point,
     mesh_nodes,
@@ -19,7 +19,8 @@ from mmiga.geometry import (
     rational_grid_sums,
     refit_from_node_targets,
 )
-from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
+from mmiga.postproc import ExactSolution, error_norms, export_vtk
+from mmiga.splines import KnotVector, TensorWeights, greville_abscissae, make_open_knot_vector
 
 from oracles import grad_fd, rational_basis_derivatives
 
@@ -303,7 +304,7 @@ def test_evaluations_with_tables_give_the_same_bits(weights):
     low, full = grid_basis(g.kv_u, g.kv_v, pu, pv, 1), grid_basis(g.kv_u, g.kv_v, pu, pv, 2)
     for nders in (0, 1, 2):
         ref = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders)
-        for tables in (low, full):  # order 2 is added to the first-order tables
+        for tables in (low, full)[nders // 2:]:  # the first-order tables lack order 2
             got = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders, tables)
             assert all(np.array_equal(got[ab], ref[ab]) for ab in ref)
             geo, geo_t = (eval_geometry_grid(g, pu, pv, nders, t) for t in (None, tables))
@@ -312,18 +313,19 @@ def test_evaluations_with_tables_give_the_same_bits(weights):
             for name in ("values", "grad", "hess"):
                 a, b = getattr(fg, name), getattr(fg_t, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
-    greville = greville_basis(g)
+    with pytest.raises(ValueError, match="orders up to 1"):
+        eval_field_grid(g, u, pu, pv, 2, tables=low)
+    # the knot vectors' memo tables give the bits of tables built per call
+    gu, gv = greville_abscissae(g.kv_u), greville_abscissae(g.kv_v)
     nodes = mesh_nodes(g)
-    assert np.array_equal(mesh_nodes(g, greville), nodes)
+    assert np.array_equal(eval_geometry_grid(g, gu, gv, 0).points, nodes)
     targets = nodes.copy()
     targets[1:-1, 1:-1] += 0.01
     refit = refit_from_node_targets(g, targets)
-    for kwargs in ({"tables": greville}, {"nodes": nodes, "tables": greville}):
-        other = refit_from_node_targets(g, targets, **kwargs)
-        assert np.array_equal(other.control_points, refit.control_points)
+    other = refit_from_node_targets(g, targets, nodes=nodes)
+    assert np.array_equal(other.control_points, refit.control_points)
     quad = quadrature_grid(g)
-    gauss = grid_basis(g.kv_u, g.kv_v, quad.pts_u, quad.pts_v, 1)
-    assert min_jacobian(g, gauss) == min_jacobian(g)
+    assert min_jacobian(g) == eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1).det.min()
 
 
 def test_tables_of_other_points_or_knots_are_rejected():
@@ -342,4 +344,78 @@ def test_tables_of_other_points_or_knots_are_rejected():
         with pytest.raises(ValueError, match=what):
             eval_geometry_grid(g, pu, pv, 1, tables)
     with pytest.raises(ValueError, match="points"):
-        mesh_nodes(g, grid_basis(g.kv_u, g.kv_v, pu, pv, 1))
+        eval_geometry_grid(g, pu, pv, 0, fixed_basis(g, "greville"))
+
+
+# ------------------------------------------------------------ knot-vector memo
+
+FIXED_GRIDS = ("gauss", "gauss_hessian", "error_gauss", "greville", "lattice", "corners")
+
+
+def _count_tabulations(monkeypatch):
+    from mmiga import splines
+
+    calls = []
+    real = splines.basis_matrix
+
+    def counting(kv, pts, der=0):
+        calls.append(der)
+        return real(kv, pts, der)
+
+    monkeypatch.setattr(splines, "basis_matrix", counting)
+    return calls
+
+
+def test_geometries_on_the_same_knot_vectors_share_read_only_tables(monkeypatch):
+    g = _net(3, False, "random", seed=31)
+    nodes = mesh_nodes(g)
+    targets = nodes.copy()
+    targets[1:-1, 1:-1] += 0.002
+    refit = refit_from_node_targets(g, targets)
+    other = NurbsGeometry(g.kv_u, g.kv_v, TensorWeights(np.ones(g.shape)), refit.control_points)
+    for grid in FIXED_GRIDS:
+        first, *rest = (fixed_basis(h, grid) for h in (g, refit, other))
+        assert all(t.u is first.u and t.v is first.v for t in rest), grid
+        for t in (first.u, first.v):
+            arrays = [t.pts, *t.D] + ([] if t.wts is None else [t.wts])
+            assert not any(a.flags.writeable for a in arrays), grid
+    # and the evaluations on those grids read them: nothing is tabulated again
+    calls = _count_tabulations(monkeypatch)
+    mesh_nodes(other)
+    min_jacobian(refit)
+    refit_from_node_targets(other, targets)
+    assert calls == []
+
+
+def test_a_shared_knot_vector_tabulates_each_fixed_grid_once(monkeypatch):
+    calls = _count_tabulations(monkeypatch)
+    exact = ExactSolution(lambda x, y: x * y, lambda x, y: y, lambda x, y: x)
+    u = FieldCoefficients(np.ones(9 * 9), (9, 9))
+    shared, other = _perturbed(p=3, m=6), _perturbed(p=3, m=6)
+    kv = other.kv_v
+    copies = NurbsGeometry(other.kv_u, KnotVector(kv.degree, kv.knots), other.weights,
+                           other.control_points)
+    assert shared.kv_u is shared.kv_v and copies.kv_u is not copies.kv_v
+    counts = []
+    for g in (shared, copies):
+        calls.clear()
+        for _ in range(2):
+            min_jacobian(g)
+            mesh_nodes(g)
+            error_norms(g, u, exact)
+        counts.append(len(calls))
+    # gauss and greville at orders 0-1, error_gauss too, lattice and corners at 0
+    assert counts == [8, 2 * 8]
+
+
+def test_arbitrary_points_add_no_memo_entry(tmp_path):
+    kv = make_open_knot_vector(3, 4, 1)
+    g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
+    fields = set(vars(kv))
+    assert fields == {"degree", "knots"}  # building a geometry makes no table
+    eval_geometry_grid(g, np.linspace(0, 1, 7), np.linspace(0, 1, 5), 2)
+    map_point(g, (0.3, 0.6), 2)
+    export_vtk(g, {"u": FieldCoefficients(np.ones(g.ndof), g.shape)}, 4, tmp_path / "g.vtk")
+    assert set(vars(kv)) == fields
+    mesh_nodes(g)
+    assert set(vars(kv)) == fields | {"greville"}

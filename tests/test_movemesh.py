@@ -483,10 +483,13 @@ def test_move_mesh_matches_the_uncached_reference_loop():
         assert np.array_equal(state.xi[k].values, xi[k].values)
 
 
-def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch):
-    # every fixed point set of the run is tabulated before the loop, so
-    # more outer iterations make no more basis_matrix calls
-    from mmiga import assembly, geometry, movemesh, postproc, splines
+@pytest.mark.parametrize("spec", [MonitorSpec("gradient", alpha=0.1),
+                                  MonitorSpec("hessian", beta=0.01)], ids=["gradient", "hessian"])
+def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch, spec):
+    # every fixed point set of the run is tabulated on first use, into the
+    # memo of its knot vectors, so more outer iterations make no more
+    # basis_matrix calls
+    from mmiga import assembly, movemesh, postproc, splines
 
     calls = []
 
@@ -495,18 +498,17 @@ def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch):
         return real(kv, pts, der)
 
     real = splines.basis_matrix
-    # geometry is the one module that tabulates: every table is a GridBasis
+    # splines is the one module that tabulates, for the memo and for grid_basis
     assert not any(hasattr(m, "basis_matrix") for m in (assembly, movemesh, postproc))
-    monkeypatch.setattr(geometry, "basis_matrix", counting)
+    monkeypatch.setattr(splines, "basis_matrix", counting)
     prob = cli.manufacture_rhs("case2_tanh")
-    kv = make_open_knot_vector(3, 8, 1)
-    g0 = build_identity_geometry(prob.domain, kv, kv)
     problem = PoissonProblem(prob.f, prob.bc, prob.exact)
     counts = []
     for max_outer in (1, 3):
+        kv = make_open_knot_vector(3, 8, 1)  # fresh knots: a memo outlives its run
+        g0 = build_identity_geometry(prob.domain, kv, kv)
         calls.clear()
-        state = move_mesh_solve(problem, g0, MonitorSpec("gradient", alpha=0.1),
-                                MoveMeshConfig(max_outer=max_outer))
+        state = move_mesh_solve(problem, g0, spec, MoveMeshConfig(max_outer=max_outer))
         assert len(state.trace) == max_outer and not state.converged
         assert all(t.tau_used > 0 for t in state.trace)  # every iteration moved the mesh
         counts.append(len(calls))
