@@ -696,6 +696,7 @@ def solve_dirichlet(
     *,
     boundary: np.ndarray | None = None,
     disc: Discretization | None = None,
+    x0: FieldCoefficients | None = None,
 ) -> FieldCoefficients:
     """Solve A x = b with x = ``bc`` on the boundary: eliminate the boundary
     coefficients (:func:`apply_dirichlet`, which also explains
@@ -705,16 +706,21 @@ def solve_dirichlet(
 
     The preconditioner factors and the interior maps come from ``disc``,
     which must match ``g`` (ValueError otherwise), or are built for this
-    call; both give the same bits."""
+    call; both give the same bits. ``x0`` is a full coefficient field on
+    ``g``'s grid (ValueError otherwise) whose interior entries are CG's
+    initial guess; None starts from zero."""
     lin = lin or LinearSolverSettings()
     if disc is None:
         fdm = fast_diagonalization(g.kv_u, g.kv_v)
     else:
         disc.check(g)
         fdm = disc.fdm
+    if x0 is not None and x0.shape != g.shape:
+        raise ValueError(f"initial guess on grid {x0.shape} does not match {g.shape}")
     red = apply_dirichlet(A, b, g, bc, boundary=boundary, disc=disc)
     x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
-                        precond=fdm.preconditioner(red.matrix))
+                        precond=fdm.preconditioner(red.matrix),
+                        x0=None if x0 is None else x0.values[red.dofs.interior])
     full = red.boundary_values.copy()
     full[red.dofs.interior] = x_int
     return FieldCoefficients(full, g.shape)
@@ -729,13 +735,15 @@ def solve_poisson(
     disc: Discretization | None = None,
     boundary: np.ndarray | None = None,
     geo: GeometryGrid | None = None,
+    x0: FieldCoefficients | None = None,
 ) -> FieldCoefficients:
     """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary.
 
     The geometry is evaluated on the quadrature grid once, for both forms,
     unless the caller passes that evaluation as ``geo``. ``disc`` goes to
     both forms and :func:`solve_dirichlet`; without it the solve builds one
-    for all three. ``boundary`` goes to :func:`apply_dirichlet`.
+    for all three. ``boundary`` goes to :func:`apply_dirichlet`, and the
+    initial guess ``x0`` to :func:`solve_dirichlet`.
     """
     if disc is None:
         disc = discretization(g)
@@ -743,7 +751,7 @@ def solve_poisson(
     geo = _quadrature_geometry(g, disc.quad, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, disc=disc, geo=geo)
-    return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc)
+    return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc, x0=x0)
 
 
 @dataclass(frozen=True)

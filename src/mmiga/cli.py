@@ -68,7 +68,10 @@ def _sech2(s):
 
 
 def _tanh_radius(x, y):
-    return np.maximum(np.hypot(x - TANH_CENTER[0], y - TANH_CENTER[1]), 1e-12)
+    # sqrt of the squares rather than hypot: the domain is O(1), so hypot's
+    # overflow guard buys nothing and costs twice the time
+    dx, dy = x - TANH_CENTER[0], y - TANH_CENTER[1]
+    return np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
 
 
 def _case2_fields():

@@ -202,7 +202,8 @@ def fixed_basis(g: NurbsGeometry, grid: str) -> GridBasis:
     """The :class:`GridBasis` of one of the fixed grids of ``g``'s knots:
     the pair of the memo entries ``grid`` of its knot vectors
     (:class:`~mmiga.splines.KnotVector`), one of "gauss", "gauss_hessian",
-    "error_gauss", "greville", "lattice" and "corners"."""
+    "error_gauss", "greville", "greville_hessian", "lattice" and
+    "corners"."""
     return GridBasis(g.kv_u, g.kv_v, getattr(g.kv_u, grid), getattr(g.kv_v, grid))
 
 
@@ -395,12 +396,20 @@ def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
     return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
 
 
-def min_jacobian(g: NurbsGeometry) -> float:
+def min_jacobian(g: NurbsGeometry, geo: GeometryGrid | None = None) -> float:
     """Smallest Jacobian determinant over the assembly Gauss points
     (:func:`quadrature_grid`).
 
-    A positive value certifies mesh validity at the sampled resolution;
-    folding between quadrature points is not detected.
+    ``geo`` is the first-order evaluation of ``g`` on that grid, when the
+    caller has made it (ValueError when it is of another grid or lacks the
+    Jacobian); else ``g`` is evaluated here. A positive value certifies
+    mesh validity at the sampled resolution; folding between quadrature
+    points is not detected.
     """
     tables = fixed_basis(g, "gauss")
-    return float(eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables).det.min())
+    if geo is None:
+        geo = eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables)
+    elif geo.det is None or not (np.array_equal(geo.pts_u, tables.u.pts)
+                                 and np.array_equal(geo.pts_v, tables.v.pts)):
+        raise ValueError("geometry grid is not a first-order evaluation on the Gauss grid")
+    return float(geo.det.min())

@@ -38,14 +38,19 @@ class LinearSolverSettings:
             raise TypeError(f"maxit must be an integer or None, got {self.maxit!r}")
 
 
-def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None):
+def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None, x0=None):
     """Conjugate gradients for SPD A; returns (x, iterations).
 
-    ``precond`` is a callable returning M^-1 r for an SPD M^-1 and a
-    residual r, or None for the identity. Stops when
-    ||b - A x|| <= tol * ||b||. Raises ConvergenceError when the iteration
-    cap is hit and BreakdownError on a nonpositive curvature direction (A not
-    SPD). ``callback(x)`` is invoked after every iteration.
+    ``x0`` is the initial guess (zero when None); a guess that already
+    meets the stop test returns after 0 iterations, and one whose shape is
+    not that of ``b`` raises ValueError. ``precond`` is a callable
+    returning M^-1 r for an SPD M^-1 and a residual r, or None for the
+    identity. Stops when ||b - A x|| <= tol * ||b||, with the residual
+    updated by the recurrence; the bound is relative to ``b``, not to the
+    initial residual, so a good guess saves iterations. Raises
+    ConvergenceError when the iteration cap is hit and BreakdownError on a
+    nonpositive curvature direction (A not SPD). ``callback(x)`` is invoked
+    after every iteration.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -53,11 +58,19 @@ def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None):
         maxit = 10 * n
     apply = (lambda r: r) if precond is None else precond
 
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != b.shape:
+            raise ValueError(f"initial guess of shape {x.shape} does not match {b.shape}")
+        r = b - A @ x
     bnorm = np.linalg.norm(b)
-    x = np.zeros(n)
     if bnorm == 0.0:
+        return np.zeros(n), 0
+    if np.linalg.norm(r) <= tol * bnorm:
         return x, 0
-    r = b.copy()
     z = apply(r)
     p = z.copy()
     rz = r @ z

@@ -141,13 +141,16 @@ class KnotVector:
         pts, wts = element_quadrature_1d(self, self.degree + 1)
         return self._memo(pts, 1, wts)
 
+    def _with_second(self, t: PointTables) -> PointTables:
+        """The memo entry ``t`` with order 2 added, sharing its arrays."""
+        second = basis_matrix(self, t.pts, 2)
+        second.flags.writeable = False
+        return PointTables(t.pts, t.D + (second,), t.wts)
+
     @cached_property
     def gauss_hessian(self) -> PointTables:
         """:attr:`gauss` with order 2 added, for Hessian monitors."""
-        g = self.gauss
-        second = basis_matrix(self, g.pts, 2)
-        second.flags.writeable = False
-        return PointTables(g.pts, g.D + (second,), g.wts)
+        return self._with_second(self.gauss)
 
     @cached_property
     def error_gauss(self) -> PointTables:
@@ -161,6 +164,12 @@ class KnotVector:
         """The Greville abscissae (:func:`greville_abscissae`), the
         parameters of the mesh nodes, with orders 0-1."""
         return self._memo(greville_abscissae(self), 1)
+
+    @cached_property
+    def greville_hessian(self) -> PointTables:
+        """:attr:`greville` with order 2 added, for smoothed Hessian
+        monitors."""
+        return self._with_second(self.greville)
 
     @cached_property
     def lattice(self) -> PointTables:

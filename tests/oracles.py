@@ -226,9 +226,17 @@ def move_mesh_reference(problem, g0, spec, cfg):
     plan, Dirichlet vectors and geometry grids, and the trace takes
     ``min_jacobian`` of each mesh afresh. Mesh wraps are not handled.
 
+    The inner solves follow the loop's rule: each PDE and map solve starts
+    from the previous one (the first map solve from the reference fields),
+    and a map solve after the first stops at
+    max(tol, MAP_FORCING * previous defect), with a re-solve at tol when
+    that defect passes the stop test or on the last allowed iteration.
+
     Returns the trace rows without ``cpu_seconds``, as tuples, and the final
     geometry, solution and logical map.
     """
+    import dataclasses
+
     from mmiga import assembly, geometry, movemesh, postproc
 
     corners = geometry.eval_geometry_grid(g0, [0.0, 1.0], [0.0, 1.0], nders=0).points
@@ -238,16 +246,23 @@ def move_mesh_reference(problem, g0, spec, cfg):
     lm = movemesh.init_logical_mesh(g0, bmap, cfg.lin)
     g = g0
     u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
-    xi, prev, rows = lm.fields, None, []
+    xi, err, prev, rows = lm.fields, None, None, []
 
     def row(it, err, tau):
         rep = postproc.error_norms(g, u, problem.exact)
         return (it, err, tau, geometry.min_jacobian(g), rep.L2, rep.H1_semi, rep.L_inf)
 
-    for it in range(1, cfg.max_outer + 1):
-        xi = movemesh.solve_harmonic_map(g, spec, u, bmap, cfg.lin)
+    def harmonic_map(tol, x0):
+        lin = dataclasses.replace(cfg.lin, tol=tol)
+        xi = movemesh.solve_harmonic_map(g, spec, u, bmap, lin, x0=x0)
         vals = [assembly.eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
-        err = float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
+        return xi, float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
+
+    for it in range(1, cfg.max_outer + 1):
+        tol = cfg.lin.tol if err is None else max(cfg.lin.tol, movemesh.MAP_FORCING * err)
+        xi, err = harmonic_map(tol, xi)
+        if tol != cfg.lin.tol and (err < cfg.stop_tolerance() or it == cfg.max_outer):
+            xi, err = harmonic_map(cfg.lin.tol, xi)
         if err < cfg.stop_tolerance():
             rows.append(row(it, err, 0.0))
             break
@@ -255,9 +270,9 @@ def move_mesh_reference(problem, g0, spec, cfg):
         if cfg.movement_cap is not None:
             movement = movemesh.limit_movement(movement, geometry.mesh_nodes(g),
                                                cfg.movement_cap)
-        g, tau = movemesh.update_mesh(g, movement, cfg.tau)
+        g, tau, _ = movemesh.update_mesh(g, movement, cfg.tau)
         prev = movement
-        u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
+        u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin, x0=u)
         rows.append(row(it, err, tau))
     return rows, g, u, xi
 

@@ -568,6 +568,35 @@ def test_solves_with_and_without_discretization_are_bit_identical():
         solve_dirichlet(A, b, g, bc, disc=discretization(_mesh_3x4(p=3, mult=1)))
 
 
+def test_solves_start_from_the_interior_of_an_initial_guess(monkeypatch):
+    from mmiga import assembly
+
+    g = _random_rational(3, 1, seed=34)
+    f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
+    lin = LinearSolverSettings(tol=1e-12)
+    iters = []
+
+    def counting(*args, **kwargs):
+        x, it = cg_solve(*args, **kwargs)
+        iters.append(it)
+        return x, it
+
+    monkeypatch.setattr(assembly, "cg_solve", counting)
+    u = solve_poisson(g, f, bc, lin)
+    # the guess's ring is not read: the boundary comes from bc
+    grid = u.grid.copy()
+    grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = 7.0
+    warm = solve_poisson(g, f, bc, lin, x0=FieldCoefficients.from_grid(grid))
+    assert iters[0] > 1 and iters[1] <= 1
+    ring = dof_map(*g.shape).boundary
+    assert np.array_equal(warm.values[ring], u.values[ring])
+    assert np.linalg.norm(warm.values - u.values) <= 1e-10 * np.linalg.norm(u.values)
+    other = FieldCoefficients(np.zeros(g.ndof), (g.shape[1], g.shape[0]))
+    assert other.shape != g.shape
+    with pytest.raises(ValueError, match="initial guess"):
+        solve_poisson(g, f, bc, lin, x0=other)
+
+
 def test_nonpositive_interior_diagonal_raises_breakdown():
     g = _random_rational(3, 1, seed=33)
     A = assemble_weighted_stiffness(g).tocsr()

@@ -240,6 +240,18 @@ def test_min_jacobian_identity_and_folded():
     assert min_jacobian(folded) < 0.0
 
 
+def test_min_jacobian_reads_a_given_gauss_grid_evaluation():
+    g = _perturbed(p=2, m=4, seed=14)
+    gauss = fixed_basis(g, "gauss")
+    geo = eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 1, gauss)
+    assert min_jacobian(g, geo) == min_jacobian(g)
+    with pytest.raises(ValueError, match="Gauss grid"):
+        min_jacobian(g, eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 0, gauss))
+    greville = fixed_basis(g, "greville")
+    with pytest.raises(ValueError, match="Gauss grid"):
+        min_jacobian(g, eval_geometry_grid(g, greville.u.pts, greville.v.pts, 1, greville))
+
+
 def test_jacobian_grid_matches_finite_differences_randomized():
     g = _perturbed(p=2, m=4, seed=12)
     rng = np.random.default_rng(13)
@@ -349,7 +361,8 @@ def test_tables_of_other_points_or_knots_are_rejected():
 
 # ------------------------------------------------------------ knot-vector memo
 
-FIXED_GRIDS = ("gauss", "gauss_hessian", "error_gauss", "greville", "lattice", "corners")
+FIXED_GRIDS = ("gauss", "gauss_hessian", "error_gauss", "greville", "greville_hessian",
+               "lattice", "corners")
 
 
 def _count_tabulations(monkeypatch):

@@ -52,6 +52,43 @@ def test_cg_takes_a_callable_preconditioner():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_cg_initial_guess_at_the_solution_takes_no_iteration():
+    A = _laplacian_1d(40)
+    x_exact = np.random.default_rng(5).normal(size=40)
+    b = A @ x_exact
+    guess = x_exact.copy()
+    x, it = cg_solve(A, b, tol=1e-12, x0=guess)
+    assert it == 0
+    assert np.array_equal(x, x_exact)
+    x[0] += 1.0  # the result is not the caller's guess
+    assert np.array_equal(guess, x_exact)
+
+
+def test_cg_warm_start_meets_the_cold_residual_bound():
+    rng = np.random.default_rng(6)
+    A = _laplacian_1d(200) + sp.identity(200)  # well conditioned: CG stops well before n
+    d = sp.diags(rng.uniform(0.5, 5.0, 200))
+    A = (d @ A @ d).tocsr()
+    jacobi = lambda r: r / A.diagonal()  # noqa: E731
+    b = rng.normal(size=200)
+    x_prev, _ = cg_solve(A, b, tol=1e-10, precond=jacobi)
+    # the next system of a sequence, started from the last solution
+    b_next = b + 1e-3 * rng.normal(size=200)
+    x_cold, it_cold = cg_solve(A, b_next, tol=1e-10, precond=jacobi)
+    x_warm, it_warm = cg_solve(A, b_next, tol=1e-10, precond=jacobi, x0=x_prev)
+    for x in (x_cold, x_warm):
+        assert np.linalg.norm(b_next - A @ x) <= 1e-10 * np.linalg.norm(b_next)
+    assert 0 < it_warm < it_cold
+
+
+def test_cg_rejects_a_wrongly_shaped_initial_guess():
+    A = _laplacian_1d(10)
+    b = np.ones(10)
+    for bad in (np.zeros(11), np.zeros((10, 1)), np.zeros(())):
+        with pytest.raises(ValueError, match="initial guess"):
+            cg_solve(A, b, x0=bad)
+
+
 def test_cg_error_monotone_in_energy_norm():
     rng = np.random.default_rng(1)
     A = _laplacian_1d(60).toarray()

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from mmiga import cli
-from mmiga.assembly import FieldCoefficients, discretization, solve_poisson
+from mmiga.assembly import FieldCoefficients, discretization, eval_field_grid, solve_poisson
 from mmiga.errors import DegenerateMapError, MeshWrapError
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
     boundary_mask,
     build_identity_geometry,
+    eval_geometry_grid,
+    fixed_basis,
     mesh_nodes,
     min_jacobian,
 )
@@ -367,7 +369,7 @@ def test_limit_movement_caps_only_large_steps():
 
 def test_update_mesh_zero_movement_keeps_geometry():
     g = _identity(p=3, m=5)
-    g2, tau = update_mesh(g, np.zeros((g.shape[0], g.shape[1], 2)), 0.5)
+    g2, tau, _ = update_mesh(g, np.zeros((g.shape[0], g.shape[1], 2)), 0.5)
     assert tau == 0.5
     assert np.max(np.abs(g2.control_points - g.control_points)) <= 1e-12
 
@@ -376,7 +378,7 @@ def test_update_mesh_small_uniform_shift_moves_half():
     g = _identity(p=2, m=5)
     mv = np.zeros((g.shape[0], g.shape[1], 2))
     mv[1:-1, 1:-1, 0] = 0.01
-    g2, tau = update_mesh(g, mv, 0.5)
+    g2, tau, _ = update_mesh(g, mv, 0.5)
     assert tau == 0.5
     nodes = mesh_nodes(g2)
     ref = mesh_nodes(g)
@@ -392,9 +394,15 @@ def test_update_mesh_backtracks_on_fold():
     mv = np.zeros((g.shape[0], g.shape[1], 2))
     # drag one interior node across its neighbor: folds at tau = 1
     mv[2, 2] = [0.9, 0.0]
-    g2, tau = update_mesh(g, mv, 1.0)
+    g2, tau, geo = update_mesh(g, mv, 1.0)
     assert tau < 1.0
     assert min_jacobian(g2) > 0.0
+    # the check's evaluation of the accepted mesh comes back, for its solves
+    gauss = fixed_basis(g2, "gauss")
+    ref = eval_geometry_grid(g2, gauss.u.pts, gauss.v.pts, 1, gauss)
+    for a, b in ((geo.points, ref.points), (geo.jac, ref.jac), (geo.det, ref.det)):
+        assert np.array_equal(a, b)
+    assert float(geo.det.min()) == min_jacobian(g2)
 
 
 def test_update_mesh_wrap_failure_raises():
@@ -483,8 +491,65 @@ def test_move_mesh_matches_the_uncached_reference_loop():
         assert np.array_equal(state.xi[k].values, xi[k].values)
 
 
+def _converging_run(monkeypatch):
+    """case1_sine, p=3, m=8, gradient monitor: converges in a few outer
+    iterations. Returns the boundary map, monitor, config and state of the
+    run, and the (tolerance, initial guess, result) of every map solve it
+    made."""
+    from mmiga import movemesh
+
+    prob = cli.manufacture_rhs("case1_sine")
+    kv = make_open_knot_vector(3, 8, 1)
+    g0 = build_identity_geometry(prob.domain, kv, kv)
+    problem = PoissonProblem(prob.f, prob.bc, prob.exact)
+    spec = MonitorSpec("gradient", alpha=0.1)
+    cfg = MoveMeshConfig()
+    solves = []
+
+    def recording(g, spec, u, bmap, lin=None, **kwargs):
+        xi = solve_harmonic_map(g, spec, u, bmap, lin, **kwargs)
+        solves.append((lin.tol, kwargs["x0"], xi))
+        return xi
+
+    monkeypatch.setattr(movemesh, "solve_harmonic_map", recording)
+    state = move_mesh_solve(problem, g0, spec, cfg)
+    return make_boundary_map(prob.domain, cfg.logical), spec, cfg, state, solves
+
+
+def test_map_solves_follow_the_outer_defect_above_the_solver_tolerance(monkeypatch):
+    _, _, cfg, state, solves = _converging_run(monkeypatch)
+    assert state.converged and len(state.trace) >= 3
+    tols = [t for t, _, _ in solves]
+    assert all(t >= cfg.lin.tol for t in tols)
+    # the first solve and the one the run stops on are full-accuracy; the
+    # ones between are loosened by the defect before them
+    assert tols[0] == tols[-1] == cfg.lin.tol
+    assert all(t > cfg.lin.tol for t in tols[1:len(state.trace)])
+    assert len(tols) == len(state.trace) + 1
+    # every solve starts from the map before it, the first from the reference
+    assert solves[0][1] is state.logical_mesh.fields
+    assert all(x0 is before[2] for before, (_, x0, _) in zip(solves, solves[1:]))
+    assert solves[-1][2] is state.xi
+
+
+def test_converged_map_agrees_with_a_cold_full_tolerance_solve(monkeypatch):
+    bmap, spec, cfg, state, _ = _converging_run(monkeypatch)
+    assert state.converged
+    cold = solve_harmonic_map(state.geometry, spec, state.solution, bmap, cfg.lin)
+    for k in range(2):
+        diff = np.max(np.abs(state.xi[k].values - cold[k].values))
+        assert diff <= 1e-8 * np.max(np.abs(cold[k].values))
+    lm = state.logical_mesh
+    nodes = np.stack([eval_field_grid(state.geometry, f, lm.params_u, lm.params_v).values
+                      for f in cold], axis=-1)
+    assert abs(np.max(np.abs(lm.nodes - nodes)) - state.trace[-1].xi_inf_err) <= 1e-9
+
+
 @pytest.mark.parametrize("spec", [MonitorSpec("gradient", alpha=0.1),
-                                  MonitorSpec("hessian", beta=0.01)], ids=["gradient", "hessian"])
+                                  MonitorSpec("hessian", beta=0.01),
+                                  MonitorSpec("gradient", alpha=0.1, smoothing=1),
+                                  MonitorSpec("hessian", beta=0.01, smoothing=1)],
+                         ids=["gradient", "hessian", "gradient-smoothed", "hessian-smoothed"])
 def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch, spec):
     # every fixed point set of the run is tabulated on first use, into the
     # memo of its knot vectors, so more outer iterations make no more
