@@ -4,13 +4,13 @@ Stiffness matrices are the weighted diffusion forms
 A_kl = int a grad(R_k) . grad(R_l) dx of the rational basis R_k, with a
 diffusion weight a; with a = 1 this is the Poisson bilinear form.
 Elements are the nonzero knot-span rectangles, each with per-direction
-Gauss rules of degree + 1 points, as laid out by
-:func:`~mmiga.geometry.quadrature_grid`.
+Gauss rules of degree + 1 points. The quadrature grid is the knot vectors'
+``gauss`` memo entries (:class:`~mmiga.splines.KnotVector`), which hold
+its points, weights and basis tables; every form reads it there.
 
 The load is a sum over the whole grid, so it uses the dense directional
-tables of the quadrature grid (:class:`~mmiga.geometry.GridBasis`, the
-knot vectors' ``gauss`` memo entries): it is the adjoint of grid
-evaluation, b = w o (Du^T C Dv), with C the quadrature weights times det J
+tables of the quadrature grid: it is the adjoint of grid evaluation,
+b = w o (Du^T C Dv), with C the quadrature weights times det J
 times f over the weight sum at each point; with all weights equal,
 R_ij = N_i N_j and b = Du^T C Dv.
 
@@ -28,15 +28,14 @@ weights equal, grad W = 0 and the terms in N itself are skipped. The CSR
 pattern holds the pairs of functions sharing an element, so on C^0 knots
 pairs with |i - i'| <= p that share none are not stored.
 
-All but the metric terms depend only on the knots. The basis tables of the
-quadrature grid live with the knot vectors
-(:class:`~mmiga.splines.KnotVector`), and a :class:`Discretization`
-(:func:`discretization`) holds the quadrature, pair tables, scatter and
-gather maps and preconditioner factors, 8.1 MB at 128 x 128 elements of
-degree 3 with equal weights. A single solve builds one; the moving-mesh
-loop builds one per run and passes it to every call. The first solve that
-eliminates the boundary adds the interior-interior maps of the CSR
-pattern, which the later solves of a run reuse.
+All but the metric terms depend only on the knots. The quadrature grid
+lives with the knot vectors, and a :class:`Discretization`
+(:func:`discretization`) holds the pair tables, scatter and gather maps and
+preconditioner factors, 7.8 MB at 128 x 128 elements of degree 3 with
+equal weights. A single solve builds one; the moving-mesh loop builds one
+per run and passes it to every call. The first solve that eliminates the
+boundary adds the interior-interior maps of the CSR pattern, which the
+later solves of a run reuse (14.2 MB in all at that size).
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -72,23 +71,19 @@ import scipy.sparse as sp
 from .errors import AssemblyError, BreakdownError
 from .geometry import (
     GeometryGrid,
-    GridBasis,
     NurbsGeometry,
-    QuadratureRule,  # re-exported: the Gauss rule and grid live in geometry
-    TensorQuadrature,
+    QuadratureRule,  # re-exported: the Gauss rule lives in geometry
     _equal_weights,
-    _grid_tables,
-    _same_knots,
+    _gauss_geometry,
     _spline_sums,
     boundary_mask,
     eval_geometry_grid,
     fixed_basis,
     gauss_rule,
-    quadrature_grid,
     rational_grid_sums,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import KnotVector, tabulate
+from .splines import KnotVector
 
 __all__ = [
     "QuadratureRule",
@@ -101,7 +96,6 @@ __all__ = [
     "FastDiagonalization",
     "gauss_rule",
     "dof_map",
-    "quadrature_grid",
     "discretization",
     "fast_diagonalization",
     "assemble_weighted_stiffness",
@@ -186,18 +180,18 @@ def _element_tables(kv_u: KnotVector, kv_v: KnotVector):
     tables = []
     for kv in (kv_u, kv_v):
         first = np.asarray(kv.nonzero_spans) - kv.degree
-        rows = np.arange(len(first) * (kv.degree + 1)).reshape(-1, kv.degree + 1, 1)
+        rows = np.arange(len(kv.gauss.pts)).reshape(len(first), -1, 1)
         cols = first[:, None, None] + np.arange(kv.degree + 1)
         tables.append((np.stack([kv.gauss.D[a][rows, cols] for a in (0, 1)]), first))
     return tables
 
 
-def _grid_blocks(x: np.ndarray, quad: TensorQuadrature) -> np.ndarray:
-    """Regroup a (nel_u * q_u, nel_v * q_v) quadrature grid into per-element
-    flattened blocks of shape (nel_u, nel_v, q_u * q_v)."""
-    nu, nv = x.shape[0] // quad.q_u, x.shape[1] // quad.q_v
-    blocks = x.reshape(nu, quad.q_u, nv, quad.q_v).transpose(0, 2, 1, 3)
-    return blocks.reshape(nu, nv, quad.q_u * quad.q_v)
+def _grid_blocks(x: np.ndarray, g: NurbsGeometry) -> np.ndarray:
+    """Regroup a (nel_u * q_u, nel_v * q_v) quadrature grid of ``g`` into
+    per-element flattened blocks of shape (nel_u, nel_v, q_u * q_v)."""
+    nu, nv = len(g.kv_u.nonzero_spans), len(g.kv_v.nonzero_spans)
+    blocks = x.reshape(nu, x.shape[0] // nu, nv, x.shape[1] // nv).transpose(0, 2, 1, 3)
+    return blocks.reshape(nu, nv, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +268,10 @@ class Discretization:
     :func:`discretization` and checked against the knots and weights of
     each geometry passed with it.
 
-    ``quad`` is the assembly quadrature, whose basis tables are the knot
-    vectors' ``gauss`` memo entries. ``pairs_u`` holds the u pair tables
-    d^a N_i d^b N_i' for i <= i', (4, nel_u, (p+1)(p+2)/2, q_u) indexed by
-    2a + b, and ``scatter_u`` adds them into band rows (i, i' - i);
+    The quadrature is the knot vectors' ``gauss`` memo entries. ``pairs_u``
+    holds the u pair tables d^a N_i d^b N_i' for i <= i',
+    (4, nel_u, (p+1)(p+2)/2, q_u) indexed by 2a + b, and ``scatter_u`` adds
+    them into band rows (i, i' - i);
     ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
     weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
     weights are equal, and ``scatter_v`` adds them into band rows
@@ -288,7 +282,6 @@ class Discretization:
     kv_u: KnotVector
     kv_v: KnotVector
     weights: np.ndarray
-    quad: TensorQuadrature
     pairs_u: np.ndarray
     scatter_u: sp.csr_matrix
     pairs_v: np.ndarray
@@ -302,9 +295,7 @@ class Discretization:
     def nbytes(self) -> int:
         """Bytes held in arrays: preconditioner factors included, and the
         :attr:`interior` maps once a solve has built them."""
-        q = self.quad
-        arrays = [self.weights, q.pts_u, q.wts_u, q.pts_v, q.wts_v, self.pairs_u, self.pairs_v,
-                  self.gather, self.indices, self.indptr]
+        arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr]
         arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
         arrays += self.__dict__.get("interior", ())
         return sum(a.nbytes for a in arrays) + self.fdm.nbytes
@@ -332,6 +323,10 @@ class Discretization:
             raise ValueError(
                 f"geometry does not match the discretization: {', '.join(differ)} differ"
             )
+
+
+def _same_knots(a: KnotVector, b: KnotVector) -> bool:
+    return a.degree == b.degree and np.array_equal(a.knots, b.knots)
 
 
 def _scatter(first, i, d, width, n):
@@ -395,8 +390,8 @@ def discretization(g: NurbsGeometry) -> Discretization:
     scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
     maps = _csr_maps(_shared(first_u, p_u, n1), _shared(first_v, p_v, n2), p_u, p_v)
     fdm = fast_diagonalization(g.kv_u, g.kv_v)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, quadrature_grid(g), pairs_u, scatter_u,
-                          pairs_v, scatter_v, *maps, fdm)
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v, scatter_v,
+                          *maps, fdm)
 
 
 def _interior_block(indices: np.ndarray, indptr: np.ndarray, interior: np.ndarray):
@@ -416,18 +411,6 @@ def _interior_block(indices: np.ndarray, indptr: np.ndarray, interior: np.ndarra
     return block
 
 
-def _quadrature_geometry(g: NurbsGeometry, quad: TensorQuadrature, geo: GeometryGrid | None):
-    """``g`` with its Jacobian on the quadrature grid ``quad``: ``geo`` when
-    the caller has evaluated it already, else a fresh evaluation."""
-    if geo is None:
-        return eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1, fixed_basis(g, "gauss"))
-    if geo.jac is None or not (
-        np.array_equal(geo.pts_u, quad.pts_u) and np.array_equal(geo.pts_v, quad.pts_v)
-    ):
-        raise ValueError("geometry grid is not a first-order evaluation on the quadrature grid")
-    return geo
-
-
 def _first_bad_element(*masks):
     """Index of the first element, in (eu, ev) order, where any of the
     per-element masks is set, or None."""
@@ -443,10 +426,9 @@ def _metric(g: NurbsGeometry, disc: Discretization, geo: GeometryGrid, wvals):
     c = Gauss weight * det J * ``wvals`` and E = [I | -grad W / W]. With
     all weights equal, grad W = 0 and the factor w_k w_l / W^2 of the form
     is 1: only the 2 x 2 metric block c J^-1 J^-T is returned."""
-    quad = disc.quad
     j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
     # c J^-1 J^-T = (c / det^2) adj(J) adj(J)^T
-    s = np.multiply.outer(quad.wts_u, quad.wts_v) * wvals / geo.det
+    s = np.multiply.outer(g.kv_u.gauss.wts, g.kv_v.gauss.wts) * wvals / geo.det
     H = {(0, 0): s * (j01 * j01 + j11 * j11),
          (0, 1): -s * (j00 * j01 + j10 * j11),
          (1, 1): s * (j00 * j00 + j10 * j10)}
@@ -469,7 +451,8 @@ def _band(disc: Discretization, H) -> np.ndarray:
     :data:`_TERMS` that ``H`` holds: each contracted along u and scattered
     into u band rows, then all at once along v and into v band rows."""
     _, nel_u, n_pu, q_u = disc.pairs_u.shape
-    nel_v, q_v = len(disc.pairs_v), disc.quad.q_v
+    nel_v = len(disc.pairs_v)
+    q_v = len(disc.kv_v.gauss.pts) // nel_v
     m = disc.scatter_u.shape[0]
     terms = _TERMS[:4 if len(H) == 3 else 9]
     z = np.empty((nel_v, len(terms) * q_v, m))
@@ -493,7 +476,8 @@ def assemble_weighted_stiffness(
 
     ``weight`` is the scalar coefficient at the quadrature points: None for 1,
     a callable w(x, y) of physical coordinates (vectorized), or an array over
-    the grid returned by :func:`quadrature_grid`. It must be strictly
+    the assembly Gauss grid ``g.kv_u.gauss.pts`` x ``g.kv_v.gauss.pts``
+    (the knot vectors' memo entries). It must be strictly
     positive; a nonpositive value aborts assembly naming the element.
 
     ``disc`` (:func:`discretization`) must match ``g``'s knots and weights
@@ -504,13 +488,12 @@ def assemble_weighted_stiffness(
     if disc is None:
         disc = discretization(g)
     disc.check(g)
-    quad = disc.quad
-    geo = _quadrature_geometry(g, quad, geo)
-    wvals = _resolve_weight(weight, geo, (len(quad.pts_u), len(quad.pts_v)))
+    geo = _gauss_geometry(g, geo)
+    wvals = _resolve_weight(weight, geo, geo.det.shape)
 
     if np.any(wvals <= 0.0) or np.any(geo.det <= 0.0):
-        bad_w = np.any(_grid_blocks(wvals, quad) <= 0.0, axis=-1)
-        bad = _first_bad_element(bad_w, np.any(_grid_blocks(geo.det, quad) <= 0.0, axis=-1))
+        bad_w = np.any(_grid_blocks(wvals, g) <= 0.0, axis=-1)
+        bad = _first_bad_element(bad_w, np.any(_grid_blocks(geo.det, g) <= 0.0, axis=-1))
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
@@ -545,14 +528,11 @@ def assemble_load(
     otherwise). ``geo`` is ``g`` already evaluated with its Jacobian on the
     quadrature grid, when the caller has it.
     """
-    if disc is None:
-        quad = quadrature_grid(g)
-    else:
+    if disc is not None:
         disc.check(g)
-        quad = disc.quad
-    geo = _quadrature_geometry(g, quad, geo)
+    geo = _gauss_geometry(g, geo)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
-    fblk = _grid_blocks(fvals, quad)
+    fblk = _grid_blocks(fvals, g)
     bad = _first_bad_element(~np.all(np.isfinite(fblk), axis=-1))
     if bad is not None:
         raise AssemblyError(f"non-finite source value in element ({bad[0]}, {bad[1]})")
@@ -560,7 +540,7 @@ def assemble_load(
     w = g.weights.w
     tables = fixed_basis(g, "gauss")
     Du, Dv = tables.u.D[0], tables.v.D[0]
-    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
+    c = np.multiply.outer(tables.u.wts, tables.v.wts) * geo.det * fvals
     if _equal_weights(w):
         return (Du.T @ c @ Dv).ravel()
     c = c / _spline_sums(tables, w[..., None], 0)[0, 0][:, 0]
@@ -594,9 +574,8 @@ def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
     w_edge = g.weights.w[sl]
     corners = g.control_points[sl][[0, -1]]
 
-    gauss, across = kv.gauss, tabulate((g.kv_v, g.kv_u)[axis], [side], 1)
-    tables = GridBasis(g.kv_u, g.kv_v, *((gauss, across) if axis == 0 else (across, gauss)))
-    geo = eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables)
+    gauss, across = kv.gauss, np.array([float(side)])
+    geo = eval_geometry_grid(g, *((gauss.pts, across) if axis == 0 else (across, gauss.pts)), 1)
     x = geo.points.reshape(-1, 2)
     dmu = gauss.wts * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
     bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(x))
@@ -748,7 +727,7 @@ def solve_poisson(
     if disc is None:
         disc = discretization(g)
     disc.check(g)
-    geo = _quadrature_geometry(g, disc.quad, geo)
+    geo = _gauss_geometry(g, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, disc=disc, geo=geo)
     return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc, x0=x0)
@@ -778,26 +757,22 @@ def eval_field_grid(
     pts_v,
     nders: int = 0,
     geo: GeometryGrid | None = None,
-    tables: GridBasis | None = None,
 ) -> FieldGrid:
     """Evaluate a coefficient field on a tensor grid with physical derivatives.
 
     The gradient comes from the Jacobian-inverse chain rule; the Hessian uses
     the full second-order transformation including the second parametric
     derivatives of the geometry map. ``geo`` is ``g`` already evaluated on
-    the grid, and ``tables`` the :class:`~mmiga.geometry.GridBasis` of the
-    grid, when the caller has them (as in
-    :func:`~mmiga.geometry.rational_grid_sums`); the field and, when ``geo``
-    is missing, the geometry are evaluated on the same tables.
+    the grid, when the caller has it. The basis tables are those of
+    :func:`~mmiga.geometry.rational_grid_sums`: the knot vectors' memo
+    entries when ``pts_u``, ``pts_v`` are their arrays, else built per call,
+    once for the field and once more when the geometry is evaluated here.
     """
     pts_u = np.atleast_1d(np.asarray(pts_u, float))
     pts_v = np.atleast_1d(np.asarray(pts_v, float))
-    tables = _grid_tables(tables, g.kv_u, g.kv_v, pts_u, pts_v, nders)
     if nders >= 1 and (geo is None or (nders >= 2 and geo.second is None)):
-        geo = eval_geometry_grid(g, pts_u, pts_v, nders, tables)
-    sums = rational_grid_sums(
-        g.kv_u, g.kv_v, g.weights, u.grid[:, :, None], pts_u, pts_v, nders, tables
-    )
+        geo = eval_geometry_grid(g, pts_u, pts_v, nders)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, u.grid[:, :, None], pts_u, pts_v, nders)
     values = sums[0, 0][..., 0]
     if nders == 0:
         return FieldGrid(values, None, None)

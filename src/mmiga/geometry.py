@@ -8,14 +8,16 @@ thanks to the tensor structure).
 
 Elements are the nonzero-measure knot spans of each direction
 (:func:`~mmiga.splines.element_spans`), and every per-element sample grid is
-laid out on them span by span, the Gauss grid of assembly, ``min_jacobian``
-and the error norms (:func:`quadrature_grid`) included.
+laid out on them span by span. Each fixed grid exists once, as a memo entry
+of the knot vectors (:class:`~mmiga.splines.KnotVector`): the Gauss grid of
+assembly and ``min_jacobian`` (``gauss``), the error-norm Gauss grid, the
+Greville nodes, the max-norm lattice and the breakpoints.
 
 Grid evaluation contracts the control net with directional basis tables
-(:class:`GridBasis`). On a grid the knots fix, the tables are the memo
-entries of the two knot vectors (:func:`fixed_basis`), built once for all
-the geometries that share them; every other grid is tabulated per call
-(:func:`grid_basis`).
+(:class:`GridBasis`). The callers pass points only; each knot vector finds
+the tables of its points (:meth:`~mmiga.splines.KnotVector.tables`): the
+memo entry when the points are that entry's own array, else tables built
+for the call (:func:`grid_basis`).
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from .splines import (  # the Gauss rule is re-exported here
     QuadratureRule,
     TensorWeights,
     basis_matrix,  # noqa: F401  (the benchmark's self-test reads it here)
-    element_quadrature_1d,
     gauss_rule,
     greville_abscissae,
     rational_derivatives,
-    tabulate,
 )
 
 __all__ = [
@@ -45,9 +45,7 @@ __all__ = [
     "GridBasis",
     "MapPointEval",
     "QuadratureRule",
-    "TensorQuadrature",
     "gauss_rule",
-    "quadrature_grid",
     "boundary_mask",
     "grid_basis",
     "fixed_basis",
@@ -145,40 +143,12 @@ class GeometryGrid:
 @dataclass(frozen=True, eq=False)
 class GridBasis:
     """Directional B-spline tables of one tensor grid of parametric points:
-    ``u`` holds those of ``kv_u`` on the u points and ``v`` those of
-    ``kv_v`` on the v points (:class:`~mmiga.splines.PointTables`). A fixed
-    grid's are its knot vectors' memo entries (:func:`fixed_basis`); any
-    other grid's are built by :func:`grid_basis`.
-    """
+    ``u`` holds those of the u knot vector on the u points and ``v`` those
+    of the v knot vector on the v points
+    (:class:`~mmiga.splines.PointTables`)."""
 
-    kv_u: KnotVector
-    kv_v: KnotVector
     u: PointTables
     v: PointTables
-
-    def check(self, kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> None:
-        """Raise ValueError unless these tables were built for the knots
-        ``kv_u``, ``kv_v`` and the points ``pts_u`` x ``pts_v``, with every
-        derivative order up to ``nders``."""
-        differ = [
-            name
-            for name, same in (
-                ("u knots", _same_knots(kv_u, self.kv_u)),
-                ("v knots", _same_knots(kv_v, self.kv_v)),
-                ("u points", np.array_equal(pts_u, self.u.pts)),
-                ("v points", np.array_equal(pts_v, self.v.pts)),
-            )
-            if not same
-        ]
-        if differ:
-            raise ValueError(f"basis tables do not match the grid: {', '.join(differ)} differ")
-        have = min(len(self.u.D), len(self.v.D)) - 1
-        if nders > have:
-            raise ValueError(f"basis tables hold derivative orders up to {have}, not {nders}")
-
-
-def _same_knots(a: KnotVector, b: KnotVector) -> bool:
-    return a.degree == b.degree and np.array_equal(a.knots, b.knots)
 
 
 def _equal_weights(w: np.ndarray) -> bool:
@@ -192,10 +162,12 @@ def _points(pts) -> np.ndarray:
 
 def grid_basis(kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> GridBasis:
     """The :class:`GridBasis` of the knots ``kv_u``, ``kv_v`` on the grid
-    ``pts_u`` x ``pts_v``, with derivative orders 0 .. ``nders``."""
+    ``pts_u`` x ``pts_v``, with derivative orders 0 .. ``nders``: the knot
+    vectors' memo entries when the points are their arrays, else new tables
+    (:meth:`~mmiga.splines.KnotVector.tables`)."""
     if nders < 0:
         raise ValueError(f"derivative order must be >= 0, got {nders}")
-    return GridBasis(kv_u, kv_v, tabulate(kv_u, pts_u, nders), tabulate(kv_v, pts_v, nders))
+    return GridBasis(kv_u.tables(pts_u, nders), kv_v.tables(pts_v, nders))
 
 
 def fixed_basis(g: NurbsGeometry, grid: str) -> GridBasis:
@@ -203,17 +175,8 @@ def fixed_basis(g: NurbsGeometry, grid: str) -> GridBasis:
     the pair of the memo entries ``grid`` of its knot vectors
     (:class:`~mmiga.splines.KnotVector`), one of "gauss", "gauss_hessian",
     "error_gauss", "greville", "greville_hessian", "lattice" and
-    "corners"."""
-    return GridBasis(g.kv_u, g.kv_v, getattr(g.kv_u, grid), getattr(g.kv_v, grid))
-
-
-def _grid_tables(tables: GridBasis | None, kv_u, kv_v, pts_u, pts_v, nders: int) -> GridBasis:
-    """``tables`` checked against the grid (:meth:`GridBasis.check`), or new
-    tables when there are none."""
-    if tables is None:
-        return grid_basis(kv_u, kv_v, pts_u, pts_v, nders)
-    tables.check(kv_u, kv_v, pts_u, pts_v, nders)
-    return tables
+    "corners". Evaluations on its points read these tables."""
+    return GridBasis(getattr(g.kv_u, grid), getattr(g.kv_v, grid))
 
 
 def _spline_sums(tables: GridBasis, coeffs: np.ndarray, nders: int) -> dict:
@@ -235,28 +198,26 @@ def _spline_sums(tables: GridBasis, coeffs: np.ndarray, nders: int) -> dict:
     return out
 
 
-def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders, tables=None):
+def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     """Mixed parametric derivatives of S(u, v) = sum_ij R_ij(u, v) c_ij.
 
     ``coeffs`` has shape (n1, n2, m); the result maps (a, b) with
     a + b <= nders to arrays of shape (Nu, Nv, m), views with unit stride
     along v. Each is two matrix products with the directional derivative
-    tables of the grid: ``tables`` when the caller has them (checked
-    against the knots, the points and ``nders``; ValueError otherwise), else
-    built here (:func:`grid_basis`). The weight sum rides along as one more
-    coefficient column, so the weighted numerator sum_ij w_ij N_i N_j c_ij
-    and the weight sum come out of the same products, and
+    tables of the grid (:func:`grid_basis`), which are the knot vectors'
+    memo entries when ``pts_u``, ``pts_v`` are their arrays. The weight sum
+    rides along as one more coefficient column, so the weighted numerator
+    sum_ij w_ij N_i N_j c_ij and the weight sum come out of the same
+    products, and
     :func:`~mmiga.splines.rational_derivatives` divides the weight sum out.
     When all weights are equal, R_ij = N_i N_j exactly: the coefficients
     are contracted as they are, with no weight column and no quotient rule.
     A single point is the 1x1 grid.
     """
-    if nders < 0:
-        raise ValueError(f"derivative order must be >= 0, got {nders}")
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
     pts_u, pts_v = _points(pts_u), _points(pts_v)
-    tables = _grid_tables(tables, kv_u, kv_v, pts_u, pts_v, nders)
+    tables = grid_basis(kv_u, kv_v, pts_u, pts_v, nders)
     if _equal_weights(w):
         sums = _spline_sums(tables, coeffs, nders)
     else:
@@ -269,13 +230,11 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders, tables=
     return {ab: np.moveaxis(s, 1, 2) for ab, s in sums.items()}
 
 
-def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1,
-                       tables: GridBasis | None = None) -> GeometryGrid:
-    """Evaluate F (and derivatives) on the tensor grid pts_u x pts_v;
-    ``tables`` as in :func:`rational_grid_sums`."""
+def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> GeometryGrid:
+    """Evaluate F (and derivatives) on the tensor grid pts_u x pts_v, with
+    the tables of :func:`rational_grid_sums`."""
     pts_u, pts_v = _points(pts_u), _points(pts_v)
-    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pts_u, pts_v, nders,
-                              tables)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pts_u, pts_v, nders)
     points = sums[0, 0]
     if nders >= 1:
         du, dv = sums[1, 0], sums[0, 1]
@@ -329,8 +288,7 @@ def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
     """The (n1, n2, 2) physical node grid: images of the Greville parameter
     pairs. The elements are the nonzero knot spans
     (:func:`~mmiga.splines.element_spans`)."""
-    tables = fixed_basis(g, "greville")
-    return eval_geometry_grid(g, tables.u.pts, tables.v.pts, 0, tables).points
+    return eval_geometry_grid(g, g.kv_u.greville.pts, g.kv_v.greville.pts, 0).points
 
 
 def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
@@ -370,35 +328,23 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
 
 
-@dataclass(frozen=True)
-class TensorQuadrature:
-    """Per-direction element Gauss grids for one geometry."""
-
-    pts_u: np.ndarray
-    wts_u: np.ndarray
-    pts_v: np.ndarray
-    wts_v: np.ndarray
-    q_u: int
-    q_v: int
-
-
-def quadrature_grid(g: NurbsGeometry, extra: int = 0) -> TensorQuadrature:
-    """The element Gauss grid: degree + 1 (+extra) points per direction per
-    element, ordered element by element. Assembly and :func:`min_jacobian`
-    use ``extra=0``, the error norms ``extra=1`` (the knot vectors' ``gauss``
-    and ``error_gauss`` memo entries hold the same points); coefficient
-    fields (e.g. mesh-density weights) can be tabulated on exactly the
-    points assembly will use."""
-    q_u = g.kv_u.degree + 1 + extra
-    q_v = g.kv_v.degree + 1 + extra
-    pu, wu = element_quadrature_1d(g.kv_u, q_u)
-    pv, wv = element_quadrature_1d(g.kv_v, q_v)
-    return TensorQuadrature(pu, wu, pv, wv, q_u, q_v)
+def _gauss_geometry(g: NurbsGeometry, geo: GeometryGrid | None) -> GeometryGrid:
+    """``g`` with its Jacobian on the assembly Gauss grid (the knot vectors'
+    ``gauss`` entries): ``geo`` when the caller has evaluated it already
+    (ValueError when it is of another grid or lacks the Jacobian), else a
+    fresh evaluation."""
+    pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
+    if geo is None:
+        return eval_geometry_grid(g, pts_u, pts_v, 1)
+    if geo.jac is None or not (np.array_equal(geo.pts_u, pts_u)
+                               and np.array_equal(geo.pts_v, pts_v)):
+        raise ValueError("geometry grid is not a first-order evaluation on the Gauss grid, "
+                         "the assembly quadrature grid")
+    return geo
 
 
 def min_jacobian(g: NurbsGeometry, geo: GeometryGrid | None = None) -> float:
-    """Smallest Jacobian determinant over the assembly Gauss points
-    (:func:`quadrature_grid`).
+    """Smallest Jacobian determinant over the assembly Gauss points.
 
     ``geo`` is the first-order evaluation of ``g`` on that grid, when the
     caller has made it (ValueError when it is of another grid or lacks the
@@ -406,10 +352,4 @@ def min_jacobian(g: NurbsGeometry, geo: GeometryGrid | None = None) -> float:
     mesh validity at the sampled resolution; folding between quadrature
     points is not detected.
     """
-    tables = fixed_basis(g, "gauss")
-    if geo is None:
-        geo = eval_geometry_grid(g, tables.u.pts, tables.v.pts, 1, tables)
-    elif geo.det is None or not (np.array_equal(geo.pts_u, tables.u.pts)
-                                 and np.array_equal(geo.pts_v, tables.v.pts)):
-        raise ValueError("geometry grid is not a first-order evaluation on the Gauss grid")
-    return float(geo.det.min())
+    return float(_gauss_geometry(g, geo).det.min())

@@ -30,12 +30,14 @@ class LinearSolverSettings:
     maxit: int | None = None  # defaults to 10 * n
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.maxit is not None and (
             isinstance(self.maxit, bool) or not isinstance(self.maxit, (int, np.integer))
         ):
             raise TypeError(f"maxit must be an integer or None, got {self.maxit!r}")
+        if self.maxit is not None and self.maxit < 1:
+            raise ValueError(f"maxit must be >= 1 or None, got {self.maxit!r}")
 
 
 def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None, x0=None):

@@ -35,12 +35,10 @@ from .assembly import (
 from .errors import DegenerateMapError, MeshWrapError
 from .geometry import (
     GeometryGrid,
-    GridBasis,
     NurbsGeometry,
     Rectangle,
     boundary_mask,
     eval_geometry_grid,
-    fixed_basis,
     mesh_nodes,
     min_jacobian,
     refit_from_node_targets,
@@ -101,6 +99,8 @@ class MonitorSpec:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("monitor weights must be nonnegative")
+        if not all(np.isfinite(x) for x in (self.eps, self.alpha, self.beta)):
+            raise ValueError("eps, alpha and beta must be finite")
         if self.kind == "gradient":
             object.__setattr__(self, "eps", 1.0)
             object.__setattr__(self, "beta", 0.0)
@@ -209,14 +209,15 @@ class MoveMeshConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, (int, np.integer)):
             raise TypeError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.movement_cap is not None and self.movement_cap <= 0:
-            raise ValueError("movement_cap must be positive or None")
+        if self.movement_cap is not None and not 0 < self.movement_cap < np.inf:
+            raise ValueError(f"movement_cap must be positive and finite or None, "
+                             f"got {self.movement_cap!r}")
 
     def stop_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -278,23 +279,21 @@ def init_logical_mesh(
     ``bmap`` on ``g0``, when the caller has them."""
     A = assemble_weighted_stiffness(g0, disc=disc)
     fields = _solve_components(A, g0, bmap, lin, boundary, disc)
-    tables = fixed_basis(g0, "greville")
-    vals = [eval_field_grid(g0, f, tables.u.pts, tables.v.pts, tables=tables).values
-            for f in fields]
-    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), tables.u.pts, tables.v.pts)
+    gu, gv = g0.kv_u.greville.pts, g0.kv_v.greville.pts
+    vals = [eval_field_grid(g0, f, gu, gv).values for f in fields]
+    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), gu, gv)
 
 
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
-                 geo: GeometryGrid | None = None, tables: GridBasis | None = None):
+                 geo: GeometryGrid | None = None):
     """Monitor values on a tensor grid of parametric points. ``geo`` is
-    ``g`` already evaluated on that grid, and ``tables`` the basis tables
-    of the grid, when the caller has them; see
+    ``g`` already evaluated on that grid, when the caller has it; see
     :func:`~mmiga.assembly.eval_field_grid`. A smoothed monitor is
-    evaluated on the Greville grid alone, and neither is read."""
+    evaluated on the Greville grid alone, and ``geo`` is not read."""
     if spec.smoothing > 0:
         return _smooth_monitor(spec, g, u, pts_u, pts_v)
     nders = 2 if spec.needs_hessian else 1
-    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo, tables=tables)
+    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
     m2 = spec.eps * np.ones_like(fg.values)
     if spec.alpha > 0.0:
         m2 = m2 + spec.alpha * (fg.grad**2).sum(axis=-1)
@@ -308,10 +307,9 @@ def _smooth_monitor(spec, g, u, pts_u, pts_v):
     neighbors ``smoothing`` times, interpolate back bilinearly."""
     from scipy.interpolate import RegularGridInterpolator
 
-    tables = fixed_basis(g, "greville_hessian" if spec.needs_hessian else "greville")
-    gu, gv = tables.u.pts, tables.v.pts
+    gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
     sub = MonitorSpec(spec.kind, spec.eps, spec.alpha, spec.beta, smoothing=0)
-    nodal = monitor_grid(sub, g, u, gu, gv, tables=tables)
+    nodal = monitor_grid(sub, g, u, gu, gv)
     for _ in range(spec.smoothing):
         padded = np.pad(nodal, 1, mode="edge")
         nodal = 0.5 * nodal + 0.125 * (
@@ -350,11 +348,10 @@ def solve_harmonic_map(
     one full coefficient field per component, the initial guesses of the
     two CG solves (:func:`~mmiga.assembly.solve_dirichlet`).
     """
-    tables = fixed_basis(g, "gauss_hessian" if spec.needs_hessian else "gauss")
-    pts_u, pts_v = tables.u.pts, tables.v.pts
+    pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
     if geo is None:
-        geo = eval_geometry_grid(g, pts_u, pts_v, 1, tables)
-    m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo, tables=tables)
+        geo = eval_geometry_grid(g, pts_u, pts_v, 1)
+    m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo)
     A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
     return _solve_components(A, g, bmap, lin, boundary, disc, x0)
 
@@ -384,10 +381,8 @@ def _solve_components(
 def _xi_at_nodes(g, xi, lm, nders=0):
     """Evaluate both map components on the fixed Greville parameter grid;
     derivatives share one evaluation of the geometry there."""
-    tables = fixed_basis(g, "greville")
-    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders, tables) if nders else None
-    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo, tables=tables)
-            for f in xi]
+    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders) if nders else None
+    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo) for f in xi]
 
 
 def compute_movement(
@@ -480,13 +475,12 @@ def update_mesh(
         raise ValueError("boundary ring of the movement grid must be zero")
     if nodes is None:
         nodes = mesh_nodes(g)
-    tables = fixed_basis(g, "gauss")
     tau_k = float(tau)
     worst = None
     for _ in range(MAX_TAU_HALVINGS + 1):
         targets = nodes + tau_k * movement
         candidate = refit_from_node_targets(g, targets, nodes=nodes)
-        geo = eval_geometry_grid(candidate, tables.u.pts, tables.v.pts, 1, tables)
+        geo = eval_geometry_grid(candidate, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
         mj = min_jacobian(candidate, geo)
         if mj > 0.0:
             return candidate, tau_k, geo
@@ -579,8 +573,7 @@ def move_mesh_solve(
         return xi, float(np.max(np.abs(defect)))
 
     g = g0
-    gauss = fixed_basis(g0, "gauss")
-    geo = eval_geometry_grid(g0, gauss.u.pts, gauss.v.pts, 1, gauss)
+    geo = eval_geometry_grid(g0, g0.kv_u.gauss.pts, g0.kv_v.gauss.pts, 1)
     u = poisson(None)
 
     state = MoveMeshState(g, u, lm.fields, lm)

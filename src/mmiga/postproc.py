@@ -65,9 +65,8 @@ class LevelOrders:
 def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
     """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map."""
     quad = fixed_basis(g, "error_gauss")
-    qu, qv = g.kv_u.degree + 2, g.kv_v.degree + 2
-    geo = eval_geometry_grid(g, quad.u.pts, quad.v.pts, 1, quad)
-    fg = eval_field_grid(g, u, quad.u.pts, quad.v.pts, nders=1, geo=geo, tables=quad)
+    geo = eval_geometry_grid(g, quad.u.pts, quad.v.pts, 1)
+    fg = eval_field_grid(g, u, quad.u.pts, quad.v.pts, nders=1, geo=geo)
     X, Y = geo.points[..., 0], geo.points[..., 1]
     w2 = np.multiply.outer(quad.u.wts, quad.v.wts) * geo.det
 
@@ -77,19 +76,20 @@ def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) ->
 
     nel_u = len(g.kv_u.nonzero_spans)
     nel_v = len(g.kv_v.nonzero_spans)
+    qu, qv = len(quad.u.pts) // nel_u, len(quad.v.pts) // nel_v
     l2_cells = (e_val * e_val * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
     h1_cells = ((e_gx * e_gx + e_gy * e_gy) * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
     per_element_L2 = np.sqrt(l2_cells)
 
     # deterministic per-element lattice max, corners included
     lat = fixed_basis(g, "lattice")
-    lgeo = eval_geometry_grid(g, lat.u.pts, lat.v.pts, 0, lat)
-    lvals = eval_field_grid(g, u, lat.u.pts, lat.v.pts, tables=lat).values
+    lgeo = eval_geometry_grid(g, lat.u.pts, lat.v.pts, 0)
+    lvals = eval_field_grid(g, u, lat.u.pts, lat.v.pts).values
     linf = float(np.max(np.abs(lvals - exact.u(lgeo.points[..., 0], lgeo.points[..., 1]))))
 
     # element size: largest corner-to-corner distance over all elements
     brk = fixed_basis(g, "corners")
-    corners = eval_geometry_grid(g, brk.u.pts, brk.v.pts, 0, brk).points
+    corners = eval_geometry_grid(g, brk.u.pts, brk.v.pts, 0).points
     diag = corners[1:, 1:] - corners[:-1, :-1]
     anti = corners[1:, :-1] - corners[:-1, 1:]
     h = float(

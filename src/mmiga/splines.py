@@ -25,7 +25,9 @@ point sets the package evaluates on again and again: the assembly and
 error-norm Gauss grids, the Greville abscissae, the max-norm lattice and the
 breakpoints. Each is a :class:`PointTables` memo entry, built on first use and
 kept, read-only, for the life of the knot vector; a geometry re-fitted from
-another shares its knot vectors and so their tables.
+another shares its knot vectors and so their tables. The memo entries hold
+the only copy of these point sets: :meth:`KnotVector.tables` recognises an
+entry by its point array, so evaluation takes points alone.
 """
 
 from __future__ import annotations
@@ -181,6 +183,21 @@ class KnotVector:
     def corners(self) -> PointTables:
         """The :attr:`breakpoints`, the element corners, with order 0."""
         return self._memo(self.breakpoints, 0)
+
+    def tables(self, pts, nders: int) -> PointTables:
+        """The tables on ``pts`` with orders 0 .. ``nders``: the memo entry
+        whose point array *is* ``pts`` when it holds those orders (for order
+        2 on the :attr:`gauss` or :attr:`greville` points, its ``_hessian``
+        sibling, built on first use), else tabulated here. Points equal to
+        a memo entry's but in another array are tabulated: the bits are the
+        same."""
+        for name, t in list(vars(self).items()):
+            if isinstance(t, PointTables) and t.pts is pts:
+                if nders < len(t.D):
+                    return t
+                if nders == 2 and name in ("gauss", "greville"):
+                    return getattr(self, f"{name}_hessian")
+        return tabulate(self, pts, nders)
 
 
 @dataclass(frozen=True)
@@ -415,11 +432,11 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
     are tabulated in one vectorized pass (spans by a sorted search, then the
     triangular scheme over the point axis) and the local values are
     scattered into the band with one indexed assignment. Grid evaluation
-    reads it through :func:`tabulate`: the memo entries of a
+    reads it through :meth:`KnotVector.tables`: the memo entries of a
     :class:`KnotVector` for its fixed point sets, which the Greville
     collocation, the edge projections, the load, the preconditioner and the
-    element blocks of the stiffness share, and one call per direction for
-    any other grid (:func:`~mmiga.geometry.grid_basis`).
+    element blocks of the stiffness share, and one call per order and
+    direction for any other grid (:func:`tabulate`).
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     p = kv.degree

@@ -22,17 +22,16 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_only_the_grid_primitives_take_basis_tables():
-    # the tables of the knots' fixed grids live on the knot vectors; a
-    # tables parameter serves arbitrary points only
+def test_no_function_takes_basis_tables():
+    # the tables of the knots' fixed grids live on the knot vectors, which
+    # find them from the points: no caller passes a grid twice
     takers = set()
     for name in MODULES:
         module = importlib.import_module(f"mmiga.{name}")
         for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
             if inspect.isfunction(obj) and "tables" in inspect.signature(obj).parameters:
                 takers.add(f"{obj.__module__}.{obj.__name__}")
-    assert takers == {"mmiga.geometry.rational_grid_sums", "mmiga.geometry.eval_geometry_grid",
-                      "mmiga.assembly.eval_field_grid", "mmiga.movemesh.monitor_grid"}
+    assert takers == set()
     from mmiga.movemesh import update_mesh
 
     assert not {"greville", "quadrature"} & set(inspect.signature(update_mesh).parameters)

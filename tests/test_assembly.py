@@ -15,7 +15,6 @@ from mmiga.assembly import (
     eval_field_grid,
     fast_diagonalization,
     gauss_rule,
-    quadrature_grid,
     solve_dirichlet,
     solve_poisson,
 )
@@ -25,13 +24,19 @@ from mmiga.geometry import (
     Rectangle,
     build_identity_geometry,
     eval_geometry_grid,
+    fixed_basis,
     map_point,
     refit_from_node_targets,
     mesh_nodes,
     rational_grid_sums,
 )
 from mmiga.linalg import LinearSolverSettings, cg_solve
-from mmiga.splines import TensorWeights, greville_abscissae, make_open_knot_vector
+from mmiga.splines import (
+    TensorWeights,
+    element_quadrature_1d,
+    greville_abscissae,
+    make_open_knot_vector,
+)
 
 from oracles import grad_fd, hess_fd, shared_element_pattern
 
@@ -113,9 +118,8 @@ def test_stiffness_exactly_symmetric():
 
 def test_stiffness_weight_scaling_exact():
     g = _perturbed(p=2, m=3, seed=2)
-    quad = quadrature_grid(g)
     rng = np.random.default_rng(3)
-    wvals = rng.uniform(0.5, 2.0, size=(len(quad.pts_u), len(quad.pts_v)))
+    wvals = rng.uniform(0.5, 2.0, size=(len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts)))
     A1 = assemble_weighted_stiffness(g, wvals)
     A2 = assemble_weighted_stiffness(g, 2.0 * wvals)
     d = (A2 - 2.0 * A1).tocoo()
@@ -150,13 +154,13 @@ def test_stiffness_weight_error_wins_in_first_bad_element():
     cp = g.control_points.copy()
     cp[2, 3] = cp[3, 3] + (cp[3, 3] - cp[2, 3])
     g = NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
-    quad = quadrature_grid(g)
-    det = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1).det
+    det = eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, nders=1).det
+    q = 3  # Gauss points per element direction at p = 2
     folded = [
         (eu, ev)
         for eu in range(3)
         for ev in range(4)
-        if np.any(det[eu * quad.q_u:(eu + 1) * quad.q_u, ev * quad.q_v:(ev + 1) * quad.q_v] <= 0.0)
+        if np.any(det[eu * q:(eu + 1) * q, ev * q:(ev + 1) * q] <= 0.0)
     ]
     # (2, 0) comes after the first folded element in row order but before
     # it in column order
@@ -165,7 +169,7 @@ def test_stiffness_weight_error_wins_in_first_bad_element():
 
     def block(e):
         w = np.ones_like(det)
-        w[e[0] * quad.q_u:(e[0] + 1) * quad.q_u, e[1] * quad.q_v:(e[1] + 1) * quad.q_v] = -1.0
+        w[e[0] * q:(e[0] + 1) * q, e[1] * q:(e[1] + 1) * q] = -1.0
         return w
 
     where = rf"in element \({first[0]}, {first[1]}\)"
@@ -198,14 +202,14 @@ def _one_hot_stiffness(g, wvals):
     """The stiffness as the dense quadrature sum of c grad R_k . grad R_l,
     c = Gauss weight * det J * ``wvals``, with R_k and its parametric
     gradient from grid evaluation of one-hot fields."""
-    quad = quadrature_grid(g)
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    quad = fixed_basis(g, "gauss")
+    geo = eval_geometry_grid(g, quad.u.pts, quad.v.pts, nders=1)
     one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
-    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, quad.pts_u, quad.pts_v, 1)
+    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, quad.u.pts, quad.v.pts, 1)
     # d R / d x_b = sum_a d R / d s_a (J^-1)[a, b]
     grad = np.einsum("uvka,uvab->uvkb", np.stack([R[1, 0], R[0, 1]], axis=-1),
                      np.linalg.inv(geo.jac))
-    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * wvals
+    c = np.multiply.outer(quad.u.wts, quad.v.wts) * geo.det * wvals
     return np.einsum("uv,uvkb,uvlb->kl", c, grad, grad)
 
 
@@ -216,10 +220,10 @@ def _one_hot_stiffness(g, wvals):
 def test_stiffness_matches_one_hot_quadrature_oracle(p, c0, weights, variable, seed):
     # C^{p-1} or C^0 knots; a variable diffusion weight or none
     g = _net(p, p if c0 else 1, weights, seed)
-    quad = quadrature_grid(g)
-    wvals = np.ones((len(quad.pts_u), len(quad.pts_v)))
+    pu, pv = g.kv_u.gauss.pts, g.kv_v.gauss.pts
+    wvals = np.ones((len(pu), len(pv)))
     if variable:
-        wvals = 1.0 + 0.5 * np.sin(3.0 * np.add.outer(quad.pts_u, 2.0 * quad.pts_v))
+        wvals = 1.0 + 0.5 * np.sin(3.0 * np.add.outer(pu, 2.0 * pv))
     A = assemble_weighted_stiffness(g, wvals if variable else None)
     K = _one_hot_stiffness(g, wvals)
     assert np.max(np.abs(A.toarray() - K)) <= 1e-13 * np.max(np.abs(K))
@@ -257,10 +261,10 @@ def test_stiffness_with_discretization_is_bit_identical(p, mult, weight_kind):
     disc = discretization(g)
     # a second control net on the same knots and weights reuses it
     g2 = refit_from_node_targets(g, mesh_nodes(g) * 1.01)
-    quad = quadrature_grid(g)
+    shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
     weight = {
         "none": None,
-        "array": np.random.default_rng(1).uniform(0.5, 2.0, (len(quad.pts_u), len(quad.pts_v))),
+        "array": np.random.default_rng(1).uniform(0.5, 2.0, shape),
         "callable": lambda x, y: 1.0 + x * x + 0.5 * y,
     }[weight_kind]
     for geom in (g, g2):
@@ -294,7 +298,7 @@ def test_discretization_size_matches_memory_formula():
     nnz = 30 * 37
     assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
     assert disc.gather.dtype == disc.indices.dtype == np.int32
-    floats = 6 * 7 + 2 * 12 + 2 * 16 + disc.pairs_u.size + disc.pairs_v.size
+    floats = 6 * 7 + disc.pairs_u.size + disc.pairs_v.size
     scatter = sum(a.nbytes for s in (disc.scatter_u, disc.scatter_v)
                   for a in (s.data, s.indices, s.indptr))
     ints = 2 * nnz + 6 * 7 + 1
@@ -308,13 +312,13 @@ def test_discretization_size_matches_memory_formula():
 
 def test_forms_take_a_shared_geometry_grid_bit_identically():
     g = _random_rational(3, 1, seed=7)
-    quad = quadrature_grid(g)
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+    pu, pv = g.kv_u.gauss.pts, g.kv_v.gauss.pts
+    geo = eval_geometry_grid(g, pu, pv, nders=1)
     f = lambda x, y: 1.0 + np.sin(3.0 * x) * np.exp(y)
     assert np.array_equal(assemble_load(g, f, geo=geo), assemble_load(g, f))
     A, B = assemble_weighted_stiffness(g, geo=geo), assemble_weighted_stiffness(g)
     assert np.array_equal(A.data, B.data)
-    wrong = eval_geometry_grid(g, quad.pts_u[:-1], quad.pts_v, nders=1)
+    wrong = eval_geometry_grid(g, pu[:-1], pv, nders=1)
     for form in (lambda: assemble_load(g, f, geo=wrong),
                  lambda: assemble_weighted_stiffness(g, geo=wrong)):
         with pytest.raises(ValueError, match="quadrature grid"):
@@ -345,14 +349,17 @@ def test_load_unit_source_sums_to_area():
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
 
 
-def _one_hot_load(g, f, quad):
-    """The load as the quadrature sum over ``quad`` of f R_k det J, with
-    R_k from grid evaluation of one-hot fields."""
-    geo = eval_geometry_grid(g, quad.pts_u, quad.pts_v, nders=1)
+def _one_hot_load(g, f, extra=0):
+    """The load as the sum of f R_k det J over the element Gauss grid of
+    degree + 1 + ``extra`` points per direction, with R_k from grid
+    evaluation of one-hot fields."""
+    (pu, wu), (pv, wv) = (element_quadrature_1d(kv, kv.degree + 1 + extra)
+                          for kv in (g.kv_u, g.kv_v))
+    geo = eval_geometry_grid(g, pu, pv, nders=1)
     fvals = f(geo.points[..., 0], geo.points[..., 1])
-    c = np.multiply.outer(quad.wts_u, quad.wts_v) * geo.det * fvals
+    c = np.multiply.outer(wu, wv) * geo.det * fvals
     one_hot = np.eye(g.ndof).reshape(*g.shape, -1)
-    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, quad.pts_u, quad.pts_v, 0)
+    R = rational_grid_sums(g.kv_u, g.kv_v, g.weights, one_hot, pu, pv, 0)
     return np.einsum("uv,uvk->k", c, R[0, 0])
 
 
@@ -360,7 +367,7 @@ def test_load_matches_refined_quadrature_oracle():
     g = _identity(p=3, m=4, rect=Rectangle(-1, 1, -1, 1))
     f = lambda x, y: 2.0 * np.sin(x) * np.sin(y)
     b = assemble_load(g, f)
-    b_fine = _one_hot_load(g, f, quadrature_grid(g, extra=4))
+    b_fine = _one_hot_load(g, f, extra=4)
     assert np.allclose(b, b_fine, atol=1e-10)
 
 
@@ -375,7 +382,7 @@ def test_load_on_rational_geometry_matches_one_hot_quadrature():
     g = NurbsGeometry(g0.kv_u, g0.kv_v, w, cp)
     f = lambda x, y: 1.0 + np.sin(3.0 * x) * np.exp(y)
     b = assemble_load(g, f)
-    assert np.allclose(b, _one_hot_load(g, f, quadrature_grid(g)), rtol=0, atol=1e-13)
+    assert np.allclose(b, _one_hot_load(g, f), rtol=0, atol=1e-13)
 
 
 def test_load_rejects_non_finite_source():

@@ -179,6 +179,19 @@ def test_unknown_key_exits_2(tmp_path, extra):
     ("monitor", "beta", False),
     ("solver", "tol", True),
     (None, "output_dir", 5),
+    # json.load reads NaN, Infinity and -Infinity; no setting takes them
+    ("solver", "tol", float("nan")),
+    ("solver", "tol", float("inf")),
+    ("solver", "maxit", 0),
+    ("solver", "maxit", -3),
+    ("movemesh", "tolerance", float("nan")),
+    ("movemesh", "tolerance", float("inf")),
+    ("movemesh", "movement_cap", float("nan")),
+    ("movemesh", "movement_cap", float("inf")),
+    ("monitor", "eps", float("nan")),
+    ("monitor", "alpha", float("inf")),
+    ("monitor", "alpha", float("nan")),
+    ("monitor", "beta", float("nan")),
 ])
 def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     doc = dict(BASE_MOVE)

@@ -11,11 +11,9 @@ from mmiga.geometry import (
     build_identity_geometry,
     eval_geometry_grid,
     fixed_basis,
-    grid_basis,
     map_point,
     mesh_nodes,
     min_jacobian,
-    quadrature_grid,
     rational_grid_sums,
     refit_from_node_targets,
 )
@@ -150,10 +148,10 @@ def test_mesh_nodes_affine_geometry():
 def test_element_count_excludes_zero_measure_spans():
     kv = make_open_knot_vector(3, 4, 3)  # interior multiplicity 3
     g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
-    quad = quadrature_grid(g)
-    assert len(quad.pts_u) == len(quad.pts_v) == 4 * (3 + 1)
+    gauss = fixed_basis(g, "gauss")
+    assert len(gauss.u.pts) == len(gauss.v.pts) == 4 * (3 + 1)
     # each run of p + 1 Gauss points lies inside its own breakpoint interval
-    element = np.searchsorted(kv.breakpoints, quad.pts_u) - 1
+    element = np.searchsorted(kv.breakpoints, gauss.u.pts) - 1
     assert np.array_equal(element, np.repeat(np.arange(4), 4))
 
 
@@ -243,13 +241,13 @@ def test_min_jacobian_identity_and_folded():
 def test_min_jacobian_reads_a_given_gauss_grid_evaluation():
     g = _perturbed(p=2, m=4, seed=14)
     gauss = fixed_basis(g, "gauss")
-    geo = eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 1, gauss)
+    geo = eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 1)
     assert min_jacobian(g, geo) == min_jacobian(g)
     with pytest.raises(ValueError, match="Gauss grid"):
-        min_jacobian(g, eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 0, gauss))
+        min_jacobian(g, eval_geometry_grid(g, gauss.u.pts, gauss.v.pts, 0))
     greville = fixed_basis(g, "greville")
     with pytest.raises(ValueError, match="Gauss grid"):
-        min_jacobian(g, eval_geometry_grid(g, greville.u.pts, greville.v.pts, 1, greville))
+        min_jacobian(g, eval_geometry_grid(g, greville.u.pts, greville.v.pts, 1))
 
 
 def test_jacobian_grid_matches_finite_differences_randomized():
@@ -308,25 +306,32 @@ def test_grid_sums_match_the_one_hot_oracle(p, c0, weights, nders, pts_u, pts_v,
 
 
 @pytest.mark.parametrize("weights", ["unit", "equal", "random"])
-def test_evaluations_with_tables_give_the_same_bits(weights):
+def test_evaluations_with_tables_give_the_same_bits(monkeypatch, weights):
+    # on a memo entry's own point arrays evaluation reads the memo tables;
+    # on copies of them it tabulates, with the same bits
     g = _net(3, False, weights, seed=21)
-    pu, pv = np.array([0.0, 0.3, 0.3, 0.61, 1.0]), np.array([0.2, 0.5, 1.0])
     u = FieldCoefficients(np.random.default_rng(22).normal(size=g.ndof), g.shape)
     coeffs = np.random.default_rng(23).normal(size=(*g.shape, 3))
-    low, full = grid_basis(g.kv_u, g.kv_v, pu, pv, 1), grid_basis(g.kv_u, g.kv_v, pu, pv, 2)
-    for nders in (0, 1, 2):
-        ref = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders)
-        for tables in (low, full)[nders // 2:]:  # the first-order tables lack order 2
-            got = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders, tables)
-            assert all(np.array_equal(got[ab], ref[ab]) for ab in ref)
-            geo, geo_t = (eval_geometry_grid(g, pu, pv, nders, t) for t in (None, tables))
-            assert np.array_equal(geo.points, geo_t.points)
-            fg, fg_t = (eval_field_grid(g, u, pu, pv, nders, tables=t) for t in (None, tables))
+    same = lambda a, b: (a is None and b is None) or np.array_equal(a, b)
+    for grid, top in (("gauss", 2), ("error_gauss", 2), ("greville", 2), ("lattice", 1),
+                      ("corners", 0)):
+        t = fixed_basis(g, grid)
+        for nders in range(top + 1):
+            (sums, geo, fg), (sums_c, geo_c, fg_c) = (
+                (rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pu, pv, nders),
+                 eval_geometry_grid(g, pu, pv, nders), eval_field_grid(g, u, pu, pv, nders))
+                for pu, pv in ((t.u.pts, t.v.pts), (t.u.pts.copy(), t.v.pts.copy())))
+            assert all(np.array_equal(sums_c[ab], sums[ab]) for ab in sums), (grid, nders)
+            for name in ("points", "jac", "det", "second"):
+                assert same(getattr(geo_c, name), getattr(geo, name)), (grid, nders, name)
             for name in ("values", "grad", "hess"):
-                a, b = getattr(fg, name), getattr(fg_t, name)
-                assert (a is None and b is None) or np.array_equal(a, b), name
-    with pytest.raises(ValueError, match="orders up to 1"):
-        eval_field_grid(g, u, pu, pv, 2, tables=low)
+                assert same(getattr(fg_c, name), getattr(fg, name)), (grid, nders, name)
+    gauss = fixed_basis(g, "gauss")
+    copies = gauss.u.pts.copy(), gauss.v.pts.copy()
+    assert min_jacobian(g) == eval_geometry_grid(g, *copies, 1).det.min()
+    calls = _count_tabulations(monkeypatch)
+    eval_geometry_grid(g, copies[0], gauss.v.pts, 1)
+    assert calls == [0, 1]  # the copy's two orders; the v tables are the memo's
     # the knot vectors' memo tables give the bits of tables built per call
     gu, gv = greville_abscissae(g.kv_u), greville_abscissae(g.kv_v)
     nodes = mesh_nodes(g)
@@ -336,27 +341,6 @@ def test_evaluations_with_tables_give_the_same_bits(weights):
     refit = refit_from_node_targets(g, targets)
     other = refit_from_node_targets(g, targets, nodes=nodes)
     assert np.array_equal(other.control_points, refit.control_points)
-    quad = quadrature_grid(g)
-    assert min_jacobian(g) == eval_geometry_grid(g, quad.pts_u, quad.pts_v, 1).det.min()
-
-
-def test_tables_of_other_points_or_knots_are_rejected():
-    g = _net(3, False, "random", seed=24)
-    pu, pv = np.linspace(0, 1, 5), np.linspace(0, 1, 4)
-    other = _net(3, True, "random", seed=24)
-    cases = {
-        "u points": grid_basis(g.kv_u, g.kv_v, pu[:-1], pv, 1),
-        "v points": grid_basis(g.kv_u, g.kv_v, pu, pv + 0.01 * pv * (1 - pv), 1),
-        "u knots": grid_basis(other.kv_u, g.kv_v, pu, pv, 1),
-        "v knots": grid_basis(g.kv_u, other.kv_v, pu, pv, 1),
-    }
-    for what, tables in cases.items():
-        with pytest.raises(ValueError, match=what):
-            rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pu, pv, 1, tables)
-        with pytest.raises(ValueError, match=what):
-            eval_geometry_grid(g, pu, pv, 1, tables)
-    with pytest.raises(ValueError, match="points"):
-        eval_geometry_grid(g, pu, pv, 0, fixed_basis(g, "greville"))
 
 
 # ------------------------------------------------------------ knot-vector memo
@@ -392,11 +376,19 @@ def test_geometries_on_the_same_knot_vectors_share_read_only_tables(monkeypatch)
         for t in (first.u, first.v):
             arrays = [t.pts, *t.D] + ([] if t.wts is None else [t.wts])
             assert not any(a.flags.writeable for a in arrays), grid
-    # and the evaluations on those grids read them: nothing is tabulated again
+    # and the evaluations on those grids read them, up to order 2 on the
+    # gauss and greville points: nothing is tabulated again
     calls = _count_tabulations(monkeypatch)
     mesh_nodes(other)
     min_jacobian(refit)
     refit_from_node_targets(other, targets)
+    u = FieldCoefficients(np.ones(g.ndof), g.shape)
+    for grid, top in (("gauss", 2), ("error_gauss", 1), ("greville", 2), ("lattice", 0),
+                      ("corners", 0)):
+        t = fixed_basis(other, grid)
+        for nders in range(top + 1):
+            eval_geometry_grid(other, t.u.pts, t.v.pts, nders)
+            eval_field_grid(other, u, t.u.pts, t.v.pts, nders)
     assert calls == []
 
 
@@ -432,3 +424,6 @@ def test_arbitrary_points_add_no_memo_entry(tmp_path):
     assert set(vars(kv)) == fields
     mesh_nodes(g)
     assert set(vars(kv)) == fields | {"greville"}
+    # order 2 on the Greville points builds the memo's second-order sibling
+    eval_geometry_grid(g, kv.greville.pts, kv.greville.pts, 2)
+    assert set(vars(kv)) == fields | {"greville", "greville_hessian"}

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mmiga.errors import BreakdownError, ConvergenceError, SingularMatrixError
-from mmiga.linalg import banded_solve, cg_solve
+from mmiga.linalg import LinearSolverSettings, banded_solve, cg_solve
 
 from mmiga.splines import basis_matrix, greville_abscissae, make_open_knot_vector
 
@@ -163,3 +163,10 @@ def test_banded_singular_raises():
     B = np.diag([1.0, 0.0, 2.0])
     with pytest.raises(SingularMatrixError):
         banded_solve(B, np.ones(3))
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+                                    {"tol": float("inf")}, {"maxit": 0}, {"maxit": -1}])
+def test_solver_settings_reject_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        LinearSolverSettings(**kwargs)

@@ -178,6 +178,23 @@ def test_monitor_kind_normalization():
         MonitorSpec("combined", eps=0.0)
 
 
+@pytest.mark.parametrize("name", ["eps", "alpha", "beta"])
+def test_monitor_rejects_non_finite_parameters(name):
+    # also those the kind pins: a non-finite setting is a malformed input
+    for kind in ("gradient", "hessian", "combined"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MonitorSpec(kind, **{name: value})
+
+
+@pytest.mark.parametrize("kwargs", [{"tolerance": float("nan")}, {"tolerance": float("inf")},
+                                    {"tolerance": 0.0}, {"movement_cap": float("nan")},
+                                    {"movement_cap": float("inf")}, {"movement_cap": -0.5}])
+def test_move_mesh_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        MoveMeshConfig(**kwargs)
+
+
 def test_smoothed_monitor_evaluates_the_field_once_on_the_greville_grid(monkeypatch):
     from mmiga import movemesh
 
@@ -399,7 +416,7 @@ def test_update_mesh_backtracks_on_fold():
     assert min_jacobian(g2) > 0.0
     # the check's evaluation of the accepted mesh comes back, for its solves
     gauss = fixed_basis(g2, "gauss")
-    ref = eval_geometry_grid(g2, gauss.u.pts, gauss.v.pts, 1, gauss)
+    ref = eval_geometry_grid(g2, gauss.u.pts, gauss.v.pts, 1)
     for a, b in ((geo.points, ref.points), (geo.jac, ref.jac), (geo.det, ref.det)):
         assert np.array_equal(a, b)
     assert float(geo.det.min()) == min_jacobian(g2)
