@@ -373,17 +373,18 @@ def run_movemesh(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         it, g, u = state.snapshots[idx]
         export_vtk(g, {"u": u}, cfg.vtk_samples, outdir / f"mesh_{label}.vtk")
 
-    def norms(idx):
-        if setup.exact is None:
-            return None
-        _, g, u = state.snapshots[idx]
-        rep = error_norms(g, u, setup.exact)
-        return {"L2": rep.L2, "H1": rep.H1_semi, "Linf": rep.L_inf}
-
+    # the final snapshot is the mesh of the last trace row, whose norms the
+    # run has taken already
+    initial = final = None
+    if setup.exact is not None:
+        rep = error_norms(state.initial_geometry, state.initial_solution, setup.exact)
+        initial = {"L2": rep.L2, "H1": rep.H1_semi, "Linf": rep.L_inf}
+        last = state.trace[-1]
+        final = {"L2": last.L2, "H1": last.H1, "Linf": last.Linf}
     summary = {
         "dofs": state.geometry.ndof,
-        "initial": norms(0),
-        "final": norms(len(state.snapshots) - 1),
+        "initial": initial,
+        "final": final,
         "iterations": len(state.trace),
         "converged": state.converged,
         "wrap_failure": state.wrap_failure,

@@ -2,11 +2,13 @@
 
 The physical mesh nodes (Greville images of the geometry map) are pulled
 toward regions where a monitor function built from the numerical solution is
-large. One outer iteration: solve the variable-diffusion problem
+large. :func:`move_mesh_solve` builds one run and calls its ``step()`` once
+per outer iteration: solve the variable-diffusion problem
 -div(grad(xi)/M) = 0 for the logical map, compare it with the fixed reference
 map from the initialization solve, convert the logical defect into physical
 node movement through the inverse Jacobian of the map, damp, re-fit the
-geometry, and re-solve the PDE on the moved mesh.
+geometry, and re-solve the PDE on the moved mesh. The run keeps its iterate
+(mesh, solution, map, trace) in the :class:`MoveMeshState` it returns.
 
 Because the solution space is globally C^1 (degree >= 2), the Jacobian of the
 logical map is evaluated exactly at every node instead of being recovered by
@@ -493,20 +495,15 @@ def update_mesh(
     )
 
 
-def move_mesh_solve(
-    problem: PoissonProblem,
-    g0: NurbsGeometry,
-    spec: MonitorSpec,
-    cfg: MoveMeshConfig | None = None,
-) -> MoveMeshState:
-    """Outer redistribution loop.
+class _MoveMeshRun:
+    """One outer redistribution loop, advanced one iteration per :meth:`step`.
 
-    The reference logical mesh is built once; then each iteration solves the
-    map equation, tests the nodal map defect against the stop tolerance,
-    moves the mesh through the damped update, and re-solves the PDE on the
-    moved mesh to refresh the monitor. The trace records one entry per outer
-    iteration; error norms are filled in when the problem carries an exact
-    solution. Wall time covers assembly, solves and movement, not I/O.
+    The iterate lives once, in ``state``: the :class:`MoveMeshState` the run
+    returns. The run holds the once-per-run data, the Gauss-grid evaluation
+    ``geo`` of the current mesh, the last map defect ``xi_err`` and the
+    previous movement. Trace norms are filled in when the problem carries
+    an exact solution. Wall time covers assembly, solves and movement, not
+    I/O. The solvers are called through this module's globals.
 
     Mesh moves change interior control points only, so the work that
     depends on knots, weights and the boundary ring alone is done once per
@@ -537,92 +534,93 @@ def move_mesh_solve(
     so the stop decision, ``state.xi`` and the last trace row's
     ``xi_inf_err`` come from a full-accuracy solve. A run that ends on a
     wrap keeps the map its failed move was computed from.
-
-    The loop terminates on convergence, on the iteration cap, or on a mesh
-    wrap the damped update could not prevent; in the wrap case the last valid
-    state is returned with ``wrap_failure`` holding the diagnostics.
     """
-    cfg = cfg or MoveMeshConfig()
-    tol = cfg.stop_tolerance()
-    t_start = time.perf_counter()
 
-    disc = discretization(g0)
-    logger.info(
-        "discretization built in %.3f s, %d bytes",
-        time.perf_counter() - t_start,
-        disc.nbytes,
-    )
-    bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
-    u_boundary = boundary_values(g0, problem.bc)
-    xi_boundary = tuple(boundary_values(g0, bmap.component(k)) for k in range(2))
-    lm = init_logical_mesh(g0, bmap, cfg.lin, disc=disc, boundary=xi_boundary)
+    def __init__(self, problem: PoissonProblem, g0: NurbsGeometry, spec: MonitorSpec,
+                 cfg: MoveMeshConfig):
+        self.problem, self.spec, self.cfg = problem, spec, cfg
+        self.t_start = time.perf_counter()
+        self.disc = discretization(g0)
+        logger.info("discretization built in %.3f s, %d bytes",
+                    time.perf_counter() - self.t_start, self.disc.nbytes)
+        self.bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
+        self.u_boundary = boundary_values(g0, problem.bc)
+        self.xi_boundary = tuple(boundary_values(g0, self.bmap.component(k)) for k in range(2))
+        lm = init_logical_mesh(g0, self.bmap, cfg.lin, disc=self.disc, boundary=self.xi_boundary)
+        self.geo = eval_geometry_grid(g0, g0.kv_u.gauss.pts, g0.kv_v.gauss.pts, 1)
+        u = self._poisson(g0, None)
+        self.state = MoveMeshState(g0, u, lm.fields, lm, snapshots=[(0, g0, u)])
+        self.xi_err, self.prev_movement = None, None
 
-    def poisson(x0):
-        """The PDE solution on the current mesh, from the initial guess
-        ``x0``."""
-        return solve_poisson(g, problem.f, problem.bc, cfg.lin, disc=disc,
-                             boundary=u_boundary, geo=geo, x0=x0)
+    def _poisson(self, g: NurbsGeometry, x0: FieldCoefficients | None) -> FieldCoefficients:
+        """The PDE solution on ``g`` (evaluated in ``geo``) from the guess ``x0``."""
+        return solve_poisson(g, self.problem.f, self.problem.bc, self.cfg.lin, disc=self.disc,
+                             boundary=self.u_boundary, geo=self.geo, x0=x0)
 
-    def harmonic_map(lin, x0):
-        """The logical map on the current mesh at ``lin``'s tolerance, from
-        the initial guesses ``x0``, and its max-norm defect at the nodes."""
-        xi = solve_harmonic_map(g, spec, u, bmap, lin, disc=disc, boundary=xi_boundary,
-                                geo=geo, x0=x0)
-        vals = _xi_at_nodes(g, xi, lm, nders=0)
-        defect = lm.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
-        return xi, float(np.max(np.abs(defect)))
+    def _solve_map(self, lin: LinearSolverSettings) -> None:
+        """Re-solves ``state.xi`` on the current mesh at ``lin``'s tolerance,
+        from itself, and puts its max-norm defect at the nodes in ``xi_err``."""
+        s = self.state
+        s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, self.bmap, lin,
+                                  disc=self.disc, boundary=self.xi_boundary, geo=self.geo,
+                                  x0=s.xi)
+        vals = _xi_at_nodes(s.geometry, s.xi, s.logical_mesh, nders=0)
+        defect = s.logical_mesh.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
+        self.xi_err = float(np.max(np.abs(defect)))
 
-    g = g0
-    geo = eval_geometry_grid(g0, g0.kv_u.gauss.pts, g0.kv_v.gauss.pts, 1)
-    u = poisson(None)
+    def _record(self, it: int, tau_used: float) -> None:
+        s, exact = self.state, self.problem.exact
+        rep = None if exact is None else error_norms(s.geometry, s.solution, exact)
+        norms = (float("nan"),) * 3 if rep is None else (rep.L2, rep.H1_semi, rep.L_inf)
+        s.trace.append(TraceEntry(it, self.xi_err, tau_used, float(self.geo.det.min()),
+                                  *norms, time.perf_counter() - self.t_start))
 
-    state = MoveMeshState(g, u, lm.fields, lm)
-    state.snapshots.append((0, g, u))
-    prev_movement = None
-    xi, xi_err = lm.fields, None
+    def step(self) -> str:
+        """One outer iteration: solve the map, test its defect, move the mesh
+        and re-solve the PDE. Appends one trace row and returns the outcome:
+        ``"converged"``, ``"moved"`` or ``"wrapped"``; a wrap keeps the last
+        valid mesh and solution, with the diagnostics in ``wrap_failure``."""
+        s, cfg = self.state, self.cfg
+        it = len(s.trace) + 1
+        tol = cfg.stop_tolerance()
+        lin = cfg.lin if self.xi_err is None else replace(
+            cfg.lin, tol=max(cfg.lin.tol, MAP_FORCING * self.xi_err))
+        self._solve_map(lin)
+        if lin.tol > cfg.lin.tol and (self.xi_err < tol or it == cfg.max_outer):
+            self._solve_map(cfg.lin)
 
-    def norms(geom, field):
-        if problem.exact is None:
-            return (float("nan"),) * 3
-        rep = error_norms(geom, field, problem.exact)
-        return rep.L2, rep.H1_semi, rep.L_inf
+        if self.xi_err < tol:
+            s.converged = True
+            self._record(it, 0.0)
+            return "converged"
 
-    def record(it, xi_err, tau_used):
-        l2, h1, linf = norms(g, u)
-        state.trace.append(
-            TraceEntry(it, xi_err, tau_used, float(geo.det.min()), l2, h1, linf,
-                       time.perf_counter() - t_start)
-        )
-
-    for it in range(1, cfg.max_outer + 1):
-        lin = cfg.lin if xi_err is None else replace(
-            cfg.lin, tol=max(cfg.lin.tol, MAP_FORCING * xi_err))
-        xi, xi_err = harmonic_map(lin, xi)
-        if lin.tol > cfg.lin.tol and (xi_err < tol or it == cfg.max_outer):
-            xi, xi_err = harmonic_map(cfg.lin, xi)
-
-        if xi_err < tol:
-            record(it, xi_err, 0.0)
-            state.converged = True
-            break
-
-        movement = compute_movement(g, xi, lm, prev_movement)
-        nodes = mesh_nodes(g)
+        movement = compute_movement(s.geometry, s.xi, s.logical_mesh, self.prev_movement)
+        nodes = mesh_nodes(s.geometry)
         if cfg.movement_cap is not None:
             movement = limit_movement(movement, nodes, cfg.movement_cap)
         try:
-            g, tau_used, geo = update_mesh(g, movement, cfg.tau, nodes=nodes)
+            g, tau_used, self.geo = update_mesh(s.geometry, movement, cfg.tau, nodes=nodes)
         except MeshWrapError as exc:
             logger.warning("outer iteration %d ended on mesh wrap: %s", it, exc)
-            record(it, xi_err, 0.0)
-            state.wrap_failure = str(exc)
-            break
-        prev_movement = movement
-        u = poisson(u)
-        record(it, xi_err, tau_used)
-        state.snapshots.append((it, g, u))
+            s.wrap_failure = str(exc)
+            self._record(it, 0.0)
+            return "wrapped"
+        self.prev_movement = movement
+        s.geometry = g
+        s.solution = self._poisson(g, s.solution)
+        self._record(it, tau_used)
+        s.snapshots.append((it, g, s.solution))
+        return "moved"
 
-    state.geometry = g
-    state.solution = u
-    state.xi = xi
-    return state
+
+def move_mesh_solve(problem: PoissonProblem, g0: NurbsGeometry, spec: MonitorSpec,
+                    cfg: MoveMeshConfig | None = None) -> MoveMeshState:
+    """Outer redistribution loop on the mesh ``g0``: the reference logical
+    mesh and the first PDE solution, then outer iterations
+    (:meth:`_MoveMeshRun.step`) until one converges, one ends on a mesh
+    wrap, or ``cfg.max_outer`` have run; one trace entry per iteration."""
+    run = _MoveMeshRun(problem, g0, spec, cfg or MoveMeshConfig())
+    for _ in range(run.cfg.max_outer):
+        if run.step() != "moved":
+            break
+    return run.state

@@ -295,6 +295,30 @@ def test_movemesh_run_artifacts_complete(tmp_path):
     assert summary["dofs"] == 11 * 11
     assert summary["initial"]["L2"] > 0
     assert summary["iterations"] >= 1
+    # the final norms are those of the last trace row, bit for bit
+    with open(out / "trace.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert {k: float(last[k]) for k in ("L2", "H1", "Linf")} == summary["final"]
+
+
+def test_movemesh_run_ending_on_a_wrap_writes_its_artifacts(tmp_path, monkeypatch):
+    from mmiga import movemesh
+    from mmiga.errors import MeshWrapError
+
+    def wrapping(*args, **kwargs):
+        raise MeshWrapError("mesh update still folds (test)")
+
+    monkeypatch.setattr(movemesh, "update_mesh", wrapping)
+    doc = dict(BASE_MOVE)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, doc), out_dir=out, quiet=True) == 4
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and float(rows[0]["tau_used"]) == 0.0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["wrap_failure"] == "mesh update still folds (test)"
+    assert summary["converged"] is False and summary["iterations"] == 1
 
 
 def test_movemesh_identity_monitor_single_row(tmp_path):

@@ -486,7 +486,12 @@ def test_move_mesh_concentrates_nodes_at_circle():
     assert mean_near_distance(after) < mean_near_distance(before)
 
 
-def test_move_mesh_matches_the_uncached_reference_loop():
+@pytest.mark.parametrize("spec", [MonitorSpec("gradient", alpha=0.1),
+                                  MonitorSpec("hessian", beta=0.01),
+                                  MonitorSpec("gradient", alpha=0.1, smoothing=1),
+                                  MonitorSpec("combined", eps=1.0, alpha=0.05, beta=0.005)],
+                         ids=["gradient", "hessian", "gradient-smoothed", "combined"])
+def test_move_mesh_matches_the_uncached_reference_loop(spec):
     # the run reuses one discretization, one set of Dirichlet vectors and
     # each PDE solve's geometry grid; the reference rebuilds all of them on
     # every call, and every figure must come out with the same bits
@@ -494,18 +499,50 @@ def test_move_mesh_matches_the_uncached_reference_loop():
     kv = make_open_knot_vector(3, 8, 1)
     g0 = build_identity_geometry(prob.domain, kv, kv)
     problem = PoissonProblem(prob.f, prob.bc, prob.exact)
-    spec = MonitorSpec("gradient", alpha=0.1)
     cfg = MoveMeshConfig(max_outer=4)
     state = move_mesh_solve(problem, g0, spec, cfg)
     rows, g, u, xi = move_mesh_reference(problem, g0, spec, cfg)
     got = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
            for t in state.trace]
     assert len(got) == 4 and not state.converged
+    assert all(t.tau_used > 0 for t in state.trace)  # every iteration moved the mesh
     assert np.array_equal(np.array(got), np.array(rows))
     assert np.array_equal(state.geometry.control_points, g.control_points)
     assert np.array_equal(state.solution.values, u.values)
     for k in range(2):
         assert np.array_equal(state.xi[k].values, xi[k].values)
+
+
+def test_a_run_ending_on_a_wrap_keeps_its_last_valid_state(monkeypatch):
+    # the k-th mesh update wraps: the run stops there, with a trace row for
+    # iteration k and the mesh, solution and snapshots of iteration k - 1
+    from mmiga import movemesh
+
+    k, updates, solves = 3, [], []
+
+    def wrapping(*args, **kwargs):
+        updates.append(args)
+        if len(updates) == k:
+            raise MeshWrapError(f"update {k} folds")
+        return update_mesh(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        solves.append((len(updates), solve_harmonic_map(*args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(movemesh, "update_mesh", wrapping)
+    monkeypatch.setattr(movemesh, "solve_harmonic_map", recording)
+    state = move_mesh_solve(TANH_PROBLEM, _identity(p=3, m=8), MonitorSpec("gradient", alpha=0.1),
+                            MoveMeshConfig(max_outer=10))
+    assert state.wrap_failure == f"update {k} folds" and not state.converged
+    assert len(updates) == k and len(state.trace) == k
+    assert state.trace[-1].tau_used == 0.0
+    assert all(t.tau_used > 0 for t in state.trace[:-1])
+    assert [it for it, _, _ in state.snapshots] == list(range(k))
+    _, g, u = state.snapshots[-1]
+    assert state.geometry is g and state.solution is u
+    # the map is the one solved in iteration k, after the (k-1)-th update
+    assert solves[-1][0] == k - 1 and state.xi is solves[-1][1]
 
 
 def _converging_run(monkeypatch):
@@ -595,6 +632,51 @@ def test_move_mesh_builds_its_basis_tables_once_per_run(monkeypatch, spec):
         assert all(t.tau_used > 0 for t in state.trace)  # every iteration moved the mesh
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+_REPRODUCIBLE_RUN = """
+import hashlib
+import numpy as np
+from mmiga import cli
+from mmiga.geometry import build_identity_geometry
+from mmiga.movemesh import MonitorSpec, MoveMeshConfig, PoissonProblem, move_mesh_solve
+from mmiga.splines import make_open_knot_vector
+
+prob = cli.manufacture_rhs("case2_tanh")
+kv = make_open_knot_vector(3, 8, 1)
+state = move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
+                        build_identity_geometry(prob.domain, kv, kv),
+                        MonitorSpec("gradient", alpha=0.1), MoveMeshConfig(max_outer=3))
+rows = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
+        for t in state.trace]
+digest = hashlib.sha256()
+for a in (np.array(rows), state.geometry.control_points, state.geometry.weights.w,
+          state.solution.values, state.xi[0].values, state.xi[1].values):
+    digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+print(len(rows), min(t.tau_used for t in state.trace), digest.hexdigest())
+"""
+
+
+def test_a_run_repeats_its_bits_in_fresh_processes():
+    # two interpreters with different hash seeds and one BLAS thread each
+    # give the same trace (without its timings), net, solution and map
+    import os
+    import subprocess
+    import sys
+
+    import mmiga
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmiga.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _REPRODUCIBLE_RUN], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outs.append(proc.stdout.split())
+    assert outs[0] == outs[1]
+    n_rows, min_tau, _ = outs[0]
+    assert n_rows == "3" and float(min_tau) > 0  # every iteration moved the mesh
 
 
 def test_move_mesh_logs_the_discretization_build(caplog):
