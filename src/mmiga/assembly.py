@@ -75,6 +75,7 @@ from .geometry import (
     QuadratureRule,  # re-exported: the Gauss rule lives in geometry
     _equal_weights,
     _gauss_geometry,
+    _geometry_grid,
     _spline_sums,
     boundary_mask,
     eval_geometry_grid,
@@ -765,14 +766,21 @@ def eval_field_grid(
     derivatives of the geometry map. ``geo`` is ``g`` already evaluated on
     the grid, when the caller has it. The basis tables are those of
     :func:`~mmiga.geometry.rational_grid_sums`: the knot vectors' memo
-    entries when ``pts_u``, ``pts_v`` are their arrays, else built per call,
-    once for the field and once more when the geometry is evaluated here.
+    entries when ``pts_u``, ``pts_v`` are their arrays, else built per call.
+    When the geometry is evaluated here (derivatives asked for and no
+    ``geo`` of that order), the control points and the field are one
+    coefficient block of a single call, so both share one tabulation.
     """
     pts_u = np.atleast_1d(np.asarray(pts_u, float))
     pts_v = np.atleast_1d(np.asarray(pts_v, float))
-    if nders >= 1 and (geo is None or (nders >= 2 and geo.second is None)):
-        geo = eval_geometry_grid(g, pts_u, pts_v, nders)
-    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, u.grid[:, :, None], pts_u, pts_v, nders)
+    coeffs = u.grid[:, :, None]
+    with_geometry = nders >= 1 and (geo is None or (nders >= 2 and geo.second is None))
+    if with_geometry:
+        coeffs = np.concatenate([g.control_points, coeffs], axis=-1)
+    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pts_u, pts_v, nders)
+    if with_geometry:
+        geo = _geometry_grid(pts_u, pts_v, sums, nders)
+        sums = {ab: s[..., 2:] for ab, s in sums.items()}
     values = sums[0, 0][..., 0]
     if nders == 0:
         return FieldGrid(values, None, None)

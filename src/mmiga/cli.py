@@ -387,6 +387,8 @@ def run_movemesh(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         "final": final,
         "iterations": len(state.trace),
         "converged": state.converged,
+        "stop_reason": "converged" if state.converged else "wrap" if state.wrap_failure
+        else "max_outer",
         "wrap_failure": state.wrap_failure,
         "wall_seconds": wall,
     }

@@ -235,6 +235,13 @@ def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> Geomet
     the tables of :func:`rational_grid_sums`."""
     pts_u, pts_v = _points(pts_u), _points(pts_v)
     sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, g.control_points, pts_u, pts_v, nders)
+    return _geometry_grid(pts_u, pts_v, sums, nders)
+
+
+def _geometry_grid(pts_u: np.ndarray, pts_v: np.ndarray, sums: dict, nders: int) -> GeometryGrid:
+    """The :class:`GeometryGrid` of the :func:`rational_grid_sums` of the
+    control points on pts_u x pts_v (their first two coefficient columns)."""
+    sums = {ab: s[..., :2] for ab, s in sums.items()}
     points = sums[0, 0]
     if nders >= 1:
         du, dv = sums[1, 0], sums[0, 1]

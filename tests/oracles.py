@@ -232,6 +232,15 @@ def move_mesh_reference(problem, g0, spec, cfg):
     max(tol, MAP_FORCING * previous defect), with a re-solve at tol when
     that defect passes the stop test or on the last allowed iteration.
 
+    The moves follow the loop's Anderson rule. A history holds up to
+    ANDERSON_DEPTH + 1 pairs of the interior nodes and capped movement of
+    each mesh. It starts over from the current pair when the cap cut any
+    node back or the defect grew, and is emptied after a move that halved
+    tau. With one pair the mesh takes the capped movement itself; with more,
+    the differences of consecutive pairs form columns dX and dF,
+    gamma = lstsq(dF, f) and the movement is
+    (tau f - (dX + tau dF) gamma) / tau on the interior nodes, 0 on the ring.
+
     Returns the trace rows without ``cpu_seconds``, as tuples, and the final
     geometry, solution and logical map.
     """
@@ -247,6 +256,7 @@ def move_mesh_reference(problem, g0, spec, cfg):
     g = g0
     u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin)
     xi, err, prev, rows = lm.fields, None, None, []
+    history = []  # (interior nodes, capped movement), oldest first
 
     def row(it, err, tau):
         rep = postproc.error_norms(g, u, problem.exact)
@@ -259,6 +269,7 @@ def move_mesh_reference(problem, g0, spec, cfg):
         return xi, float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
 
     for it in range(1, cfg.max_outer + 1):
+        last_err = err
         tol = cfg.lin.tol if err is None else max(cfg.lin.tol, movemesh.MAP_FORCING * err)
         xi, err = harmonic_map(tol, xi)
         if tol != cfg.lin.tol and (err < cfg.stop_tolerance() or it == cfg.max_outer):
@@ -266,11 +277,27 @@ def move_mesh_reference(problem, g0, spec, cfg):
         if err < cfg.stop_tolerance():
             rows.append(row(it, err, 0.0))
             break
-        movement = movemesh.compute_movement(g, xi, lm, prev)
+        raw = movemesh.compute_movement(g, xi, lm, prev)
+        movement = raw
         if cfg.movement_cap is not None:
-            movement = movemesh.limit_movement(movement, geometry.mesh_nodes(g),
-                                               cfg.movement_cap)
-        g, tau, _ = movemesh.update_mesh(g, movement, cfg.tau)
+            movement = movemesh.limit_movement(raw, geometry.mesh_nodes(g), cfg.movement_cap)
+        capped = not np.array_equal(raw, movement)
+        if capped or (last_err is not None and err > last_err):
+            history = []
+        inner = ~geometry.boundary_mask(movement.shape[:2])
+        history = history[-movemesh.ANDERSON_DEPTH:] + [
+            (geometry.mesh_nodes(g)[inner].ravel(), movement[inner].ravel())]
+        move = movement
+        if len(history) > 1:
+            f = history[-1][1]
+            dX = np.column_stack([b[0] - a[0] for a, b in zip(history, history[1:])])
+            dF = np.column_stack([b[1] - a[1] for a, b in zip(history, history[1:])])
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            move = np.zeros_like(movement)
+            move[inner] = ((cfg.tau * f - (dX + cfg.tau * dF) @ gamma) / cfg.tau).reshape(-1, 2)
+        g, tau, _ = movemesh.update_mesh(g, move, cfg.tau)
+        if tau != cfg.tau:
+            history = []
         prev = movement
         u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin, x0=u)
         rows.append(row(it, err, tau))

@@ -694,6 +694,39 @@ def test_eval_field_derivatives_match_physical_finite_differences():
         assert np.allclose(ev.hess, fd_hess, rtol=1e-3, atol=5e-3)
 
 
+@pytest.mark.parametrize("nders", [1, 2])
+def test_eval_field_tabulates_once_when_it_evaluates_the_geometry(monkeypatch, nders):
+    # with no geo given, the control points and the field share one
+    # tabulation of the points, and agree with the two separate evaluations
+    from mmiga import splines
+
+    g = _perturbed(p=3, m=4, seed=3)
+    rng = np.random.default_rng(4)
+    g = NurbsGeometry(g.kv_u, g.kv_v, TensorWeights(1.0 + 0.2 * rng.random(g.shape)),
+                      g.control_points)
+    u = FieldCoefficients(rng.normal(size=g.ndof), g.shape)
+    pts_u, pts_v = np.linspace(0.1, 0.9, 7), np.linspace(0.05, 0.95, 5)
+    calls = []
+
+    def counting(kv, pts, der=0):
+        calls.append(der)
+        return real(kv, pts, der)
+
+    real = splines.basis_matrix
+    monkeypatch.setattr(splines, "basis_matrix", counting)
+    fg = eval_field_grid(g, u, pts_u, pts_v, nders=nders)
+    n_field = len(calls)
+    calls.clear()
+    geo = eval_geometry_grid(g, pts_u, pts_v, nders)
+    assert n_field == len(calls) > 0
+    apart = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
+    for got, want in ((fg.values, apart.values), (fg.grad, apart.grad), (fg.hess, apart.hess)):
+        if want is None:
+            assert got is None
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_field_coefficients_shape_validation():
     with pytest.raises(ValueError):
         FieldCoefficients(np.zeros(7), (2, 3))

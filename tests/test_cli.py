@@ -295,6 +295,7 @@ def test_movemesh_run_artifacts_complete(tmp_path):
     assert summary["dofs"] == 11 * 11
     assert summary["initial"]["L2"] > 0
     assert summary["iterations"] >= 1
+    assert summary["converged"] is False and summary["stop_reason"] == "max_outer"
     # the final norms are those of the last trace row, bit for bit
     with open(out / "trace.csv") as fh:
         last = list(csv.DictReader(fh))[-1]
@@ -319,6 +320,7 @@ def test_movemesh_run_ending_on_a_wrap_writes_its_artifacts(tmp_path, monkeypatc
         summary = json.load(fh)
     assert summary["wrap_failure"] == "mesh update still folds (test)"
     assert summary["converged"] is False and summary["iterations"] == 1
+    assert summary["stop_reason"] == "wrap"
 
 
 def test_movemesh_identity_monitor_single_row(tmp_path):
@@ -332,7 +334,7 @@ def test_movemesh_identity_monitor_single_row(tmp_path):
     assert len(rows) == 2
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
-    assert summary["converged"] is True
+    assert summary["converged"] is True and summary["stop_reason"] == "converged"
     assert summary["final"]["L2"] == pytest.approx(summary["initial"]["L2"])
 
 

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mmiga.geometry import (
 )
 from mmiga.linalg import LinearSolverSettings
 from mmiga.movemesh import (
+    ANDERSON_DEPTH,
     BoundaryMap,
     MonitorSpec,
     MoveMeshConfig,
@@ -32,6 +34,7 @@ from mmiga.movemesh import (
     solve_harmonic_map,
     update_mesh,
 )
+from mmiga.movemesh import _anderson_step, _MoveMeshRun
 from mmiga.postproc import ExactSolution
 from mmiga.splines import greville_abscissae, make_open_knot_vector
 
@@ -486,26 +489,42 @@ def test_move_mesh_concentrates_nodes_at_circle():
     assert mean_near_distance(after) < mean_near_distance(before)
 
 
-@pytest.mark.parametrize("spec", [MonitorSpec("gradient", alpha=0.1),
-                                  MonitorSpec("hessian", beta=0.01),
-                                  MonitorSpec("gradient", alpha=0.1, smoothing=1),
-                                  MonitorSpec("combined", eps=1.0, alpha=0.05, beta=0.005)],
-                         ids=["gradient", "hessian", "gradient-smoothed", "combined"])
-def test_move_mesh_matches_the_uncached_reference_loop(spec):
+def _moves(records):
+    """(iteration, nodes capped, tau halvings, kind) of each INFO line a run
+    logged for a moved mesh; kind is "accelerated" or "damped"."""
+    pattern = re.compile(r"outer iteration (\d+): defect \S+, (\d+) nodes capped, "
+                         r"(\d+) tau halvings, (accelerated|damped) \(")
+    found = [pattern.match(r.getMessage()) for r in records if r.levelno == logging.INFO]
+    return [(int(m[1]), int(m[2]), int(m[3]), m[4]) for m in found if m]
+
+
+@pytest.mark.parametrize("spec, n_accelerated",
+                         [(MonitorSpec("gradient", alpha=0.1), 0),
+                          (MonitorSpec("hessian", beta=0.01), 1),
+                          (MonitorSpec("gradient", alpha=0.1, smoothing=1), 1),
+                          (MonitorSpec("combined", eps=1.0, alpha=0.05, beta=0.005), 1),
+                          (MonitorSpec("gradient", alpha=0.003), 3)],
+                         ids=["gradient", "hessian", "gradient-smoothed", "combined",
+                              "gradient-slow"])
+def test_move_mesh_matches_the_uncached_reference_loop(spec, n_accelerated, caplog):
     # the run reuses one discretization, one set of Dirichlet vectors and
     # each PDE solve's geometry grid; the reference rebuilds all of them on
-    # every call, and every figure must come out with the same bits
+    # every call, and states the Anderson rule of the moves on its own;
+    # every figure must come out with the same bits
     prob = cli.manufacture_rhs("case2_tanh")
     kv = make_open_knot_vector(3, 8, 1)
     g0 = build_identity_geometry(prob.domain, kv, kv)
     problem = PoissonProblem(prob.f, prob.bc, prob.exact)
     cfg = MoveMeshConfig(max_outer=4)
-    state = move_mesh_solve(problem, g0, spec, cfg)
+    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
+        state = move_mesh_solve(problem, g0, spec, cfg)
     rows, g, u, xi = move_mesh_reference(problem, g0, spec, cfg)
     got = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
            for t in state.trace]
     assert len(got) == 4 and not state.converged
     assert all(t.tau_used > 0 for t in state.trace)  # every iteration moved the mesh
+    # the comparison covers this many accelerated moves
+    assert sum(kind == "accelerated" for *_, kind in _moves(caplog.records)) == n_accelerated
     assert np.array_equal(np.array(got), np.array(rows))
     assert np.array_equal(state.geometry.control_points, g.control_points)
     assert np.array_equal(state.solution.values, u.values)
@@ -543,6 +562,89 @@ def test_a_run_ending_on_a_wrap_keeps_its_last_valid_state(monkeypatch):
     assert state.geometry is g and state.solution is u
     # the map is the one solved in iteration k, after the (k-1)-th update
     assert solves[-1][0] == k - 1 and state.xi is solves[-1][1]
+
+
+@pytest.mark.parametrize("n", range(1, ANDERSON_DEPTH + 1))
+def test_anderson_step_reaches_the_fixed_point_of_an_affine_contraction(n):
+    # x -> M x + c in R^n, n <= depth: the mix of the last pairs spans the
+    # whole space after n differences, so n + 2 steps land on the fixed
+    # point; the damped steps x + tau f are still far from it
+    rng = np.random.default_rng(n)
+    S = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    M = S @ np.diag(np.linspace(0.95, 0.5, n)) @ np.linalg.inv(S)
+    c = rng.standard_normal(n)
+    fixed = np.linalg.solve(np.eye(n) - M, c)
+    tau = 0.5
+    x, damped, xs, fs = np.zeros(n), np.zeros(n), [], []
+    for _ in range(n + 2):
+        xs = xs[-ANDERSON_DEPTH:] + [x]
+        fs = fs[-ANDERSON_DEPTH:] + [M @ x + c - x]
+        x = x + _anderson_step(xs, fs, tau)
+        damped = damped + tau * (M @ damped + c - damped)
+    scale = max(1.0, np.max(np.abs(fixed)))
+    assert np.max(np.abs(x - fixed)) <= 1e-12 * scale
+    assert np.max(np.abs(damped - fixed)) > 1e-2 * scale
+    # one pair is the damped step itself
+    assert np.array_equal(_anderson_step([x], [c], tau), tau * c)
+
+
+def _slow_run(monkeypatch, trigger=None):
+    """case2_tanh, p=3, m=8, gradient monitor with alpha = 0.003, four outer
+    iterations: no node is capped, and the moves of iterations 2-4 are
+    accelerated. ``trigger`` fires one safeguard: "cap" cuts one node back
+    in iteration 3, "halving" reports a halved tau for the move of
+    iteration 2, "defect" makes iteration 3's defect grow. Returns the
+    capped movements and the movements handed to the mesh update."""
+    from mmiga import movemesh
+
+    capped, moves = [], []
+
+    def limiting(movement, nodes, frac):
+        out = limit_movement(movement, nodes, frac)
+        if trigger == "cap" and len(capped) == 2:
+            out = out.copy()
+            out[3, 4] *= 0.5
+        capped.append(out)
+        return out
+
+    def updating(g, movement, tau, **kwargs):
+        moves.append(movement)
+        g, tau_used, geo = update_mesh(g, movement, tau, **kwargs)
+        return g, 0.5 * tau_used if trigger == "halving" and len(moves) == 2 else tau_used, geo
+
+    def solving(run, lin):
+        solve_map(run, lin)
+        if trigger == "defect" and len(run.state.trace) == 2:
+            run.xi_err *= 10.0
+
+    solve_map = _MoveMeshRun._solve_map
+    monkeypatch.setattr(movemesh, "limit_movement", limiting)
+    monkeypatch.setattr(movemesh, "update_mesh", updating)
+    monkeypatch.setattr(_MoveMeshRun, "_solve_map", solving)
+    prob = cli.manufacture_rhs("case2_tanh")
+    kv = make_open_knot_vector(3, 8, 1)
+    move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
+                    build_identity_geometry(prob.domain, kv, kv),
+                    MonitorSpec("gradient", alpha=0.003), MoveMeshConfig(max_outer=4))
+    assert len(capped) == len(moves) == 4
+    return capped, moves
+
+
+def test_moves_are_damped_until_two_pairs_and_accelerated_after(monkeypatch):
+    capped, moves = _slow_run(monkeypatch)
+    assert np.array_equal(moves[0], capped[0])
+    assert all(not np.array_equal(m, c) for m, c in zip(moves[1:], capped[1:]))
+    for m in moves:  # the mix leaves the boundary ring alone
+        assert not m[boundary_mask(m.shape[:2])].any()
+
+
+@pytest.mark.parametrize("trigger", ["cap", "halving", "defect"])
+def test_a_safeguard_makes_the_next_move_the_damped_step(monkeypatch, trigger):
+    # a capped node, a halved tau or a grown defect clears the history, so
+    # iteration 3, mixed in the run without the trigger, moves by its
+    # capped movement, bit for bit
+    capped, moves = _slow_run(monkeypatch, trigger)
+    assert np.array_equal(moves[2], capped[2])
 
 
 def _converging_run(monkeypatch):
@@ -643,17 +745,20 @@ from mmiga.movemesh import MonitorSpec, MoveMeshConfig, PoissonProblem, move_mes
 from mmiga.splines import make_open_knot_vector
 
 prob = cli.manufacture_rhs("case2_tanh")
-kv = make_open_knot_vector(3, 8, 1)
-state = move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
-                        build_identity_geometry(prob.domain, kv, kv),
-                        MonitorSpec("gradient", alpha=0.1), MoveMeshConfig(max_outer=3))
-rows = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
-        for t in state.trace]
-digest = hashlib.sha256()
-for a in (np.array(rows), state.geometry.control_points, state.geometry.weights.w,
-          state.solution.values, state.xi[0].values, state.xi[1].values):
-    digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
-print(len(rows), min(t.tau_used for t in state.trace), digest.hexdigest())
+# alpha = 0.1 moves by capped steps only; alpha = 0.003 mixes its moves
+# from iteration 2 on, so the least-squares solves are hashed too
+for alpha, max_outer in ((0.1, 3), (0.003, 4)):
+    kv = make_open_knot_vector(3, 8, 1)
+    state = move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
+                            build_identity_geometry(prob.domain, kv, kv),
+                            MonitorSpec("gradient", alpha=alpha), MoveMeshConfig(max_outer=max_outer))
+    rows = [(t.iteration, t.xi_inf_err, t.tau_used, t.min_jacobian, t.L2, t.H1, t.Linf)
+            for t in state.trace]
+    digest = hashlib.sha256()
+    for a in (np.array(rows), state.geometry.control_points, state.geometry.weights.w,
+              state.solution.values, state.xi[0].values, state.xi[1].values):
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    print(len(rows), min(t.tau_used for t in state.trace), digest.hexdigest())
 """
 
 
@@ -675,8 +780,8 @@ def test_a_run_repeats_its_bits_in_fresh_processes():
                               capture_output=True, text=True, timeout=300, check=True)
         outs.append(proc.stdout.split())
     assert outs[0] == outs[1]
-    n_rows, min_tau, _ = outs[0]
-    assert n_rows == "3" and float(min_tau) > 0  # every iteration moved the mesh
+    assert outs[0][0::3] == ["3", "4"]
+    assert all(float(tau) > 0 for tau in outs[0][1::3])  # every iteration moved the mesh
 
 
 def test_move_mesh_logs_the_discretization_build(caplog):
@@ -687,3 +792,50 @@ def test_move_mesh_logs_the_discretization_build(caplog):
     assert len(lines) == 1
     assert lines[0].startswith("discretization built in ")
     assert lines[0].endswith(f" s, {discretization(g).nbytes} bytes")
+
+
+def test_each_outer_iteration_logs_its_move(caplog):
+    # one INFO line per iteration: capped nodes, tau halvings and the kind
+    # of move, or the defect that stopped the run
+    prob = cli.manufacture_rhs("case2_tanh")
+    kv = make_open_knot_vector(3, 8, 1)
+    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
+        state = move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
+                                build_identity_geometry(prob.domain, kv, kv),
+                                MonitorSpec("gradient", alpha=0.003), MoveMeshConfig(max_outer=4))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("outer ")]
+    assert len(lines) == len(state.trace) == 4
+    assert lines[0].endswith(", 0 nodes capped, 0 tau halvings, damped (run start)")
+    for k in (1, 2, 3):
+        assert lines[k].endswith(f", 0 nodes capped, 0 tau halvings, accelerated ({k} columns)")
+    assert _moves(caplog.records) == [(k, 0, 0, "damped" if k == 1 else "accelerated")
+                                      for k in (1, 2, 3, 4)]
+    caplog.clear()
+    g = _identity(p=2, m=4)
+    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
+        move_mesh_solve(TANH_PROBLEM, g, MonitorSpec("gradient", alpha=0.0))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("outer ")]
+    assert len(lines) == 1 and lines[0].startswith("outer iteration 1: defect ")
+    assert lines[0].endswith(", converged")
+
+
+def test_the_benchmark_run_converges_faster_by_mixing_only_uncapped_moves(caplog):
+    # the benchmark's case2_converge run: p=3, m=32, gradient monitor with
+    # alpha = 0.1, default configuration. The first 20 iterations are capped
+    # and damped as without the mix (41 iterations, L2 1.3711e-2); the mixed
+    # moves after them converge in 27
+    prob = cli.manufacture_rhs("case2_tanh")
+    kv = make_open_knot_vector(3, 32, 1)
+    cfg = MoveMeshConfig()
+    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
+        state = move_mesh_solve(PoissonProblem(prob.f, prob.bc, prob.exact),
+                                build_identity_geometry(prob.domain, kv, kv),
+                                MonitorSpec("gradient", alpha=0.1), cfg)
+    assert state.converged and len(state.trace) <= 30
+    moves = _moves(caplog.records)
+    assert [it for it, *_ in moves] == list(range(1, len(state.trace)))
+    halvings = [round(np.log2(cfg.tau / t.tau_used)) for t in state.trace[:-1]]
+    assert [h for _, _, h, _ in moves] == halvings and sum(halvings) == 3
+    assert state.trace[-1].L2 == pytest.approx(1.3711e-2, rel=0.01)
+    assert any(kind == "accelerated" for *_, kind in moves)
+    assert all(kind == "damped" for _, n_capped, _, kind in moves if n_capped)
