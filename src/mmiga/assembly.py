@@ -76,12 +76,13 @@ from .geometry import (
     _equal_weights,
     _gauss_geometry,
     _geometry_grid,
+    _rational_sums,
     _spline_sums,
     boundary_mask,
     eval_geometry_grid,
     fixed_basis,
     gauss_rule,
-    rational_grid_sums,
+    grid_basis,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
 from .splines import KnotVector
@@ -513,7 +514,6 @@ def assemble_load(
     g: NurbsGeometry,
     f,
     *,
-    disc: Discretization | None = None,
     geo: GeometryGrid | None = None,
 ) -> np.ndarray:
     """Load vector b_k = int f phi_k dx with the assembly quadrature.
@@ -525,12 +525,9 @@ def assemble_load(
     equal, R_ij = N_i N_j and b = Du^T C Dv with C = (wts_u x wts_v) det J f.
 
     ``f(x, y)`` must be vectorized over arrays; non-finite values abort
-    naming the element. ``disc``, when given, must match ``g`` (ValueError
-    otherwise). ``geo`` is ``g`` already evaluated with its Jacobian on the
-    quadrature grid, when the caller has it.
+    naming the element. ``geo`` is ``g`` already evaluated with its Jacobian
+    on the quadrature grid, when the caller has it.
     """
-    if disc is not None:
-        disc.check(g)
     geo = _gauss_geometry(g, geo)
     fvals = np.asarray(f(geo.points[..., 0], geo.points[..., 1]), dtype=float)
     fblk = _grid_blocks(fvals, g)
@@ -721,8 +718,8 @@ def solve_poisson(
 
     The geometry is evaluated on the quadrature grid once, for both forms,
     unless the caller passes that evaluation as ``geo``. ``disc`` goes to
-    both forms and :func:`solve_dirichlet`; without it the solve builds one
-    for all three. ``boundary`` goes to :func:`apply_dirichlet`, and the
+    the stiffness and :func:`solve_dirichlet`; without it the solve builds
+    one for both. ``boundary`` goes to :func:`apply_dirichlet`, and the
     initial guess ``x0`` to :func:`solve_dirichlet`.
     """
     if disc is None:
@@ -730,7 +727,7 @@ def solve_poisson(
     disc.check(g)
     geo = _gauss_geometry(g, geo)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
-    b = assemble_load(g, f, disc=disc, geo=geo)
+    b = assemble_load(g, f, geo=geo)
     return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc, x0=x0)
 
 
@@ -763,24 +760,26 @@ def eval_field_grid(
 
     The gradient comes from the Jacobian-inverse chain rule; the Hessian uses
     the full second-order transformation including the second parametric
-    derivatives of the geometry map. ``geo`` is ``g`` already evaluated on
-    the grid, when the caller has it. The basis tables are those of
-    :func:`~mmiga.geometry.rational_grid_sums`: the knot vectors' memo
-    entries when ``pts_u``, ``pts_v`` are their arrays, else built per call.
-    When the geometry is evaluated here (derivatives asked for and no
-    ``geo`` of that order), the control points and the field are one
-    coefficient block of a single call, so both share one tabulation.
+    derivatives of the geometry map. The grid is tabulated once
+    (:func:`~mmiga.geometry.grid_basis`: the knot vectors' memo entries when
+    ``pts_u``, ``pts_v`` are their arrays, else built per call), and the
+    field and, when derivatives are asked for, the geometry are contracted
+    with those tables one at a time, as
+    :func:`~mmiga.geometry.eval_geometry_grid` contracts the geometry, so
+    the bits do not depend on who evaluated it. ``geo`` is ``g`` already
+    evaluated on the grid, when the caller has it (ValueError when it is of
+    other points); one of a lower order than ``nders`` is evaluated again.
     """
     pts_u = np.atleast_1d(np.asarray(pts_u, float))
     pts_v = np.atleast_1d(np.asarray(pts_v, float))
-    coeffs = u.grid[:, :, None]
-    with_geometry = nders >= 1 and (geo is None or (nders >= 2 and geo.second is None))
-    if with_geometry:
-        coeffs = np.concatenate([g.control_points, coeffs], axis=-1)
-    sums = rational_grid_sums(g.kv_u, g.kv_v, g.weights, coeffs, pts_u, pts_v, nders)
-    if with_geometry:
-        geo = _geometry_grid(pts_u, pts_v, sums, nders)
-        sums = {ab: s[..., 2:] for ab, s in sums.items()}
+    if geo is not None and not (np.array_equal(geo.pts_u, pts_u)
+                                and np.array_equal(geo.pts_v, pts_v)):
+        raise ValueError("geometry grid is not an evaluation on the points of the field grid")
+    tables = grid_basis(g.kv_u, g.kv_v, pts_u, pts_v, nders)
+    if nders >= 1 and (geo is None or any(a is None for a in (geo.jac, geo.second)[:nders])):
+        geo = _geometry_grid(pts_u, pts_v,
+                             _rational_sums(tables, g.weights, g.control_points, nders), nders)
+    sums = _rational_sums(tables, g.weights, u.grid[:, :, None], nders)
     values = sums[0, 0][..., 0]
     if nders == 0:
         return FieldGrid(values, None, None)

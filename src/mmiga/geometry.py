@@ -173,9 +173,9 @@ def grid_basis(kv_u: KnotVector, kv_v: KnotVector, pts_u, pts_v, nders: int) -> 
 def fixed_basis(g: NurbsGeometry, grid: str) -> GridBasis:
     """The :class:`GridBasis` of one of the fixed grids of ``g``'s knots:
     the pair of the memo entries ``grid`` of its knot vectors
-    (:class:`~mmiga.splines.KnotVector`), one of "gauss", "gauss_hessian",
-    "error_gauss", "greville", "greville_hessian", "lattice" and
-    "corners". Evaluations on its points read these tables."""
+    (:class:`~mmiga.splines.KnotVector`), one of "gauss", "error_gauss",
+    "greville", "lattice" and "corners". Evaluations on its points read
+    these tables, grown in place to the derivative order they ask for."""
     return GridBasis(getattr(g.kv_u, grid), getattr(g.kv_v, grid))
 
 
@@ -205,19 +205,23 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
     a + b <= nders to arrays of shape (Nu, Nv, m), views with unit stride
     along v. Each is two matrix products with the directional derivative
     tables of the grid (:func:`grid_basis`), which are the knot vectors'
-    memo entries when ``pts_u``, ``pts_v`` are their arrays. The weight sum
+    memo entries when ``pts_u``, ``pts_v`` are their arrays. A single point
+    is the 1x1 grid.
+    """
+    tables = grid_basis(kv_u, kv_v, _points(pts_u), _points(pts_v), nders)
+    return _rational_sums(tables, weights, coeffs, nders)
+
+
+def _rational_sums(tables: GridBasis, weights, coeffs, nders: int) -> dict:
+    """:func:`rational_grid_sums` on the grid of ``tables``. The weight sum
     rides along as one more coefficient column, so the weighted numerator
     sum_ij w_ij N_i N_j c_ij and the weight sum come out of the same
-    products, and
-    :func:`~mmiga.splines.rational_derivatives` divides the weight sum out.
-    When all weights are equal, R_ij = N_i N_j exactly: the coefficients
-    are contracted as they are, with no weight column and no quotient rule.
-    A single point is the 1x1 grid.
-    """
+    products, and :func:`~mmiga.splines.rational_derivatives` divides the
+    weight sum out. When all weights are equal, R_ij = N_i N_j exactly: the
+    coefficients are contracted as they are, with no weight column and no
+    quotient rule."""
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
-    pts_u, pts_v = _points(pts_u), _points(pts_v)
-    tables = grid_basis(kv_u, kv_v, pts_u, pts_v, nders)
     if _equal_weights(w):
         sums = _spline_sums(tables, coeffs, nders)
     else:
@@ -240,8 +244,7 @@ def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> Geomet
 
 def _geometry_grid(pts_u: np.ndarray, pts_v: np.ndarray, sums: dict, nders: int) -> GeometryGrid:
     """The :class:`GeometryGrid` of the :func:`rational_grid_sums` of the
-    control points on pts_u x pts_v (their first two coefficient columns)."""
-    sums = {ab: s[..., :2] for ab, s in sums.items()}
+    control points on pts_u x pts_v."""
     points = sums[0, 0]
     if nders >= 1:
         du, dv = sums[1, 0], sums[0, 1]
@@ -320,12 +323,12 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
     w = g.weights.w
     wgrid = Bu @ w @ Bv.T  # weight sum at the collocation grid
 
-    cp = np.empty_like(targets)
-    for m in range(2):
-        rhs = wgrid * targets[:, :, m]
-        tmp = banded_solve(Bu, rhs)  # sweep along u for every column
-        q = banded_solve(Bv, tmp.T).T  # sweep along v
-        cp[:, :, m] = q / w
+    # both coordinates side by side: one sweep along u for every column of
+    # both, (n1, 2 n2), then one along v, (n2, 2 n1)
+    rhs = np.concatenate([wgrid * targets[:, :, 0], wgrid * targets[:, :, 1]], axis=1)
+    tmp = banded_solve(Bu, rhs)
+    q = banded_solve(Bv, np.concatenate([tmp[:, :n2].T, tmp[:, n2:].T], axis=1))
+    cp = np.stack([q[:, :n1].T, q[:, n1:].T], axis=-1) / w[..., None]
 
     ring = boundary_mask((n1, n2))
     if nodes is None:

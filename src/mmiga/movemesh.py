@@ -300,8 +300,10 @@ def init_logical_mesh(
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
                  geo: GeometryGrid | None = None):
     """Monitor values on a tensor grid of parametric points. ``geo`` is
-    ``g`` already evaluated on that grid, when the caller has it; see
-    :func:`~mmiga.assembly.eval_field_grid`. A smoothed monitor is
+    ``g`` already evaluated on that grid, when the caller has it; without
+    it, or when it lacks the order the monitor needs, the geometry is
+    evaluated with the field on one tabulation, to the same bits (see
+    :func:`~mmiga.assembly.eval_field_grid`). A smoothed monitor is
     evaluated on the Greville grid alone, and ``geo`` is not read."""
     if spec.smoothing > 0:
         return _smooth_monitor(spec, g, u, pts_u, pts_v)
@@ -322,11 +324,7 @@ def _smooth_monitor(spec, g, u, pts_u, pts_v):
 
     gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
     sub = MonitorSpec(spec.kind, spec.eps, spec.alpha, spec.beta, smoothing=0)
-    # the geometry gets its own evaluation, as on the quadrature grid of the
-    # unsmoothed monitor: evaluated with the field in one block, its
-    # products round differently
-    geo = eval_geometry_grid(g, gu, gv, 2 if spec.needs_hessian else 1)
-    nodal = monitor_grid(sub, g, u, gu, gv, geo=geo)
+    nodal = monitor_grid(sub, g, u, gu, gv)
     for _ in range(spec.smoothing):
         padded = np.pad(nodal, 1, mode="edge")
         nodal = 0.5 * nodal + 0.125 * (

@@ -27,7 +27,9 @@ breakpoints. Each is a :class:`PointTables` memo entry, built on first use and
 kept, read-only, for the life of the knot vector; a geometry re-fitted from
 another shares its knot vectors and so their tables. The memo entries hold
 the only copy of these point sets: :meth:`KnotVector.tables` recognises an
-entry by its point array, so evaluation takes points alone.
+entry by its point array, so evaluation takes points alone, and an entry
+asked for a higher derivative order than it holds grows to that order in
+place, keeping its arrays.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class KnotVector:
     """Open knot vector with its polynomial degree.
 
     The basis tables of the fixed point sets below are memo entries: each
-    is built on first use and kept, read-only, with this instance. Two
-    threads that race on an entry compute the same bits.
+    is built on first use and kept, read-only, with this instance, and
+    grows in place to the derivative orders asked of it (:meth:`tables`).
+    Two threads that race on an entry compute the same bits.
 
     Parameters
     ----------
@@ -130,11 +133,17 @@ class KnotVector:
 
     def _memo(self, pts: np.ndarray, nders: int, wts: np.ndarray | None = None) -> PointTables:
         """Read-only tables on the new array ``pts``, for a memo entry."""
-        D = tabulate(self, pts, nders).D
-        for a in (pts, *D, wts):
+        for a in (pts, wts):
             if a is not None:
                 a.flags.writeable = False
-        return PointTables(pts, D, wts)
+        return self._grow(PointTables(pts, (), wts), nders)
+
+    def _grow(self, t: PointTables, nders: int) -> PointTables:
+        """``t`` with its orders up to ``nders`` added, read-only."""
+        added = tuple(basis_matrix(self, t.pts, a) for a in range(len(t.D), nders + 1))
+        for a in added:
+            a.flags.writeable = False
+        return PointTables(t.pts, t.D + added, t.wts)
 
     @cached_property
     def gauss(self) -> PointTables:
@@ -142,17 +151,6 @@ class KnotVector:
         (:func:`element_quadrature_1d`), with orders 0-1."""
         pts, wts = element_quadrature_1d(self, self.degree + 1)
         return self._memo(pts, 1, wts)
-
-    def _with_second(self, t: PointTables) -> PointTables:
-        """The memo entry ``t`` with order 2 added, sharing its arrays."""
-        second = basis_matrix(self, t.pts, 2)
-        second.flags.writeable = False
-        return PointTables(t.pts, t.D + (second,), t.wts)
-
-    @cached_property
-    def gauss_hessian(self) -> PointTables:
-        """:attr:`gauss` with order 2 added, for Hessian monitors."""
-        return self._with_second(self.gauss)
 
     @cached_property
     def error_gauss(self) -> PointTables:
@@ -168,12 +166,6 @@ class KnotVector:
         return self._memo(greville_abscissae(self), 1)
 
     @cached_property
-    def greville_hessian(self) -> PointTables:
-        """:attr:`greville` with order 2 added, for smoothed Hessian
-        monitors."""
-        return self._with_second(self.greville)
-
-    @cached_property
     def lattice(self) -> PointTables:
         """The max-norm lattice, :data:`LINF_SAMPLES` closed samples per
         element (:func:`_element_lattice`), with order 0."""
@@ -186,17 +178,16 @@ class KnotVector:
 
     def tables(self, pts, nders: int) -> PointTables:
         """The tables on ``pts`` with orders 0 .. ``nders``: the memo entry
-        whose point array *is* ``pts`` when it holds those orders (for order
-        2 on the :attr:`gauss` or :attr:`greville` points, its ``_hessian``
-        sibling, built on first use), else tabulated here. Points equal to
-        a memo entry's but in another array are tabulated: the bits are the
-        same."""
+        whose point array *is* ``pts``, else tabulated here. An entry that
+        holds fewer orders grows in place: it is replaced by one with the
+        same ``pts``, ``D`` and ``wts`` arrays and the added orders, read-only,
+        appended. Points equal to a memo entry's but in another array are
+        tabulated: the bits are the same."""
         for name, t in list(vars(self).items()):
             if isinstance(t, PointTables) and t.pts is pts:
-                if nders < len(t.D):
-                    return t
-                if nders == 2 and name in ("gauss", "greville"):
-                    return getattr(self, f"{name}_hessian")
+                if nders >= len(t.D):
+                    t = vars(self)[name] = self._grow(t, nders)
+                return t
         return tabulate(self, pts, nders)
 
 

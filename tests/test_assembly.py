@@ -476,7 +476,7 @@ def test_reduced_system_is_the_interior_slice_with_or_without_discretization(p, 
     disc = discretization(g)
     bc = lambda x, y: np.sin(x) * np.cos(y)
     A = assemble_weighted_stiffness(g, lambda x, y: 1.0 + x * y, disc=disc)
-    b = assemble_load(g, lambda x, y: np.exp(x - y), disc=disc)
+    b = assemble_load(g, lambda x, y: np.exp(x - y))
     I = dof_map(*g.shape).interior
     xb = boundary_values(g, bc)
     thinned = A.copy()  # another pattern: one interior-interior entry not stored
@@ -697,7 +697,8 @@ def test_eval_field_derivatives_match_physical_finite_differences():
 @pytest.mark.parametrize("nders", [1, 2])
 def test_eval_field_tabulates_once_when_it_evaluates_the_geometry(monkeypatch, nders):
     # with no geo given, the control points and the field share one
-    # tabulation of the points, and agree with the two separate evaluations
+    # tabulation of the points, and give the bits of the two separate
+    # evaluations
     from mmiga import splines
 
     g = _perturbed(p=3, m=4, seed=3)
@@ -724,7 +725,55 @@ def test_eval_field_tabulates_once_when_it_evaluates_the_geometry(monkeypatch, n
         if want is None:
             assert got is None
         else:
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("grid", ["greville", "arbitrary"])
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("nders", [1, 2])
+def test_eval_field_gives_the_same_bits_with_and_without_geo(m, grid, weights, nders):
+    # a field evaluated on its own and one given the geometry's evaluation
+    # take the same path, so they agree bit for bit; from m = 16 up, because
+    # on smaller grids two different contractions may still round alike
+    g = _perturbed(p=3, m=m, scale=0.2 / m, seed=m)
+    rng = np.random.default_rng(m + 1)
+    w = np.ones(g.shape) if weights == "unit" else rng.uniform(0.7, 1.4, size=g.shape)
+    g = NurbsGeometry(g.kv_u, g.kv_v, TensorWeights(w), g.control_points)
+    u = FieldCoefficients(rng.normal(size=g.ndof), g.shape)
+    if grid == "greville":
+        pts_u, pts_v = g.kv_u.greville.pts, g.kv_v.greville.pts
+    else:
+        pts_u, pts_v = np.sort(rng.random(2 * m + 3)), np.sort(rng.random(2 * m + 1))
+    alone = eval_field_grid(g, u, pts_u, pts_v, nders=nders)
+    geo = eval_geometry_grid(g, pts_u, pts_v, nders)
+    given = eval_field_grid(g, u, pts_u, pts_v, nders=nders, geo=geo)
+    for name in ("values", "grad", "hess"):
+        got, want = getattr(alone, name), getattr(given, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
+
+
+def _field_on_a_9x9_grid():
+    g = _perturbed(p=3, m=8, scale=0.05, seed=11)
+    u = FieldCoefficients(np.random.default_rng(12).normal(size=g.ndof), g.shape)
+    return g, u, np.linspace(0.05, 0.95, 9)
+
+
+def test_eval_field_refuses_a_geometry_of_other_points():
+    g, u, pts = _field_on_a_9x9_grid()
+    for other in ((np.linspace(0.1, 0.9, 9), pts), (pts, pts[::-1])):
+        with pytest.raises(ValueError, match="points"):
+            eval_field_grid(g, u, pts, pts, nders=1, geo=eval_geometry_grid(g, *other, 1))
+
+
+def test_eval_field_evaluates_a_geometry_of_too_low_an_order_again():
+    g, u, pts = _field_on_a_9x9_grid()
+    want = eval_field_grid(g, u, pts, pts, nders=2)
+    for order, nders in ((0, 1), (0, 2), (1, 2)):
+        got = eval_field_grid(g, u, pts, pts, nders=nders,
+                              geo=eval_geometry_grid(g, pts, pts, order))
+        assert np.array_equal(got.grad, want.grad)
+        assert nders < 2 or np.array_equal(got.hess, want.hess)
 
 
 def test_field_coefficients_shape_validation():

@@ -345,8 +345,7 @@ def test_evaluations_with_tables_give_the_same_bits(monkeypatch, weights):
 
 # ------------------------------------------------------------ knot-vector memo
 
-FIXED_GRIDS = ("gauss", "gauss_hessian", "error_gauss", "greville", "greville_hessian",
-               "lattice", "corners")
+FIXED_GRIDS = ("gauss", "error_gauss", "greville", "lattice", "corners")
 
 
 def _count_tabulations(monkeypatch):
@@ -363,6 +362,11 @@ def _count_tabulations(monkeypatch):
     return calls
 
 
+def _read_only(t):
+    arrays = [t.pts, *t.D] + ([] if t.wts is None else [t.wts])
+    return not any(a.flags.writeable for a in arrays)
+
+
 def test_geometries_on_the_same_knot_vectors_share_read_only_tables(monkeypatch):
     g = _net(3, False, "random", seed=31)
     nodes = mesh_nodes(g)
@@ -373,16 +377,28 @@ def test_geometries_on_the_same_knot_vectors_share_read_only_tables(monkeypatch)
     for grid in FIXED_GRIDS:
         first, *rest = (fixed_basis(h, grid) for h in (g, refit, other))
         assert all(t.u is first.u and t.v is first.v for t in rest), grid
-        for t in (first.u, first.v):
-            arrays = [t.pts, *t.D] + ([] if t.wts is None else [t.wts])
-            assert not any(a.flags.writeable for a in arrays), grid
+        assert _read_only(first.u) and _read_only(first.v), grid
+    # order 2 on the gauss and greville points grows those entries in place,
+    # shared by all three geometries: the same arrays, one more order, all
+    # read-only, and no new memo name
+    u = FieldCoefficients(np.ones(g.ndof), g.shape)
+    names = set(vars(g.kv_u)) | set(vars(g.kv_v))
+    for grid in ("gauss", "greville"):
+        before = fixed_basis(g, grid)
+        eval_field_grid(other, u, before.u.pts, before.v.pts, 2)
+        for h in (g, refit, other):
+            grown = fixed_basis(h, grid)
+            for t, old in ((grown.u, before.u), (grown.v, before.v)):
+                assert len(t.D) == 3 and t.pts is old.pts and t.wts is old.wts, grid
+                assert t.D[0] is old.D[0] and t.D[1] is old.D[1], grid
+                assert _read_only(t), grid
+    assert set(vars(g.kv_u)) | set(vars(g.kv_v)) == names
     # and the evaluations on those grids read them, up to order 2 on the
     # gauss and greville points: nothing is tabulated again
     calls = _count_tabulations(monkeypatch)
     mesh_nodes(other)
     min_jacobian(refit)
     refit_from_node_targets(other, targets)
-    u = FieldCoefficients(np.ones(g.ndof), g.shape)
     for grid, top in (("gauss", 2), ("error_gauss", 1), ("greville", 2), ("lattice", 0),
                       ("corners", 0)):
         t = fixed_basis(other, grid)
@@ -424,6 +440,10 @@ def test_arbitrary_points_add_no_memo_entry(tmp_path):
     assert set(vars(kv)) == fields
     mesh_nodes(g)
     assert set(vars(kv)) == fields | {"greville"}
-    # order 2 on the Greville points builds the memo's second-order sibling
-    eval_geometry_grid(g, kv.greville.pts, kv.greville.pts, 2)
-    assert set(vars(kv)) == fields | {"greville", "greville_hessian"}
+    # order 2 on the Greville points grows the memo entry in place
+    greville = kv.greville
+    eval_geometry_grid(g, greville.pts, greville.pts, 2)
+    assert set(vars(kv)) == fields | {"greville"}
+    assert kv.tables(greville.pts, 2) is kv.greville is not greville
+    assert len(kv.greville.D) == 3
+    assert kv.greville.D[0] is greville.D[0] and kv.greville.D[1] is greville.D[1]
