@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import AssemblyError, BreakdownError
@@ -242,13 +241,17 @@ def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector) -> FastDiagonalizat
     """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
     ``kv_v``, with the 1D B-spline stiffness and mass integrated on their
     assembly Gauss rules (the ``gauss`` memo entries) and restricted to the
-    functions that vanish at both ends."""
+    functions that vanish at both ends. Each direction's generalized problem
+    K U = M U L is reduced by the Cholesky factor M = C C^T to the standard
+    one (C^-1 K C^-T) V = V L, and U = C^-T V."""
     factors = []
     for gauss in (kv_u.gauss, kv_v.gauss):
         N, dN = (gauss.D[der][:, 1:-1] for der in (0, 1))
         K = dN.T @ (gauss.wts[:, None] * dN)
         M = N.T @ (gauss.wts[:, None] * N)
-        lam, U = scipy.linalg.eigh(K, M)
+        Ci = np.linalg.inv(np.linalg.cholesky(M))
+        lam, V = np.linalg.eigh(Ci @ K @ Ci.T)
+        U = Ci.T @ V
         factors.append((U, lam, np.diag(K), np.diag(M)))
     (U_u, lam_u, k_u, m_u), (U_v, lam_v, k_v, m_v) = factors
     return FastDiagonalization(

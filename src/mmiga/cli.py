@@ -366,10 +366,13 @@ def run_movemesh(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     wall = time.perf_counter() - t0
 
     export_trace(state, outdir / "trace.csv")
-    snaps = {0: "initial", len(state.snapshots) - 1: "final"}
-    if len(state.snapshots) >= 3:
-        snaps[len(state.snapshots) // 2] = "intermediate"
-    for idx, label in snaps.items():
+    # a run that stops on its first iteration has one snapshot, written as
+    # both the initial and the final mesh
+    n = len(state.snapshots)
+    snaps = [("initial", 0), ("final", n - 1)]
+    if n >= 3:
+        snaps.append(("intermediate", n // 2))
+    for label, idx in snaps:
         it, g, u = state.snapshots[idx]
         export_vtk(g, {"u": u}, cfg.vtk_samples, outdir / f"mesh_{label}.vtk")
 
@@ -444,12 +447,14 @@ def compare_linf(path_a, path_b) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 summary = json.load(fh)
-            out[key] = {
-                "path": str(path),
-                "final_linf": summary["final"]["Linf"],
-                "dofs": summary.get("dofs"),
-            }
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            linf = summary["final"]["Linf"]
+            # a JSON boolean is no number, and NaN fails the range test
+            if type(linf) not in (int, float) or not 0 <= linf < np.inf:
+                raise TypeError(f"final.Linf must be a finite number >= 0, got {linf!r}")
+            if key == "b" and linf == 0:
+                raise ValueError("final.Linf is 0, and the ratio divides by it")
+            out[key] = {"path": str(path), "final_linf": linf, "dofs": summary.get("dofs")}
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"config error: cannot read summary {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     out["ratio"] = out["a"]["final_linf"] / out["b"]["final_linf"]

@@ -1,13 +1,14 @@
-"""Sparse SPD solves (preconditioned CG) and banded direct solves.
+"""Sparse SPD solves (preconditioned CG) and small dense direct solves.
 
 The conjugate gradient loop is written out explicitly so iteration counts,
 breakdown detection and bit-reproducibility are under our control; matrices
 are stored in scipy compressed-row form. The preconditioner is a callable
 applying an SPD approximation of A^-1 to the residual, or None for none;
 the Galerkin solves pass the fast-diagonalisation preconditioner that
-:mod:`mmiga.assembly` builds from the knots. Banded systems (Greville
+:mod:`mmiga.assembly` builds from the knots. The 1D banded systems (Greville
 collocation matrices, which are totally positive, and the edge-trace mass
-matrices of the Dirichlet projection) go through LAPACK's banded solver.
+matrices of the Dirichlet projection) have at most a few hundred unknowns
+and go through numpy's dense LU solve.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BreakdownError, ConvergenceError, SingularMatrixError
 
@@ -100,39 +100,19 @@ def cg_solve(A, b, tol=1e-10, maxit=None, precond=None, callback=None, x0=None):
     )
 
 
-def _to_banded(B):
-    """Extract (l, u, ab) diagonal-ordered band storage from a dense matrix."""
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    nz = np.argwhere(B != 0.0)
-    if nz.size == 0:
-        raise SingularMatrixError("zero matrix")
-    offsets = nz[:, 1] - nz[:, 0]
-    u = max(int(offsets.max()), 0)
-    l = max(int(-offsets.min()), 0)
-    ab = np.zeros((l + u + 1, n))
-    for d in range(-l, u + 1):
-        diag = np.diagonal(B, offset=d)
-        if d >= 0:
-            ab[u - d, d:] = diag
-        else:
-            ab[u - d, : n + d] = diag
-    return l, u, ab
-
-
 def banded_solve(B, rhs):
     """Direct solve of a banded system for one or more right-hand sides.
 
-    ``B`` is given densely (the bands are detected); the residual is verified
-    against 1e-12 * ||rhs|| so a numerically singular system is reported
-    rather than silently returned.
+    ``B`` is given densely and solved by dense LU; the systems are 1D, of at
+    most a few hundred unknowns. The residual is verified against
+    1e-12 * ||rhs|| so a numerically singular system is reported rather
+    than silently returned.
     """
     B = np.asarray(B, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    l, u, ab = _to_banded(B)
     try:
-        x = scipy.linalg.solve_banded((l, u), ab, rhs)
-    except scipy.linalg.LinAlgError as exc:
+        x = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("banded solve produced non-finite values")

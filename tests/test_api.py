@@ -4,7 +4,10 @@ every function the benchmark tracer wraps still lives where it looks."""
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,31 @@ def test_moving_mesh_run_calls_every_traced_layer():
         if tracer.counts[f"{mod}.{fn}.calls"] < 1
     ]
     assert uncalled == []
+
+
+def test_the_solves_leave_scipy_linalg_unloaded():
+    # the dense 1D solves and the preconditioner factors are numpy's: a
+    # Poisson solve and a moving-mesh run, in a fresh interpreter, load
+    # scipy.sparse and not scipy.linalg
+    script = """
+import sys
+import mmiga
+from mmiga import cli, geometry, linalg, movemesh, splines
+assert "scipy.linalg" not in sys.modules, "import mmiga"
+prob = cli.manufacture_rhs("case1_sine")
+kv = splines.make_open_knot_vector(3, 8, 1)  # C2 cubics
+g = geometry.build_identity_geometry(prob.domain, kv, kv)
+mmiga.assembly.solve_poisson(g, prob.f, prob.bc, linalg.LinearSolverSettings())
+assert "scipy.linalg" not in sys.modules, "solve_poisson"
+prob = cli.manufacture_rhs("case2_tanh")
+g = geometry.build_identity_geometry(prob.domain, kv, kv)
+state = movemesh.move_mesh_solve(movemesh.PoissonProblem(prob.f, prob.bc, prob.exact), g,
+                                 movemesh.MonitorSpec("gradient", alpha=0.1),
+                                 movemesh.MoveMeshConfig(max_outer=2))
+assert len(state.trace) == 2
+assert "scipy.linalg" not in sys.modules, "move_mesh_solve"
+"""
+    src = str(Path(mmiga.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -536,6 +536,24 @@ def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
     assert it <= 2
 
 
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("c0", [False, True])
+@pytest.mark.parametrize("p", [2, 3])
+def test_fast_diagonalization_factors_are_the_generalized_eigenpairs(p, c0, m):
+    # U^T M U = I and K U = M U L for the interior 1D stiffness K and mass M
+    # on the assembly Gauss rule; with the same knots in both directions the
+    # eigenvalue sums have L_i + L_i = 2 L_i on their diagonal
+    kv = make_open_knot_vector(p, m, p if c0 else 1)
+    fdm = fast_diagonalization(kv, kv)
+    N, dN = (kv.gauss.D[der][:, 1:-1] for der in (0, 1))
+    K = dN.T @ (kv.gauss.wts[:, None] * dN)
+    M = N.T @ (kv.gauss.wts[:, None] * N)
+    U, lam = fdm.U_u, np.diag(fdm.eig) / 2
+    assert np.array_equal(fdm.U_v, U)
+    assert np.abs(U.T @ M @ U - np.eye(len(lam))).max() <= 1e-13
+    assert np.abs(K @ U - M @ U * lam).max() <= 1e-12 * np.abs(K).max()
+
+
 @pytest.mark.parametrize("mult", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_preconditioned_solve_matches_a_direct_solve(p, mult):

@@ -336,15 +336,34 @@ def test_movemesh_identity_monitor_single_row(tmp_path):
         summary = json.load(fh)
     assert summary["converged"] is True and summary["stop_reason"] == "converged"
     assert summary["final"]["L2"] == pytest.approx(summary["initial"]["L2"])
+    # one snapshot, written as both the initial and the final mesh
+    assert (out / "mesh_initial.vtk").read_bytes() == (out / "mesh_final.vtk").read_bytes()
+    assert not (out / "mesh_intermediate.vtk").exists()
 
 
 def test_compare_linf_subcommand(tmp_path, capsys):
-    for name, linf in (("a.json", 0.5), ("b.json", 0.25)):
+    # a zero error is a valid dividend
+    for linf_a, ratio in ((0.5, 2.0), (0, 0.0)):
+        for name, linf in (("a.json", linf_a), ("b.json", 0.25)):
+            (tmp_path / name).write_text(json.dumps({"dofs": 100, "final": {"Linf": linf}}))
+        code = main(["compare-linf", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ratio"] == pytest.approx(ratio)
+
+
+@pytest.mark.parametrize("linf_a, linf_b", [
+    (0.5, 0), (0.5, "x"), (0.5, [1]), (0.5, True), (0.5, None), (0.5, -1.0), (0.5, float("nan")),
+    ("x", 0.5), (True, 0.5), (float("inf"), 0.5),
+])
+def test_compare_linf_rejects_a_malformed_summary(tmp_path, capsys, linf_a, linf_b):
+    # a divisor of 0, a value that is no finite number >= 0, and a JSON
+    # boolean are malformed input, like a missing key
+    for name, linf in (("a.json", linf_a), ("b.json", linf_b)):
         (tmp_path / name).write_text(json.dumps({"dofs": 100, "final": {"Linf": linf}}))
     code = main(["compare-linf", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["ratio"] == pytest.approx(2.0)
+    assert code == 2
+    assert "config error: cannot read summary" in capsys.readouterr().err
 
 
 def test_main_run_smoke(tmp_path):

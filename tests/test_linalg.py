@@ -160,9 +160,9 @@ def test_banded_random_well_conditioned_residual():
 
 
 def test_banded_singular_raises():
-    B = np.diag([1.0, 0.0, 2.0])
-    with pytest.raises(SingularMatrixError):
-        banded_solve(B, np.ones(3))
+    for B in (np.diag([1.0, 0.0, 2.0]), np.zeros((3, 3))):
+        with pytest.raises(SingularMatrixError):
+            banded_solve(B, np.ones(3))
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},

@@ -6,9 +6,12 @@ SRC_A and SRC_B are directories that hold the ``mmiga`` package, such as the
 ``src`` directories of two checkouts. The script runs one fixed battery of
 computations once per tree, each in a fresh Python process with one BLAS
 thread and that tree first on the import path, and hashes every result. It
-prints each key whose hashes differ, or that only one tree produced, and
-exits 1 if there is any; else it prints the number of keys compared and
-exits 0.
+prints each key whose hashes differ, or that only one tree produced, with how
+far it moved, and exits 1 if there is any; else it prints the number of keys
+compared and exits 0. How far a key moved is max |a - b| / max |a| for float
+arrays (and floats) of equal shape, the worst such leaf of a nested result;
+where the two results differ in length, or in a leaf that is not a float
+array, both lengths or both values are printed instead.
 
 The battery, all on fixed inputs:
 
@@ -31,10 +34,11 @@ The battery, all on fixed inputs:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import pickle
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -148,36 +152,73 @@ def _grids(out: dict) -> None:
 
 
 def battery() -> dict:
-    """Key -> SHA-256 of every result of the battery, in this process."""
+    """Key -> every result of the battery, in this process."""
     out: dict = {}
     _runs(out)
     _solves(out)
     _grids(out)
-    return {key: _digest(value) for key, value in out.items()}
+    return out
 
 
-def _hashes(src: str) -> dict:
-    """The battery's hashes of the tree ``src``, from a fresh process."""
+def _results(src: str, path: str) -> dict:
+    """The battery's results of the tree ``src``, from a fresh process that
+    pickles them to ``path``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **{k: "1" for k in ONE_THREAD})
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--battery"], env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--battery", path],
+                          env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"battery failed on {src}:\n{done.stderr}")
-    return json.loads(done.stdout)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _moved(a, b):
+    """How far the result ``b`` moved from ``a``: the largest
+    max |a - b| / max |a| over their float leaves, or the first pair of
+    lengths or non-float values that differ, as text."""
+    import numpy as np
+
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return f"lengths {len(a)} vs {len(b)}"
+        worst = 0.0
+        for x, y in zip(a, b):
+            moved = _moved(x, y)
+            if isinstance(moved, str):
+                return moved
+            worst = max(worst, moved)
+        return worst
+    fa, fb = np.asarray(a), np.asarray(b)
+    if fa.shape != fb.shape:
+        return f"shapes {fa.shape} vs {fb.shape}"
+    if fa.dtype.kind == fb.dtype.kind == "f":
+        diff, scale = np.abs(fa - fb).max(initial=0.0), np.abs(fa).max(initial=0.0)
+        return diff / scale if scale > 0 else 0.0 if diff == 0 else float("inf")
+    if np.array_equal(fa, fb):
+        return 0.0
+    return f"{a!r} vs {b!r}" if fa.ndim == 0 else f"{fa.dtype} arrays of shape {fa.shape}"
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--battery"]:
-        json.dump(battery(), sys.stdout)
+    if len(argv) == 2 and argv[0] == "--battery":
+        with open(argv[1], "wb") as fh:
+            pickle.dump(battery(), fh)
         return 0
     if len(argv) != 2 or not all(os.path.isdir(os.path.join(a, "mmiga")) for a in argv):
         print("usage: python3 tools/bitcheck.py SRC_A SRC_B (directories that hold mmiga)",
               file=sys.stderr)
         return 2
-    a, b = (_hashes(src) for src in argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        res_a, res_b = (_results(src, os.path.join(scratch, f"{k}.pickle"))
+                        for k, src in enumerate(argv))
+    a, b = ({key: _digest(value) for key, value in res.items()} for res in (res_a, res_b))
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for key in differ:
-        print(f"differs: {key}")
+        if key not in a or key not in b:
+            print(f"differs: {key}  (only in {argv[0] if key in a else argv[1]})")
+            continue
+        moved = _moved(res_a[key], res_b[key])
+        print(f"differs: {key}  ({moved if isinstance(moved, str) else f'{moved:.2e}'})")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} keys differ")
     return 1 if differ else 0
 
