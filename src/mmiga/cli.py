@@ -1,7 +1,8 @@
 """Configuration-driven experiment runner.
 
-A run is described by one strict-schema JSON document (unknown keys are
-rejected with the offending path). Two modes: ``convergence`` sweeps a
+A run is described by one strict-schema JSON document, whose schema is
+:class:`RunConfig`: an unknown key, and a key the run's mode does not read,
+are rejected with the offending path. Two modes: ``convergence`` sweeps a
 refinement sequence and writes the error table, ``movemesh`` runs the mesh
 redistribution loop and writes the trace, mesh snapshots and a summary.
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,6 @@ TANH_WIDTH = 0.01
 class ProblemSetup:
     """Source term, Dirichlet data, exact solution and domain for one case."""
 
-    name: str
     domain: Rectangle
     f: callable
     bc: callable
@@ -119,7 +119,7 @@ def _manufactured_fields(expr: str, domain: Rectangle):
 
         return wrapped
 
-    return ProblemSetup("manufactured", domain, vec(f), vec(u), ExactSolution(vec(u), vec(ux), vec(uy)))
+    return ProblemSetup(domain, vec(f), vec(u), ExactSolution(vec(u), vec(ux), vec(uy)))
 
 
 def manufacture_rhs(problem) -> ProblemSetup:
@@ -133,7 +133,6 @@ def manufacture_rhs(problem) -> ProblemSetup:
     if problem == "case1_sine":
         u = lambda x, y: np.sin(x) * np.sin(y)
         return ProblemSetup(
-            "case1_sine",
             Rectangle(-1.0, 1.0, -1.0, 1.0),
             lambda x, y: 2.0 * np.sin(x) * np.sin(y),
             u,
@@ -145,9 +144,7 @@ def manufacture_rhs(problem) -> ProblemSetup:
         )
     if problem == "case2_tanh":
         u, f, ux, uy = _case2_fields()
-        return ProblemSetup(
-            "case2_tanh", Rectangle(0.0, 1.0, 0.0, 1.0), f, u, ExactSolution(u, ux, uy)
-        )
+        return ProblemSetup(Rectangle(0.0, 1.0, 0.0, 1.0), f, u, ExactSolution(u, ux, uy))
     if isinstance(problem, dict):
         name = problem.get("name")
         if name != "manufactured":
@@ -158,18 +155,44 @@ def manufacture_rhs(problem) -> ProblemSetup:
             raise ConfigError(f"problem.{sorted(unknown)[0]}: unknown key")
         if "u" not in problem:
             raise ConfigError("problem.u: missing expression")
-        dom = problem.get("domain", [[0.0, 1.0], [0.0, 1.0]])
-        try:
-            rect = Rectangle(dom[0][0], dom[0][1], dom[1][0], dom[1][1])
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ConfigError(f"problem.domain: {exc}") from exc
+        rect = _rectangle("problem.domain", problem.get("domain", [[0.0, 1.0], [0.0, 1.0]]))
         return _manufactured_fields(problem["u"], rect)
     raise ConfigError(f"problem: unknown problem {problem!r}")
 
 
+# the keys that one mode alone reads, top-level keys and whole sections;
+# both modes read every other key
+_MODE_ONLY = {
+    "levels": "convergence",
+    "elements_list": "convergence",
+    "elements": "movemesh",
+    "monitor": "movemesh",
+    "movemesh": "movemesh",
+}
+_CASE_MODE = {"case1_sine": "convergence", "case2_tanh": "movemesh"}
+
+
+def _require(cond, msg):
+    if not cond:
+        raise ConfigError(msg)
+
+
+def _is_int(x) -> bool:
+    """An integer in JSON terms: ``true``/``false`` load as bool, a subclass
+    of int, and are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description."""
+    """Validated run description, and the schema of a run's JSON document.
+
+    Each top-level key is a field. The ``monitor``, ``movemesh`` and
+    ``solver`` objects hold the fields of :class:`MonitorSpec`,
+    :class:`MoveMeshConfig` (but ``lin``, which ``solver`` sets) and
+    :class:`LinearSolverSettings`. A value out of range raises ConfigError
+    with its key.
+    """
 
     mode: str
     problem: object
@@ -184,144 +207,93 @@ class RunConfig:
     output_dir: str = "out"
     vtk_samples: int = 4
 
+    def __post_init__(self):
+        mode = self.mode
+        _require(mode in ("convergence", "movemesh"),
+                 f"mode: expected convergence|movemesh, got {mode!r}")
+        _require(_is_int(self.degree) and 1 <= self.degree <= 4,
+                 f"degree: expected integer in [1, 4], got {self.degree!r}")
+        _require(self.refinement in ("k", "hp"),
+                 f"refinement: expected k|hp, got {self.refinement!r}")
+        if isinstance(self.problem, str):
+            case = _CASE_MODE.get(self.problem)
+            _require(case is not None, f"problem: unknown case {self.problem!r}")
+            _require(case == mode, f"problem: {case} cases require mode={case}")
+        _require(_is_int(self.levels) and 1 <= self.levels <= 8,
+                 f"levels: expected integer in [1, 8], got {self.levels!r}")
+        _require(_is_int(self.elements) and self.elements >= 2,
+                 f"elements: expected integer >= 2, got {self.elements!r}")
+        if self.elements_list is not None:
+            ms = self.elements_list
+            _require(isinstance(ms, (list, tuple)) and len(ms) >= 2
+                     and all(_is_int(m) and m >= 1 for m in ms),
+                     "elements_list: expected a list of >= 2 positive integers")
+            object.__setattr__(self, "elements_list", tuple(ms))
+        _require(isinstance(self.output_dir, str),
+                 f"output_dir: expected a path string, got {self.output_dir!r}")
+        _require(_is_int(self.vtk_samples) and self.vtk_samples >= 2,
+                 f"vtk_samples: expected integer >= 2, got {self.vtk_samples!r}")
 
-_TOP_KEYS = {
-    "mode", "problem", "degree", "refinement", "levels", "elements",
-    "elements_list", "monitor", "movemesh", "solver", "output_dir",
-    "vtk_samples",
-}
-_MONITOR_KEYS = {"kind", "eps", "alpha", "beta", "smoothing"}
-_MOVEMESH_KEYS = {"tau", "tolerance", "max_outer", "movement_cap", "logical"}
-_SOLVER_KEYS = {"tol", "maxit"}
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
+def _rectangle(path: str, value) -> Rectangle:
+    """The rectangle ``[[x0, x1], [y0, y1]]`` of a config document, whose
+    corners are finite numbers (JSON ``true``/``false`` are not)."""
+    try:
+        (x0, x1), (y0, y1) = value
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: expected [[x0, x1], [y0, y1]], got {value!r}") from exc
+    _require(all(type(c) in (int, float) and np.isfinite(c) for c in (x0, x1, y0, y1)),
+             f"{path}: expected finite numbers, got {value!r}")
+    try:
+        return Rectangle(x0, x1, y0, y1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _is_int(x) -> bool:
-    """An integer in JSON terms: ``true``/``false`` load as bool, a subclass
-    of int, and are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _section(doc: dict, name: str, keys: set, default: dict) -> dict:
-    """The object ``doc[name]``, or ``default``, with no unknown key and no
-    JSON ``true``/``false``: no key of a section takes one, and a bool, a
-    subclass of int, must pass neither for an integer nor for a real."""
-    sec = doc.get(name, default)
+def _section(name: str, sec, cls, **fixed):
+    """``cls`` built from the config object ``sec``, whose keys are fields of
+    ``cls`` that ``fixed`` does not set. No value may be a JSON
+    ``true``/``false``: a bool, a subclass of int, must pass neither for an
+    integer nor for a real. Only the keys present are passed, so every
+    default is the one ``cls`` declares."""
     _require(isinstance(sec, dict), f"{name}: expected an object")
-    unknown = set(sec) - keys
+    unknown = set(sec) - (_names(cls) - set(fixed))
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
     for key, value in sec.items():
         _require(not isinstance(value, bool), f"{name}: {key} must be a number, got {value!r}")
-    return sec
+    try:
+        return cls(**sec, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a JSON document against the strict schema."""
+    """Validate a JSON document against the strict schema of
+    :class:`RunConfig`. A key the chosen mode does not read is an error."""
     _require(isinstance(doc, dict), "top level: expected an object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - _names(RunConfig)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
-    for key in ("mode", "problem", "degree"):
-        _require(key in doc, f"{key}: required key missing")
+    for f in fields(RunConfig):
+        _require(f.name in doc or f.default is not MISSING or f.default_factory is not MISSING,
+                 f"{f.name}: required key missing")
+    for key in sorted(set(doc) & set(_MODE_ONLY)):
+        _require(_MODE_ONLY[key] == doc["mode"], f"{key}: only valid in {_MODE_ONLY[key]} mode")
 
-    mode = doc["mode"]
-    _require(mode in ("convergence", "movemesh"), f"mode: expected convergence|movemesh, got {mode!r}")
-    degree = doc["degree"]
-    _require(_is_int(degree) and 1 <= degree <= 4, f"degree: expected integer in [1, 4], got {degree!r}")
-    refinement = doc.get("refinement", "k")
-    _require(refinement in ("k", "hp"), f"refinement: expected k|hp, got {refinement!r}")
-
-    problem = doc["problem"]
-    if isinstance(problem, str):
-        _require(problem in ("case1_sine", "case2_tanh"), f"problem: unknown case {problem!r}")
-        if mode == "convergence":
-            _require(problem == "case1_sine", "problem: movemesh cases require mode=movemesh")
-        else:
-            _require(problem == "case2_tanh", "problem: convergence cases require mode=convergence")
-
-    levels = doc.get("levels", 4)
-    _require(_is_int(levels) and 1 <= levels <= 8, f"levels: expected integer in [1, 8], got {levels!r}")
-    elements = doc.get("elements", 32)
-    _require(_is_int(elements) and elements >= 2, f"elements: expected integer >= 2, got {elements!r}")
-
-    elements_list = doc.get("elements_list")
-    if elements_list is not None:
-        _require(mode == "convergence", "elements_list: only valid in convergence mode")
-        _require(
-            isinstance(elements_list, list) and len(elements_list) >= 2
-            and all(_is_int(m) and m >= 1 for m in elements_list),
-            "elements_list: expected a list of >= 2 positive integers",
-        )
-        elements_list = tuple(elements_list)
-
-    mon = _section(doc, "monitor", _MONITOR_KEYS, {"kind": "gradient", "alpha": 0.1})
-    try:
-        monitor = MonitorSpec(
-            mon.get("kind", "gradient"),
-            eps=mon.get("eps", 1.0),
-            alpha=mon.get("alpha", 0.0),
-            beta=mon.get("beta", 0.0),
-            smoothing=mon.get("smoothing", 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"monitor: {exc}") from exc
-
-    mm = _section(doc, "movemesh", _MOVEMESH_KEYS, {})
-    logical = mm.get("logical", [[0.0, 1.0], [0.0, 1.0]])
-    try:
-        logical_rect = Rectangle(logical[0][0], logical[0][1], logical[1][0], logical[1][1])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"movemesh.logical: {exc}") from exc
-
-    sol = _section(doc, "solver", _SOLVER_KEYS, {})
-    try:
-        solver = LinearSolverSettings(
-            tol=sol.get("tol", 1e-10),
-            maxit=sol.get("maxit"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-    try:
-        movecfg = MoveMeshConfig(
-            logical=logical_rect,
-            tau=mm.get("tau", 0.5),
-            tolerance=mm.get("tolerance"),
-            max_outer=mm.get("max_outer", 50),
-            movement_cap=mm.get("movement_cap", 0.5),
-            lin=solver,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"movemesh: {exc}") from exc
-
-    output_dir = doc.get("output_dir", "out")
-    _require(isinstance(output_dir, str), f"output_dir: expected a path string, got {output_dir!r}")
-
-    vtk_samples = doc.get("vtk_samples", 4)
-    _require(
-        _is_int(vtk_samples) and vtk_samples >= 2,
-        f"vtk_samples: expected integer >= 2, got {vtk_samples!r}",
-    )
-
-    return RunConfig(
-        mode=mode,
-        problem=problem,
-        degree=degree,
-        refinement=refinement,
-        levels=levels,
-        elements=elements,
-        elements_list=elements_list,
-        monitor=monitor,
-        movemesh=movecfg,
-        solver=solver,
-        output_dir=output_dir,
-        vtk_samples=vtk_samples,
-    )
+    kw = {k: v for k, v in doc.items() if k not in ("monitor", "movemesh", "solver")}
+    kw["solver"] = _section("solver", doc.get("solver", {}), LinearSolverSettings)
+    mm = doc.get("movemesh", {})
+    if isinstance(mm, dict) and "logical" in mm:
+        mm = {**mm, "logical": _rectangle("movemesh.logical", mm["logical"])}
+    kw["movemesh"] = _section("movemesh", mm, MoveMeshConfig, lin=kw["solver"])
+    if "monitor" in doc:
+        kw["monitor"] = _section("monitor", doc["monitor"], MonitorSpec)
+    return RunConfig(**kw)
 
 
 def _geometry_for(setup: ProblemSetup, degree: int, m: int, refinement: str):

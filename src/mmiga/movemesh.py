@@ -87,6 +87,12 @@ MAP_FORCING = 1e-3
 # case2_tanh run (p=3, m=32) depths 2 to 5 all converged in 26-27 outer
 # iterations, against 41 without the mix; 3 sits inside that range.
 ANDERSON_DEPTH = 3
+# the parameters each monitor kind pins, and their values
+_MONITOR_PINS = {
+    "gradient": {"eps": 1.0, "beta": 0.0},
+    "hessian": {"eps": 1.0, "alpha": 0.0},
+    "combined": {},
+}
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,9 @@ class MonitorSpec:
     """Mesh-density monitor  M = sqrt(eps + alpha |grad u|^2 + beta |hess u|^2).
 
     ``kind`` picks the family: "gradient" pins eps = 1, beta = 0; "hessian"
-    pins eps = 1, alpha = 0; "combined" uses all three parameters. The Hessian
-    enters through its Frobenius norm. ``smoothing`` counts optional nodal
+    pins eps = 1, alpha = 0; "combined" uses all three parameters. A pinned
+    parameter set to another value is a ValueError. The Hessian enters
+    through its Frobenius norm. ``smoothing`` counts optional nodal
     averaging passes (off by default).
     """
 
@@ -108,18 +115,16 @@ class MonitorSpec:
     def __post_init__(self):
         if isinstance(self.smoothing, bool) or not isinstance(self.smoothing, (int, np.integer)):
             raise TypeError(f"smoothing count must be an integer, got {self.smoothing!r}")
-        if self.kind not in ("gradient", "hessian", "combined"):
+        if self.kind not in _MONITOR_PINS:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("monitor weights must be nonnegative")
         if not all(np.isfinite(x) for x in (self.eps, self.alpha, self.beta)):
             raise ValueError("eps, alpha and beta must be finite")
-        if self.kind == "gradient":
-            object.__setattr__(self, "eps", 1.0)
-            object.__setattr__(self, "beta", 0.0)
-        elif self.kind == "hessian":
-            object.__setattr__(self, "eps", 1.0)
-            object.__setattr__(self, "alpha", 0.0)
+        for name, pin in _MONITOR_PINS[self.kind].items():
+            if getattr(self, name) != pin:
+                raise ValueError(f"the {self.kind} monitor pins {name} to {pin:g}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("monitor weights must be nonnegative")
         if self.eps <= 0.0:
             raise ValueError("eps must be strictly positive so the monitor stays positive")
         if self.smoothing < 0:
@@ -168,15 +173,13 @@ class LogicalMesh:
     """Reference logical mesh: the initialization solve and its nodal values.
 
     ``nodes[i, j]`` stores the logical position of physical node (i, j) from
-    the initialization solve; it stays fixed for the whole run.
-    ``params_u`` x ``params_v`` is the Greville grid of the nodes.
+    the initialization solve, at the Greville grid of the knot vectors
+    (``kv.greville.pts``); it stays fixed for the whole run.
     """
 
     logical: Rectangle
     fields: tuple[FieldCoefficients, FieldCoefficients]
     nodes: np.ndarray  # (n1, n2, 2)
-    params_u: np.ndarray
-    params_v: np.ndarray
 
 
 @dataclass
@@ -294,7 +297,7 @@ def init_logical_mesh(
     fields = _solve_components(A, g0, bmap, lin, boundary, disc)
     gu, gv = g0.kv_u.greville.pts, g0.kv_v.greville.pts
     vals = [eval_field_grid(g0, f, gu, gv).values for f in fields]
-    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1), gu, gv)
+    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1))
 
 
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
@@ -319,20 +322,17 @@ def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_
 
 def _smooth_monitor(spec, g, u, pts_u, pts_v):
     """Nodal-averaging smoothing: evaluate on the Greville grid, average
-    neighbors ``smoothing`` times, interpolate back bilinearly."""
-    from scipy.interpolate import RegularGridInterpolator
-
+    neighbors ``smoothing`` times, interpolate back bilinearly: linearly
+    along u, then along v (``np.interp``)."""
     gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
-    sub = MonitorSpec(spec.kind, spec.eps, spec.alpha, spec.beta, smoothing=0)
-    nodal = monitor_grid(sub, g, u, gu, gv)
+    nodal = monitor_grid(replace(spec, smoothing=0), g, u, gu, gv)
     for _ in range(spec.smoothing):
         padded = np.pad(nodal, 1, mode="edge")
         nodal = 0.5 * nodal + 0.125 * (
             padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
         )
-    interp = RegularGridInterpolator((gu, gv), nodal, method="linear")
-    U, V = np.meshgrid(pts_u, pts_v, indexing="ij")
-    return interp(np.stack([U.ravel(), V.ravel()], axis=-1)).reshape(U.shape)
+    along_u = np.stack([np.interp(pts_u, gu, col) for col in nodal.T], axis=-1)
+    return np.stack([np.interp(pts_v, gv, row) for row in along_u])
 
 
 def eval_monitor(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, s) -> float:
@@ -393,11 +393,12 @@ def _solve_components(
     )
 
 
-def _xi_at_nodes(g, xi, lm, nders=0):
-    """Evaluate both map components on the fixed Greville parameter grid;
+def _xi_at_nodes(g, xi, nders=0):
+    """Evaluate both map components on the Greville grid of the nodes;
     derivatives share one evaluation of the geometry there."""
-    geo = eval_geometry_grid(g, lm.params_u, lm.params_v, nders) if nders else None
-    return [eval_field_grid(g, f, lm.params_u, lm.params_v, nders=nders, geo=geo) for f in xi]
+    gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
+    geo = eval_geometry_grid(g, gu, gv, nders) if nders else None
+    return [eval_field_grid(g, f, gu, gv, nders=nders, geo=geo) for f in xi]
 
 
 def compute_movement(
@@ -417,7 +418,7 @@ def compute_movement(
     ``prev_movement`` is supplied and fewer than 1% of interior nodes are
     affected, those nodes reuse their previous movement instead (logged).
     """
-    xg, yg = _xi_at_nodes(g, xi, lm, nders=1)
+    xg, yg = _xi_at_nodes(g, xi, nders=1)
     xi_x, xi_y = xg.grad[..., 0], xg.grad[..., 1]
     eta_x, eta_y = yg.grad[..., 0], yg.grad[..., 1]
     jac = xi_x * eta_y - xi_y * eta_x
@@ -449,7 +450,7 @@ def compute_movement(
     return movement
 
 
-def limit_movement(movement: np.ndarray, nodes: np.ndarray, frac: float = 0.5) -> np.ndarray:
+def limit_movement(movement: np.ndarray, nodes: np.ndarray, frac: float) -> np.ndarray:
     """Trust region on the movement field: rescale each node's step so its
     length stays below ``frac`` times the distance to its nearest grid
     neighbor. Clips the runaway steps produced near small map Jacobians while
@@ -614,7 +615,7 @@ class _MoveMeshRun:
         s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, self.bmap, lin,
                                   disc=self.disc, boundary=self.xi_boundary, geo=self.geo,
                                   x0=s.xi)
-        vals = _xi_at_nodes(s.geometry, s.xi, s.logical_mesh, nders=0)
+        vals = _xi_at_nodes(s.geometry, s.xi)
         defect = s.logical_mesh.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         self.xi_err = float(np.max(np.abs(defect)))
 

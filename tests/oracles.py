@@ -265,7 +265,8 @@ def move_mesh_reference(problem, g0, spec, cfg):
     def harmonic_map(tol, x0):
         lin = dataclasses.replace(cfg.lin, tol=tol)
         xi = movemesh.solve_harmonic_map(g, spec, u, bmap, lin, x0=x0)
-        vals = [assembly.eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
+        gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
+        vals = [assembly.eval_field_grid(g, f, gu, gv).values for f in xi]
         return xi, float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
 
     for it in range(1, cfg.max_outer + 1):

@@ -84,9 +84,10 @@ def test_moving_mesh_run_calls_every_traced_layer():
 
 
 def test_the_solves_leave_scipy_linalg_unloaded():
-    # the dense 1D solves and the preconditioner factors are numpy's: a
-    # Poisson solve and a moving-mesh run, in a fresh interpreter, load
-    # scipy.sparse and not scipy.linalg
+    # the dense 1D solves, the preconditioner factors and the smoothed
+    # monitor's interpolation are numpy's: a Poisson solve and two
+    # moving-mesh runs, in a fresh interpreter, load scipy.sparse and not
+    # scipy.linalg
     script = """
 import sys
 import mmiga
@@ -104,6 +105,11 @@ state = movemesh.move_mesh_solve(movemesh.PoissonProblem(prob.f, prob.bc, prob.e
                                  movemesh.MoveMeshConfig(max_outer=2))
 assert len(state.trace) == 2
 assert "scipy.linalg" not in sys.modules, "move_mesh_solve"
+state = movemesh.move_mesh_solve(movemesh.PoissonProblem(prob.f, prob.bc, prob.exact), g,
+                                 movemesh.MonitorSpec("gradient", alpha=0.1, smoothing=1),
+                                 movemesh.MoveMeshConfig(max_outer=2))
+assert len(state.trace) == 2
+assert "scipy.linalg" not in sys.modules, "smoothed monitor"
 """
     src = str(Path(mmiga.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

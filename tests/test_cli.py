@@ -5,16 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mmiga.cli import (
-    _MONITOR_KEYS,
-    _MOVEMESH_KEYS,
-    _SOLVER_KEYS,
-    RunConfig,
-    main,
-    manufacture_rhs,
-    parse_config,
-    run,
-)
+from mmiga.cli import RunConfig, main, manufacture_rhs, parse_config, run
 from mmiga.errors import ConfigError
 from mmiga.linalg import LinearSolverSettings
 from mmiga.movemesh import MonitorSpec, MoveMeshConfig
@@ -106,8 +97,7 @@ def test_manufactured_rejects_bad_expression():
 # ----------------------------------------------------------------- validation
 
 def test_parse_config_minimal_defaults():
-    # parse_config spells out every default a second time: the two copies
-    # must agree
+    # parse_config passes only the keys present: every default is RunConfig's
     for mode, problem in (("convergence", "case1_sine"), ("movemesh", "case2_tanh")):
         cfg = parse_config({"mode": mode, "problem": problem, "degree": 3})
         assert cfg == RunConfig(mode, problem, 3)
@@ -194,7 +184,7 @@ def test_unknown_key_exits_2(tmp_path, extra):
     ("monitor", "beta", float("nan")),
 ])
 def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
-    doc = dict(BASE_MOVE)
+    doc = dict(BASE_CONV if key == "levels" else BASE_MOVE)
     if section is None:
         doc[key] = value
     else:
@@ -202,6 +192,17 @@ def test_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value):
     path = _write(tmp_path, doc)
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 2
     assert capsys.readouterr().err.startswith(f"config error: {section or key}: ")
+
+
+@pytest.mark.parametrize("value", [[[0, True], [0, 1]], [[0, 1, 2], [0, 1]],
+                                   [[0, float("inf")], [0, 1]], [[1, 0], [0, 1]], "ab", 3])
+def test_malformed_rectangle_is_a_config_error(tmp_path, capsys, value):
+    # the logical rectangle at parse time, the manufactured domain at run time
+    doc = {**BASE_MOVE, "movemesh": {"logical": value}}
+    assert run(_write(tmp_path, doc), out_dir=tmp_path / "out", quiet=True) == 2
+    assert capsys.readouterr().err.startswith("config error: movemesh.logical: ")
+    with pytest.raises(ConfigError, match="problem.domain: "):
+        manufacture_rhs({"name": "manufactured", "u": "x", "domain": value})
 
 
 @pytest.mark.parametrize("via", ["config", "--out"])
@@ -217,15 +218,76 @@ def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys, via):
     assert capsys.readouterr().err.startswith("config error: output_dir: cannot create ")
 
 
-def test_config_section_keys_are_the_dataclass_fields():
-    # a key parsed into no field, or a field no key sets, is a setting the
-    # schema offers and the run never reads
+# a valid value other than the default of each key a run accepts, as the
+# document entries that set it (a pinned monitor parameter needs a kind that
+# frees it)
+NON_DEFAULT = {
+    "problem": {"problem": {"name": "manufactured", "u": "x * y"}},
+    "degree": {"degree": 2},
+    "refinement": {"refinement": "hp"},
+    "levels": {"levels": 2},
+    "elements": {"elements": 8},
+    "elements_list": {"elements_list": [2, 4]},
+    "output_dir": {"output_dir": "elsewhere"},
+    "vtk_samples": {"vtk_samples": 3},
+    "monitor.kind": {"monitor": {"kind": "combined"}},
+    "monitor.eps": {"monitor": {"kind": "combined", "eps": 2.0}},
+    "monitor.alpha": {"monitor": {"alpha": 0.3}},
+    "monitor.beta": {"monitor": {"kind": "hessian", "beta": 0.01}},
+    "monitor.smoothing": {"monitor": {"alpha": 0.1, "smoothing": 1}},
+    "movemesh.logical": {"movemesh": {"logical": [[0, 2], [0, 1]]}},
+    "movemesh.tau": {"movemesh": {"tau": 0.25}},
+    "movemesh.tolerance": {"movemesh": {"tolerance": 1e-3}},
+    "movemesh.max_outer": {"movemesh": {"max_outer": 7}},
+    "movemesh.movement_cap": {"movemesh": {"movement_cap": None}},
+    "solver.tol": {"solver": {"tol": 1e-8}},
+    "solver.maxit": {"solver": {"maxit": 100}},
+}
+
+# the RunConfig fields each mode's run reads (a movemesh run reads its
+# solver settings as movemesh.lin), and the document keys each mode rejects
+READS = {
+    "convergence": {"problem", "degree", "refinement", "levels", "elements_list", "solver",
+                    "output_dir", "vtk_samples"},
+    "movemesh": {"problem", "degree", "refinement", "elements", "monitor", "movemesh",
+                 "output_dir", "vtk_samples"},
+}
+REJECTS = {"convergence": {"elements", "monitor", "movemesh"},
+           "movemesh": {"levels", "elements_list"}}
+
+
+def test_every_accepted_key_is_read(tmp_path, capsys):
+    # the schema is the dataclasses' fields. A key that a mode accepts sets
+    # a field that its run reads; a key of the other mode, and a monitor
+    # parameter off its kind's pin, exit 2 with the key's path
     def names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert _SOLVER_KEYS == names(LinearSolverSettings)
-    assert _MONITOR_KEYS == names(MonitorSpec)
-    assert _MOVEMESH_KEYS == names(MoveMeshConfig) - {"lin"}
+    sections = {"monitor": names(MonitorSpec), "movemesh": names(MoveMeshConfig) - {"lin"},
+                "solver": names(LinearSolverSettings)}
+    paths = {f"{name}.{key}" for name, keys in sections.items() for key in keys}
+    assert paths | names(RunConfig) - set(sections) - {"mode"} == set(NON_DEFAULT)
+
+    def exits_2(doc, path):
+        assert run(_write(tmp_path, doc), out_dir=tmp_path / "out", quiet=True) == 2
+        return capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+    for mode, problem in (("convergence", "case1_sine"), ("movemesh", "case2_tanh")):
+        base = {"mode": mode, "problem": problem, "degree": 3}
+        default = parse_config(base)
+        for path, entries in NON_DEFAULT.items():
+            key = path.split(".")[0]
+            doc = {**base, **entries}
+            if key in REJECTS[mode]:
+                assert exits_2(doc, key), (mode, path)
+                continue
+            cfg = parse_config(doc)
+            changed = {f for f in names(RunConfig) if getattr(cfg, f) != getattr(default, f)}
+            assert changed & READS[mode], (mode, path)
+    for kind, pinned in (("gradient", ("eps", "beta")), ("hessian", ("eps", "alpha"))):
+        for name in pinned:
+            doc = {**BASE_MOVE, "monitor": {"kind": kind, name: 0.5}}
+            assert exits_2(doc, "monitor"), (kind, name)
 
 
 def test_invalid_json_exits_2(tmp_path):

@@ -170,11 +170,14 @@ def test_monitor_linear_field_gradient_kind():
     assert val == pytest.approx(np.sqrt(1.1), abs=1e-10)
 
 
-def test_monitor_kind_normalization():
-    spec = MonitorSpec("gradient", eps=5.0, alpha=0.2, beta=0.7)
-    assert spec.eps == 1.0 and spec.beta == 0.0 and spec.alpha == 0.2
-    spec = MonitorSpec("hessian", eps=2.0, alpha=0.2, beta=0.7)
-    assert spec.eps == 1.0 and spec.alpha == 0.0 and spec.beta == 0.7
+def test_monitor_kind_pins_its_parameters():
+    # a pinned parameter may be left at its pin, and no other value
+    assert MonitorSpec("gradient", eps=1.0, alpha=0.2, beta=0.0).alpha == 0.2
+    assert MonitorSpec("hessian", eps=1.0, alpha=0.0, beta=0.7).beta == 0.7
+    for kind, name, value in (("gradient", "eps", 5.0), ("gradient", "beta", 0.7),
+                              ("hessian", "eps", 2.0), ("hessian", "alpha", 0.2)):
+        with pytest.raises(ValueError, match=f"the {kind} monitor pins {name} to"):
+            MonitorSpec(kind, **{name: value})
     with pytest.raises(ValueError):
         MonitorSpec("layer")
     with pytest.raises(ValueError):
@@ -267,7 +270,7 @@ def test_harmonic_map_against_fd_oracle_and_circle_concentration():
     xi = solve_harmonic_map(g, spec, u, bm)
     from mmiga.assembly import eval_field_grid
 
-    vals = [eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
+    vals = [eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values for f in xi]
 
     # largest map defect sits on the annulus of rapid variation
     defect = np.linalg.norm(lm.nodes - np.stack(vals, axis=-1), axis=-1)
@@ -282,7 +285,7 @@ def test_harmonic_map_against_fd_oracle_and_circle_concentration():
     # geometry makes parametric and physical coordinates coincide.
     smooth = MonitorSpec("gradient", alpha=0.1, smoothing=1)
     xi_s = solve_harmonic_map(g, smooth, u, bm)
-    vals_s = eval_field_grid(g, xi_s[0], lm.params_u, lm.params_v).values
+    vals_s = eval_field_grid(g, xi_s[0], g.kv_u.greville.pts, g.kv_v.greville.pts).values
 
     def inv_monitor(px, py):
         return 1.0 / monitor_grid(smooth, g, u, px[:, 0], py[0, :])
@@ -320,7 +323,7 @@ def test_movement_identity_map_single_displacement():
     xi = _linear_map_fields(g)
     nodes = lm.nodes.copy()
     nodes[3, 3] += [0.01, 0.0]
-    lm2 = type(lm)(lm.logical, lm.fields, nodes, lm.params_u, lm.params_v)
+    lm2 = type(lm)(lm.logical, lm.fields, nodes)
     mv = compute_movement(g, xi, lm2)
     assert np.allclose(mv[3, 3], [0.01, 0.0], atol=1e-9)
     mask = np.ones(mv.shape[:2], bool)
@@ -336,10 +339,10 @@ def test_movement_diagonal_jacobian_inversion():
     # reference nodes displaced by (0.02, 0.04) relative to the map values
     from mmiga.assembly import eval_field_grid
 
-    vals = [eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
+    vals = [eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values for f in xi]
     nodes = np.stack(vals, axis=-1)
     nodes[2, 3] += [0.02, 0.04]
-    lm2 = type(lm)(lm.logical, lm.fields, nodes, lm.params_u, lm.params_v)
+    lm2 = type(lm)(lm.logical, lm.fields, nodes)
     mv = compute_movement(g, xi, lm2)
     assert np.allclose(mv[2, 3], [0.01, 0.01], atol=1e-10)
 
@@ -352,7 +355,7 @@ def test_movement_affine_map_closed_form_everywhere():
     xi = _linear_map_fields(g, jac_diag=(a, b))
     from mmiga.assembly import eval_field_grid
 
-    vals = [eval_field_grid(g, f, lm.params_u, lm.params_v).values for f in xi]
+    vals = [eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values for f in xi]
     defect = lm.nodes - np.stack(vals, axis=-1)
     mv = compute_movement(g, xi, lm)
     expected = np.stack([defect[..., 0] / a, defect[..., 1] / b], axis=-1)
@@ -696,7 +699,8 @@ def test_converged_map_agrees_with_a_cold_full_tolerance_solve(monkeypatch):
         diff = np.max(np.abs(state.xi[k].values - cold[k].values))
         assert diff <= 1e-8 * np.max(np.abs(cold[k].values))
     lm = state.logical_mesh
-    nodes = np.stack([eval_field_grid(state.geometry, f, lm.params_u, lm.params_v).values
+    g = state.geometry
+    nodes = np.stack([eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values
                       for f in cold], axis=-1)
     assert abs(np.max(np.abs(lm.nodes - nodes)) - state.trace[-1].xi_inf_err) <= 1e-9
 
