@@ -42,8 +42,9 @@ the solution space on each edge is a univariate rational curve, so boundary
 coefficients follow from a 1D L2 projection of the boundary data onto that
 trace space, with the corner coefficients fixed by the data at the corners.
 Those coefficients depend only on the knots, the weights and the boundary
-ring of control points, so a run whose boundary stays put computes them
-once (:func:`boundary_values`) and passes them to :func:`apply_dirichlet`.
+ring of control points (:func:`boundary_values`). A Dirichlet solve takes
+them as the boundary ring of its start field, whose interior is CG's first
+guess, so a run whose boundary stays put starts each solve from the last.
 
 The interior system is solved by CG preconditioned with fast
 diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964) and diagonal
@@ -617,25 +618,14 @@ def boundary_values(g: NurbsGeometry, bc) -> np.ndarray:
     return xb
 
 
-def apply_dirichlet(
-    A,
-    b,
-    g: NurbsGeometry,
-    bc,
-    *,
-    boundary: np.ndarray | None = None,
-    disc: Discretization | None = None,
-) -> ReducedSystem:
-    """Eliminate boundary coefficients approximating ``bc`` on the four edges.
+def apply_dirichlet(A, b, start: FieldCoefficients, *,
+                    disc: Discretization | None = None) -> ReducedSystem:
+    """Eliminate the boundary coefficients, which are the boundary ring of
+    the start field ``start``; its interior entries are not read.
 
-    The boundary coefficients are :func:`boundary_values` of ``g`` and
-    ``bc``. A caller that imposes the same data on many geometries sharing
-    knots, weights and boundary ring can compute them once and pass them as
-    ``boundary``; ``bc`` is then not evaluated, only the boundary ring
-    entries of ``boundary`` are read, and keeping them in step with ``g`` is
-    the caller's part. The reduced interior system is
-    A_II x_I = b_I - A_IB x_B; its right-hand side is the interior entries
-    of b - A x_B, with x_B the full boundary vector, zero off the ring.
+    The reduced interior system is A_II x_I = b_I - A_IB x_B; its
+    right-hand side is the interior entries of b - A x_B, with x_B the
+    start's ring, zero off the ring.
 
     A_II takes its values from ``A.data`` at the positions of the
     interior-interior entries (:func:`_interior_block`). When ``A`` has the
@@ -643,17 +633,9 @@ def apply_dirichlet(
     ``disc.interior``, built once per discretization; otherwise they are
     taken from ``A``'s own pattern. Both give the same bits.
     """
-    dm = dof_map(*g.shape)
-    if boundary is None:
-        xb = boundary_values(g, bc)
-    else:
-        given = np.asarray(boundary, dtype=float)
-        if given.shape != (dm.total,):
-            raise ValueError(
-                f"boundary vector of shape {given.shape} does not match {dm.total} coefficients"
-            )
-        xb = np.zeros(dm.total)
-        xb[dm.boundary] = given[dm.boundary]
+    dm = dof_map(*start.shape)
+    xb = np.zeros(dm.total)
+    xb[dm.boundary] = start.values[dm.boundary]
     A = A.tocsr()
     if (disc is not None and np.array_equal(A.indptr, disc.indptr)
             and np.array_equal(A.indices, disc.indices)):
@@ -671,67 +653,55 @@ def solve_dirichlet(
     A,
     b,
     g: NurbsGeometry,
-    bc,
+    start: FieldCoefficients,
     lin: LinearSolverSettings | None = None,
     *,
-    boundary: np.ndarray | None = None,
     disc: Discretization | None = None,
-    x0: FieldCoefficients | None = None,
 ) -> FieldCoefficients:
-    """Solve A x = b with x = ``bc`` on the boundary: eliminate the boundary
-    coefficients (:func:`apply_dirichlet`, which also explains
-    ``boundary``), solve the interior system by CG with the
-    fast-diagonalisation preconditioner and scatter the interior solution
-    back into the full coefficient grid.
+    """Solve A x = b from the start field ``start``, a coefficient field on
+    ``g``'s grid (ValueError otherwise): its boundary ring is the Dirichlet
+    data and its interior entries are CG's initial guess. The boundary
+    coefficients are eliminated (:func:`apply_dirichlet`), the interior
+    system is solved by CG with the fast-diagonalisation preconditioner,
+    and the result has the start's ring and the solved interior.
+
+    A cold start is the :func:`boundary_values` of the data with a zero
+    interior; a run whose boundary ring stays put starts each solve from
+    the last one, whose ring is the same data.
 
     The preconditioner factors and the interior maps come from ``disc``,
     which must match ``g`` (ValueError otherwise), or are built for this
-    call; both give the same bits. ``x0`` is a full coefficient field on
-    ``g``'s grid (ValueError otherwise) whose interior entries are CG's
-    initial guess; None starts from zero."""
+    call; both give the same bits."""
     lin = lin or LinearSolverSettings()
     if disc is None:
         fdm = fast_diagonalization(g.kv_u, g.kv_v)
     else:
         disc.check(g)
         fdm = disc.fdm
-    if x0 is not None and x0.shape != g.shape:
-        raise ValueError(f"initial guess on grid {x0.shape} does not match {g.shape}")
-    red = apply_dirichlet(A, b, g, bc, boundary=boundary, disc=disc)
+    if start.shape != g.shape:
+        raise ValueError(f"start field on grid {start.shape} does not match {g.shape}")
+    red = apply_dirichlet(A, b, start, disc=disc)
     x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
                         precond=fdm.preconditioner(red.matrix),
-                        x0=None if x0 is None else x0.values[red.dofs.interior])
+                        x0=start.values[red.dofs.interior])
     full = red.boundary_values.copy()
     full[red.dofs.interior] = x_int
     return FieldCoefficients(full, g.shape)
 
 
-def solve_poisson(
-    g: NurbsGeometry,
-    f,
-    bc,
-    lin: LinearSolverSettings | None = None,
-    *,
-    disc: Discretization | None = None,
-    boundary: np.ndarray | None = None,
-    geo: GeometryGrid | None = None,
-    x0: FieldCoefficients | None = None,
-) -> FieldCoefficients:
-    """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary.
-
-    The geometry is evaluated on the quadrature grid once, for both forms,
-    unless the caller passes that evaluation as ``geo``. ``disc`` goes to
-    the stiffness and :func:`solve_dirichlet`; without it the solve builds
-    one for both. ``boundary`` goes to :func:`apply_dirichlet`, and the
-    initial guess ``x0`` to :func:`solve_dirichlet`.
+def solve_poisson(g: NurbsGeometry, f, bc,
+                  lin: LinearSolverSettings | None = None) -> FieldCoefficients:
+    """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary, from a
+    cold start. One evaluation of the geometry on the quadrature grid and
+    one :class:`Discretization` serve both forms and the solve; repeated
+    solves build these once and call the forms and :func:`solve_dirichlet`.
     """
-    if disc is None:
-        disc = discretization(g)
-    disc.check(g)
-    geo = _gauss_geometry(g, geo)
+    disc = discretization(g)
+    geo = eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
     A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
     b = assemble_load(g, f, geo=geo)
-    return solve_dirichlet(A, b, g, bc, lin, boundary=boundary, disc=disc, x0=x0)
+    return solve_dirichlet(A, b, g, FieldCoefficients(boundary_values(g, bc), g.shape), lin,
+                           disc=disc)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ class RunConfig:
     Each top-level key is a field. The ``monitor``, ``movemesh`` and
     ``solver`` objects hold the fields of :class:`MonitorSpec`,
     :class:`MoveMeshConfig` (but ``lin``, which ``solver`` sets) and
-    :class:`LinearSolverSettings`. A value out of range raises ConfigError
-    with its key.
+    :class:`LinearSolverSettings`; ``movemesh.lin`` must equal ``solver``.
+    A value out of range raises ConfigError with its key.
     """
 
     mode: str
@@ -201,7 +201,7 @@ class RunConfig:
     levels: int = 4
     elements: int = 32
     elements_list: tuple[int, ...] | None = None
-    monitor: MonitorSpec = MonitorSpec("gradient", alpha=0.1)
+    monitor: MonitorSpec = MonitorSpec()
     movemesh: MoveMeshConfig = field(default_factory=MoveMeshConfig)
     solver: LinearSolverSettings = LinearSolverSettings()
     output_dir: str = "out"
@@ -233,6 +233,9 @@ class RunConfig:
                  f"output_dir: expected a path string, got {self.output_dir!r}")
         _require(_is_int(self.vtk_samples) and self.vtk_samples >= 2,
                  f"vtk_samples: expected integer >= 2, got {self.vtk_samples!r}")
+        _require(self.movemesh.lin == self.solver,
+                 f"movemesh.lin: {self.movemesh.lin} differs from solver {self.solver}; "
+                 f"a run reads one linear-solver setting")
 
 
 def _names(cls) -> set[str]:
@@ -284,6 +287,8 @@ def parse_config(doc: dict) -> RunConfig:
                  f"{f.name}: required key missing")
     for key in sorted(set(doc) & set(_MODE_ONLY)):
         _require(_MODE_ONLY[key] == doc["mode"], f"{key}: only valid in {_MODE_ONLY[key]} mode")
+    _require(not {"levels", "elements_list"} <= set(doc),
+             "levels: not read when elements_list is given")
 
     kw = {k: v for k, v in doc.items() if k not in ("monitor", "movemesh", "solver")}
     kw["solver"] = _section("solver", doc.get("solver", {}), LinearSolverSettings)

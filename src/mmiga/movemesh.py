@@ -33,12 +33,12 @@ import numpy as np
 from .assembly import (
     Discretization,
     FieldCoefficients,
+    assemble_load,
     assemble_weighted_stiffness,
     boundary_values,
     discretization,
     eval_field_grid,
     solve_dirichlet,
-    solve_poisson,
 )
 from .errors import DegenerateMapError, MeshWrapError
 from .geometry import (
@@ -93,6 +93,8 @@ _MONITOR_PINS = {
     "hessian": {"eps": 1.0, "alpha": 0.0},
     "combined": {},
 }
+# the weight a kind takes when it is left out, where the kind has one
+_MONITOR_DEFAULTS = {"gradient": {"alpha": 0.1}, "hessian": {}, "combined": {}}
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,18 @@ class MonitorSpec:
 
     ``kind`` picks the family: "gradient" pins eps = 1, beta = 0; "hessian"
     pins eps = 1, alpha = 0; "combined" uses all three parameters. A pinned
-    parameter set to another value is a ValueError. The Hessian enters
-    through its Frobenius norm. ``smoothing`` counts optional nodal
-    averaging passes (off by default).
+    parameter set to another value is a ValueError. A weight left out
+    (None) takes its pin or the kind's default, gradient alpha = 0.1; a
+    weight with neither is a ValueError, so leaving weights out never gives
+    the identity monitor. ``MonitorSpec()`` is the runs' default monitor.
+    The Hessian enters through its Frobenius norm. ``smoothing`` counts
+    optional nodal averaging passes (off by default).
     """
 
     kind: str = "gradient"
     eps: float = 1.0
-    alpha: float = 0.0
-    beta: float = 0.0
+    alpha: float | None = None
+    beta: float | None = None
     smoothing: int = 0
 
     def __post_init__(self):
@@ -117,12 +122,19 @@ class MonitorSpec:
             raise TypeError(f"smoothing count must be an integer, got {self.smoothing!r}")
         if self.kind not in _MONITOR_PINS:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        if not all(np.isfinite(x) for x in (self.eps, self.alpha, self.beta)):
+        if not all(np.isfinite(x) for x in (self.eps, self.alpha, self.beta) if x is not None):
             raise ValueError("eps, alpha and beta must be finite")
-        for name, pin in _MONITOR_PINS[self.kind].items():
-            if getattr(self, name) != pin:
+        pins = _MONITOR_PINS[self.kind]
+        for name, pin in pins.items():
+            if getattr(self, name) not in (None, pin):
                 raise ValueError(f"the {self.kind} monitor pins {name} to {pin:g}, "
                                  f"got {getattr(self, name)!r}")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) is None:
+                value = {**_MONITOR_DEFAULTS[self.kind], **pins}.get(name)
+                if value is None:
+                    raise ValueError(f"the {self.kind} monitor needs {name}")
+                object.__setattr__(self, name, value)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("monitor weights must be nonnegative")
         if self.eps <= 0.0:
@@ -285,16 +297,14 @@ def init_logical_mesh(
     lin: LinearSolverSettings | None = None,
     *,
     disc: Discretization | None = None,
-    boundary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
-    on the boundary; the nodal values are frozen for the whole run.
-
-    ``disc`` goes to the stiffness assembly, and ``boundary`` holds the
-    :func:`~mmiga.assembly.boundary_values` of the two components of
-    ``bmap`` on ``g0``, when the caller has them."""
+    on the boundary, from a cold start; the nodal values are frozen for the
+    whole run. ``disc`` goes to the stiffness assembly and the solves."""
     A = assemble_weighted_stiffness(g0, disc=disc)
-    fields = _solve_components(A, g0, bmap, lin, boundary, disc)
+    cold = tuple(FieldCoefficients(boundary_values(g0, bmap.component(k)), g0.shape)
+                 for k in range(2))
+    fields = _solve_components(A, g0, cold, lin, disc)
     gu, gv = g0.kv_u.greville.pts, g0.kv_v.greville.pts
     vals = [eval_field_grid(g0, f, gu, gv).values for f in fields]
     return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1))
@@ -344,53 +354,37 @@ def solve_harmonic_map(
     g: NurbsGeometry,
     spec: MonitorSpec,
     u: FieldCoefficients,
-    bmap: BoundaryMap,
+    start: tuple[FieldCoefficients, FieldCoefficients],
     lin: LinearSolverSettings | None = None,
     *,
     disc: Discretization | None = None,
-    boundary: tuple[np.ndarray, np.ndarray] | None = None,
     geo: GeometryGrid | None = None,
-    x0: tuple[FieldCoefficients, FieldCoefficients] | None = None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Logical map from the variable-diffusion solve -div(grad(xi)/M) = 0.
 
-    One weighted stiffness matrix (weight 1/M) is shared by both components;
-    each component gets its own Dirichlet data from the boundary map.
-    ``disc`` and ``boundary`` are as in :func:`init_logical_mesh`. The
-    monitor and the stiffness share one evaluation of ``g`` with its
-    Jacobian on the quadrature grid: ``geo`` when the caller has it (the
-    PDE solve of the same mesh made one), else a fresh one. ``x0`` holds
-    one full coefficient field per component, the initial guesses of the
-    two CG solves (:func:`~mmiga.assembly.solve_dirichlet`).
+    One weighted stiffness matrix (weight 1/M) is shared by both components.
+    Each component is solved from its field of ``start``
+    (:func:`~mmiga.assembly.solve_dirichlet`): its boundary ring is that
+    component of the boundary map and its interior the first guess, as in
+    the previous map or the reference fields of :func:`init_logical_mesh`.
+    ``disc`` goes to the stiffness assembly and the solves. The monitor and
+    the stiffness share one evaluation of ``g`` with its Jacobian on the
+    quadrature grid: ``geo`` when the caller has it (the PDE solve of the
+    same mesh made one), else a fresh one.
     """
     pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
     if geo is None:
         geo = eval_geometry_grid(g, pts_u, pts_v, 1)
     m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo)
     A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
-    return _solve_components(A, g, bmap, lin, boundary, disc, x0)
+    return _solve_components(A, g, start, lin, disc)
 
 
-def _solve_components(
-    A,
-    g: NurbsGeometry,
-    bmap: BoundaryMap,
-    lin: LinearSolverSettings | None,
-    boundary: tuple[np.ndarray, np.ndarray] | None,
-    disc: Discretization | None,
-    x0: tuple[FieldCoefficients, FieldCoefficients] | None = None,
-) -> tuple[FieldCoefficients, FieldCoefficients]:
-    """Both logical-map components from one stiffness matrix ``A``: zero
-    source, Dirichlet data from each component of the boundary map (or its
-    precomputed ``boundary`` vectors), preconditioner factors from ``disc``
-    when given, initial guesses from ``x0`` when given."""
+def _solve_components(A, g, start, lin, disc):
+    """Both logical-map components from one stiffness matrix ``A`` and zero
+    source, each from its start field."""
     zero = np.zeros(g.ndof)
-    return tuple(
-        solve_dirichlet(A, zero, g, bmap.component(k), lin,
-                        boundary=None if boundary is None else boundary[k], disc=disc,
-                        x0=None if x0 is None else x0[k])
-        for k in range(2)
-    )
+    return tuple(solve_dirichlet(A, zero, g, s, lin, disc=disc) for s in start)
 
 
 def _xi_at_nodes(g, xi, nders=0):
@@ -541,8 +535,12 @@ class _MoveMeshRun:
     depends on knots, weights and the boundary ring alone is done once per
     run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
     time and size are logged at INFO) serves every assembly and solve, and
-    the Dirichlet vectors of ``problem.bc`` and of both map components are
-    built once on ``g0``. They hold bit for bit on every later mesh:
+    the Dirichlet data are built once on ``g0``, as the rings of the cold
+    starts of the first PDE solve and of :func:`init_logical_mesh`. Every
+    Dirichlet solve returns the ring of its start field
+    (:func:`~mmiga.assembly.solve_dirichlet`), and every later solve starts
+    from ``state.solution`` or ``state.xi``, so the data are carried from
+    solve to solve. They hold bit for bit on every later mesh:
     :func:`update_mesh` rejects any movement of the boundary ring, so the
     re-fit carries the ring of control points over unchanged. Every mesh of
     the run shares the knot vectors of ``g0``, so the basis tables of the
@@ -591,30 +589,28 @@ class _MoveMeshRun:
         self.disc = discretization(g0)
         logger.info("discretization built in %.3f s, %d bytes",
                     time.perf_counter() - self.t_start, self.disc.nbytes)
-        self.bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
-        self.u_boundary = boundary_values(g0, problem.bc)
-        self.xi_boundary = tuple(boundary_values(g0, self.bmap.component(k)) for k in range(2))
-        lm = init_logical_mesh(g0, self.bmap, cfg.lin, disc=self.disc, boundary=self.xi_boundary)
+        bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
+        lm = init_logical_mesh(g0, bmap, cfg.lin, disc=self.disc)
         self.geo = eval_geometry_grid(g0, g0.kv_u.gauss.pts, g0.kv_v.gauss.pts, 1)
-        u = self._poisson(g0, None)
+        u = self._poisson(g0, FieldCoefficients(boundary_values(g0, problem.bc), g0.shape))
         self.state = MoveMeshState(g0, u, lm.fields, lm, snapshots=[(0, g0, u)])
         self.xi_err, self.prev_movement = None, None
         # Anderson history: interior nodes and capped movement, flat, oldest
         # first, and why it last started over
         self.xs, self.fs, self.restart = [], [], "run start"
 
-    def _poisson(self, g: NurbsGeometry, x0: FieldCoefficients | None) -> FieldCoefficients:
-        """The PDE solution on ``g`` (evaluated in ``geo``) from the guess ``x0``."""
-        return solve_poisson(g, self.problem.f, self.problem.bc, self.cfg.lin, disc=self.disc,
-                             boundary=self.u_boundary, geo=self.geo, x0=x0)
+    def _poisson(self, g: NurbsGeometry, start: FieldCoefficients) -> FieldCoefficients:
+        """The PDE solution on ``g`` (evaluated in ``geo``) from ``start``."""
+        A = assemble_weighted_stiffness(g, disc=self.disc, geo=self.geo)
+        b = assemble_load(g, self.problem.f, geo=self.geo)
+        return solve_dirichlet(A, b, g, start, self.cfg.lin, disc=self.disc)
 
     def _solve_map(self, lin: LinearSolverSettings) -> None:
         """Re-solves ``state.xi`` on the current mesh at ``lin``'s tolerance,
         from itself, and puts its max-norm defect at the nodes in ``xi_err``."""
         s = self.state
-        s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, self.bmap, lin,
-                                  disc=self.disc, boundary=self.xi_boundary, geo=self.geo,
-                                  x0=s.xi)
+        s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, s.xi, lin,
+                                  disc=self.disc, geo=self.geo)
         vals = _xi_at_nodes(s.geometry, s.xi)
         defect = s.logical_mesh.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         self.xi_err = float(np.max(np.abs(defect)))

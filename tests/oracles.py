@@ -222,13 +222,16 @@ def bilinear_interp(x, y, U, px, py):
 
 def move_mesh_reference(problem, g0, spec, cfg):
     """The outer loop of ``movemesh.move_mesh_solve`` written with the public
-    one-shot calls alone: every solve builds its own stiffness blocks, merge
-    plan, Dirichlet vectors and geometry grids, and the trace takes
-    ``min_jacobian`` of each mesh afresh. Mesh wraps are not handled.
+    calls alone, none given a discretization or a geometry grid: every
+    solve builds its own stiffness blocks, merge plan and geometry grids,
+    its Dirichlet data are ``boundary_values`` of the mesh it runs on, and
+    the trace takes ``min_jacobian`` of each mesh afresh. Mesh wraps are
+    not handled.
 
     The inner solves follow the loop's rule: each PDE and map solve starts
-    from the previous one (the first map solve from the reference fields),
-    and a map solve after the first stops at
+    from the interior of the previous one (the first PDE solve cold, the
+    first map solve from the reference fields), and a map solve after the
+    first stops at
     max(tol, MAP_FORCING * previous defect), with a re-solve at tol when
     that defect passes the stop test or on the last allowed iteration.
 
@@ -258,13 +261,21 @@ def move_mesh_reference(problem, g0, spec, cfg):
     xi, err, prev, rows = lm.fields, None, None, []
     history = []  # (interior nodes, capped movement), oldest first
 
+    def restart(field, bc):
+        """``field``'s interior with the data ``bc`` of the current mesh on
+        the ring."""
+        ring = geometry.boundary_mask(g.shape).ravel()
+        start = np.where(ring, assembly.boundary_values(g, bc), field.values)
+        return assembly.FieldCoefficients(start, g.shape)
+
     def row(it, err, tau):
         rep = postproc.error_norms(g, u, problem.exact)
         return (it, err, tau, geometry.min_jacobian(g), rep.L2, rep.H1_semi, rep.L_inf)
 
-    def harmonic_map(tol, x0):
+    def harmonic_map(tol, xi):
         lin = dataclasses.replace(cfg.lin, tol=tol)
-        xi = movemesh.solve_harmonic_map(g, spec, u, bmap, lin, x0=x0)
+        start = tuple(restart(f, bmap.component(k)) for k, f in enumerate(xi))
+        xi = movemesh.solve_harmonic_map(g, spec, u, start, lin)
         gu, gv = g.kv_u.greville.pts, g.kv_v.greville.pts
         vals = [assembly.eval_field_grid(g, f, gu, gv).values for f in xi]
         return xi, float(np.max(np.abs(lm.nodes - np.stack(vals, axis=-1))))
@@ -300,7 +311,9 @@ def move_mesh_reference(problem, g0, spec, cfg):
         if tau != cfg.tau:
             history = []
         prev = movement
-        u = assembly.solve_poisson(g, problem.f, problem.bc, cfg.lin, x0=u)
+        A = assembly.assemble_weighted_stiffness(g)
+        b = assembly.assemble_load(g, problem.f)
+        u = assembly.solve_dirichlet(A, b, g, restart(u, problem.bc), cfg.lin)
         rows.append(row(it, err, tau))
     return rows, g, u, xi
 

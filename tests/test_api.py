@@ -40,6 +40,24 @@ def test_no_function_takes_basis_tables():
     assert not {"greville", "quadrature"} & set(inspect.signature(update_mesh).parameters)
 
 
+def test_no_function_takes_boundary_data_or_a_guess_apart_from_its_start():
+    # a Dirichlet solve reads its data from the ring of its start field and
+    # its first guess from the interior: no second way in for either, and
+    # solve_poisson is the one-shot solve. cg_solve, the vector solve, takes
+    # the interior the Dirichlet solve hands it as x0
+    takers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"mmiga.{name}")
+        for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if inspect.isfunction(obj) and {"boundary", "x0"} & set(
+                    inspect.signature(obj).parameters):
+                takers.add(f"{obj.__module__}.{obj.__name__}")
+    assert takers == {"mmiga.linalg.cg_solve"}
+    from mmiga.assembly import solve_poisson
+
+    assert list(inspect.signature(solve_poisson).parameters) == ["g", "f", "bc", "lin"]
+
+
 def _load_tracing():
     """The benchmark's tracer, loaded from its file without touching it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)

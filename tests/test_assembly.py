@@ -405,11 +405,17 @@ def test_load_names_element_with_non_finite_source():
 
 # ----------------------------------------------------------------- dirichlet
 
+def _cold(g, bc):
+    """The cold start of a Dirichlet solve: the boundary coefficients of
+    ``bc`` on the ring, zero inside."""
+    return FieldCoefficients(boundary_values(g, bc), g.shape)
+
+
 def test_dirichlet_zero_bc_reduces_to_interior_restriction():
     g = _identity(p=2, m=3)
     A = assemble_weighted_stiffness(g)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
-    red = apply_dirichlet(A, b, g, lambda x, y: np.zeros_like(x))
+    red = apply_dirichlet(A, b, _cold(g, lambda x, y: np.zeros_like(x)))
     assert np.all(red.boundary_values == 0.0)
     assert np.allclose(red.rhs, b[red.dofs.interior])
 
@@ -427,7 +433,7 @@ def test_dirichlet_linear_bc_reproduced_exactly():
     t = np.linspace(0, 1, 101)
     for g in (g1, gw):
         A = assemble_weighted_stiffness(g)
-        red = apply_dirichlet(A, np.zeros(g.ndof), g, bc)
+        red = apply_dirichlet(A, np.zeros(g.ndof), _cold(g, bc))
         # evaluate the boundary trace on each edge and compare with bc
         field = FieldCoefficients(red.boundary_values, g.shape)
         for pu, pv in ((t, np.zeros(1)), (t, np.ones(1)), (np.zeros(1), t), (np.ones(1), t)):
@@ -436,36 +442,29 @@ def test_dirichlet_linear_bc_reproduced_exactly():
             assert np.allclose(vals, bc(pts[:, 0], pts[:, 1]), atol=1e-12)
 
 
-def test_dirichlet_takes_precomputed_boundary_vector():
-    g = _random_rational(3, 1, seed=8)
-    bc = lambda x, y: np.sin(x) * np.cos(y)
-    A = assemble_weighted_stiffness(g)
-    b = assemble_load(g, lambda x, y: np.ones_like(x))
-    xb = boundary_values(g, bc)
-    assert not xb.flags.writeable
-    ref = apply_dirichlet(A, b, g, bc)
-    red = apply_dirichlet(A, b, g, None, boundary=xb)
-    assert np.array_equal(red.boundary_values, ref.boundary_values)
-    assert np.array_equal(red.rhs, ref.rhs)
-    with pytest.raises(ValueError, match="boundary vector"):
-        apply_dirichlet(A, b, g, bc, boundary=xb[:-1])
-
-
-def test_dirichlet_reads_only_the_ring_of_a_given_boundary_vector():
+def test_dirichlet_eliminates_the_ring_of_the_start_field():
+    # the ring is the data and the interior only CG's first guess: the
+    # reduced system does not read the interior, and the solve returns the
+    # start's ring bit for bit and the same interior to the tolerance
     g = _random_rational(3, 1, seed=9)
     bc = lambda x, y: 1.0 + x * y
     A = assemble_weighted_stiffness(g)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
-    ref = apply_dirichlet(A, b, g, bc)
+    cold = _cold(g, bc)
+    assert not boundary_values(g, bc).flags.writeable
+    ref = apply_dirichlet(A, b, cold)
     dm = dof_map(*g.shape)
-    noisy = np.array(boundary_values(g, bc))
+    noisy = np.array(cold.values)
     noisy[dm.interior] = np.random.default_rng(3).normal(size=len(dm.interior))
-    red = apply_dirichlet(A, b, g, bc, boundary=noisy)
+    noisy = FieldCoefficients(noisy, g.shape)
+    red = apply_dirichlet(A, b, noisy)
     assert np.all(red.boundary_values[dm.interior] == 0.0)
     assert np.array_equal(red.boundary_values, ref.boundary_values)
     assert np.array_equal(red.rhs, ref.rhs)
-    sol = solve_dirichlet(A, b, g, bc, boundary=noisy)
-    assert np.array_equal(sol.values, solve_dirichlet(A, b, g, bc).values)
+    lin = LinearSolverSettings(tol=1e-12)
+    sol, ref_sol = solve_dirichlet(A, b, g, noisy, lin), solve_dirichlet(A, b, g, cold, lin)
+    assert np.array_equal(sol.values[dm.boundary], cold.values[dm.boundary])
+    assert np.linalg.norm(sol.values - ref_sol.values) <= 1e-9 * np.linalg.norm(ref_sol.values)
 
 
 @pytest.mark.parametrize("p,mult", [(2, 1), (3, 3)])
@@ -487,7 +486,7 @@ def test_reduced_system_is_the_interior_slice_with_or_without_discretization(p, 
     for M in (A, thinned):
         ref = M[I][:, I]
         for kwargs in ({}, {"disc": disc}):
-            red = apply_dirichlet(M, b, g, bc, **kwargs)
+            red = apply_dirichlet(M, b, _cold(g, bc), **kwargs)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(red.matrix, name), getattr(ref, name)), name
             assert np.array_equal(red.rhs, b[I] - M[I] @ xb)
@@ -503,7 +502,7 @@ def test_dirichlet_trace_interpolation_fourth_order():
     for m in (2, 4, 8, 16):
         g = _identity(p=3, m=m, rect=Rectangle(-1, 1, -1, 1))
         A = assemble_weighted_stiffness(g)
-        red = apply_dirichlet(A, np.zeros(g.ndof), g, bc)
+        red = apply_dirichlet(A, np.zeros(g.ndof), _cold(g, bc))
         field = FieldCoefficients(red.boundary_values, g.shape)
         t = np.linspace(0, 1, 101)
         vals = eval_field_grid(g, field, t, np.zeros(1)).values.ravel()
@@ -517,7 +516,7 @@ def test_dirichlet_trace_interpolation_fourth_order():
 
 def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y)):
     A = assemble_weighted_stiffness(g)
-    return apply_dirichlet(A, assemble_load(g, f), g, bc)
+    return apply_dirichlet(A, assemble_load(g, f), _cold(g, bc))
 
 
 def _fdm(g):
@@ -562,9 +561,9 @@ def test_preconditioned_solve_matches_a_direct_solve(p, mult):
     g = _random_rational(p, mult, seed=20 + 10 * p + mult)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A = assemble_weighted_stiffness(g)
-    red = apply_dirichlet(A, assemble_load(g, f), g, bc)
+    red = apply_dirichlet(A, assemble_load(g, f), _cold(g, bc))
     ref = spsolve(red.matrix.tocsc(), red.rhs)
-    u = solve_dirichlet(A, assemble_load(g, f), g, bc, LinearSolverSettings(tol=1e-12))
+    u = solve_dirichlet(A, assemble_load(g, f), g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
     x = u.values[red.dofs.interior]
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -584,21 +583,21 @@ def test_solves_with_and_without_discretization_are_bit_identical():
     g = _random_rational(3, 3, seed=32)
     disc = discretization(g)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
-    u = solve_poisson(g, f, bc)
-    assert np.array_equal(solve_poisson(g, f, bc, disc=disc).values, u.values)
     A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
-    assert np.array_equal(solve_dirichlet(A, b, g, bc, disc=disc).values,
-                          solve_dirichlet(A, b, g, bc).values)
+    u = solve_dirichlet(A, b, g, _cold(g, bc))
+    assert np.array_equal(solve_dirichlet(A, b, g, _cold(g, bc), disc=disc).values, u.values)
+    assert np.array_equal(solve_poisson(g, f, bc).values, u.values)
     with pytest.raises(ValueError, match="knots"):
-        solve_dirichlet(A, b, g, bc, disc=discretization(_mesh_3x4(p=3, mult=1)))
+        solve_dirichlet(A, b, g, _cold(g, bc), disc=discretization(_mesh_3x4(p=3, mult=1)))
 
 
-def test_solves_start_from_the_interior_of_an_initial_guess(monkeypatch):
+def test_solves_start_from_the_interior_of_the_start_field(monkeypatch):
     from mmiga import assembly
 
     g = _random_rational(3, 1, seed=34)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     lin = LinearSolverSettings(tol=1e-12)
+    A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
     iters = []
 
     def counting(*args, **kwargs):
@@ -607,19 +606,21 @@ def test_solves_start_from_the_interior_of_an_initial_guess(monkeypatch):
         return x, it
 
     monkeypatch.setattr(assembly, "cg_solve", counting)
-    u = solve_poisson(g, f, bc, lin)
-    # the guess's ring is not read: the boundary comes from bc
+    u = solve_dirichlet(A, b, g, _cold(g, bc), lin)
+    warm = solve_dirichlet(A, b, g, u, lin)
+    assert iters[0] > 1 and iters[1] <= 1
+    assert np.linalg.norm(warm.values - u.values) <= 1e-10 * np.linalg.norm(u.values)
+    # the ring is the data: a start with another ring solves another problem
     grid = u.grid.copy()
     grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = 7.0
-    warm = solve_poisson(g, f, bc, lin, x0=FieldCoefficients.from_grid(grid))
-    assert iters[0] > 1 and iters[1] <= 1
+    seven = solve_dirichlet(A, b, g, FieldCoefficients.from_grid(grid), lin)
     ring = dof_map(*g.shape).boundary
-    assert np.array_equal(warm.values[ring], u.values[ring])
-    assert np.linalg.norm(warm.values - u.values) <= 1e-10 * np.linalg.norm(u.values)
+    assert np.all(seven.values[ring] == 7.0)
+    assert np.linalg.norm(seven.values - u.values) > 1.0
     other = FieldCoefficients(np.zeros(g.ndof), (g.shape[1], g.shape[0]))
     assert other.shape != g.shape
-    with pytest.raises(ValueError, match="initial guess"):
-        solve_poisson(g, f, bc, lin, x0=other)
+    with pytest.raises(ValueError, match="start field"):
+        solve_dirichlet(A, b, g, other, lin)
 
 
 def test_nonpositive_interior_diagonal_raises_breakdown():
@@ -628,7 +629,7 @@ def test_nonpositive_interior_diagonal_raises_breakdown():
     i = dof_map(*g.shape).interior[5]
     A[i, i] = -A[i, i]
     with pytest.raises(BreakdownError, match="diagonal"):
-        solve_dirichlet(A, np.ones(g.ndof), g, lambda x, y: x + y)
+        solve_dirichlet(A, np.ones(g.ndof), g, _cold(g, lambda x, y: x + y))
 
 
 @pytest.mark.parametrize("pu,mu", [(1, 1), (3, 2)])

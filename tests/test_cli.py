@@ -230,8 +230,8 @@ NON_DEFAULT = {
     "elements_list": {"elements_list": [2, 4]},
     "output_dir": {"output_dir": "elsewhere"},
     "vtk_samples": {"vtk_samples": 3},
-    "monitor.kind": {"monitor": {"kind": "combined"}},
-    "monitor.eps": {"monitor": {"kind": "combined", "eps": 2.0}},
+    "monitor.kind": {"monitor": {"kind": "hessian", "beta": 0.01}},
+    "monitor.eps": {"monitor": {"kind": "combined", "eps": 2.0, "alpha": 0.1, "beta": 0.0}},
     "monitor.alpha": {"monitor": {"alpha": 0.3}},
     "monitor.beta": {"monitor": {"kind": "hessian", "beta": 0.01}},
     "monitor.smoothing": {"monitor": {"alpha": 0.1, "smoothing": 1}},
@@ -288,6 +288,39 @@ def test_every_accepted_key_is_read(tmp_path, capsys):
         for name in pinned:
             doc = {**BASE_MOVE, "monitor": {"kind": kind, name: 0.5}}
             assert exits_2(doc, "monitor"), (kind, name)
+
+
+def test_levels_with_elements_list_exits_2(tmp_path, capsys):
+    # elements_list sets the levels, so a levels key beside it is not read
+    doc = {**BASE_CONV, "elements_list": [2, 4]}
+    assert run(_write(tmp_path, doc), out_dir=tmp_path / "out", quiet=True) == 2
+    assert capsys.readouterr().err.startswith("config error: levels: ")
+
+
+def test_a_monitor_weight_left_out_is_the_default_or_a_config_error(tmp_path, capsys):
+    # the run's default monitor is MonitorSpec's: a monitor object that
+    # leaves out the gradient weight gets it, never the identity monitor
+    base = {"mode": "movemesh", "problem": "case2_tanh", "degree": 3}
+    default = parse_config(base).monitor
+    assert default == MonitorSpec("gradient", alpha=0.1)
+    assert parse_config({**base, "monitor": {"kind": "gradient"}}).monitor == default
+    assert parse_config({**base, "monitor": {"smoothing": 1}}).monitor.alpha == 0.1
+    for monitor in ({"kind": "hessian"}, {"kind": "combined", "alpha": 0.1}):
+        doc = {**base, "monitor": monitor}
+        assert run(_write(tmp_path, doc), out_dir=tmp_path / "out", quiet=True) == 2
+        assert capsys.readouterr().err.startswith("config error: monitor: "), monitor
+
+
+def test_run_config_holds_one_linear_solver_setting():
+    # a movemesh run reads movemesh.lin and a convergence run solver: the two
+    # must agree, or the run would use a setting its config does not show
+    loose = LinearSolverSettings(tol=1e-6)
+    with pytest.raises(ConfigError, match="movemesh.lin: "):
+        RunConfig("movemesh", "case2_tanh", 3, solver=loose)
+    cfg = RunConfig("movemesh", "case2_tanh", 3, solver=loose,
+                    movemesh=MoveMeshConfig(lin=loose))
+    assert cfg.movemesh.lin == cfg.solver == loose
+    assert parse_config({**BASE_MOVE, "solver": {"tol": 1e-6}}).movemesh.lin == loose
 
 
 def test_invalid_json_exits_2(tmp_path):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from mmiga import cli
-from mmiga.assembly import FieldCoefficients, discretization, eval_field_grid, solve_poisson
+from mmiga.assembly import (
+    FieldCoefficients,
+    boundary_values,
+    discretization,
+    eval_field_grid,
+    solve_poisson,
+)
 from mmiga.errors import DegenerateMapError, MeshWrapError
 from mmiga.geometry import (
     NurbsGeometry,
@@ -180,8 +186,22 @@ def test_monitor_kind_pins_its_parameters():
             MonitorSpec(kind, **{name: value})
     with pytest.raises(ValueError):
         MonitorSpec("layer")
-    with pytest.raises(ValueError):
-        MonitorSpec("combined", eps=0.0)
+    with pytest.raises(ValueError, match="eps must be strictly positive"):
+        MonitorSpec("combined", eps=0.0, alpha=0.1, beta=0.01)
+
+
+def test_a_monitor_weight_left_out_is_its_kind_default_or_an_error():
+    # the default monitor is written once, in MonitorSpec: a weight left out
+    # takes its pin or the kind's default and never gives the identity
+    assert MonitorSpec() == MonitorSpec("gradient") == MonitorSpec("gradient", alpha=0.1)
+    assert MonitorSpec(smoothing=1).alpha == 0.1
+    hessian = MonitorSpec("hessian", beta=0.01)
+    assert (hessian.eps, hessian.alpha, hessian.beta) == (1.0, 0.0, 0.01)
+    assert MonitorSpec("gradient", alpha=0.0).alpha == 0.0  # the identity, asked for
+    for kind, kwargs, name in (("hessian", {}, "beta"), ("combined", {"beta": 0.1}, "alpha"),
+                               ("combined", {"alpha": 0.1}, "beta")):
+        with pytest.raises(ValueError, match=f"the {kind} monitor needs {name}"):
+            MonitorSpec(kind, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["eps", "alpha", "beta"])
@@ -236,12 +256,19 @@ def test_monitor_peaks_on_the_layer_circle():
 
 # --------------------------------------------------------- harmonic map solve
 
+def _cold(g, bm):
+    """Cold starts of both map components: each component of the boundary
+    map ``bm`` on the ring, zero inside."""
+    return tuple(FieldCoefficients(boundary_values(g, bm.component(k)), g.shape)
+                 for k in range(2))
+
+
 def test_harmonic_map_unit_monitor_reproduces_reference():
     g = _identity(p=3, m=6)
     bm = make_boundary_map(UNIT, UNIT)
     lm = init_logical_mesh(g, bm)
     u = FieldCoefficients(np.zeros(g.ndof), g.shape)
-    xi = solve_harmonic_map(g, MonitorSpec("gradient", alpha=0.0), u, bm)
+    xi = solve_harmonic_map(g, MonitorSpec("gradient", alpha=0.0), u, _cold(g, bm))
     for k in range(2):
         assert np.max(np.abs(xi[k].values - lm.fields[k].values)) <= 1e-9
 
@@ -254,8 +281,10 @@ def test_harmonic_map_scaling_invariance():
     class ScaledSpec(MonitorSpec):
         pass
 
-    xi_a = solve_harmonic_map(g, MonitorSpec("combined", eps=1.0), u, bm)
-    xi_b = solve_harmonic_map(g, MonitorSpec("combined", eps=9.0), u, bm)
+    xi_a = solve_harmonic_map(g, MonitorSpec("combined", eps=1.0, alpha=0.0, beta=0.0), u,
+                              _cold(g, bm))
+    xi_b = solve_harmonic_map(g, MonitorSpec("combined", eps=9.0, alpha=0.0, beta=0.0), u,
+                              _cold(g, bm))
     # eps-only monitors are constant in space; any constant cancels out
     for k in range(2):
         assert np.max(np.abs(xi_a[k].values - xi_b[k].values)) <= 1e-9
@@ -267,8 +296,7 @@ def test_harmonic_map_against_fd_oracle_and_circle_concentration():
     lm = init_logical_mesh(g, bm)
     u = solve_poisson(g, tanh_rhs, tanh_exact)
     spec = MonitorSpec("gradient", alpha=0.1)
-    xi = solve_harmonic_map(g, spec, u, bm)
-    from mmiga.assembly import eval_field_grid
+    xi = solve_harmonic_map(g, spec, u, _cold(g, bm))
 
     vals = [eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values for f in xi]
 
@@ -284,7 +312,7 @@ def test_harmonic_map_against_fd_oracle_and_circle_concentration():
     # discretizations. The oracle always sees tensor grids, and the identity
     # geometry makes parametric and physical coordinates coincide.
     smooth = MonitorSpec("gradient", alpha=0.1, smoothing=1)
-    xi_s = solve_harmonic_map(g, smooth, u, bm)
+    xi_s = solve_harmonic_map(g, smooth, u, _cold(g, bm))
     vals_s = eval_field_grid(g, xi_s[0], g.kv_u.greville.pts, g.kv_v.greville.pts).values
 
     def inv_monitor(px, py):
@@ -665,9 +693,9 @@ def _converging_run(monkeypatch):
     cfg = MoveMeshConfig()
     solves = []
 
-    def recording(g, spec, u, bmap, lin=None, **kwargs):
-        xi = solve_harmonic_map(g, spec, u, bmap, lin, **kwargs)
-        solves.append((lin.tol, kwargs["x0"], xi))
+    def recording(g, spec, u, start, lin=None, **kwargs):
+        xi = solve_harmonic_map(g, spec, u, start, lin, **kwargs)
+        solves.append((lin.tol, start, xi))
         return xi
 
     monkeypatch.setattr(movemesh, "solve_harmonic_map", recording)
@@ -694,12 +722,15 @@ def test_map_solves_follow_the_outer_defect_above_the_solver_tolerance(monkeypat
 def test_converged_map_agrees_with_a_cold_full_tolerance_solve(monkeypatch):
     bmap, spec, cfg, state, _ = _converging_run(monkeypatch)
     assert state.converged
-    cold = solve_harmonic_map(state.geometry, spec, state.solution, bmap, cfg.lin)
+    g = state.geometry
+    cold = solve_harmonic_map(g, spec, state.solution, _cold(g, bmap), cfg.lin)
+    ring = boundary_mask(g.shape).ravel()
     for k in range(2):
+        # the data carried from solve to solve are those of the final mesh
+        assert np.array_equal(state.xi[k].values[ring], cold[k].values[ring])
         diff = np.max(np.abs(state.xi[k].values - cold[k].values))
         assert diff <= 1e-8 * np.max(np.abs(cold[k].values))
     lm = state.logical_mesh
-    g = state.geometry
     nodes = np.stack([eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values
                       for f in cold], axis=-1)
     assert abs(np.max(np.abs(lm.nodes - nodes)) - state.trace[-1].xi_inf_err) <= 1e-9
