@@ -32,10 +32,11 @@ All but the metric terms depend only on the knots. The quadrature grid
 lives with the knot vectors, and a :class:`Discretization`
 (:func:`discretization`) holds the pair tables, scatter and gather maps and
 preconditioner factors, 7.8 MB at 128 x 128 elements of degree 3 with
-equal weights. A single solve builds one; the moving-mesh loop builds one
-per run and passes it to every call. The first solve that eliminates the
-boundary adds the interior-interior maps of the CSR pattern, which the
-later solves of a run reuse (14.2 MB in all at that size).
+equal weights. Every Dirichlet elimination runs on one, against the CSR
+pattern it holds: a single solve builds one, and the moving-mesh loop
+builds one per run and passes it to every call. The first elimination
+adds the interior-interior maps of that pattern, which the later solves
+of a run reuse (14.2 MB in all at that size).
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -308,10 +309,20 @@ class Discretization:
 
     @cached_property
     def interior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The interior-interior block of the CSR pattern
-        (:func:`_interior_block`), built by the first solve that eliminates
-        the boundary with this discretization and kept for the later ones."""
-        return _interior_block(self.indices, self.indptr, dof_map(*self.weights.shape).interior)
+        """The interior-interior block of the CSR pattern: the positions of
+        its entries in the pattern, in order, and its ``indices`` and
+        ``indptr`` renumbered over the interior, so the values of a matrix
+        with this pattern at those positions are its interior slice. Built
+        by the first elimination and kept for the later ones; read-only."""
+        n, interior = len(self.indptr) - 1, dof_map(*self.weights.shape).interior
+        positions = sp.csr_matrix(
+            (np.arange(len(self.indices), dtype=self.indices.dtype), self.indices, self.indptr),
+            shape=(n, n))
+        block = positions[interior][:, interior]
+        block = (block.data, block.indices, block.indptr)
+        for a in block:
+            a.flags.writeable = False
+        return block
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -398,23 +409,6 @@ def discretization(g: NurbsGeometry) -> Discretization:
     fdm = fast_diagonalization(g.kv_u, g.kv_v)
     return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v, scatter_v,
                           *maps, fdm)
-
-
-def _interior_block(indices: np.ndarray, indptr: np.ndarray, interior: np.ndarray):
-    """The interior-interior block of a CSR pattern: the positions of its
-    entries in the pattern, in order, and its ``indices`` and ``indptr``
-    renumbered over the sorted flat indices ``interior``. It is the row and
-    column slice of a matrix holding each entry's own position, so taking
-    the values at those positions gives that slice of any matrix with this
-    pattern. Read-only."""
-    n = len(indptr) - 1
-    positions = sp.csr_matrix((np.arange(len(indices), dtype=indices.dtype), indices, indptr),
-                              shape=(n, n))
-    block = positions[interior][:, interior]
-    block = (block.data, block.indices, block.indptr)
-    for a in block:
-        a.flags.writeable = False
-    return block
 
 
 def _first_bad_element(*masks):
@@ -555,7 +549,6 @@ class ReducedSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    boundary_values: np.ndarray  # full-length vector, zero on interior
     dofs: DofMap
 
 
@@ -618,8 +611,7 @@ def boundary_values(g: NurbsGeometry, bc) -> np.ndarray:
     return xb
 
 
-def apply_dirichlet(A, b, start: FieldCoefficients, *,
-                    disc: Discretization | None = None) -> ReducedSystem:
+def apply_dirichlet(A, b, start: FieldCoefficients, *, disc: Discretization) -> ReducedSystem:
     """Eliminate the boundary coefficients, which are the boundary ring of
     the start field ``start``; its interior entries are not read.
 
@@ -627,26 +619,26 @@ def apply_dirichlet(A, b, start: FieldCoefficients, *,
     right-hand side is the interior entries of b - A x_B, with x_B the
     start's ring, zero off the ring.
 
-    A_II takes its values from ``A.data`` at the positions of the
-    interior-interior entries (:func:`_interior_block`). When ``A`` has the
-    CSR pattern of ``disc``, the positions and the renumbered pattern are
-    ``disc.interior``, built once per discretization; otherwise they are
-    taken from ``A``'s own pattern. Both give the same bits.
+    ``A`` must have the CSR pattern of ``disc`` and ``start`` its grid
+    (ValueError otherwise). A_II takes its values from ``A.data`` at the
+    positions of the interior-interior entries, ``disc.interior``, built
+    once per discretization.
     """
+    A = A.tocsr()
+    if not (np.array_equal(A.indptr, disc.indptr) and np.array_equal(A.indices, disc.indices)):
+        raise ValueError("matrix does not have the CSR pattern of the discretization")
+    if start.shape != disc.weights.shape:
+        raise ValueError(f"start field on grid {start.shape} does not match "
+                         f"{disc.weights.shape}")
     dm = dof_map(*start.shape)
     xb = np.zeros(dm.total)
     xb[dm.boundary] = start.values[dm.boundary]
-    A = A.tocsr()
-    if (disc is not None and np.array_equal(A.indptr, disc.indptr)
-            and np.array_equal(A.indices, disc.indices)):
-        pos, indices, indptr = disc.interior
-    else:
-        pos, indices, indptr = _interior_block(A.indices, A.indptr, dm.interior)
+    pos, indices, indptr = disc.interior
     rhs = b[dm.interior] - (A @ xb)[dm.interior]
     n_int = len(dm.interior)
     # copies of the pattern: a caller may edit its matrix in place
     A_ii = sp.csr_matrix((A.data.take(pos), indices.copy(), indptr.copy()), shape=(n_int, n_int))
-    return ReducedSystem(A_ii, rhs, xb, dm)
+    return ReducedSystem(A_ii, rhs, dm)
 
 
 def solve_dirichlet(
@@ -663,28 +655,24 @@ def solve_dirichlet(
     data and its interior entries are CG's initial guess. The boundary
     coefficients are eliminated (:func:`apply_dirichlet`), the interior
     system is solved by CG with the fast-diagonalisation preconditioner,
-    and the result has the start's ring and the solved interior.
+    and the result is a copy of the start with the solved interior.
 
     A cold start is the :func:`boundary_values` of the data with a zero
     interior; a run whose boundary ring stays put starts each solve from
     the last one, whose ring is the same data.
 
-    The preconditioner factors and the interior maps come from ``disc``,
-    which must match ``g`` (ValueError otherwise), or are built for this
-    call; both give the same bits."""
+    ``disc`` must match ``g`` (ValueError otherwise) and ``A`` have its
+    pattern; without it the call builds ``discretization(g)``, with the
+    same bits. It holds the preconditioner factors and the interior maps."""
     lin = lin or LinearSolverSettings()
     if disc is None:
-        fdm = fast_diagonalization(g.kv_u, g.kv_v)
-    else:
-        disc.check(g)
-        fdm = disc.fdm
-    if start.shape != g.shape:
-        raise ValueError(f"start field on grid {start.shape} does not match {g.shape}")
+        disc = discretization(g)
+    disc.check(g)
     red = apply_dirichlet(A, b, start, disc=disc)
     x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
-                        precond=fdm.preconditioner(red.matrix),
+                        precond=disc.fdm.preconditioner(red.matrix),
                         x0=start.values[red.dofs.interior])
-    full = red.boundary_values.copy()
+    full = start.values.copy()
     full[red.dofs.interior] = x_int
     return FieldCoefficients(full, g.shape)
 

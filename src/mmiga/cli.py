@@ -191,7 +191,10 @@ class RunConfig:
     ``solver`` objects hold the fields of :class:`MonitorSpec`,
     :class:`MoveMeshConfig` (but ``lin``, which ``solver`` sets) and
     :class:`LinearSolverSettings`; ``movemesh.lin`` must equal ``solver``.
-    A value out of range raises ConfigError with its key.
+    A value out of range raises ConfigError with its key, and so does a
+    setting the mode does not read: a field of :data:`_MODE_ONLY` off its
+    default (for ``movemesh``, ``MoveMeshConfig(lin=solver)``) in the other
+    mode, or ``levels`` off its default with ``elements_list``.
     """
 
     mode: str
@@ -236,6 +239,13 @@ class RunConfig:
         _require(self.movemesh.lin == self.solver,
                  f"movemesh.lin: {self.movemesh.lin} differs from solver {self.solver}; "
                  f"a run reads one linear-solver setting")
+        defaults = {f.name: f.default for f in fields(self)}
+        defaults["movemesh"] = MoveMeshConfig(lin=self.solver)
+        for key, key_mode in _MODE_ONLY.items():
+            _require(key_mode == mode or getattr(self, key) == defaults[key],
+                     f"{key}: only valid in {key_mode} mode")
+        _require(self.elements_list is None or self.levels == defaults["levels"],
+                 "levels: not read when elements_list is given")
 
 
 def _names(cls) -> set[str]:
@@ -277,7 +287,8 @@ def _section(name: str, sec, cls, **fixed):
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document against the strict schema of
-    :class:`RunConfig`. A key the chosen mode does not read is an error."""
+    :class:`RunConfig`. A key the chosen mode does not read is an error
+    when it is present, whatever its value."""
     _require(isinstance(doc, dict), "top level: expected an object")
     unknown = set(doc) - _names(RunConfig)
     if unknown:

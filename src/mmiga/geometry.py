@@ -301,19 +301,16 @@ def mesh_nodes(g: NurbsGeometry) -> np.ndarray:
     return eval_geometry_grid(g, g.kv_u.greville.pts, g.kv_v.greville.pts, 0).points
 
 
-def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
-                            nodes: np.ndarray | None = None) -> NurbsGeometry:
+def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray) -> NurbsGeometry:
     """New geometry (same knots/weights) whose Greville-pair images hit targets.
 
     Solved in homogeneous form: with Q_ij = w_ij P_ij the interpolation
     conditions are linear with plain B-spline collocation matrices, so two
     sweeps of banded 1D solves suffice for any weight grid. When the
     :func:`boundary_mask` ring of ``targets`` coincides bitwise with that of
-    the current nodes, the ring of control points is carried over
-    unchanged, so repeated refits keep the boundary curve bit-identical.
-
-    ``nodes`` are ``mesh_nodes(g)``, when the caller has them; a caller that
-    refits one geometry many times passes them and evaluates ``g`` once.
+    the current nodes, ``mesh_nodes(g)``, the ring of control points is
+    carried over unchanged, so repeated refits keep the boundary curve
+    bit-identical.
     """
     targets = np.asarray(targets, dtype=float)
     n1, n2 = g.shape
@@ -331,9 +328,7 @@ def refit_from_node_targets(g: NurbsGeometry, targets: np.ndarray, *,
     cp = np.stack([q[:, :n1].T, q[:, n1:].T], axis=-1) / w[..., None]
 
     ring = boundary_mask((n1, n2))
-    if nodes is None:
-        nodes = mesh_nodes(g)
-    if np.array_equal(targets[ring], nodes[ring]):
+    if np.array_equal(targets[ring], mesh_nodes(g)[ring]):
         cp[ring] = g.control_points[ring]
     return NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
 

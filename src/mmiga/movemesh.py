@@ -189,7 +189,6 @@ class LogicalMesh:
     (``kv.greville.pts``); it stays fixed for the whole run.
     """
 
-    logical: Rectangle
     fields: tuple[FieldCoefficients, FieldCoefficients]
     nodes: np.ndarray  # (n1, n2, 2)
 
@@ -300,14 +299,17 @@ def init_logical_mesh(
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
     on the boundary, from a cold start; the nodal values are frozen for the
-    whole run. ``disc`` goes to the stiffness assembly and the solves."""
+    whole run. ``disc`` goes to the stiffness assembly and both solves;
+    without it the call builds one for all three."""
+    if disc is None:
+        disc = discretization(g0)
     A = assemble_weighted_stiffness(g0, disc=disc)
     cold = tuple(FieldCoefficients(boundary_values(g0, bmap.component(k)), g0.shape)
                  for k in range(2))
     fields = _solve_components(A, g0, cold, lin, disc)
     gu, gv = g0.kv_u.greville.pts, g0.kv_v.greville.pts
     vals = [eval_field_grid(g0, f, gu, gv).values for f in fields]
-    return LogicalMesh(bmap.logical, fields, np.stack(vals, axis=-1))
+    return LogicalMesh(fields, np.stack(vals, axis=-1))
 
 
 def monitor_grid(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, pts_u, pts_v,
@@ -367,11 +369,14 @@ def solve_harmonic_map(
     (:func:`~mmiga.assembly.solve_dirichlet`): its boundary ring is that
     component of the boundary map and its interior the first guess, as in
     the previous map or the reference fields of :func:`init_logical_mesh`.
-    ``disc`` goes to the stiffness assembly and the solves. The monitor and
-    the stiffness share one evaluation of ``g`` with its Jacobian on the
-    quadrature grid: ``geo`` when the caller has it (the PDE solve of the
-    same mesh made one), else a fresh one.
+    ``disc`` goes to the stiffness assembly and both solves; without it the
+    call builds one for all three. The monitor and the stiffness share one
+    evaluation of ``g`` with its Jacobian on the quadrature grid: ``geo``
+    when the caller has it (the PDE solve of the same mesh made one), else
+    a fresh one.
     """
+    if disc is None:
+        disc = discretization(g)
     pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
     if geo is None:
         geo = eval_geometry_grid(g, pts_u, pts_v, 1)
@@ -461,13 +466,7 @@ def limit_movement(movement: np.ndarray, nodes: np.ndarray, frac: float) -> np.n
     return movement * scale[..., None]
 
 
-def update_mesh(
-    g: NurbsGeometry,
-    movement: np.ndarray,
-    tau: float,
-    *,
-    nodes: np.ndarray | None = None,
-):
+def update_mesh(g: NurbsGeometry, movement: np.ndarray, tau: float):
     """Damped node update with wrap prevention; returns the accepted
     geometry, the tau it took and its evaluation on the quadrature grid.
 
@@ -476,20 +475,17 @@ def update_mesh(
     evaluation of the candidate on the assembly Gauss grid that is returned
     with the accepted geometry, for the solves on it. A nonpositive Jacobian
     halves tau (at most six times) before giving up with diagnostics.
-
-    ``nodes`` are ``mesh_nodes(g)``, when the caller has them; every tau
-    trial reuses them, so ``g`` is evaluated at most once.
+    The nodes are ``mesh_nodes(g)``, evaluated once for every tau trial.
     """
     movement = np.asarray(movement, dtype=float)
     if np.any(movement[boundary_mask(movement.shape[:2])] != 0.0):
         raise ValueError("boundary ring of the movement grid must be zero")
-    if nodes is None:
-        nodes = mesh_nodes(g)
+    nodes = mesh_nodes(g)
     tau_k = float(tau)
     worst = None
     for _ in range(MAX_TAU_HALVINGS + 1):
         targets = nodes + tau_k * movement
-        candidate = refit_from_node_targets(g, targets, nodes=nodes)
+        candidate = refit_from_node_targets(g, targets)
         geo = eval_geometry_grid(candidate, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
         mj = min_jacobian(candidate, geo)
         if mj > 0.0:
@@ -548,8 +544,9 @@ class _MoveMeshRun:
     error norms) are their memo entries, tabulated on first use only.
     The quadrature-grid evaluation :func:`update_mesh` made of an accepted
     mesh serves the PDE and map solves on that mesh and the trace's
-    ``min_jacobian``, and the nodes of each accepted mesh are evaluated
-    once, for the movement cap and every tau trial of the update.
+    ``min_jacobian``. The nodes of a mesh are evaluated where they are
+    read: for the movement cap, by :func:`update_mesh` for the targets of
+    its tau trials, and by each refit for its ring test.
 
     The inner solves are warm-started, and the map solves are inexact. The
     PDE solve on a moved mesh starts from the previous solution and runs to
@@ -671,7 +668,7 @@ class _MoveMeshRun:
         capped = int(np.count_nonzero(np.any(movement != raw, axis=-1)))
         move, kind = self._mix(nodes, movement, capped, prev_err)
         try:
-            g, tau_used, self.geo = update_mesh(s.geometry, move, cfg.tau, nodes=nodes)
+            g, tau_used, self.geo = update_mesh(s.geometry, move, cfg.tau)
         except MeshWrapError as exc:
             logger.warning("outer iteration %d ended on mesh wrap: %s", it, exc)
             s.wrap_failure = str(exc)

@@ -58,6 +58,23 @@ def test_no_function_takes_boundary_data_or_a_guess_apart_from_its_start():
     assert list(inspect.signature(solve_poisson).parameters) == ["g", "f", "bc", "lin"]
 
 
+def test_no_function_takes_nodes_and_every_elimination_takes_a_discretization():
+    # a refit and a mesh update evaluate the nodes of their geometry
+    # themselves, and a Dirichlet elimination reads the interior block of
+    # the pattern its discretization holds: no second way in for either
+    takers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"mmiga.{name}")
+        for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if inspect.isfunction(obj) and "nodes" in inspect.signature(obj).parameters:
+                takers.add(f"{obj.__module__}.{obj.__name__}")
+    assert takers == set()
+    from mmiga.assembly import apply_dirichlet
+
+    disc = inspect.signature(apply_dirichlet).parameters["disc"]
+    assert disc.default is inspect.Parameter.empty
+
+
 def _load_tracing():
     """The benchmark's tracer, loaded from its file without touching it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)

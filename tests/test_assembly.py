@@ -413,10 +413,12 @@ def _cold(g, bc):
 
 def test_dirichlet_zero_bc_reduces_to_interior_restriction():
     g = _identity(p=2, m=3)
-    A = assemble_weighted_stiffness(g)
+    disc = discretization(g)
+    A = assemble_weighted_stiffness(g, disc=disc)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
-    red = apply_dirichlet(A, b, _cold(g, lambda x, y: np.zeros_like(x)))
-    assert np.all(red.boundary_values == 0.0)
+    cold = _cold(g, lambda x, y: np.zeros_like(x))
+    assert np.all(cold.values == 0.0)
+    red = apply_dirichlet(A, b, cold, disc=disc)
     assert np.allclose(red.rhs, b[red.dofs.interior])
 
 
@@ -433,9 +435,8 @@ def test_dirichlet_linear_bc_reproduced_exactly():
     t = np.linspace(0, 1, 101)
     for g in (g1, gw):
         A = assemble_weighted_stiffness(g)
-        red = apply_dirichlet(A, np.zeros(g.ndof), _cold(g, bc))
+        field = solve_dirichlet(A, np.zeros(g.ndof), g, _cold(g, bc))
         # evaluate the boundary trace on each edge and compare with bc
-        field = FieldCoefficients(red.boundary_values, g.shape)
         for pu, pv in ((t, np.zeros(1)), (t, np.ones(1)), (np.zeros(1), t), (np.ones(1), t)):
             vals = eval_field_grid(g, field, pu, pv).values.ravel()
             pts = eval_geometry_grid(g, pu, pv, 0).points.reshape(-1, 2)
@@ -448,18 +449,18 @@ def test_dirichlet_eliminates_the_ring_of_the_start_field():
     # start's ring bit for bit and the same interior to the tolerance
     g = _random_rational(3, 1, seed=9)
     bc = lambda x, y: 1.0 + x * y
-    A = assemble_weighted_stiffness(g)
+    disc = discretization(g)
+    A = assemble_weighted_stiffness(g, disc=disc)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
     cold = _cold(g, bc)
     assert not boundary_values(g, bc).flags.writeable
-    ref = apply_dirichlet(A, b, cold)
+    ref = apply_dirichlet(A, b, cold, disc=disc)
     dm = dof_map(*g.shape)
     noisy = np.array(cold.values)
     noisy[dm.interior] = np.random.default_rng(3).normal(size=len(dm.interior))
     noisy = FieldCoefficients(noisy, g.shape)
-    red = apply_dirichlet(A, b, noisy)
-    assert np.all(red.boundary_values[dm.interior] == 0.0)
-    assert np.array_equal(red.boundary_values, ref.boundary_values)
+    red = apply_dirichlet(A, b, noisy, disc=disc)
+    assert np.array_equal(red.matrix.data, ref.matrix.data)
     assert np.array_equal(red.rhs, ref.rhs)
     lin = LinearSolverSettings(tol=1e-12)
     sol, ref_sol = solve_dirichlet(A, b, g, noisy, lin), solve_dirichlet(A, b, g, cold, lin)
@@ -468,9 +469,10 @@ def test_dirichlet_eliminates_the_ring_of_the_start_field():
 
 
 @pytest.mark.parametrize("p,mult", [(2, 1), (3, 3)])
-def test_reduced_system_is_the_interior_slice_with_or_without_discretization(p, mult):
+def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, mult):
     # the reference is the sliced matrix and b_I - A_I x_B, the elimination
-    # by scipy slicing; the interior maps must reproduce it bit for bit
+    # by scipy slicing; the interior maps must reproduce it bit for bit. A
+    # matrix of another pattern, or a start on another grid, is refused
     g = _random_rational(p, mult, seed=60 + p + mult)
     disc = discretization(g)
     bc = lambda x, y: np.sin(x) * np.cos(y)
@@ -478,20 +480,22 @@ def test_reduced_system_is_the_interior_slice_with_or_without_discretization(p, 
     b = assemble_load(g, lambda x, y: np.exp(x - y))
     I = dof_map(*g.shape).interior
     xb = boundary_values(g, bc)
+    assert "interior" not in disc.__dict__  # built by the first elimination
+    ref = A[I][:, I]
+    red = apply_dirichlet(A, b, _cold(g, bc), disc=disc)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(red.matrix, name), getattr(ref, name)), name
+    assert np.array_equal(red.rhs, b[I] - A[I] @ xb)
+    assert not disc.interior[0].flags.writeable
     thinned = A.copy()  # another pattern: one interior-interior entry not stored
     r = I[len(I) // 2]
     row = slice(A.indptr[r], A.indptr[r + 1])
     thinned.data[row][A.indices[row] == r + 1] = 0.0
     thinned.eliminate_zeros()
-    for M in (A, thinned):
-        ref = M[I][:, I]
-        for kwargs in ({}, {"disc": disc}):
-            red = apply_dirichlet(M, b, _cold(g, bc), **kwargs)
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(red.matrix, name), getattr(ref, name)), name
-            assert np.array_equal(red.rhs, b[I] - M[I] @ xb)
-    assert len(thinned[I][:, I].data) == len(A[I][:, I].data) - 1
-    assert not disc.interior[0].flags.writeable
+    with pytest.raises(ValueError, match="pattern"):
+        apply_dirichlet(thinned, b, _cold(g, bc), disc=disc)
+    with pytest.raises(ValueError, match="start field on grid"):
+        apply_dirichlet(A, b, FieldCoefficients(xb, g.shape[::-1]), disc=disc)
 
 
 def test_dirichlet_trace_interpolation_fourth_order():
@@ -501,9 +505,7 @@ def test_dirichlet_trace_interpolation_fourth_order():
     errs = []
     for m in (2, 4, 8, 16):
         g = _identity(p=3, m=m, rect=Rectangle(-1, 1, -1, 1))
-        A = assemble_weighted_stiffness(g)
-        red = apply_dirichlet(A, np.zeros(g.ndof), _cold(g, bc))
-        field = FieldCoefficients(red.boundary_values, g.shape)
+        field = _cold(g, bc)
         t = np.linspace(0, 1, 101)
         vals = eval_field_grid(g, field, t, np.zeros(1)).values.ravel()
         pts = eval_geometry_grid(g, t, np.zeros(1), 0).points.reshape(-1, 2)
@@ -515,8 +517,9 @@ def test_dirichlet_trace_interpolation_fourth_order():
 # ------------------------------------------------------------ preconditioner
 
 def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y)):
-    A = assemble_weighted_stiffness(g)
-    return apply_dirichlet(A, assemble_load(g, f), _cold(g, bc))
+    disc = discretization(g)
+    A = assemble_weighted_stiffness(g, disc=disc)
+    return apply_dirichlet(A, assemble_load(g, f), _cold(g, bc), disc=disc)
 
 
 def _fdm(g):
@@ -561,7 +564,7 @@ def test_preconditioned_solve_matches_a_direct_solve(p, mult):
     g = _random_rational(p, mult, seed=20 + 10 * p + mult)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A = assemble_weighted_stiffness(g)
-    red = apply_dirichlet(A, assemble_load(g, f), _cold(g, bc))
+    red = _reduced(g, f, bc)
     ref = spsolve(red.matrix.tocsc(), red.rhs)
     u = solve_dirichlet(A, assemble_load(g, f), g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
     x = u.values[red.dofs.interior]
@@ -589,6 +592,35 @@ def test_solves_with_and_without_discretization_are_bit_identical():
     assert np.array_equal(solve_poisson(g, f, bc).values, u.values)
     with pytest.raises(ValueError, match="knots"):
         solve_dirichlet(A, b, g, _cold(g, bc), disc=discretization(_mesh_3x4(p=3, mult=1)))
+
+
+def test_map_solves_without_discretization_build_one_for_both_components(monkeypatch):
+    # the stiffness and both component solves share the one discretization
+    # the call builds, so its preconditioner factors are built once
+    from mmiga import assembly
+    from mmiga.movemesh import (
+        MonitorSpec,
+        init_logical_mesh,
+        make_boundary_map,
+        solve_harmonic_map,
+    )
+
+    g = _random_rational(3, 1, seed=35)
+    bm = make_boundary_map(Rectangle(0, 1, 0, 1), Rectangle(0, 1, 0, 1))
+    lin = LinearSolverSettings(tol=1e-10)
+    built = []
+
+    def counting(kv_u, kv_v):
+        built.append(1)
+        return fdm(kv_u, kv_v)
+
+    fdm = assembly.fast_diagonalization
+    monkeypatch.setattr(assembly, "fast_diagonalization", counting)
+    lm = init_logical_mesh(g, bm, lin)
+    assert len(built) == 1
+    u = FieldCoefficients(np.zeros(g.ndof), g.shape)
+    solve_harmonic_map(g, MonitorSpec(), u, lm.fields, lin)
+    assert len(built) == 2
 
 
 def test_solves_start_from_the_interior_of_the_start_field(monkeypatch):

@@ -323,6 +323,30 @@ def test_run_config_holds_one_linear_solver_setting():
     assert parse_config({**BASE_MOVE, "solver": {"tol": 1e-6}}).movemesh.lin == loose
 
 
+def test_run_config_rejects_a_setting_its_mode_does_not_read():
+    # a RunConfig built in Python is held to the rules of a document: a
+    # setting of the other mode, or levels beside elements_list, raises
+    # once it is off its default; at its default it is not a setting
+    for kw in ({"elements": 8}, {"monitor": MonitorSpec("gradient", alpha=0.2)},
+               {"movemesh": MoveMeshConfig(tau=0.25)}):
+        with pytest.raises(ConfigError, match=f"{next(iter(kw))}: only valid in movemesh mode"):
+            RunConfig("convergence", "case1_sine", 3, **kw)
+    with pytest.raises(ConfigError, match="levels: not read when elements_list is given"):
+        RunConfig("convergence", "case1_sine", 3, levels=3, elements_list=(2, 4))
+    with pytest.raises(ConfigError, match="elements: only valid in movemesh mode"):
+        RunConfig("convergence", "case1_sine", 3, levels=3, elements_list=(2, 4), elements=8)
+    for kw in ({"levels": 3}, {"elements_list": (2, 4)}):
+        with pytest.raises(ConfigError, match=f"{next(iter(kw))}: only valid in convergence mode"):
+            RunConfig("movemesh", "case2_tanh", 3, **kw)
+    RunConfig("convergence", "case1_sine", 3, elements=32, elements_list=(2, 4), levels=4,
+              monitor=MonitorSpec(), movemesh=MoveMeshConfig())
+    RunConfig("movemesh", "case2_tanh", 3, elements=8, levels=4, elements_list=None)
+    # the movemesh section a convergence run carries is the solver's default
+    loose = LinearSolverSettings(tol=1e-6)
+    RunConfig("convergence", "case1_sine", 3, solver=loose, movemesh=MoveMeshConfig(lin=loose))
+    assert parse_config({**BASE_CONV, "solver": {"tol": 1e-6}}).solver == loose
+
+
 def test_invalid_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -338,9 +338,9 @@ def test_evaluations_with_tables_give_the_same_bits(monkeypatch, weights):
     assert np.array_equal(eval_geometry_grid(g, gu, gv, 0).points, nodes)
     targets = nodes.copy()
     targets[1:-1, 1:-1] += 0.01
-    refit = refit_from_node_targets(g, targets)
-    other = refit_from_node_targets(g, targets, nodes=nodes)
-    assert np.array_equal(other.control_points, refit.control_points)
+    refit = refit_from_node_targets(g, targets)  # the ring of targets is the nodes'
+    ring = boundary_mask(g.shape)
+    assert np.array_equal(refit.control_points[ring], g.control_points[ring])
 
 
 # ------------------------------------------------------------ knot-vector memo

@@ -351,7 +351,7 @@ def test_movement_identity_map_single_displacement():
     xi = _linear_map_fields(g)
     nodes = lm.nodes.copy()
     nodes[3, 3] += [0.01, 0.0]
-    lm2 = type(lm)(lm.logical, lm.fields, nodes)
+    lm2 = type(lm)(lm.fields, nodes)
     mv = compute_movement(g, xi, lm2)
     assert np.allclose(mv[3, 3], [0.01, 0.0], atol=1e-9)
     mask = np.ones(mv.shape[:2], bool)
@@ -370,7 +370,7 @@ def test_movement_diagonal_jacobian_inversion():
     vals = [eval_field_grid(g, f, g.kv_u.greville.pts, g.kv_v.greville.pts).values for f in xi]
     nodes = np.stack(vals, axis=-1)
     nodes[2, 3] += [0.02, 0.04]
-    lm2 = type(lm)(lm.logical, lm.fields, nodes)
+    lm2 = type(lm)(lm.fields, nodes)
     mv = compute_movement(g, xi, lm2)
     assert np.allclose(mv[2, 3], [0.01, 0.01], atol=1e-10)
 
