@@ -29,14 +29,22 @@ pattern holds the pairs of functions sharing an element, so on C^0 knots
 pairs with |i - i'| <= p that share none are not stored.
 
 All but the metric terms depend only on the knots. The quadrature grid
-lives with the knot vectors, and a :class:`Discretization`
-(:func:`discretization`) holds the pair tables, scatter and gather maps and
-preconditioner factors, 7.8 MB at 128 x 128 elements of degree 3 with
-equal weights. Every Dirichlet elimination runs on one, against the CSR
-pattern it holds: a single solve builds one, and the moving-mesh loop
-builds one per run and passes it to every call. The first elimination
-adds the interior-interior maps of that pattern, which the later solves
-of a run reuse (14.2 MB in all at that size).
+and each direction's 1D preconditioner factors live with the knot vectors,
+and a :class:`Discretization` (:func:`discretization`) holds the pair
+tables, scatter and gather maps and the preconditioner's factors, 7.6 MB
+at 128 x 128 elements of degree 3 with equal weights. Every Dirichlet
+elimination runs on one, against the CSR pattern it holds: a single solve
+builds one, and the moving-mesh loop builds one per run and passes it to
+every call. The first elimination adds the interior-interior maps of that
+pattern, which the later solves of a run reuse (14.0 MB in all at that
+size).
+
+The pattern is a tensor product of 1D lists: function i's list holds the
+offsets di of the functions sharing an element with it, and row (i, j)
+of the CSR pattern is the u list of i times the v list of j, u-major. The
+gather, ``indices`` and ``indptr``, and the interior maps, are written
+from these lists a class of equal u lists at a time, with no temporary
+as long as the pattern's entries.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -58,7 +66,11 @@ actual interior matrix, which carries the geometry, the weights and the
 diffusion coefficient. Applying P^-1 = S (U_u (x) U_v) (L_u (+) L_v)^-1
 (U_u (x) U_v)^T S to a residual is two dense matmuls each way on the
 interior coefficient grid. The factors (:class:`FastDiagonalization`)
-depend only on the knots, and a :class:`Discretization` holds them.
+depend only on the knots, and a :class:`Discretization` holds them. Each
+direction's eigendecomposition is a memo entry of its knot vector
+(:attr:`~mmiga.splines.KnotVector.interior_eigen`), so a square mesh,
+whose two directions share one knot vector, factors once, and another
+discretization on the same knot vectors factors not at all.
 """
 
 from __future__ import annotations
@@ -203,9 +215,11 @@ class FastDiagonalization:
     system, built by :func:`fast_diagonalization` from the knots alone.
 
     ``U_u``, ``U_v`` are the M-orthonormal generalized eigenvectors of each
-    direction's interior stiffness and mass, ``eig`` the eigenvalue sums
-    L_u[i] + L_v[j] and ``diag`` the diagonal of K_u (x) M_v + M_u (x) K_v,
-    both over the (n1 - 2, n2 - 2) interior coefficient grid.
+    direction's interior stiffness and mass, read-only and held by the knot
+    vectors (one array when both directions share a knot vector); ``eig``
+    the eigenvalue sums L_u[i] + L_v[j] and ``diag`` the diagonal of
+    K_u (x) M_v + M_u (x) K_v, both over the (n1 - 2, n2 - 2) interior
+    coefficient grid.
     """
 
     U_u: np.ndarray
@@ -215,7 +229,10 @@ class FastDiagonalization:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.U_u, self.U_v, self.eig, self.diag))
+        """Bytes held in the four arrays, ``U_u`` once when it is ``U_v``
+        (the knot vectors' shared memo entry on a square mesh)."""
+        arrays = {id(a): a for a in (self.U_u, self.U_v, self.eig, self.diag)}
+        return sum(a.nbytes for a in arrays.values())
 
     def preconditioner(self, A_ii):
         """The callable r -> P^-1 r for the interior matrix ``A_ii``, whose
@@ -241,23 +258,18 @@ class FastDiagonalization:
 
 def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector) -> FastDiagonalization:
     """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
-    ``kv_v``, with the 1D B-spline stiffness and mass integrated on their
-    assembly Gauss rules (the ``gauss`` memo entries) and restricted to the
-    functions that vanish at both ends. Each direction's generalized problem
-    K U = M U L is reduced by the Cholesky factor M = C C^T to the standard
-    one (C^-1 K C^-T) V = V L, and U = C^-T V."""
-    factors = []
-    for gauss in (kv_u.gauss, kv_v.gauss):
-        N, dN = (gauss.D[der][:, 1:-1] for der in (0, 1))
-        K = dN.T @ (gauss.wts[:, None] * dN)
-        M = N.T @ (gauss.wts[:, None] * N)
-        Ci = np.linalg.inv(np.linalg.cholesky(M))
-        lam, V = np.linalg.eigh(Ci @ K @ Ci.T)
-        U = Ci.T @ V
-        factors.append((U, lam, np.diag(K), np.diag(M)))
-    (U_u, lam_u, k_u, m_u), (U_v, lam_v, k_v, m_v) = factors
+    ``kv_v``, from each direction's 1D factors, the knot vector's
+    ``interior_eigen`` memo entry (:class:`~mmiga.splines.InteriorEigen`):
+    the generalized eigenpairs of the B-spline stiffness and mass on its
+    assembly Gauss rule, restricted to the functions that vanish at both
+    ends. Those are computed once per knot vector, so a square mesh, whose
+    directions share one, factors once, and a later discretization on the
+    same knot vectors reuses them; ``U_u`` and ``U_v`` are the memo's
+    read-only arrays. Only the eigenvalue sums and the diagonal over the
+    interior grid are built here."""
+    eu, ev = kv_u.interior_eigen, kv_v.interior_eigen
     return FastDiagonalization(
-        U_u, U_v, np.add.outer(lam_u, lam_v), np.outer(k_u, m_v) + np.outer(m_u, k_v)
+        eu.U, ev.U, np.add.outer(eu.lam, ev.lam), np.outer(eu.k, ev.m) + np.outer(eu.m, ev.k)
     )
 
 
@@ -283,7 +295,9 @@ class Discretization:
     weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
     weights are equal, and ``scatter_v`` adds them into band rows
     (j, j' - j + p). ``gather`` reads the CSR values ``indices``/``indptr``
-    out of the band, and ``fdm`` holds the preconditioner factors.
+    out of the band; the three are written from the 1D lists of the
+    pattern (:func:`_csr_maps`). ``fdm`` holds the preconditioner factors,
+    whose 1D eigenvectors are the knot vectors' memo entries.
     """
 
     kv_u: KnotVector
@@ -300,8 +314,12 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: preconditioner factors included, and the
-        :attr:`interior` maps once a solve has built them."""
+        """Bytes held in arrays: the weights, pair tables, scatter and
+        gather maps and CSR pattern; the preconditioner factors
+        (:attr:`FastDiagonalization.nbytes`, which counts the knot vectors'
+        eigenvectors it holds, once on a square mesh); and the
+        :attr:`interior` maps once a solve has built them. The Gauss grid's
+        tables, which the knot vectors hold, are not counted."""
         arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr]
         arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
         arrays += self.__dict__.get("interior", ())
@@ -313,16 +331,42 @@ class Discretization:
         its entries in the pattern, in order, and its ``indices`` and
         ``indptr`` renumbered over the interior, so the values of a matrix
         with this pattern at those positions are its interior slice. Built
-        by the first elimination and kept for the later ones; read-only."""
-        n, interior = len(self.indptr) - 1, dof_map(*self.weights.shape).interior
-        positions = sp.csr_matrix(
-            (np.arange(len(self.indices), dtype=self.indices.dtype), self.indices, self.indptr),
-            shape=(n, n))
-        block = positions[interior][:, interior]
-        block = (block.data, block.indices, block.indptr)
+        by the first elimination and kept for the later ones; read-only.
+
+        They come from the 1D lists of the pattern (:func:`_shared`)
+        restricted to the interior functions: an entry's position is its
+        row's start plus its u rank times the length of its v list plus its
+        v rank."""
+        mask_u, (mask_v, vstart, j, dj) = _shared(self.kv_u), _lists(self.kv_v)
+        (n1, p_u), n2 = (len(mask_u), self.kv_u.degree), len(mask_v)
+        dtype = self.indices.dtype
+        # the v entries of the interior rows in interior columns, with the
+        # start and length of their row's list and their rank in it
+        keep = (np.minimum(j, j + dj) >= 1) & (np.maximum(j, j + dj) <= n2 - 2)
+        rank_v = np.flatnonzero(keep) - vstart[j[keep]]
+        j, dj = j[keep], dj[keep]
+        start_v, len_v = vstart[j], np.diff(vstart)[j]
+        lens_v = np.bincount(j - 1, minlength=n2 - 2)
+        # u rows 1 .. n1 - 2: 2 marks an entry in an interior column, 1 one
+        # on the ring
+        i = np.arange(1, n1 - 1)
+        di = np.arange(-p_u, p_u + 1)
+        inner = mask_u[1:-1] & (i[:, None] + di >= 1) & (i[:, None] + di <= n1 - 2)
+        code = mask_u[1:-1].astype(np.int8) + inner
+        row_start = _starts(mask_u.sum(1))[i] * vstart[-1]
+
+        def tables(r):
+            full = np.flatnonzero(mask_u[r + 1])
+            rank_u = np.flatnonzero(inner[r, full])
+            pos = len(full) * start_v + rank_u[:, None] * len_v + rank_v
+            return pos, (full[rank_u] - p_u)[:, None] * (n2 - 2) + (j + dj - 1)
+
+        block = _kron_rows(code, inner.sum(1), (row_start, (i - 1) * (n2 - 2)), _starts(lens_v),
+                           tables, dtype)
+        block.append(_starts(np.outer(inner.sum(1), lens_v).ravel()).astype(dtype))
         for a in block:
             a.flags.writeable = False
-        return block
+        return tuple(block)
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -355,35 +399,96 @@ def _scatter(first, i, d, width, n):
                          shape=(n * width, len(rows)))
 
 
-def _shared(first, p, n):
-    """The (n, 2p + 1) mask of the pairs (i, i + d - p) of functions both
-    nonzero on some element, given the first function ``first`` of each."""
-    mask = np.zeros((n, 2 * p + 1), dtype=bool)
+def _shared(kv: KnotVector) -> np.ndarray:
+    """The (n, 2p + 1) mask of the pairs (i, i + d - p) of functions of
+    ``kv`` both nonzero on some element: row i's mask is its 1D list."""
+    p = kv.degree
+    first = np.asarray(kv.nonzero_spans) - p
+    mask = np.zeros((kv.n, 2 * p + 1), dtype=bool)
     a = np.arange(p + 1)
     mask[first[:, None, None] + a[:, None], a - a[:, None] + p] = True
     return mask
 
 
-def _csr_maps(mask_u, mask_v, p_u, p_v):
+def _lists(kv: KnotVector):
+    """The 1D lists of ``kv``'s functions: the mask of :func:`_shared`, where
+    each row's list starts in their concatenation, and the row and the
+    offset d of every entry, row by row."""
+    mask = _shared(kv)
+    row, d = np.nonzero(mask)
+    return mask, _starts(mask.sum(1)), row, d - kv.degree
+
+
+def _starts(lengths) -> np.ndarray:
+    """Where each of the lists of these lengths starts in their
+    concatenation, with the total length last."""
+    return np.concatenate([[0], np.cumsum(lengths)])
+
+
+def _kron_rows(code, ulens, shifts, vstart, tables, dtype):
+    """Arrays over the entries of a tensor-product pattern, rows (i, j)
+    u-major, whose row (i, j) is the u list of row i, ``ulens[i]`` long,
+    times the v list of row j, u-major; ``vstart`` gives where each v list
+    starts in their concatenation. U rows whose ``code`` rows are equal
+    have lists equal up to a shift: array k is ``shifts[k][i]`` plus
+    ``tables(i)[k]``, the (L, NV) values of row i's u entries against every
+    v entry, read in (j, u entry, v entry) order.
+
+    Each class of equal u rows is written from the table of its first row,
+    one run of equally spaced row blocks at a time through a strided view
+    of the result; two runs that meet share a row, written twice with the
+    same values. Only the results are allocated at full size: page faults
+    on fresh temporaries would cost more than the additions."""
+    lens, nv = np.diff(vstart), vstart[-1]
+    offsets = _starts(ulens * nv)
+    out = [np.empty(offsets[-1], dtype) for _ in shifts]
+    classes, inverse = np.unique(code, axis=0, return_inverse=True)
+    for c in range(len(classes)):
+        rows = np.flatnonzero(inverse.ravel() == c)
+        zs = tables(rows[0])
+        L = len(zs[0])
+        # entry (j, a, b) of a row's block is entry (a, vstart[j] + b) of its table
+        jj = np.repeat(np.arange(len(lens)), L * lens)
+        a, b = np.divmod(np.arange(L * nv) - L * vstart[jj], lens[jj])
+        blocks = [z.ravel()[a * nv + vstart[jj] + b].astype(dtype) for z in zs]
+        step = np.diff(offsets[rows])
+        cuts = np.flatnonzero(step[1:] != step[:-1]) + 1
+        for first, last in zip([0, *cuts], [*cuts, len(step)]):
+            run = rows[first:last + 1]
+            stride = step[first] if last > first else 0
+            for res, shift, block in zip(out, shifts, blocks):
+                size = res.itemsize
+                view = np.ndarray((len(run), len(block)), dtype, res, offsets[run[0]] * size,
+                                  (stride * size, size))
+                np.add(shift[run, None].astype(dtype), block, out=view)
+    return out
+
+
+def _csr_maps(kv_u: KnotVector, kv_v: KnotVector):
     """The gather, CSR ``indices`` and ``indptr`` of the pairs sharing an
-    element: entry (i, j), (i + di, j + dj) is read from the band
-    (n2, 2 p_v + 1, n1, p_u + 1) when di > 0, or di = 0 and dj >= 0, and
-    else from its mirror. Read-only, int32 when every position fits."""
-    n1, n2 = len(mask_u), len(mask_v)
+    element, from the 1D lists of :func:`_shared`: entry (i, j),
+    (i + di, j + dj) is read from the band (n2, 2 p_v + 1, n1, p_u + 1)
+    when di > 0, or di = 0 and dj >= 0, and else from its mirror. Read-only,
+    int32 when every position fits."""
+    mask_u, (mask_v, vstart, j, dj) = _shared(kv_u), _lists(kv_v)
+    (n1, p_u), (n2, p_v) = (len(mask_u), kv_u.degree), (len(mask_v), kv_v.degree)
     size = n1 * n2 * (2 * p_u + 1) * (2 * p_v + 1)
     dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    di, dj = np.arange(-p_u, p_u + 1), np.arange(-p_v, p_v + 1)
-    i, j = np.arange(n1)[:, None], np.arange(n2)[:, None, None]
-    pos_u = np.where(di >= 0, i * (p_u + 1) + di, (i + di) * (p_u + 1) - di)
-    upper = (di[:, None] > 0) | ((di[:, None] == 0) & (dj >= 0))
-    pos_v = np.where(upper, j * (2 * p_v + 1) + dj + p_v, (j + dj) * (2 * p_v + 1) + p_v - dj)
-    valid = mask_u[:, None, :, None] & mask_v[None, :, None, :]
-    gather = (pos_u.astype(dtype)[:, None, :, None]
-              + (n1 * (p_u + 1) * pos_v).astype(dtype))[valid]
-    cols = (((i + di) * n2).astype(dtype)[:, None, :, None]
-            + (j[:, :, 0] + dj).astype(dtype)[None, :, None, :])[valid]
-    indptr = np.zeros(n1 * n2 + 1, dtype=dtype)
-    np.cumsum(np.outer(mask_u.sum(1), mask_v.sum(1)).ravel(), out=indptr[1:])
+    # band rows of the v entries: upper (j, j + dj), its mirror, and the
+    # one an entry with di = 0 reads, indexed by sign(di) + 1
+    upper = j * (2 * p_v + 1) + dj + p_v
+    lower = (j + dj) * (2 * p_v + 1) + p_v - dj
+    band_v = n1 * (p_u + 1) * np.stack([lower, np.where(dj >= 0, upper, lower), upper])
+
+    def tables(i):
+        di = np.flatnonzero(mask_u[i]) - p_u
+        band_u = np.where(di >= 0, di, di * p_u)  # u band row less i (p_u + 1)
+        return band_u[:, None] + band_v[np.sign(di) + 1], di[:, None] * n2 + (j + dj)
+
+    rows = np.arange(n1)
+    gather, cols = _kron_rows(mask_u, mask_u.sum(1), (rows * (p_u + 1), rows * n2), vstart,
+                              tables, dtype)
+    indptr = _starts(np.outer(mask_u.sum(1), np.diff(vstart)).ravel()).astype(dtype)
     for a in (gather, cols, indptr):
         a.flags.writeable = False
     return gather, cols, indptr
@@ -405,10 +510,9 @@ def discretization(g: NurbsGeometry) -> Discretization:
     pairs_u.flags.writeable = pairs_v.flags.writeable = False
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
     scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
-    maps = _csr_maps(_shared(first_u, p_u, n1), _shared(first_v, p_v, n2), p_u, p_v)
     fdm = fast_diagonalization(g.kv_u, g.kv_v)
     return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v, scatter_v,
-                          *maps, fdm)
+                          *_csr_maps(g.kv_u, g.kv_v), fdm)
 
 
 def _first_bad_element(*masks):

@@ -29,7 +29,11 @@ another shares its knot vectors and so their tables. The memo entries hold
 the only copy of these point sets: :meth:`KnotVector.tables` recognises an
 entry by its point array, so evaluation takes points alone, and an entry
 asked for a higher derivative order than it holds grows to that order in
-place, keeping its arrays.
+place, keeping its arrays. The interior eigendecomposition of the 1D
+stiffness and mass on the assembly Gauss grid (:class:`InteriorEigen`), one
+direction's factors of the fast-diagonalisation preconditioner, is a memo
+entry too, so a square mesh, whose two directions share one knot vector,
+factors once.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np
 __all__ = [
     "KnotVector",
     "PointTables",
+    "InteriorEigen",
     "QuadratureRule",
     "BasisEval",
     "TensorWeights",
@@ -53,6 +58,7 @@ __all__ = [
     "tabulate",
     "eval_basis",
     "greville_abscissae",
+    "lattice_points",
     "basis_matrix",
     "rational_derivatives",
 ]
@@ -72,6 +78,22 @@ class PointTables:
     pts: np.ndarray
     D: tuple
     wts: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class InteriorEigen:
+    """Generalized eigendecomposition K U = M U diag(lam) of one knot
+    vector's B-spline stiffness K and mass M, integrated on its assembly
+    Gauss rule and restricted to the functions that vanish at both ends.
+
+    The columns of ``U`` are M-orthonormal; ``k`` and ``m`` are the
+    diagonals of K and M. All four arrays are read-only.
+    """
+
+    U: np.ndarray
+    lam: np.ndarray
+    k: np.ndarray
+    m: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,13 +190,30 @@ class KnotVector:
     @cached_property
     def lattice(self) -> PointTables:
         """The max-norm lattice, :data:`LINF_SAMPLES` closed samples per
-        element (:func:`_element_lattice`), with order 0."""
-        return self._memo(_element_lattice(self, LINF_SAMPLES), 0)
+        element with each shared element edge kept once
+        (:func:`lattice_points`), with order 0."""
+        return self._memo(lattice_points(self, LINF_SAMPLES), 0)
 
     @cached_property
     def corners(self) -> PointTables:
         """The :attr:`breakpoints`, the element corners, with order 0."""
         return self._memo(self.breakpoints, 0)
+
+    @cached_property
+    def interior_eigen(self) -> InteriorEigen:
+        """The :class:`InteriorEigen` of the ``gauss`` rule. The generalized
+        problem is reduced by the Cholesky factor M = C C^T to the standard
+        one (C^-1 K C^-T) V = V L, and U = C^-T V."""
+        gauss = self.gauss
+        N, dN = (gauss.D[der][:, 1:-1] for der in (0, 1))
+        K = dN.T @ (gauss.wts[:, None] * dN)
+        M = N.T @ (gauss.wts[:, None] * N)
+        Ci = np.linalg.inv(np.linalg.cholesky(M))
+        lam, V = np.linalg.eigh(Ci @ K @ Ci.T)
+        eigen = InteriorEigen(Ci.T @ V, lam, np.diag(K).copy(), np.diag(M).copy())
+        for a in (eigen.U, eigen.lam, eigen.k, eigen.m):
+            a.flags.writeable = False
+        return eigen
 
     def tables(self, pts, nders: int) -> PointTables:
         """The tables on ``pts`` with orders 0 .. ``nders``: the memo entry
@@ -306,6 +345,15 @@ def _element_lattice(kv: KnotVector, samples: int) -> np.ndarray:
     return np.linspace(left, right, samples, axis=1).ravel()
 
 
+def lattice_points(kv: KnotVector, samples: int) -> np.ndarray:
+    """The per-element closed lattices of :func:`_element_lattice` with
+    each shared element edge kept once: nel * (samples - 1) + 1 points.
+    An element's last sample is its right end, the same float as the next
+    element's first, so only repeats are dropped."""
+    pts = _element_lattice(kv, samples).reshape(-1, samples)
+    return np.concatenate([pts[0, :1], pts[:, 1:].ravel()])
+
+
 def _find_spans(kv: KnotVector, t: np.ndarray) -> np.ndarray:
     """Knot span of every point: the index i of the last knot <= t, clipped
     to p .. n-1, so knots[i] <= t < knots[i+1] with knots[i] < knots[i+1].
@@ -409,9 +457,10 @@ def eval_basis(kv: KnotVector, t: float, nders: int = 0, span: int | None = None
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Knot averages g_i = (knots[i+1] + ... + knots[i+p]) / p, i = 0..n-1."""
-    p, n = kv.degree, kv.n
-    g = np.array([kv.knots[i + 1: i + p + 1].mean() for i in range(n)])
+    """Knot averages g_i = (knots[i+1] + ... + knots[i+p]) / p, i = 0..n-1:
+    the means of the sliding windows of p knots over knots[1:-1], with the
+    ends pinned to 0 and 1."""
+    g = np.lib.stride_tricks.sliding_window_view(kv.knots[1:-1], kv.degree).mean(axis=1)
     g[0], g[-1] = 0.0, 1.0
     return g
 

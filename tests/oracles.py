@@ -49,6 +49,63 @@ def shared_element_pattern(kv_u, kv_v):
     return sp.csr_matrix(np.kron(overlap(kv_u), overlap(kv_v)))
 
 
+def greville_loop(kv):
+    """Greville abscissae by one slice mean per function, ends pinned to 0
+    and 1."""
+    p, n = kv.degree, kv.n
+    g = np.array([kv.knots[i + 1: i + p + 1].mean() for i in range(n)])
+    g[0], g[-1] = 0.0, 1.0
+    return g
+
+
+def csr_maps_4d(kv_u, kv_v):
+    """The gather, CSR ``indices`` and ``indptr`` of a discretization built
+    over the whole (n1, n2, 2 p_u + 1, 2 p_v + 1) box of offsets and then
+    compressed by the mask of the pairs that share an element: entry
+    (i, j), (i + di, j + dj) is read from the band
+    (n2, 2 p_v + 1, n1, p_u + 1) when di > 0, or di = 0 and dj >= 0, and
+    else from its mirror; int32 when every position of the box fits."""
+
+    def shared(kv):
+        p, first = kv.degree, np.asarray(kv.nonzero_spans) - kv.degree
+        mask = np.zeros((kv.n, 2 * p + 1), dtype=bool)
+        a = np.arange(p + 1)
+        mask[first[:, None, None] + a[:, None], a - a[:, None] + p] = True
+        return mask
+
+    mask_u, mask_v, p_u, p_v = shared(kv_u), shared(kv_v), kv_u.degree, kv_v.degree
+    n1, n2 = len(mask_u), len(mask_v)
+    size = n1 * n2 * (2 * p_u + 1) * (2 * p_v + 1)
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    di, dj = np.arange(-p_u, p_u + 1), np.arange(-p_v, p_v + 1)
+    i, j = np.arange(n1)[:, None], np.arange(n2)[:, None, None]
+    pos_u = np.where(di >= 0, i * (p_u + 1) + di, (i + di) * (p_u + 1) - di)
+    upper = (di[:, None] > 0) | ((di[:, None] == 0) & (dj >= 0))
+    pos_v = np.where(upper, j * (2 * p_v + 1) + dj + p_v, (j + dj) * (2 * p_v + 1) + p_v - dj)
+    valid = mask_u[:, None, :, None] & mask_v[None, :, None, :]
+    gather = (pos_u.astype(dtype)[:, None, :, None]
+              + (n1 * (p_u + 1) * pos_v).astype(dtype))[valid]
+    cols = (((i + di) * n2).astype(dtype)[:, None, :, None]
+            + (j[:, :, 0] + dj).astype(dtype)[None, :, None, :])[valid]
+    indptr = np.zeros(n1 * n2 + 1, dtype=dtype)
+    np.cumsum(np.outer(mask_u.sum(1), mask_v.sum(1)).ravel(), out=indptr[1:])
+    return gather, cols, indptr
+
+
+def interior_slice(indices, indptr, shape):
+    """The positions, ``indices`` and ``indptr`` of the interior-interior
+    block of a CSR pattern on the (n1, n2) coefficient grid, by scipy
+    slicing a matrix whose values are the positions of its entries."""
+    n = len(indptr) - 1
+    ring = np.zeros(shape, dtype=bool)
+    ring[[0, -1], :] = ring[:, [0, -1]] = True
+    inner = np.flatnonzero(~ring.ravel())
+    positions = sp.csr_matrix((np.arange(len(indices), dtype=indices.dtype), indices, indptr),
+                              shape=(n, n))
+    block = positions[inner][:, inner]
+    return block.data, block.indices, block.indptr
+
+
 def bspline_value_recursive(knots, p, i, t):
     """Direct Cox-de Boor recursion for a single N_{i,p}(t); 0/0 taken as 0.
 

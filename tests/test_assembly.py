@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmiga.assembly import (
@@ -32,13 +32,14 @@ from mmiga.geometry import (
 )
 from mmiga.linalg import LinearSolverSettings, cg_solve
 from mmiga.splines import (
+    KnotVector,
     TensorWeights,
     element_quadrature_1d,
     greville_abscissae,
     make_open_knot_vector,
 )
 
-from oracles import grad_fd, hess_fd, shared_element_pattern
+from oracles import csr_maps_4d, grad_fd, hess_fd, interior_slice, shared_element_pattern
 
 
 def _identity(p=2, m=2, rect=Rectangle(0, 1, 0, 1), mult=1):
@@ -251,6 +252,60 @@ def test_stiffness_pattern_is_the_shared_element_pattern(p):
     near = [np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= p for n in g.shape]
     assert S.nnz < np.kron(*near).sum()
     assert np.array_equal(A.indices, S.indices) and np.array_equal(A.indptr, S.indptr)
+
+
+@st.composite
+def _knot_vectors(draw):
+    """A knot vector of degree 1-4 on 1-5 elements, with jittered interior
+    breakpoints of multiplicities 1 .. p."""
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    breaks = [(k + draw(st.floats(-0.3, 0.3))) / m for k in range(1, m)]
+    mults = [draw(st.integers(1, p)) for _ in breaks]
+    return KnotVector(p, np.concatenate([np.zeros(p + 1), np.repeat(breaks, mults), np.ones(p + 1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kv_u=_knot_vectors(), kv_v=_knot_vectors(), equal=st.booleans(), seed=st.integers(0, 99))
+def test_discretization_maps_match_the_box_construction_bit_for_bit(kv_u, kv_v, equal, seed):
+    # the CSR maps and the interior block, written from the 1D lists, against
+    # the construction over the whole box of offsets and the scipy slice
+    assume(kv_u.n != kv_v.n)
+    g0 = build_identity_geometry(Rectangle(0, 1, 0, 1), kv_u, kv_v)
+    w = np.full(g0.shape, 2.0) if equal else np.random.default_rng(seed).uniform(0.7, 1.4, g0.shape)
+    disc = discretization(NurbsGeometry(kv_u, kv_v, TensorWeights(w), g0.control_points))
+    refs = (*csr_maps_4d(kv_u, kv_v), *interior_slice(disc.indices, disc.indptr, g0.shape))
+    for name, got, ref in zip(("gather", "indices", "indptr", "positions", "interior indices",
+                               "interior indptr"), (disc.gather, disc.indices, disc.indptr,
+                                                    *disc.interior), refs):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+def test_preconditioner_factors_once_per_knot_vector(monkeypatch):
+    # each direction's eigendecomposition is a memo entry of its knot vector:
+    # one eigh for a square mesh, one per knot vector otherwise, and none for
+    # a second discretization on the same knot vectors
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    kv = make_open_knot_vector(3, 8, 3)
+    square = discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv))
+    assert len(calls) == 1
+    assert square.fdm.U_u is square.fdm.U_v is kv.interior_eigen.U
+    assert square.fdm.nbytes == sum(a.nbytes for a in (square.fdm.U_u, square.fdm.eig,
+                                                       square.fdm.diag))
+    g = _random_rational(3, 1, seed=8)
+    assert g.kv_u is not g.kv_v
+    calls.clear()
+    discretization(g)
+    assert len(calls) == 2
+    calls.clear()
+    discretization(refit_from_node_targets(g, mesh_nodes(g) * 1.01))
+    assert calls == []
 
 
 @pytest.mark.parametrize("weight_kind", ["none", "array", "callable"])

@@ -49,6 +49,27 @@ def test_error_norms_exact_interpolant_is_zero():
     assert rep.L2 <= 1e-10 and rep.H1_semi <= 1e-10 and rep.L_inf <= 1e-10
 
 
+@pytest.mark.parametrize("mult", [1, 3])
+def test_lattice_max_reads_the_same_values_as_the_per_element_lattice(mult):
+    # each shared element edge is sampled once; the repeats it drops are the
+    # same floats, so the max over the lattice keeps its bits
+    from mmiga.assembly import eval_field_grid
+    from mmiga.geometry import eval_geometry_grid
+    from mmiga.splines import _element_lattice
+
+    kv_u, kv_v = make_open_knot_vector(3, 5, mult), make_open_knot_vector(3, 4, mult)
+    g0 = build_identity_geometry(Rectangle(-1, 1, -1, 1), kv_u, kv_v)
+    rng = np.random.default_rng(11)
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.03 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    g = NurbsGeometry(kv_u, kv_v, TensorWeights(rng.uniform(0.7, 1.4, g0.shape)), cp)
+    u = FieldCoefficients(rng.normal(size=g.ndof), g.shape)
+    lu, lv = _element_lattice(kv_u, 5), _element_lattice(kv_v, 5)
+    x = eval_geometry_grid(g, lu, lv, 0).points
+    err = eval_field_grid(g, u, lu, lv).values - SINE.u(x[..., 0], x[..., 1])
+    assert error_norms(g, u, SINE).L_inf == np.max(np.abs(err))
+
+
 def test_error_norms_zero_field_against_sine():
     # ||sin x sin y||_{L2([-1,1]^2)} = 1 - sin(2)/2, from the 1D integral
     # int_{-1}^{1} sin^2 = 1 - sin(2)/2 squared across the tensor product

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmiga.splines import (
     KnotVector,
+    _element_lattice,
     _find_spans,
     TensorWeights,
     basis_matrix,
     eval_basis,
     greville_abscissae,
+    lattice_points,
     make_open_knot_vector,
 )
 
 from mmiga.geometry import rational_grid_sums
 
-from oracles import bspline_deriv_recursive, bspline_value_recursive, find_span
+from oracles import bspline_deriv_recursive, bspline_value_recursive, find_span, greville_loop
 
 
 def test_make_open_knot_vector_hat_basis():
@@ -201,6 +205,31 @@ def test_greville_strictly_increasing_up_to_full_multiplicity():
         kv = make_open_knot_vector(3, 4, mult)
         g = greville_abscissae(kv)
         assert np.all(np.diff(g) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 5), data=st.data())
+def test_greville_abscissae_match_the_slice_means_bit_for_bit(p, data):
+    # the sliding-window means against one slice mean per function, on
+    # uniform and on random nonuniform knots of every multiplicity
+    breaks = np.sort(data.draw(st.lists(st.floats(0.01, 0.99), max_size=12, unique=True)))
+    mults = [data.draw(st.integers(1, p)) for _ in breaks]
+    knots = np.concatenate([np.zeros(p + 1), np.repeat(breaks, mults), np.ones(p + 1)])
+    m, r = data.draw(st.integers(1, 9)), data.draw(st.integers(1, p))
+    for kv in (KnotVector(p, knots), make_open_knot_vector(p, m, r)):
+        assert np.array_equal(greville_abscissae(kv), greville_loop(kv))
+
+
+@pytest.mark.parametrize("p,mult", [(1, 1), (3, 1), (3, 3)])
+def test_lattice_keeps_each_shared_element_edge_once(p, mult):
+    # 4 m + 1 points per direction: the element lattices without the repeat
+    # of each shared edge, which is the same float in both elements
+    kv = make_open_knot_vector(p, 7, mult)
+    per_element = _element_lattice(kv, 5)
+    assert len(per_element) == 5 * 7 and len(kv.lattice.pts) == 4 * 7 + 1
+    assert np.array_equal(kv.lattice.pts, np.unique(per_element))
+    assert np.array_equal(kv.lattice.pts, lattice_points(kv, 5))
+    assert np.all(np.diff(kv.lattice.pts) > 0)
 
 
 def test_tensor_weights_reject_nonpositive():

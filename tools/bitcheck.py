@@ -28,7 +28,11 @@ The battery, all on fixed inputs:
 - on a perturbed rational net, C^2 along u and C^0 along v: the geometry
   and a field on every fixed grid at orders 0-2 (the lattice at order 0),
   the field given the geometry's evaluation; a refit to moved nodes; and
-  ``boundary_values``.
+  ``boundary_values``;
+- the knot-only arrays of ``discretization`` on that net and on a square
+  C^0 net (p=3, m=16): ``gather``, ``indices``, ``indptr``, the
+  ``interior`` maps and the preconditioner's ``U_u``, ``U_v``, ``eig`` and
+  ``diag``.
 """
 
 from __future__ import annotations
@@ -124,18 +128,26 @@ def _solves(out: dict) -> None:
             out[f"poisson.{label}.error_norms.{f.name}"] = getattr(rep, f.name)
 
 
-def _grids(out: dict) -> None:
-    import numpy as np
-
-    from mmiga import assembly, geometry, splines
+def _rational_net(rng):
+    """The perturbed rational net, C^2 along u and C^0 along v, drawn from
+    ``rng``."""
+    from mmiga import geometry, splines
 
     kv_u, kv_v = splines.make_open_knot_vector(3, 6, 1), splines.make_open_knot_vector(3, 5, 3)
     g0 = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 1), kv_u, kv_v)
-    rng = np.random.default_rng(7)
     cp = g0.control_points.copy()
     cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
     w = splines.TensorWeights(rng.uniform(0.7, 1.4, size=g0.shape))
-    g = geometry.NurbsGeometry(kv_u, kv_v, w, cp)
+    return geometry.NurbsGeometry(kv_u, kv_v, w, cp)
+
+
+def _grids(out: dict) -> None:
+    import numpy as np
+
+    from mmiga import assembly, geometry
+
+    rng = np.random.default_rng(7)
+    g = _rational_net(rng)
     u = assembly.FieldCoefficients(rng.normal(size=g.ndof), g.shape)
     for grid, top in (("gauss", 2), ("error_gauss", 2), ("greville", 2), ("corners", 2),
                       ("lattice", 0)):
@@ -151,12 +163,28 @@ def _grids(out: dict) -> None:
     out["boundary_values"] = assembly.boundary_values(g, lambda x, y: np.sin(3 * x) * np.exp(y))
 
 
+def _discretizations(out: dict) -> None:
+    import numpy as np
+
+    from mmiga import assembly, geometry, splines
+
+    kv = splines.make_open_knot_vector(3, 16, 3)
+    square = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 1), kv, kv)
+    for label, g in (("rational", _rational_net(np.random.default_rng(7))), ("C0_m16", square)):
+        disc = assembly.discretization(g)
+        for name in ("gather", "indices", "indptr", "interior"):
+            out[f"disc.{label}.{name}"] = getattr(disc, name)
+        for name in ("U_u", "U_v", "eig", "diag"):
+            out[f"disc.{label}.fdm.{name}"] = getattr(disc.fdm, name)
+
+
 def battery() -> dict:
     """Key -> every result of the battery, in this process."""
     out: dict = {}
     _runs(out)
     _solves(out)
     _grids(out)
+    _discretizations(out)
     return out
 
 
