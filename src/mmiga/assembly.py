@@ -33,18 +33,16 @@ and each direction's 1D preconditioner factors live with the knot vectors,
 and a :class:`Discretization` (:func:`discretization`) holds the pair
 tables, scatter and gather maps and the preconditioner's factors, 7.6 MB
 at 128 x 128 elements of degree 3 with equal weights. Every Dirichlet
-elimination runs on one, against the CSR pattern it holds: a single solve
-builds one, and the moving-mesh loop builds one per run and passes it to
-every call. The first elimination adds the interior-interior maps of that
-pattern, which the later solves of a run reuse (14.0 MB in all at that
-size).
+solve runs on one: a single solve builds one, and the moving-mesh loop
+builds one per run and passes it to every call.
 
 The pattern is a tensor product of 1D lists: function i's list holds the
 offsets di of the functions sharing an element with it, and row (i, j)
 of the CSR pattern is the u list of i times the v list of j, u-major. The
-gather, ``indices`` and ``indptr``, and the interior maps, are written
-from these lists a class of equal u lists at a time, with no temporary
-as long as the pattern's entries.
+gather, ``indices`` and ``indptr`` are written from these lists a class of
+equal u lists at a time, with no temporary as long as the pattern's
+entries. Every stiffness matrix shares the read-only ``indices`` and
+``indptr`` of its discretization.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -54,6 +52,11 @@ Those coefficients depend only on the knots, the weights and the boundary
 ring of control points (:func:`boundary_values`). A Dirichlet solve takes
 them as the boundary ring of its start field, whose interior is CG's first
 guess, so a run whose boundary stays put starts each solve from the last.
+The interior matrix A_II is not copied out of A: it is applied as the
+interior rows of A times a vector that is zero on the ring
+(:class:`ReducedSystem`), the bits of a product with the slice, since the
+ring columns multiply exact zeros and the CSR product sums each row in
+index order.
 
 The interior system is solved by CG preconditioned with fast
 diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964) and diagonal
@@ -76,7 +79,6 @@ discretization on the same knot vectors factors not at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -236,7 +238,9 @@ class FastDiagonalization:
 
     def preconditioner(self, A_ii):
         """The callable r -> P^-1 r for the interior matrix ``A_ii``, whose
-        rows and columns run over the interior grid in row-major order.
+        rows and columns run over the interior grid in row-major order: a
+        matrix or a :class:`ReducedSystem`, of which only ``diagonal()`` is
+        read.
 
         The scaling S = sqrt(diag / diag(A_ii)) gives the scaled reference
         operator S^-1 (K_u (x) M_v + M_u (x) K_v) S^-1, whose inverse this
@@ -296,8 +300,11 @@ class Discretization:
     weights are equal, and ``scatter_v`` adds them into band rows
     (j, j' - j + p). ``gather`` reads the CSR values ``indices``/``indptr``
     out of the band; the three are written from the 1D lists of the
-    pattern (:func:`_csr_maps`). ``fdm`` holds the preconditioner factors,
-    whose 1D eigenvectors are the knot vectors' memo entries.
+    pattern (:func:`_csr_maps`), and every stiffness matrix built on the
+    discretization holds the read-only ``indices`` and ``indptr``
+    themselves. ``fdm`` holds the preconditioner factors, whose 1D
+    eigenvectors are the knot vectors' memo entries; a Dirichlet solve
+    needs nothing else of it.
     """
 
     kv_u: KnotVector
@@ -315,58 +322,13 @@ class Discretization:
     @property
     def nbytes(self) -> int:
         """Bytes held in arrays: the weights, pair tables, scatter and
-        gather maps and CSR pattern; the preconditioner factors
+        gather maps and CSR pattern; and the preconditioner factors
         (:attr:`FastDiagonalization.nbytes`, which counts the knot vectors'
-        eigenvectors it holds, once on a square mesh); and the
-        :attr:`interior` maps once a solve has built them. The Gauss grid's
+        eigenvectors it holds, once on a square mesh). The Gauss grid's
         tables, which the knot vectors hold, are not counted."""
         arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr]
         arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
-        arrays += self.__dict__.get("interior", ())
         return sum(a.nbytes for a in arrays) + self.fdm.nbytes
-
-    @cached_property
-    def interior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The interior-interior block of the CSR pattern: the positions of
-        its entries in the pattern, in order, and its ``indices`` and
-        ``indptr`` renumbered over the interior, so the values of a matrix
-        with this pattern at those positions are its interior slice. Built
-        by the first elimination and kept for the later ones; read-only.
-
-        They come from the 1D lists of the pattern (:func:`_shared`)
-        restricted to the interior functions: an entry's position is its
-        row's start plus its u rank times the length of its v list plus its
-        v rank."""
-        mask_u, (mask_v, vstart, j, dj) = _shared(self.kv_u), _lists(self.kv_v)
-        (n1, p_u), n2 = (len(mask_u), self.kv_u.degree), len(mask_v)
-        dtype = self.indices.dtype
-        # the v entries of the interior rows in interior columns, with the
-        # start and length of their row's list and their rank in it
-        keep = (np.minimum(j, j + dj) >= 1) & (np.maximum(j, j + dj) <= n2 - 2)
-        rank_v = np.flatnonzero(keep) - vstart[j[keep]]
-        j, dj = j[keep], dj[keep]
-        start_v, len_v = vstart[j], np.diff(vstart)[j]
-        lens_v = np.bincount(j - 1, minlength=n2 - 2)
-        # u rows 1 .. n1 - 2: 2 marks an entry in an interior column, 1 one
-        # on the ring
-        i = np.arange(1, n1 - 1)
-        di = np.arange(-p_u, p_u + 1)
-        inner = mask_u[1:-1] & (i[:, None] + di >= 1) & (i[:, None] + di <= n1 - 2)
-        code = mask_u[1:-1].astype(np.int8) + inner
-        row_start = _starts(mask_u.sum(1))[i] * vstart[-1]
-
-        def tables(r):
-            full = np.flatnonzero(mask_u[r + 1])
-            rank_u = np.flatnonzero(inner[r, full])
-            pos = len(full) * start_v + rank_u[:, None] * len_v + rank_v
-            return pos, (full[rank_u] - p_u)[:, None] * (n2 - 2) + (j + dj - 1)
-
-        block = _kron_rows(code, inner.sum(1), (row_start, (i - 1) * (n2 - 2)), _starts(lens_v),
-                           tables, dtype)
-        block.append(_starts(np.outer(inner.sum(1), lens_v).ravel()).astype(dtype))
-        for a in block:
-            a.flags.writeable = False
-        return tuple(block)
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -410,27 +372,18 @@ def _shared(kv: KnotVector) -> np.ndarray:
     return mask
 
 
-def _lists(kv: KnotVector):
-    """The 1D lists of ``kv``'s functions: the mask of :func:`_shared`, where
-    each row's list starts in their concatenation, and the row and the
-    offset d of every entry, row by row."""
-    mask = _shared(kv)
-    row, d = np.nonzero(mask)
-    return mask, _starts(mask.sum(1)), row, d - kv.degree
-
-
 def _starts(lengths) -> np.ndarray:
     """Where each of the lists of these lengths starts in their
     concatenation, with the total length last."""
     return np.concatenate([[0], np.cumsum(lengths)])
 
 
-def _kron_rows(code, ulens, shifts, vstart, tables, dtype):
+def _kron_rows(mask_u, shifts, vstart, tables, dtype):
     """Arrays over the entries of a tensor-product pattern, rows (i, j)
-    u-major, whose row (i, j) is the u list of row i, ``ulens[i]`` long,
-    times the v list of row j, u-major; ``vstart`` gives where each v list
-    starts in their concatenation. U rows whose ``code`` rows are equal
-    have lists equal up to a shift: array k is ``shifts[k][i]`` plus
+    u-major, whose row (i, j) is the u list of row i, the entries set in
+    ``mask_u[i]``, times the v list of row j, u-major; ``vstart`` gives
+    where each v list starts in their concatenation. U rows with equal
+    masks have lists equal up to a shift: array k is ``shifts[k][i]`` plus
     ``tables(i)[k]``, the (L, NV) values of row i's u entries against every
     v entry, read in (j, u entry, v entry) order.
 
@@ -440,9 +393,9 @@ def _kron_rows(code, ulens, shifts, vstart, tables, dtype):
     same values. Only the results are allocated at full size: page faults
     on fresh temporaries would cost more than the additions."""
     lens, nv = np.diff(vstart), vstart[-1]
-    offsets = _starts(ulens * nv)
+    offsets = _starts(mask_u.sum(1) * nv)
     out = [np.empty(offsets[-1], dtype) for _ in shifts]
-    classes, inverse = np.unique(code, axis=0, return_inverse=True)
+    classes, inverse = np.unique(mask_u, axis=0, return_inverse=True)
     for c in range(len(classes)):
         rows = np.flatnonzero(inverse.ravel() == c)
         zs = tables(rows[0])
@@ -470,8 +423,12 @@ def _csr_maps(kv_u: KnotVector, kv_v: KnotVector):
     (i + di, j + dj) is read from the band (n2, 2 p_v + 1, n1, p_u + 1)
     when di > 0, or di = 0 and dj >= 0, and else from its mirror. Read-only,
     int32 when every position fits."""
-    mask_u, (mask_v, vstart, j, dj) = _shared(kv_u), _lists(kv_v)
+    mask_u, mask_v = _shared(kv_u), _shared(kv_v)
     (n1, p_u), (n2, p_v) = (len(mask_u), kv_u.degree), (len(mask_v), kv_v.degree)
+    # the v lists: where each starts, and the row j and offset dj of every entry
+    vstart = _starts(mask_v.sum(1))
+    j, dj = np.nonzero(mask_v)
+    dj = dj - p_v
     size = n1 * n2 * (2 * p_u + 1) * (2 * p_v + 1)
     dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     # band rows of the v entries: upper (j, j + dj), its mirror, and the
@@ -486,8 +443,7 @@ def _csr_maps(kv_u: KnotVector, kv_v: KnotVector):
         return band_u[:, None] + band_v[np.sign(di) + 1], di[:, None] * n2 + (j + dj)
 
     rows = np.arange(n1)
-    gather, cols = _kron_rows(mask_u, mask_u.sum(1), (rows * (p_u + 1), rows * n2), vstart,
-                              tables, dtype)
+    gather, cols = _kron_rows(mask_u, (rows * (p_u + 1), rows * n2), vstart, tables, dtype)
     indptr = _starts(np.outer(mask_u.sum(1), np.diff(vstart)).ravel()).astype(dtype)
     for a in (gather, cols, indptr):
         a.flags.writeable = False
@@ -586,8 +542,9 @@ def assemble_weighted_stiffness(
 
     ``disc`` (:func:`discretization`) must match ``g``'s knots and weights
     (ValueError otherwise); without it the call builds its own, with the
-    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
-    quadrature grid, when the caller has it.
+    same bits. The matrix holds the discretization's read-only ``indices``
+    and ``indptr``, not copies. ``geo`` is ``g`` already evaluated with its
+    Jacobian on the quadrature grid, when the caller has it.
     """
     if disc is None:
         disc = discretization(g)
@@ -607,9 +564,7 @@ def assemble_weighted_stiffness(
         w = g.weights.w.ravel()
         rows = np.repeat(np.arange(g.ndof), np.diff(disc.indptr))
         data *= w[rows] * w[disc.indices]
-    # copies of the pattern: a caller may edit its matrix in place
-    return sp.csr_matrix((data, disc.indices.copy(), disc.indptr.copy()),
-                         shape=(g.ndof, g.ndof))
+    return sp.csr_matrix((data, disc.indices, disc.indptr), shape=(g.ndof, g.ndof))
 
 
 def assemble_load(
@@ -649,11 +604,29 @@ def assemble_load(
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Interior system after boundary-coefficient elimination."""
+    """Interior system A_II x = ``rhs`` after boundary-coefficient
+    elimination, held as the full matrix ``A``.
 
-    matrix: sp.csr_matrix
+    ``red @ x`` is the interior rows of ``A`` times the full-length vector
+    that is ``x`` on the interior and zero on the ring: the bits of A_II x,
+    since the ring columns multiply exact zeros and the CSR product sums
+    each row in index order. ``diagonal()`` is the diagonal of A_II, so
+    :func:`~mmiga.linalg.cg_solve` and
+    :meth:`FastDiagonalization.preconditioner` take the system as they
+    would take A_II.
+    """
+
+    A: sp.csr_matrix
     rhs: np.ndarray
     dofs: DofMap
+
+    def __matmul__(self, x):
+        full = np.zeros(self.dofs.total)
+        full[self.dofs.interior] = x
+        return (self.A @ full)[self.dofs.interior]
+
+    def diagonal(self) -> np.ndarray:
+        return self.A.diagonal()[self.dofs.interior]
 
 
 def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
@@ -715,34 +688,24 @@ def boundary_values(g: NurbsGeometry, bc) -> np.ndarray:
     return xb
 
 
-def apply_dirichlet(A, b, start: FieldCoefficients, *, disc: Discretization) -> ReducedSystem:
+def apply_dirichlet(A, b, start: FieldCoefficients) -> ReducedSystem:
     """Eliminate the boundary coefficients, which are the boundary ring of
     the start field ``start``; its interior entries are not read.
 
     The reduced interior system is A_II x_I = b_I - A_IB x_B; its
     right-hand side is the interior entries of b - A x_B, with x_B the
-    start's ring, zero off the ring.
-
-    ``A`` must have the CSR pattern of ``disc`` and ``start`` its grid
-    (ValueError otherwise). A_II takes its values from ``A.data`` at the
-    positions of the interior-interior entries, ``disc.interior``, built
-    once per discretization.
+    start's ring, zero off the ring. A_II is not copied out of ``A``: the
+    :class:`ReducedSystem` applies it as the interior rows of ``A``. The
+    start must have one entry per row of ``A`` (ValueError otherwise).
     """
     A = A.tocsr()
-    if not (np.array_equal(A.indptr, disc.indptr) and np.array_equal(A.indices, disc.indices)):
-        raise ValueError("matrix does not have the CSR pattern of the discretization")
-    if start.shape != disc.weights.shape:
-        raise ValueError(f"start field on grid {start.shape} does not match "
-                         f"{disc.weights.shape}")
+    if start.values.size != A.shape[0]:
+        raise ValueError(f"start field on grid {start.shape} does not match a matrix "
+                         f"of {A.shape[0]} rows")
     dm = dof_map(*start.shape)
     xb = np.zeros(dm.total)
     xb[dm.boundary] = start.values[dm.boundary]
-    pos, indices, indptr = disc.interior
-    rhs = b[dm.interior] - (A @ xb)[dm.interior]
-    n_int = len(dm.interior)
-    # copies of the pattern: a caller may edit its matrix in place
-    A_ii = sp.csr_matrix((A.data.take(pos), indices.copy(), indptr.copy()), shape=(n_int, n_int))
-    return ReducedSystem(A_ii, rhs, dm)
+    return ReducedSystem(A, b[dm.interior] - (A @ xb)[dm.interior], dm)
 
 
 def solve_dirichlet(
@@ -758,23 +721,26 @@ def solve_dirichlet(
     ``g``'s grid (ValueError otherwise): its boundary ring is the Dirichlet
     data and its interior entries are CG's initial guess. The boundary
     coefficients are eliminated (:func:`apply_dirichlet`), the interior
-    system is solved by CG with the fast-diagonalisation preconditioner,
-    and the result is a copy of the start with the solved interior.
+    system, the interior rows of ``A``, is solved by CG with the
+    fast-diagonalisation preconditioner, and the result is a copy of the
+    start with the solved interior.
 
     A cold start is the :func:`boundary_values` of the data with a zero
     interior; a run whose boundary ring stays put starts each solve from
     the last one, whose ring is the same data.
 
-    ``disc`` must match ``g`` (ValueError otherwise) and ``A`` have its
-    pattern; without it the call builds ``discretization(g)``, with the
-    same bits. It holds the preconditioner factors and the interior maps."""
+    ``disc`` must match ``g`` (ValueError otherwise); without it the call
+    builds ``discretization(g)``, with the same bits. The solve reads only
+    its preconditioner factors."""
     lin = lin or LinearSolverSettings()
     if disc is None:
         disc = discretization(g)
     disc.check(g)
-    red = apply_dirichlet(A, b, start, disc=disc)
-    x_int, _ = cg_solve(red.matrix, red.rhs, tol=lin.tol, maxit=lin.maxit,
-                        precond=disc.fdm.preconditioner(red.matrix),
+    if start.shape != g.shape:
+        raise ValueError(f"start field on grid {start.shape} does not match {g.shape}")
+    red = apply_dirichlet(A, b, start)
+    x_int, _ = cg_solve(red, red.rhs, tol=lin.tol, maxit=lin.maxit,
+                        precond=disc.fdm.preconditioner(red),
                         x0=start.values[red.dofs.interior])
     full = start.values.copy()
     full[red.dofs.interior] = x_int

@@ -92,20 +92,6 @@ def csr_maps_4d(kv_u, kv_v):
     return gather, cols, indptr
 
 
-def interior_slice(indices, indptr, shape):
-    """The positions, ``indices`` and ``indptr`` of the interior-interior
-    block of a CSR pattern on the (n1, n2) coefficient grid, by scipy
-    slicing a matrix whose values are the positions of its entries."""
-    n = len(indptr) - 1
-    ring = np.zeros(shape, dtype=bool)
-    ring[[0, -1], :] = ring[:, [0, -1]] = True
-    inner = np.flatnonzero(~ring.ravel())
-    positions = sp.csr_matrix((np.arange(len(indices), dtype=indices.dtype), indices, indptr),
-                              shape=(n, n))
-    block = positions[inner][:, inner]
-    return block.data, block.indices, block.indptr
-
-
 def bspline_value_recursive(knots, p, i, t):
     """Direct Cox-de Boor recursion for a single N_{i,p}(t); 0/0 taken as 0.
 

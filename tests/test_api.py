@@ -58,10 +58,10 @@ def test_no_function_takes_boundary_data_or_a_guess_apart_from_its_start():
     assert list(inspect.signature(solve_poisson).parameters) == ["g", "f", "bc", "lin"]
 
 
-def test_no_function_takes_nodes_and_every_elimination_takes_a_discretization():
+def test_no_function_takes_nodes_and_no_elimination_takes_a_discretization():
     # a refit and a mesh update evaluate the nodes of their geometry
-    # themselves, and a Dirichlet elimination reads the interior block of
-    # the pattern its discretization holds: no second way in for either
+    # themselves, and a Dirichlet elimination applies the interior rows of
+    # its matrix, so it reads nothing of a discretization
     takers = set()
     for name in MODULES:
         module = importlib.import_module(f"mmiga.{name}")
@@ -71,8 +71,7 @@ def test_no_function_takes_nodes_and_every_elimination_takes_a_discretization():
     assert takers == set()
     from mmiga.assembly import apply_dirichlet
 
-    disc = inspect.signature(apply_dirichlet).parameters["disc"]
-    assert disc.default is inspect.Parameter.empty
+    assert list(inspect.signature(apply_dirichlet).parameters) == ["A", "b", "start"]
 
 
 def _load_tracing():

@@ -39,7 +39,7 @@ from mmiga.splines import (
     make_open_knot_vector,
 )
 
-from oracles import csr_maps_4d, grad_fd, hess_fd, interior_slice, shared_element_pattern
+from oracles import csr_maps_4d, grad_fd, hess_fd, shared_element_pattern
 
 
 def _identity(p=2, m=2, rect=Rectangle(0, 1, 0, 1), mult=1):
@@ -267,16 +267,14 @@ def _knot_vectors(draw):
 @settings(max_examples=60, deadline=None)
 @given(kv_u=_knot_vectors(), kv_v=_knot_vectors(), equal=st.booleans(), seed=st.integers(0, 99))
 def test_discretization_maps_match_the_box_construction_bit_for_bit(kv_u, kv_v, equal, seed):
-    # the CSR maps and the interior block, written from the 1D lists, against
-    # the construction over the whole box of offsets and the scipy slice
+    # the CSR maps, written from the 1D lists, against the construction over
+    # the whole box of offsets
     assume(kv_u.n != kv_v.n)
     g0 = build_identity_geometry(Rectangle(0, 1, 0, 1), kv_u, kv_v)
     w = np.full(g0.shape, 2.0) if equal else np.random.default_rng(seed).uniform(0.7, 1.4, g0.shape)
     disc = discretization(NurbsGeometry(kv_u, kv_v, TensorWeights(w), g0.control_points))
-    refs = (*csr_maps_4d(kv_u, kv_v), *interior_slice(disc.indices, disc.indptr, g0.shape))
-    for name, got, ref in zip(("gather", "indices", "indptr", "positions", "interior indices",
-                               "interior indptr"), (disc.gather, disc.indices, disc.indptr,
-                                                    *disc.interior), refs):
+    for name, got, ref in zip(("gather", "indices", "indptr"),
+                              (disc.gather, disc.indices, disc.indptr), csr_maps_4d(kv_u, kv_v)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
@@ -363,6 +361,20 @@ def test_discretization_size_matches_memory_formula():
     # knot-only data stays small: under 10 MB at 128 x 128 cubic elements
     kv = make_open_knot_vector(3, 128)
     assert discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)).nbytes < 10e6
+
+
+def test_stiffness_holds_the_read_only_pattern_of_its_discretization():
+    # no copy of the pattern per matrix: its values may be changed in place,
+    # its pattern not
+    g = _random_rational(3, 3, seed=8)
+    disc = discretization(g)
+    A = assemble_weighted_stiffness(g, disc=disc)
+    for name in ("indices", "indptr"):
+        got = getattr(A, name)
+        assert np.shares_memory(got, getattr(disc, name)) and not got.flags.writeable, name
+    A.data *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        A.indices[0] = 1
 
 
 def test_forms_take_a_shared_geometry_grid_bit_identically():
@@ -468,12 +480,11 @@ def _cold(g, bc):
 
 def test_dirichlet_zero_bc_reduces_to_interior_restriction():
     g = _identity(p=2, m=3)
-    disc = discretization(g)
-    A = assemble_weighted_stiffness(g, disc=disc)
+    A = assemble_weighted_stiffness(g)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
     cold = _cold(g, lambda x, y: np.zeros_like(x))
     assert np.all(cold.values == 0.0)
-    red = apply_dirichlet(A, b, cold, disc=disc)
+    red = apply_dirichlet(A, b, cold)
     assert np.allclose(red.rhs, b[red.dofs.interior])
 
 
@@ -504,18 +515,20 @@ def test_dirichlet_eliminates_the_ring_of_the_start_field():
     # start's ring bit for bit and the same interior to the tolerance
     g = _random_rational(3, 1, seed=9)
     bc = lambda x, y: 1.0 + x * y
-    disc = discretization(g)
-    A = assemble_weighted_stiffness(g, disc=disc)
+    A = assemble_weighted_stiffness(g)
     b = assemble_load(g, lambda x, y: np.ones_like(x))
     cold = _cold(g, bc)
     assert not boundary_values(g, bc).flags.writeable
-    ref = apply_dirichlet(A, b, cold, disc=disc)
+    ref = apply_dirichlet(A, b, cold)
     dm = dof_map(*g.shape)
+    rng = np.random.default_rng(3)
     noisy = np.array(cold.values)
-    noisy[dm.interior] = np.random.default_rng(3).normal(size=len(dm.interior))
+    noisy[dm.interior] = rng.normal(size=len(dm.interior))
     noisy = FieldCoefficients(noisy, g.shape)
-    red = apply_dirichlet(A, b, noisy, disc=disc)
-    assert np.array_equal(red.matrix.data, ref.matrix.data)
+    red = apply_dirichlet(A, b, noisy)
+    A_ii = A[dm.interior][:, dm.interior]
+    x = rng.normal(size=len(dm.interior))
+    assert np.array_equal(red @ x, A_ii @ x) and np.array_equal(ref @ x, A_ii @ x)
     assert np.array_equal(red.rhs, ref.rhs)
     lin = LinearSolverSettings(tol=1e-12)
     sol, ref_sol = solve_dirichlet(A, b, g, noisy, lin), solve_dirichlet(A, b, g, cold, lin)
@@ -525,9 +538,12 @@ def test_dirichlet_eliminates_the_ring_of_the_start_field():
 
 @pytest.mark.parametrize("p,mult", [(2, 1), (3, 3)])
 def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, mult):
-    # the reference is the sliced matrix and b_I - A_I x_B, the elimination
-    # by scipy slicing; the interior maps must reproduce it bit for bit. A
-    # matrix of another pattern, or a start on another grid, is refused
+    # the reference is the elimination by scipy slicing, A[I][:, I] and
+    # b_I - A_I x_B: the reduced system applies the slice, and reads its
+    # diagonal, bit for bit without copying it out of A. A matrix of another
+    # pattern is eliminated the same way; a start of another size is refused
+    from scipy.sparse.linalg import spsolve
+
     g = _random_rational(p, mult, seed=60 + p + mult)
     disc = discretization(g)
     bc = lambda x, y: np.sin(x) * np.cos(y)
@@ -535,22 +551,26 @@ def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, m
     b = assemble_load(g, lambda x, y: np.exp(x - y))
     I = dof_map(*g.shape).interior
     xb = boundary_values(g, bc)
-    assert "interior" not in disc.__dict__  # built by the first elimination
     ref = A[I][:, I]
-    red = apply_dirichlet(A, b, _cold(g, bc), disc=disc)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(red.matrix, name), getattr(ref, name)), name
+    red = apply_dirichlet(A, b, _cold(g, bc))
+    assert red.A is A
+    for x in np.random.default_rng(p + mult).normal(size=(5, len(I))):
+        assert np.array_equal(red @ x, ref @ x)
+    assert np.array_equal(red.diagonal(), ref.diagonal())
     assert np.array_equal(red.rhs, b[I] - A[I] @ xb)
-    assert not disc.interior[0].flags.writeable
-    thinned = A.copy()  # another pattern: one interior-interior entry not stored
+    thinned = A.copy()  # another pattern: one interior-interior pair not stored
     r = I[len(I) // 2]
-    row = slice(A.indptr[r], A.indptr[r + 1])
-    thinned.data[row][A.indices[row] == r + 1] = 0.0
+    for i, j in ((r, r + 1), (r + 1, r)):
+        row = slice(A.indptr[i], A.indptr[i + 1])
+        thinned.data[row][A.indices[row] == j] = 0.0
     thinned.eliminate_zeros()
-    with pytest.raises(ValueError, match="pattern"):
-        apply_dirichlet(thinned, b, _cold(g, bc), disc=disc)
+    assert thinned.nnz == A.nnz - 2
+    u = solve_dirichlet(thinned, b, g, _cold(g, bc), LinearSolverSettings(tol=1e-12), disc=disc)
+    direct = spsolve(thinned[I][:, I].tocsc(), b[I] - thinned[I] @ xb)
+    assert np.linalg.norm(u.values[I] - direct) <= 1e-9 * np.linalg.norm(direct)
     with pytest.raises(ValueError, match="start field on grid"):
-        apply_dirichlet(A, b, FieldCoefficients(xb, g.shape[::-1]), disc=disc)
+        apply_dirichlet(A, b, FieldCoefficients(np.zeros(g.ndof + g.shape[1]),
+                                                (g.shape[0] + 1, g.shape[1])))
 
 
 def test_dirichlet_trace_interpolation_fourth_order():
@@ -572,9 +592,7 @@ def test_dirichlet_trace_interpolation_fourth_order():
 # ------------------------------------------------------------ preconditioner
 
 def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y)):
-    disc = discretization(g)
-    A = assemble_weighted_stiffness(g, disc=disc)
-    return apply_dirichlet(A, assemble_load(g, f), _cold(g, bc), disc=disc)
+    return apply_dirichlet(assemble_weighted_stiffness(g), assemble_load(g, f), _cold(g, bc))
 
 
 def _fdm(g):
@@ -588,8 +606,7 @@ def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
     # itself, so the preconditioned system is the identity up to rounding
     g = _identity(p=3, m=m, rect=Rectangle(-1, 1, -1, 1), mult=mult)
     red = _reduced(g)
-    _, it = cg_solve(red.matrix, red.rhs, tol=1e-12,
-                     precond=_fdm(g).preconditioner(red.matrix))
+    _, it = cg_solve(red, red.rhs, tol=1e-12, precond=_fdm(g).preconditioner(red))
     assert it <= 2
 
 
@@ -620,17 +637,19 @@ def test_preconditioned_solve_matches_a_direct_solve(p, mult):
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A = assemble_weighted_stiffness(g)
     red = _reduced(g, f, bc)
-    ref = spsolve(red.matrix.tocsc(), red.rhs)
+    I = red.dofs.interior
+    ref = spsolve(A[I][:, I].tocsc(), red.rhs)
     u = solve_dirichlet(A, assemble_load(g, f), g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
-    x = u.values[red.dofs.interior]
+    x = u.values[I]
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_preconditioner_is_symmetric_positive_definite():
     g = _random_rational(3, 1, seed=31)
     red = _reduced(g)
-    apply = _fdm(g).preconditioner(red.matrix)
-    n = red.matrix.shape[0]
+    I = red.dofs.interior
+    apply = _fdm(g).preconditioner(red.A[I][:, I])
+    n = len(I)
     P = np.column_stack([apply(e) for e in np.eye(n)])
     assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))
     for r in np.random.default_rng(4).normal(size=(20, n)):

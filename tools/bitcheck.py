@@ -30,9 +30,8 @@ The battery, all on fixed inputs:
   the field given the geometry's evaluation; a refit to moved nodes; and
   ``boundary_values``;
 - the knot-only arrays of ``discretization`` on that net and on a square
-  C^0 net (p=3, m=16): ``gather``, ``indices``, ``indptr``, the
-  ``interior`` maps and the preconditioner's ``U_u``, ``U_v``, ``eig`` and
-  ``diag``.
+  C^0 net (p=3, m=16): ``gather``, ``indices``, ``indptr`` and the
+  preconditioner's ``U_u``, ``U_v``, ``eig`` and ``diag``.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ def _discretizations(out: dict) -> None:
     square = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 1), kv, kv)
     for label, g in (("rational", _rational_net(np.random.default_rng(7))), ("C0_m16", square)):
         disc = assembly.discretization(g)
-        for name in ("gather", "indices", "indptr", "interior"):
+        for name in ("gather", "indices", "indptr"):
             out[f"disc.{label}.{name}"] = getattr(disc, name)
         for name in ("U_u", "U_v", "eig", "diag"):
             out[f"disc.{label}.fdm.{name}"] = getattr(disc.fdm, name)
