@@ -20,21 +20,36 @@ A_kl = w_k w_l sum_q phi_k^T H phi_l, where phi = (dN/du, dN/dv, N) of the
 B-spline product, H = (c / W^2) E^T J^-1 J^-T E, E = [I | -grad W / W] and
 c = Gauss weight * det J * a. Each (alpha, beta) term is contracted one
 direction at a time against element-local 1D pair tables d^a N_i d^b N_i'
-by matmul, and summed over elements into band form by fixed 0/1 scatter
-matrices. Only upper entries are formed; a fixed gather reads the CSR
-values out of the band, every lower entry from its mirror, so matrices are
-bit-symmetric and every sum runs in the same order on every run. With all
-weights equal, grad W = 0 and the terms in N itself are skipped. The CSR
-pattern holds the pairs of functions sharing an element, so on C^0 knots
-pairs with |i - i'| <= p that share none are not stored.
+by matmul, and summed over elements into band form: along u by a fixed 0/1
+scatter matrix, along v by adding each element's rows into the band
+through strided views. Only upper entries are formed; a fixed gather
+reads the CSR values out of the band, every lower entry from its mirror,
+so matrices are bit-symmetric and every sum runs in the same order on
+every run. With all weights equal, grad W = 0 and the terms in N itself
+are skipped. The CSR pattern holds the pairs of functions sharing an
+element, so on C^0 knots pairs with |i - i'| <= p that share none are not
+stored.
+
+The contraction runs one block of v element columns at a time
+(:func:`_blocks`), so besides the band no temporary is the size of the
+quadrature grid: at 128 x 128 cubic C^2 elements the stiffness peaks
+10 MB above its inputs, against 35 MB with each stage over the whole
+grid. The bits are those of the whole-grid stages. The metric is
+elementwise; the v products are batched per element, the same products
+in blocks; and the v band rows add their elements in ascending order, as
+one sparse product over all of them does. Only the u products are cut,
+by columns, and their inner dimension is an element's p + 1 Gauss points:
+BLAS kernels can round the last columns of a product differently from
+the same columns inside a wider one, and OpenBLAS 0.3.31 on AVX-512 does
+so from an inner dimension of 16 (measured), so no wider product is cut.
 
 All but the metric terms depend only on the knots. The quadrature grid
 and each direction's 1D preconditioner factors live with the knot vectors,
 and a :class:`Discretization` (:func:`discretization`) holds the pair
-tables, scatter and gather maps and the preconditioner's factors, 7.6 MB
-at 128 x 128 elements of degree 3 with equal weights. Every Dirichlet
-solve runs on one: a single solve builds one, and the moving-mesh loop
-builds one per run and passes it to every call.
+tables, the u scatter and gather maps and the preconditioner's factors,
+7.6 MB at 128 x 128 elements of degree 3 with equal weights.
+Every Dirichlet solve runs on one: a single solve builds one, and the
+moving-mesh loop builds one per run and passes it to every call.
 
 The pattern is a tensor product of 1D lists: function i's list holds the
 offsets di of the functions sharing an element with it, and row (i, j)
@@ -78,7 +93,7 @@ discretization on the same knot vectors factors not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,8 +188,10 @@ class FieldCoefficients:
 
 
 def _resolve_weight(weight, geo: GeometryGrid, shape):
+    """The diffusion weight's values on the quadrature grid, or None for
+    the weight 1, which the metric then skips: c * 1 is c."""
     if weight is None:
-        return np.ones(shape)
+        return None
     if callable(weight):
         vals = np.asarray(weight(geo.points[..., 0], geo.points[..., 1]), dtype=float)
     else:
@@ -182,6 +199,23 @@ def _resolve_weight(weight, geo: GeometryGrid, shape):
     if vals.shape != shape:
         raise ValueError(f"weight grid {vals.shape} does not match quadrature grid {shape}")
     return vals
+
+
+# Bytes of the largest temporary of one block of a blocked contraction
+# (:func:`_blocks`): the stiffness's blocks of v element columns and the
+# error norms' blocks of element rows. Larger blocks make fewer calls but
+# more fresh pages: on a 2-core AVX-512 host, 256 KiB ran the case2_tanh
+# moving-mesh run (32 x 32 cubic elements) and both at 128 x 128 fastest
+# of 128 KiB to 1 MiB, at 4-33 blocks a call.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _blocks(n: int, item_bytes: int) -> list:
+    """Slices cutting ``range(n)`` into consecutive blocks of items, each
+    as many as fit ``_BLOCK_BYTES`` at ``item_bytes`` per item, and at least
+    one; the last block holds what is left."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _element_tables(kv_u: KnotVector, kv_v: KnotVector):
@@ -297,10 +331,10 @@ class Discretization:
     them into band rows (i, i' - i);
     ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
     weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
-    weights are equal, and ``scatter_v`` adds them into band rows
-    (j, j' - j + p). ``gather`` reads the CSR values ``indices``/``indptr``
-    out of the band; the three are written from the 1D lists of the
-    pattern (:func:`_csr_maps`), and every stiffness matrix built on the
+    weights are equal, each added into band row (j, j' - j + p).
+    ``gather`` reads the CSR values ``indices``/``indptr`` out of the band;
+    the three are written from the 1D lists of the pattern
+    (:func:`_csr_maps`), and every stiffness matrix built on the
     discretization holds the read-only ``indices`` and ``indptr``
     themselves. ``fdm`` holds the preconditioner factors, whose 1D
     eigenvectors are the knot vectors' memo entries; a Dirichlet solve
@@ -313,7 +347,6 @@ class Discretization:
     pairs_u: np.ndarray
     scatter_u: sp.csr_matrix
     pairs_v: np.ndarray
-    scatter_v: sp.csr_matrix
     gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -321,13 +354,13 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: the weights, pair tables, scatter and
-        gather maps and CSR pattern; and the preconditioner factors
+        """Bytes held in arrays: the weights, pair tables, u scatter, gather
+        map and CSR pattern; and the preconditioner factors
         (:attr:`FastDiagonalization.nbytes`, which counts the knot vectors'
         eigenvectors it holds, once on a square mesh). The Gauss grid's
         tables, which the knot vectors hold, are not counted."""
-        arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr]
-        arrays += [a for m in (self.scatter_u, self.scatter_v) for a in (m.data, m.indices, m.indptr)]
+        arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr,
+                  self.scatter_u.data, self.scatter_u.indices, self.scatter_u.indptr]
         return sum(a.nbytes for a in arrays) + self.fdm.nbytes
 
     def check(self, g: NurbsGeometry) -> None:
@@ -465,9 +498,8 @@ def discretization(g: NurbsGeometry) -> Discretization:
                               for al, be in terms], axis=1).transpose(0, 2, 1).copy()
     pairs_u.flags.writeable = pairs_v.flags.writeable = False
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
-    scatter_v = _scatter(first_v, iv, jv - iv + p_v, 2 * p_v + 1, n2)
     fdm = fast_diagonalization(g.kv_u, g.kv_v)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v, scatter_v,
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v,
                           *_csr_maps(g.kv_u, g.kv_v), fdm)
 
 
@@ -480,25 +512,39 @@ def _first_bad_element(*masks):
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def _metric(g: NurbsGeometry, disc: Discretization, geo: GeometryGrid, wvals):
+def _weight_quotient(g: NurbsGeometry):
+    """The weight sum W and E's entries -W_u / W, -W_v / W over the
+    quadrature grid, or None when all weights are equal and grad W = 0."""
+    w = g.weights.w
+    if _equal_weights(w):
+        return None
+    sums = _spline_sums(fixed_basis(g, "gauss"), w[..., None], 1)
+    W = sums[0, 0][:, 0]
+    return W, -sums[1, 0][:, 0] / W, -sums[0, 1][:, 0] / W
+
+
+def _metric(g: NurbsGeometry, geo: GeometryGrid, wvals, quotient, cols: slice):
     """The entries (alpha, beta), alpha <= beta, of
-    H = (c / W^2) E^T J^-1 J^-T E over the quadrature grid, with
-    c = Gauss weight * det J * ``wvals`` and E = [I | -grad W / W]. With
-    all weights equal, grad W = 0 and the factor w_k w_l / W^2 of the form
-    is 1: only the 2 x 2 metric block c J^-1 J^-T is returned."""
-    j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
+    H = (c / W^2) E^T J^-1 J^-T E on the columns ``cols`` of the quadrature
+    grid, with c = Gauss weight * det J * ``wvals`` (``wvals`` None for 1)
+    and E = [I | -grad W / W] from ``quotient`` (:func:`_weight_quotient`).
+    With all weights equal (``quotient`` None), grad W = 0 and the factor
+    w_k w_l / W^2 of the form is 1: only the 2 x 2 metric block
+    c J^-1 J^-T is returned. Every entry is elementwise, so the columns
+    have the bits of the whole grid's."""
+    jac = geo.jac[:, cols]
+    j00, j01, j10, j11 = (jac[..., a, b] for a in (0, 1) for b in (0, 1))
     # c J^-1 J^-T = (c / det^2) adj(J) adj(J)^T
-    s = np.multiply.outer(g.kv_u.gauss.wts, g.kv_v.gauss.wts) * wvals / geo.det
+    s = np.multiply.outer(g.kv_u.gauss.wts, g.kv_v.gauss.wts[cols])
+    if wvals is not None:
+        s *= wvals[:, cols]
+    s /= geo.det[:, cols]
     H = {(0, 0): s * (j01 * j01 + j11 * j11),
          (0, 1): -s * (j00 * j01 + j10 * j11),
          (1, 1): s * (j00 * j00 + j10 * j10)}
-    w = g.weights.w
-    if _equal_weights(w):
+    if quotient is None:
         return H
-    sums = _spline_sums(fixed_basis(g, "gauss"), w[..., None], 1)
-    W = sums[0, 0][:, 0]
-    e_u = -sums[1, 0][:, 0] / W
-    e_v = -sums[0, 1][:, 0] / W
+    W, e_u, e_v = (a[:, cols] for a in quotient)
     H = {ab: h / (W * W) for ab, h in H.items()}
     H[0, 2] = H[0, 0] * e_u + H[0, 1] * e_v
     H[1, 2] = H[0, 1] * e_u + H[1, 1] * e_v
@@ -506,23 +552,45 @@ def _metric(g: NurbsGeometry, disc: Discretization, geo: GeometryGrid, wvals):
     return H
 
 
-def _band(disc: Discretization, H) -> np.ndarray:
-    """The upper band (n2, 2 p_v + 1, n1, p_u + 1) of the terms of
-    :data:`_TERMS` that ``H`` holds: each contracted along u and scattered
-    into u band rows, then all at once along v and into v band rows."""
+def _band(disc: Discretization, g: NurbsGeometry, geo: GeometryGrid, wvals) -> np.ndarray:
+    """The upper band (n2, 2 p_v + 1, n1, p_u + 1) of the form, one block
+    of v element columns at a time (:func:`_blocks`), with the bits of the
+    whole grid at once (see the module docstring).
+
+    A block takes its columns' metric entries (:func:`_metric`); contracts
+    each term of :data:`_TERMS` with the u pair tables and scatters it into
+    u band rows; contracts all terms at once with its elements' v pair
+    tables; and adds the result into the v band rows (j, j' - j + p_v).
+    Each band row sums its elements in ascending order, from 0: element e
+    adds its local row a into band row (first[e] + a, .), so a run of
+    elements whose first functions are equally spaced adds row a through
+    one strided view, and each run adds a = p_v, ..., 0 in turn."""
     _, nel_u, n_pu, q_u = disc.pairs_u.shape
-    nel_v = len(disc.pairs_v)
+    nel_v, _, tq_v = disc.pairs_v.shape
     q_v = len(disc.kv_v.gauss.pts) // nel_v
-    m = disc.scatter_u.shape[0]
-    terms = _TERMS[:4 if len(H) == 3 else 9]
-    z = np.empty((nel_v, len(terms) * q_v, m))
-    for t, (al, be) in enumerate(terms):
-        h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
-        x = disc.pairs_u[2 * _PHI[al][0] + _PHI[be][0]] @ h
-        xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
-        z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, nel_v, q_v).transpose(1, 2, 0)
-    y = disc.pairs_v[:, :, :len(terms) * q_v] @ z
-    return disc.scatter_v @ y.reshape(-1, m)
+    p_v, m = disc.kv_v.degree, disc.scatter_u.shape[0]
+    first = np.asarray(disc.kv_v.nonzero_spans) - p_v
+    quotient = _weight_quotient(g)
+    terms = _TERMS[:tq_v // q_v]
+    band = np.zeros((disc.kv_v.n, 2 * p_v + 1, m))
+    for ev in _blocks(nel_v, tq_v * m * 8):
+        H = _metric(g, geo, wvals, quotient, slice(ev.start * q_v, ev.stop * q_v))
+        z = np.empty((ev.stop - ev.start, tq_v, m))
+        for t, (al, be) in enumerate(terms):
+            h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
+            x = disc.pairs_u[2 * _PHI[al][0] + _PHI[be][0]] @ h
+            xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
+            z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, -1, q_v).transpose(1, 2, 0)
+        y = (disc.pairs_v[ev] @ z).reshape(len(z), p_v + 1, p_v + 1, m)
+        # a run ends after element k > 0 when its step to the next element
+        # differs from the step before it
+        step = np.diff(first[ev])
+        runs = [0, *(np.flatnonzero(step[1:] != step[:-1]) + 2), len(y)]
+        for r0, r1 in zip(runs, runs[1:]):
+            j, d = first[ev.start + r0], step[r0] if r1 - r0 > 1 else 1
+            for a in range(p_v, -1, -1):
+                band[j + a:j + a + d * (r1 - r0):d, p_v - a:2 * p_v + 1 - a] += y[r0:r1, a]
+    return band.reshape(-1, m)
 
 
 def assemble_weighted_stiffness(
@@ -552,15 +620,17 @@ def assemble_weighted_stiffness(
     geo = _gauss_geometry(g, geo)
     wvals = _resolve_weight(weight, geo, geo.det.shape)
 
-    if np.any(wvals <= 0.0) or np.any(geo.det <= 0.0):
-        bad_w = np.any(_grid_blocks(wvals, g) <= 0.0, axis=-1)
-        bad = _first_bad_element(bad_w, np.any(_grid_blocks(geo.det, g) <= 0.0, axis=-1))
+    weight_bad = wvals is not None and np.any(wvals <= 0.0)
+    if weight_bad or np.any(geo.det <= 0.0):
+        bad_det = np.any(_grid_blocks(geo.det, g) <= 0.0, axis=-1)
+        bad_w = (np.any(_grid_blocks(wvals, g) <= 0.0, axis=-1) if weight_bad
+                 else np.zeros_like(bad_det))
+        bad = _first_bad_element(bad_w, bad_det)
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    H = _metric(g, disc, geo, wvals)
-    data = _band(disc, H).ravel()[disc.gather]
-    if len(H) > 3:
+    data = _band(disc, g, geo, wvals).ravel()[disc.gather]
+    if not _equal_weights(g.weights.w):
         w = g.weights.w.ravel()
         rows = np.repeat(np.arange(g.ndof), np.diff(disc.indptr))
         data *= w[rows] * w[disc.indices]
@@ -613,17 +683,24 @@ class ReducedSystem:
     each row in index order. ``diagonal()`` is the diagonal of A_II, so
     :func:`~mmiga.linalg.cg_solve` and
     :meth:`FastDiagonalization.preconditioner` take the system as they
-    would take A_II.
+    would take A_II. The full-length vector is ``work``, one per system and
+    zero on the ring, so a product allocates only its result; a system is
+    therefore not for products from two threads at once.
     """
 
     A: sp.csr_matrix
     rhs: np.ndarray
     dofs: DofMap
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "work", np.zeros(self.dofs.total))
 
     def __matmul__(self, x):
-        full = np.zeros(self.dofs.total)
-        full[self.dofs.interior] = x
-        return (self.A @ full)[self.dofs.interior]
+        # only the interior of the work vector is ever written: its ring
+        # stays zero from one product to the next
+        self.work[self.dofs.interior] = x
+        return (self.A @ self.work)[self.dofs.interior]
 
     def diagonal(self) -> np.ndarray:
         return self.A.diagonal()[self.dofs.interior]
@@ -810,7 +887,14 @@ def eval_field_grid(
     if nders >= 1 and (geo is None or any(a is None for a in (geo.jac, geo.second)[:nders])):
         geo = _geometry_grid(pts_u, pts_v,
                              _rational_sums(tables, g.weights, g.control_points, nders), nders)
-    sums = _rational_sums(tables, g.weights, u.grid[:, :, None], nders)
+    return _field_grid(_rational_sums(tables, g.weights, u.grid[:, :, None], nders), geo, nders)
+
+
+def _field_grid(sums: dict, geo: GeometryGrid | None, nders: int) -> FieldGrid:
+    """The :class:`FieldGrid` of a field's :func:`~mmiga.geometry.rational_grid_sums`
+    on a grid, with the geometry ``geo`` evaluated there to order ``nders``
+    (None when ``nders`` is 0). Every step is elementwise, so a block of
+    the grid's rows has the bits of those rows of the whole."""
     values = sums[0, 0][..., 0]
     if nders == 0:
         return FieldGrid(values, None, None)

@@ -213,25 +213,42 @@ def rational_grid_sums(kv_u, kv_v, weights, coeffs, pts_u, pts_v, nders):
 
 
 def _rational_sums(tables: GridBasis, weights, coeffs, nders: int) -> dict:
-    """:func:`rational_grid_sums` on the grid of ``tables``. The weight sum
-    rides along as one more coefficient column, so the weighted numerator
-    sum_ij w_ij N_i N_j c_ij and the weight sum come out of the same
-    products, and :func:`~mmiga.splines.rational_derivatives` divides the
-    weight sum out. When all weights are equal, R_ij = N_i N_j exactly: the
-    coefficients are contracted as they are, with no weight column and no
-    quotient rule."""
+    """:func:`rational_grid_sums` on the grid of ``tables``: all the rows of
+    :func:`_rational_rows`."""
+    return _rational_rows(tables, weights, coeffs, nders)(slice(None))
+
+
+def _rational_rows(tables: GridBasis, weights, coeffs, nders: int):
+    """Contract the coefficients with the grid tables of ``tables`` once,
+    and return the function that gives the :func:`rational_grid_sums` of
+    the rows ``r`` (a slice) of the grid, the map
+    (a, b) -> (rows, Nv, m).
+
+    The weight sum rides along as one more coefficient column, so the
+    weighted numerator sum_ij w_ij N_i N_j c_ij and the weight sum come out
+    of the same products, and :func:`~mmiga.splines.rational_derivatives`
+    divides the weight sum out, on the rows asked for only: it is
+    elementwise, so they have the bits of those rows of the whole grid.
+    When all weights are equal, R_ij = N_i N_j exactly: the coefficients
+    are contracted as they are, with no weight column and no quotient
+    rule."""
     w = weights.w if isinstance(weights, TensorWeights) else np.asarray(weights, float)
     coeffs = np.asarray(coeffs, dtype=float)
-    if _equal_weights(w):
-        sums = _spline_sums(tables, coeffs, nders)
-    else:
-        m = coeffs.shape[-1]
-        sums = _spline_sums(tables, np.concatenate([w[..., None] * coeffs, w[..., None]], axis=-1),
-                            nders)
-        num = {ab: s[:, :m] for ab, s in sums.items()}
-        wsum = {ab: s[:, m:] for ab, s in sums.items()}
-        sums = rational_derivatives(num, wsum, nders)
-    return {ab: np.moveaxis(s, 1, 2) for ab, s in sums.items()}
+    m = coeffs.shape[-1]
+    rational = not _equal_weights(w)
+    if rational:
+        coeffs = np.concatenate([w[..., None] * coeffs, w[..., None]], axis=-1)
+    sums = _spline_sums(tables, coeffs, nders)
+
+    def rows(r: slice) -> dict:
+        out = {ab: s[r] for ab, s in sums.items()}
+        if rational:
+            num = {ab: s[:, :m] for ab, s in out.items()}
+            wsum = {ab: s[:, m:] for ab, s in out.items()}
+            out = rational_derivatives(num, wsum, nders)
+        return {ab: np.moveaxis(s, 1, 2) for ab, s in out.items()}
+
+    return rows
 
 
 def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> GeometryGrid:

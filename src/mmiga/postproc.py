@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FieldCoefficients, eval_field_grid
-from .geometry import NurbsGeometry, eval_geometry_grid, fixed_basis
+from .assembly import FieldCoefficients, _blocks, _field_grid, eval_field_grid
+from .geometry import (
+    NurbsGeometry,
+    _geometry_grid,
+    _rational_rows,
+    eval_geometry_grid,
+    fixed_basis,
+    grid_basis,
+)
 # _element_lattice stays importable here: acceptance criterion 7 reads it
 from .splines import _element_lattice, lattice_points  # noqa: F401
 
@@ -63,23 +70,46 @@ class LevelOrders:
     Linf: float | None
 
 
-def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
-    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map."""
-    quad = fixed_basis(g, "error_gauss")
-    geo = eval_geometry_grid(g, quad.u.pts, quad.v.pts, 1)
-    fg = eval_field_grid(g, u, quad.u.pts, quad.v.pts, nders=1, geo=geo)
-    X, Y = geo.points[..., 0], geo.points[..., 1]
-    w2 = np.multiply.outer(quad.u.wts, quad.v.wts) * geo.det
+def _error_cells(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution):
+    """The per-element integrals of (u - u_h)^2 and |grad(u - u_h)|^2 on
+    the error Gauss grid, each (nel_u, nel_v).
 
-    e_val = fg.values - exact.u(X, Y)
-    e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
-    e_gy = fg.grad[..., 1] - exact.du_dy(X, Y)
-
+    The geometry and the field are contracted with the grid's tables once,
+    on the whole grid; the rest, the quotient rule, the Jacobian and
+    gradient, the exact solution and the errors, runs one block of element
+    rows at a time (:func:`~mmiga.assembly._blocks`). Each of these steps is
+    elementwise and each element's sum lies in one block, so the cells have
+    the bits of the whole grid at once."""
+    quad = grid_basis(g.kv_u, g.kv_v, g.kv_u.error_gauss.pts, g.kv_v.error_gauss.pts, 1)
+    geo_rows = _rational_rows(quad, g.weights, g.control_points, 1)
+    field_rows = _rational_rows(quad, g.weights, u.grid[:, :, None], 1)
     nel_u = len(g.kv_u.nonzero_spans)
     nel_v = len(g.kv_v.nonzero_spans)
     qu, qv = len(quad.u.pts) // nel_u, len(quad.v.pts) // nel_v
-    l2_cells = (e_val * e_val * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
-    h1_cells = ((e_gx * e_gx + e_gy * e_gy) * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
+    l2_cells, h1_cells = np.empty((nel_u, nel_v)), np.empty((nel_u, nel_v))
+    # a block's largest temporary is its Jacobian, 4 values a point
+    for eu in _blocks(nel_u, qu * len(quad.v.pts) * 4 * 8):
+        rows = slice(eu.start * qu, eu.stop * qu)
+        geo = _geometry_grid(quad.u.pts[rows], quad.v.pts, geo_rows(rows), 1)
+        fg = _field_grid(field_rows(rows), geo, 1)
+        X, Y = geo.points[..., 0], geo.points[..., 1]
+        w2 = np.multiply.outer(quad.u.wts[rows], quad.v.wts) * geo.det
+
+        e_val = fg.values - exact.u(X, Y)
+        e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
+        e_gy = fg.grad[..., 1] - exact.du_dy(X, Y)
+        cells = (-1, qu, nel_v, qv)
+        l2_cells[eu] = (e_val * e_val * w2).reshape(cells).sum(axis=(1, 3))
+        h1_cells[eu] = ((e_gx * e_gx + e_gy * e_gy) * w2).reshape(cells).sum(axis=(1, 3))
+    return l2_cells, h1_cells
+
+
+def error_norms(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution) -> ErrorReport:
+    """L2 / H1-seminorm / lattice-max errors plus the per-element L2 map.
+
+    The norms sum the per-element integrals (:func:`_error_cells`) whole;
+    the grid contractions they hold are freed before the lattice max."""
+    l2_cells, h1_cells = _error_cells(g, u, exact)
     per_element_L2 = np.sqrt(l2_cells)
 
     # deterministic per-element lattice max, corners included

@@ -5,6 +5,11 @@ library: bisection instead of a sorted search for knot spans, direct
 recursion instead of triangular schemes, finite differences
 instead of chain rules, finite-difference stencils instead of Galerkin, and
 scipy direct solves instead of conjugate gradients.
+
+The exception is the whole-grid contractions at the end: the stiffness
+values and error norms exactly as the library computed them before it
+worked in blocks, every temporary the size of the whole quadrature grid.
+The blocked library must reproduce their bits.
 """
 
 import numpy as np
@@ -388,3 +393,100 @@ def rational_basis_derivatives(kv_u, kv_v, w, pts_u, pts_v):
     R[1, 1] = (A[1, 1] - W[1, 0] * R[0, 1] - W[0, 1] * R[1, 0] - W[1, 1] * R[0, 0]) / W[0, 0]
     R[0, 2] = (A[0, 2] - 2 * W[0, 1] * R[0, 1] - W[0, 2] * R[0, 0]) / W[0, 0]
     return R
+
+
+# ------------------------------------------------------- whole-grid contractions
+
+def _weight_values(weight, geo):
+    if weight is None:
+        return np.ones(geo.det.shape)
+    if callable(weight):
+        return np.asarray(weight(geo.points[..., 0], geo.points[..., 1]), dtype=float)
+    return np.asarray(weight, dtype=float)
+
+
+def stiffness_data_whole_grid(g, weight=None):
+    """The CSR values of ``assemble_weighted_stiffness(g, weight)``, with
+    every sum-factorisation stage over the whole Gauss grid at once: the
+    metric entries H of the whole grid (with the weight 1 as a grid of
+    ones), each term contracted along u and scattered into u band rows for
+    all v points, then all terms along v and one sparse product adding
+    every element into the v band rows."""
+    from mmiga import assembly, geometry
+
+    disc = assembly.discretization(g)
+    geo = geometry.eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
+    wvals = _weight_values(weight, geo)
+    j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
+    s = np.multiply.outer(g.kv_u.gauss.wts, g.kv_v.gauss.wts) * wvals / geo.det
+    H = {(0, 0): s * (j01 * j01 + j11 * j11),
+         (0, 1): -s * (j00 * j01 + j10 * j11),
+         (1, 1): s * (j00 * j00 + j10 * j10)}
+    w = g.weights.w
+    rational = not np.all(w == w.flat[0])
+    if rational:
+        sums = geometry._spline_sums(geometry.fixed_basis(g, "gauss"), w[..., None], 1)
+        W = sums[0, 0][:, 0]
+        e_u = -sums[1, 0][:, 0] / W
+        e_v = -sums[0, 1][:, 0] / W
+        H = {ab: h / (W * W) for ab, h in H.items()}
+        H[0, 2] = H[0, 0] * e_u + H[0, 1] * e_v
+        H[1, 2] = H[0, 1] * e_u + H[1, 1] * e_v
+        H[2, 2] = H[0, 2] * e_u + H[1, 2] * e_v
+
+    _, nel_u, n_pu, q_u = disc.pairs_u.shape
+    nel_v, n_pv, _ = disc.pairs_v.shape
+    q_v = len(g.kv_v.gauss.pts) // nel_v
+    m = disc.scatter_u.shape[0]
+    terms = assembly._TERMS[:9 if rational else 4]
+    z = np.empty((nel_v, len(terms) * q_v, m))
+    for t, (al, be) in enumerate(terms):
+        h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
+        x = disc.pairs_u[2 * assembly._PHI[al][0] + assembly._PHI[be][0]] @ h
+        xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
+        z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, nel_v, q_v).transpose(1, 2, 0)
+    y = disc.pairs_v[:, :, :len(terms) * q_v] @ z
+    p = g.kv_v.degree
+    first = np.asarray(g.kv_v.nonzero_spans) - p
+    iv, jv = np.divmod(np.arange(n_pv), p + 1)
+    rows = ((first[:, None] + iv) * (2 * p + 1) + jv - iv + p).ravel()
+    scatter_v = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                              shape=(g.kv_v.n * (2 * p + 1), len(rows)))
+    data = (scatter_v @ y.reshape(-1, m)).ravel()[disc.gather]
+    if rational:
+        wf = w.ravel()
+        data *= wf[np.repeat(np.arange(g.ndof), np.diff(disc.indptr))] * wf[disc.indices]
+    return data
+
+
+def error_norms_whole_grid(g, u, exact):
+    """``error_norms(g, u, exact)`` with the geometry, the field, the exact
+    solution and the errors evaluated on the whole error Gauss grid at
+    once."""
+    from mmiga import assembly, geometry, postproc
+
+    quad = geometry.fixed_basis(g, "error_gauss")
+    geo = geometry.eval_geometry_grid(g, quad.u.pts, quad.v.pts, 1)
+    fg = assembly.eval_field_grid(g, u, quad.u.pts, quad.v.pts, nders=1, geo=geo)
+    X, Y = geo.points[..., 0], geo.points[..., 1]
+    w2 = np.multiply.outer(quad.u.wts, quad.v.wts) * geo.det
+    e_val = fg.values - exact.u(X, Y)
+    e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
+    e_gy = fg.grad[..., 1] - exact.du_dy(X, Y)
+    nel_u, nel_v = len(g.kv_u.nonzero_spans), len(g.kv_v.nonzero_spans)
+    qu, qv = len(quad.u.pts) // nel_u, len(quad.v.pts) // nel_v
+    l2_cells = (e_val * e_val * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
+    h1_cells = ((e_gx * e_gx + e_gy * e_gy) * w2).reshape(nel_u, qu, nel_v, qv).sum(axis=(1, 3))
+
+    lat = geometry.fixed_basis(g, "lattice")
+    lgeo = geometry.eval_geometry_grid(g, lat.u.pts, lat.v.pts, 0)
+    lvals = assembly.eval_field_grid(g, u, lat.u.pts, lat.v.pts).values
+    linf = float(np.max(np.abs(lvals - exact.u(lgeo.points[..., 0], lgeo.points[..., 1]))))
+    brk = geometry.fixed_basis(g, "corners")
+    corners = geometry.eval_geometry_grid(g, brk.u.pts, brk.v.pts, 0).points
+    diag = corners[1:, 1:] - corners[:-1, :-1]
+    anti = corners[1:, :-1] - corners[:-1, 1:]
+    h = float(max(np.hypot(diag[..., 0], diag[..., 1]).max(),
+                  np.hypot(anti[..., 0], anti[..., 1]).max()))
+    return postproc.ErrorReport(float(np.sqrt(l2_cells.sum())), float(np.sqrt(h1_cells.sum())),
+                                linf, np.sqrt(l2_cells), g.ndof, h)

@@ -1,8 +1,13 @@
+import tracemalloc
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mmiga import assembly
 from mmiga.assembly import (
     FieldCoefficients,
     apply_dirichlet,
@@ -39,7 +44,15 @@ from mmiga.splines import (
     make_open_knot_vector,
 )
 
-from oracles import csr_maps_4d, grad_fd, hess_fd, shared_element_pattern
+from mmiga.postproc import ExactSolution, error_norms
+from oracles import (
+    csr_maps_4d,
+    error_norms_whole_grid,
+    grad_fd,
+    hess_fd,
+    shared_element_pattern,
+    stiffness_data_whole_grid,
+)
 
 
 def _identity(p=2, m=2, rect=Rectangle(0, 1, 0, 1), mult=1):
@@ -230,6 +243,99 @@ def test_stiffness_matches_one_hot_quadrature_oracle(p, c0, weights, variable, s
     assert np.max(np.abs(A.toarray() - K)) <= 1e-13 * np.max(np.abs(K))
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _blocked_nets(draw):
+    """A perturbed net of degree 1-4 on 1-9 x 1-9 uniform elements, C^{p-1},
+    C^0 or with interior knots of mixed multiplicities 1 .. p, and equal or
+    random weights."""
+    p, kind = draw(st.integers(1, 4)), draw(st.sampled_from(["smooth", "C0", "mixed"]))
+
+    def knots(m):
+        mults = [{"smooth": 1, "C0": p, "mixed": draw(st.integers(1, p))}[kind]
+                 for _ in range(m - 1)]
+        inner = np.repeat(np.arange(1, m) / m, mults)
+        return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
+
+    kv_u, kv_v = knots(draw(st.integers(1, 9))), knots(draw(st.integers(1, 9)))
+    g0 = build_identity_geometry(Rectangle(0, 1, 0, 2), kv_u, kv_v)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cp = g0.control_points.copy()
+    cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+    w = np.full(g0.shape, 1.3) if draw(st.booleans()) else rng.uniform(0.7, 1.4, g0.shape)
+    return NurbsGeometry(kv_u, kv_v, TensorWeights(w), cp)
+
+
+# block budgets in bytes: one element a block, a few (the last one short),
+# and one block for the whole grid
+_BUDGETS = st.one_of(st.just(1), st.integers(2_000, 60_000), st.just(1 << 40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=_blocked_nets(), weight_kind=st.sampled_from(["none", "array", "callable"]),
+       budget=_BUDGETS)
+@example(g=_net(3, 1, "random", seed=1), weight_kind="array", budget=1)
+@example(g=_net(3, 3, "unit", seed=2), weight_kind="none", budget=30_000)
+def test_blocked_stiffness_has_the_bits_of_the_whole_grid_contraction(g, weight_kind, budget):
+    shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
+    weight = {"none": None,
+              "array": np.random.default_rng(3).uniform(0.5, 2.0, shape),
+              "callable": lambda x, y: 1.0 + x * x + 0.5 * np.sin(5.0 * y)}[weight_kind]
+    with mock.patch.object(assembly, "_BLOCK_BYTES", budget):
+        A = assemble_weighted_stiffness(g, weight)
+    assert _same_bits(A.data, stiffness_data_whole_grid(g, weight))
+
+
+_SINE = ExactSolution(lambda x, y: np.sin(x) * np.sin(y),
+                      lambda x, y: np.cos(x) * np.sin(y),
+                      lambda x, y: np.sin(x) * np.cos(y))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=_blocked_nets(), budget=_BUDGETS, seed=st.integers(0, 99))
+@example(g=_net(4, 1, "random", seed=3), budget=1, seed=0)
+def test_blocked_error_norms_have_the_bits_of_the_whole_grid(g, budget, seed):
+    u = FieldCoefficients(np.random.default_rng(seed).normal(size=g.ndof), g.shape)
+    with mock.patch.object(assembly, "_BLOCK_BYTES", budget):
+        rep = error_norms(g, u, _SINE)
+    ref = error_norms_whole_grid(g, u, _SINE)
+    for f in fields(rep):
+        assert _same_bits(getattr(rep, f.name), getattr(ref, f.name)), f.name
+
+
+def test_stiffness_and_error_norms_stay_near_the_matrix_in_memory():
+    # p=3, 64 x 64 C^2 elements: above its inputs (the discretization and the
+    # Gauss-grid geometry), the stiffness's traced peak is under 2x the
+    # matrix's own bytes (values, indices, row pointers), and that of the
+    # error norms under 4.5x. Blocks take 1.1x and 3.4x (the error norms
+    # keep their whole-grid contractions, 3.1x); whole-grid temporaries took
+    # 3.7x and 5.8x
+    kv = make_open_knot_vector(3, 64)
+    g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
+    disc = discretization(g)
+    geo = eval_geometry_grid(g, kv.gauss.pts, kv.gauss.pts, 1)
+    u = FieldCoefficients(np.random.default_rng(0).normal(size=g.ndof), g.shape)
+    error_norms(g, u, _SINE)  # the knot vectors' memo tables, kept, grow here
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
+        stiffness = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        error_norms(g, u, _SINE)
+        errors = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    own = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert stiffness < 2.0 * own, stiffness / own
+    assert errors < 4.5 * own, errors / own
+
+
 @pytest.mark.parametrize("weights", ["unit", "random"])
 @pytest.mark.parametrize("p,mult", [(2, 1), (2, 2), (3, 1), (3, 3)])
 def test_stiffness_is_bit_symmetric_and_reproducible(p, mult, weights):
@@ -347,13 +453,13 @@ def test_discretization_size_matches_memory_formula():
     disc = discretization(g)
     assert disc.pairs_u.shape == (4, 3, 10, 4)
     assert disc.pairs_v.shape == (4, 16, 9 * 4)
-    assert disc.scatter_u.shape == (6 * 4, 3 * 10) and disc.scatter_v.shape == (7 * 7, 4 * 16)
+    assert disc.scatter_u.shape == (6 * 4, 3 * 10)
     nnz = 30 * 37
     assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
     assert disc.gather.dtype == disc.indices.dtype == np.int32
     floats = 6 * 7 + disc.pairs_u.size + disc.pairs_v.size
-    scatter = sum(a.nbytes for s in (disc.scatter_u, disc.scatter_v)
-                  for a in (s.data, s.indices, s.indptr))
+    scatter = sum(a.nbytes for a in (disc.scatter_u.data, disc.scatter_u.indices,
+                                     disc.scatter_u.indptr))
     ints = 2 * nnz + 6 * 7 + 1
     assert disc.nbytes == 8 * floats + 4 * ints + scatter + disc.fdm.nbytes
     assert disc.fdm.U_u.shape == (g.shape[0] - 2,) * 2

@@ -27,8 +27,9 @@ The battery, all on fixed inputs:
   case1_sine, C^2 cubics at m=16 and 32 and C^0 cubics at m=16;
 - on a perturbed rational net, C^2 along u and C^0 along v: the geometry
   and a field on every fixed grid at orders 0-2 (the lattice at order 0),
-  the field given the geometry's evaluation; a refit to moved nodes; and
-  ``boundary_values``;
+  the field given the geometry's evaluation; a refit to moved nodes;
+  ``boundary_values``; the stiffness values, with no diffusion weight and
+  with a random array of one, and the load vector;
 - the knot-only arrays of ``discretization`` on that net and on a square
   C^0 net (p=3, m=16): ``gather``, ``indices``, ``indptr`` and the
   preconditioner's ``U_u``, ``U_v``, ``eig`` and ``diag``.
@@ -160,6 +161,11 @@ def _grids(out: dict) -> None:
     targets[1:-1, 1:-1] += 0.003 * rng.uniform(-1, 1, size=targets[1:-1, 1:-1].shape)
     out["refit"] = geometry.refit_from_node_targets(g, targets).control_points
     out["boundary_values"] = assembly.boundary_values(g, lambda x, y: np.sin(3 * x) * np.exp(y))
+    shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
+    out["stiffness"] = assembly.assemble_weighted_stiffness(g).data
+    out["stiffness.weighted"] = assembly.assemble_weighted_stiffness(
+        g, rng.uniform(0.5, 2.0, size=shape)).data
+    out["load"] = assembly.assemble_load(g, lambda x, y: np.cos(2 * x) * (1 + y * y))
 
 
 def _discretizations(out: dict) -> None:
