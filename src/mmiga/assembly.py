@@ -46,10 +46,10 @@ so from an inner dimension of 16 (measured), so no wider product is cut.
 All but the metric terms depend only on the knots. The quadrature grid
 and each direction's 1D preconditioner factors live with the knot vectors,
 and a :class:`Discretization` (:func:`discretization`) holds the pair
-tables, the u scatter and gather maps and the preconditioner's factors,
-7.6 MB at 128 x 128 elements of degree 3 with equal weights.
-Every Dirichlet solve runs on one: a single solve builds one, and the
-moving-mesh loop builds one per run and passes it to every call.
+tables and the u scatter and gather maps, 7.2 MB at 128 x 128 elements
+of degree 3 with equal weights. Only the stiffness reads one: a single
+assembly builds one, and the moving-mesh loop builds one per run and
+passes it to every stiffness call.
 
 The pattern is a tensor product of 1D lists: function i's list holds the
 offsets di of the functions sharing an element with it, and row (i, j)
@@ -83,12 +83,12 @@ rule; a symmetric diagonal scaling S matches its diagonal to that of the
 actual interior matrix, which carries the geometry, the weights and the
 diffusion coefficient. Applying P^-1 = S (U_u (x) U_v) (L_u (+) L_v)^-1
 (U_u (x) U_v)^T S to a residual is two dense matmuls each way on the
-interior coefficient grid. The factors (:class:`FastDiagonalization`)
-depend only on the knots, and a :class:`Discretization` holds them. Each
-direction's eigendecomposition is a memo entry of its knot vector
+interior coefficient grid. Each direction's eigendecomposition depends
+only on its knots and is a memo entry of its knot vector
 (:attr:`~mmiga.splines.KnotVector.interior_eigen`), so a square mesh,
-whose two directions share one knot vector, factors once, and another
-discretization on the same knot vectors factors not at all.
+whose two directions share one knot vector, factors once, and a later
+solve on the same knot vectors factors not at all
+(:func:`fast_diagonalization`).
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ __all__ = [
     "FieldGrid",
     "ReducedSystem",
     "Discretization",
-    "FastDiagonalization",
     "gauss_rule",
     "dof_map",
     "discretization",
@@ -245,70 +244,40 @@ def _grid_blocks(x: np.ndarray, g: NurbsGeometry) -> np.ndarray:
     return blocks.reshape(nu, nv, -1)
 
 
-@dataclass(frozen=True, eq=False)
-class FastDiagonalization:
-    """Factors of the fast-diagonalisation preconditioner of the interior
-    system, built by :func:`fast_diagonalization` from the knots alone.
+def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector, A_ii):
+    """The callable r -> P^-1 r of the fast-diagonalisation preconditioner
+    for the interior matrix ``A_ii`` on the knot vectors ``kv_u``, ``kv_v``,
+    whose rows and columns run over the (n1 - 2, n2 - 2) interior grid in
+    row-major order: a matrix or a :class:`ReducedSystem`, of which only
+    ``diagonal()`` is read.
 
-    ``U_u``, ``U_v`` are the M-orthonormal generalized eigenvectors of each
-    direction's interior stiffness and mass, read-only and held by the knot
-    vectors (one array when both directions share a knot vector); ``eig``
-    the eigenvalue sums L_u[i] + L_v[j] and ``diag`` the diagonal of
-    K_u (x) M_v + M_u (x) K_v, both over the (n1 - 2, n2 - 2) interior
-    coefficient grid.
-    """
-
-    U_u: np.ndarray
-    U_v: np.ndarray
-    eig: np.ndarray
-    diag: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in the four arrays, ``U_u`` once when it is ``U_v``
-        (the knot vectors' shared memo entry on a square mesh)."""
-        arrays = {id(a): a for a in (self.U_u, self.U_v, self.eig, self.diag)}
-        return sum(a.nbytes for a in arrays.values())
-
-    def preconditioner(self, A_ii):
-        """The callable r -> P^-1 r for the interior matrix ``A_ii``, whose
-        rows and columns run over the interior grid in row-major order: a
-        matrix or a :class:`ReducedSystem`, of which only ``diagonal()`` is
-        read.
-
-        The scaling S = sqrt(diag / diag(A_ii)) gives the scaled reference
-        operator S^-1 (K_u (x) M_v + M_u (x) K_v) S^-1, whose inverse this
-        applies, the diagonal of ``A_ii``. A nonpositive diagonal entry
-        means ``A_ii`` is not SPD: BreakdownError.
-        """
-        d = A_ii.diagonal()
-        if np.any(d <= 0):
-            raise BreakdownError("nonpositive diagonal entry; matrix is not SPD")
-        s = np.sqrt(self.diag / d.reshape(self.diag.shape))
-
-        def apply(r):
-            y = self.U_u.T @ (s * r.reshape(s.shape)) @ self.U_v
-            y /= self.eig
-            return (s * (self.U_u @ y @ self.U_v.T)).ravel()
-
-        return apply
-
-
-def fast_diagonalization(kv_u: KnotVector, kv_v: KnotVector) -> FastDiagonalization:
-    """The :class:`FastDiagonalization` of the knot vectors ``kv_u``,
-    ``kv_v``, from each direction's 1D factors, the knot vector's
-    ``interior_eigen`` memo entry (:class:`~mmiga.splines.InteriorEigen`):
-    the generalized eigenpairs of the B-spline stiffness and mass on its
+    Each direction's 1D factors are its knot vector's ``interior_eigen``
+    memo entry (:class:`~mmiga.splines.InteriorEigen`): the M-orthonormal
+    generalized eigenpairs of the B-spline stiffness and mass on its
     assembly Gauss rule, restricted to the functions that vanish at both
     ends. Those are computed once per knot vector, so a square mesh, whose
-    directions share one, factors once, and a later discretization on the
-    same knot vectors reuses them; ``U_u`` and ``U_v`` are the memo's
-    read-only arrays. Only the eigenvalue sums and the diagonal over the
-    interior grid are built here."""
+    directions share one, factors once, and a later solve on the same knot
+    vectors reuses them. Only the eigenvalue sums L_u[i] + L_v[j] and the
+    diagonal of K_u (x) M_v + M_u (x) K_v over the interior grid are built
+    here. The scaling S = sqrt(diag / diag(A_ii)) gives the scaled
+    reference operator S^-1 (K_u (x) M_v + M_u (x) K_v) S^-1, whose inverse
+    this applies, the diagonal of ``A_ii``. A nonpositive diagonal entry
+    means ``A_ii`` is not SPD: BreakdownError.
+    """
     eu, ev = kv_u.interior_eigen, kv_v.interior_eigen
-    return FastDiagonalization(
-        eu.U, ev.U, np.add.outer(eu.lam, ev.lam), np.outer(eu.k, ev.m) + np.outer(eu.m, ev.k)
-    )
+    eig = np.add.outer(eu.lam, ev.lam)
+    diag = np.outer(eu.k, ev.m) + np.outer(eu.m, ev.k)
+    d = A_ii.diagonal()
+    if np.any(d <= 0):
+        raise BreakdownError("nonpositive diagonal entry; matrix is not SPD")
+    s = np.sqrt(diag / d.reshape(diag.shape))
+
+    def apply(r):
+        y = eu.U.T @ (s * r.reshape(s.shape)) @ ev.U
+        y /= eig
+        return (s * (eu.U @ y @ ev.U.T)).ravel()
+
+    return apply
 
 
 # phi = (dN/du, dN/dv, N) of the B-spline product N = N_i(u) N_j(v): the
@@ -321,7 +290,7 @@ _TERMS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2)
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """The knot-only part of assembly and solve, built once by
+    """The knot-only part of the stiffness assembly, built once by
     :func:`discretization` and checked against the knots and weights of
     each geometry passed with it.
 
@@ -336,9 +305,8 @@ class Discretization:
     the three are written from the 1D lists of the pattern
     (:func:`_csr_maps`), and every stiffness matrix built on the
     discretization holds the read-only ``indices`` and ``indptr``
-    themselves. ``fdm`` holds the preconditioner factors, whose 1D
-    eigenvectors are the knot vectors' memo entries; a Dirichlet solve
-    needs nothing else of it.
+    themselves. A Dirichlet solve reads none of it: its preconditioner's
+    factors are the knot vectors' (:func:`fast_diagonalization`).
     """
 
     kv_u: KnotVector
@@ -350,18 +318,15 @@ class Discretization:
     gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    fdm: FastDiagonalization
 
     @property
     def nbytes(self) -> int:
         """Bytes held in arrays: the weights, pair tables, u scatter, gather
-        map and CSR pattern; and the preconditioner factors
-        (:attr:`FastDiagonalization.nbytes`, which counts the knot vectors'
-        eigenvectors it holds, once on a square mesh). The Gauss grid's
-        tables, which the knot vectors hold, are not counted."""
+        map and CSR pattern. The Gauss grid's tables, which the knot vectors
+        hold, are not counted."""
         arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr,
                   self.scatter_u.data, self.scatter_u.indices, self.scatter_u.indptr]
-        return sum(a.nbytes for a in arrays) + self.fdm.nbytes
+        return sum(a.nbytes for a in arrays)
 
     def check(self, g: NurbsGeometry) -> None:
         """Raise ValueError unless ``g`` has the knots and weights this
@@ -498,9 +463,8 @@ def discretization(g: NurbsGeometry) -> Discretization:
                               for al, be in terms], axis=1).transpose(0, 2, 1).copy()
     pairs_u.flags.writeable = pairs_v.flags.writeable = False
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
-    fdm = fast_diagonalization(g.kv_u, g.kv_v)
     return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v,
-                          *_csr_maps(g.kv_u, g.kv_v), fdm)
+                          *_csr_maps(g.kv_u, g.kv_v))
 
 
 def _first_bad_element(*masks):
@@ -681,11 +645,11 @@ class ReducedSystem:
     that is ``x`` on the interior and zero on the ring: the bits of A_II x,
     since the ring columns multiply exact zeros and the CSR product sums
     each row in index order. ``diagonal()`` is the diagonal of A_II, so
-    :func:`~mmiga.linalg.cg_solve` and
-    :meth:`FastDiagonalization.preconditioner` take the system as they
-    would take A_II. The full-length vector is ``work``, one per system and
-    zero on the ring, so a product allocates only its result; a system is
-    therefore not for products from two threads at once.
+    :func:`~mmiga.linalg.cg_solve` and :func:`fast_diagonalization` take
+    the system as they would take A_II. The full-length vector is
+    ``work``, one per system and zero on the ring, so a product allocates
+    only its result; a system is therefore not for products from two
+    threads at once.
     """
 
     A: sp.csr_matrix
@@ -773,11 +737,16 @@ def apply_dirichlet(A, b, start: FieldCoefficients) -> ReducedSystem:
     right-hand side is the interior entries of b - A x_B, with x_B the
     start's ring, zero off the ring. A_II is not copied out of ``A``: the
     :class:`ReducedSystem` applies it as the interior rows of ``A``. The
-    start must have one entry per row of ``A`` (ValueError otherwise).
+    start and ``b``, a 1D array, must each have one entry per row of ``A``
+    (ValueError otherwise).
     """
     A = A.tocsr()
     if start.values.size != A.shape[0]:
         raise ValueError(f"start field on grid {start.shape} does not match a matrix "
+                         f"of {A.shape[0]} rows")
+    b = np.asarray(b)
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"right-hand side of shape {b.shape} does not match a matrix "
                          f"of {A.shape[0]} rows")
     dm = dof_map(*start.shape)
     xb = np.zeros(dm.total)
@@ -791,8 +760,6 @@ def solve_dirichlet(
     g: NurbsGeometry,
     start: FieldCoefficients,
     lin: LinearSolverSettings | None = None,
-    *,
-    disc: Discretization | None = None,
 ) -> FieldCoefficients:
     """Solve A x = b from the start field ``start``, a coefficient field on
     ``g``'s grid (ValueError otherwise): its boundary ring is the Dirichlet
@@ -806,18 +773,15 @@ def solve_dirichlet(
     interior; a run whose boundary ring stays put starts each solve from
     the last one, whose ring is the same data.
 
-    ``disc`` must match ``g`` (ValueError otherwise); without it the call
-    builds ``discretization(g)``, with the same bits. The solve reads only
-    its preconditioner factors."""
+    Of ``g`` the solve reads only its grid shape and its knot vectors,
+    whose memo entries hold the preconditioner's 1D factors
+    (:func:`fast_diagonalization`); it builds no :class:`Discretization`."""
     lin = lin or LinearSolverSettings()
-    if disc is None:
-        disc = discretization(g)
-    disc.check(g)
     if start.shape != g.shape:
         raise ValueError(f"start field on grid {start.shape} does not match {g.shape}")
     red = apply_dirichlet(A, b, start)
     x_int, _ = cg_solve(red, red.rhs, tol=lin.tol, maxit=lin.maxit,
-                        precond=disc.fdm.preconditioner(red),
+                        precond=fast_diagonalization(g.kv_u, g.kv_v, red),
                         x0=start.values[red.dofs.interior])
     full = start.values.copy()
     full[red.dofs.interior] = x_int
@@ -827,16 +791,14 @@ def solve_dirichlet(
 def solve_poisson(g: NurbsGeometry, f, bc,
                   lin: LinearSolverSettings | None = None) -> FieldCoefficients:
     """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary, from a
-    cold start. One evaluation of the geometry on the quadrature grid and
-    one :class:`Discretization` serve both forms and the solve; repeated
-    solves build these once and call the forms and :func:`solve_dirichlet`.
+    cold start. One evaluation of the geometry on the quadrature grid serves
+    both forms; repeated solves build it and a :class:`Discretization` for
+    the stiffness once and call the forms and :func:`solve_dirichlet`.
     """
-    disc = discretization(g)
     geo = eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
-    A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
+    A = assemble_weighted_stiffness(g, geo=geo)
     b = assemble_load(g, f, geo=geo)
-    return solve_dirichlet(A, b, g, FieldCoefficients(boundary_values(g, bc), g.shape), lin,
-                           disc=disc)
+    return solve_dirichlet(A, b, g, FieldCoefficients(boundary_values(g, bc), g.shape), lin)
 
 
 @dataclass(frozen=True)

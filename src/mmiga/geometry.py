@@ -89,8 +89,9 @@ class Rectangle:
 class NurbsGeometry:
     """Rational tensor-product surface: knot vectors, weights, control net.
 
-    ``control_points`` has shape (n1, n2, 2) in physical coordinates. The
-    geometry is immutable; mesh updates build a new instance.
+    ``control_points`` has shape (n1, n2, 2) in physical coordinates, all
+    finite (ValueError otherwise). The geometry is immutable; mesh updates
+    build a new instance.
     """
 
     kv_u: KnotVector
@@ -109,6 +110,8 @@ class NurbsGeometry:
             raise ValueError(
                 f"control net {cp.shape} does not match basis ({n1}, {n2}, 2)"
             )
+        if not np.all(np.isfinite(cp)):
+            raise ValueError("all control points must be finite")
         cp.flags.writeable = False
         object.__setattr__(self, "control_points", cp)
 

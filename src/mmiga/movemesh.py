@@ -299,14 +299,12 @@ def init_logical_mesh(
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
     on the boundary, from a cold start; the nodal values are frozen for the
-    whole run. ``disc`` goes to the stiffness assembly and both solves;
-    without it the call builds one for all three."""
-    if disc is None:
-        disc = discretization(g0)
+    whole run. ``disc`` goes to the stiffness assembly, which builds its
+    own without it; the solves read none."""
     A = assemble_weighted_stiffness(g0, disc=disc)
     cold = tuple(FieldCoefficients(boundary_values(g0, bmap.component(k)), g0.shape)
                  for k in range(2))
-    fields = _solve_components(A, g0, cold, lin, disc)
+    fields = _solve_components(A, g0, cold, lin)
     gu, gv = g0.kv_u.greville.pts, g0.kv_v.greville.pts
     vals = [eval_field_grid(g0, f, gu, gv).values for f in fields]
     return LogicalMesh(fields, np.stack(vals, axis=-1))
@@ -369,27 +367,25 @@ def solve_harmonic_map(
     (:func:`~mmiga.assembly.solve_dirichlet`): its boundary ring is that
     component of the boundary map and its interior the first guess, as in
     the previous map or the reference fields of :func:`init_logical_mesh`.
-    ``disc`` goes to the stiffness assembly and both solves; without it the
-    call builds one for all three. The monitor and the stiffness share one
+    ``disc`` goes to the stiffness assembly, which builds its own without
+    it; the solves read none. The monitor and the stiffness share one
     evaluation of ``g`` with its Jacobian on the quadrature grid: ``geo``
     when the caller has it (the PDE solve of the same mesh made one), else
     a fresh one.
     """
-    if disc is None:
-        disc = discretization(g)
     pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
     if geo is None:
         geo = eval_geometry_grid(g, pts_u, pts_v, 1)
     m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo)
     A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
-    return _solve_components(A, g, start, lin, disc)
+    return _solve_components(A, g, start, lin)
 
 
-def _solve_components(A, g, start, lin, disc):
+def _solve_components(A, g, start, lin):
     """Both logical-map components from one stiffness matrix ``A`` and zero
     source, each from its start field."""
     zero = np.zeros(g.ndof)
-    return tuple(solve_dirichlet(A, zero, g, s, lin, disc=disc) for s in start)
+    return tuple(solve_dirichlet(A, zero, g, s, lin) for s in start)
 
 
 def _xi_at_nodes(g, xi, nders=0):
@@ -530,8 +526,10 @@ class _MoveMeshRun:
     Mesh moves change interior control points only, so the work that
     depends on knots, weights and the boundary ring alone is done once per
     run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
-    time and size are logged at INFO) serves every assembly and solve, and
-    the Dirichlet data are built once on ``g0``, as the rings of the cold
+    time and size are logged at INFO) serves every stiffness assembly,
+    every Dirichlet solve takes its preconditioner's 1D factors from the
+    knot vectors' memo entries, factored on the first solve, and the
+    Dirichlet data are built once on ``g0``, as the rings of the cold
     starts of the first PDE solve and of :func:`init_logical_mesh`. Every
     Dirichlet solve returns the ring of its start field
     (:func:`~mmiga.assembly.solve_dirichlet`), and every later solve starts
@@ -600,7 +598,7 @@ class _MoveMeshRun:
         """The PDE solution on ``g`` (evaluated in ``geo``) from ``start``."""
         A = assemble_weighted_stiffness(g, disc=self.disc, geo=self.geo)
         b = assemble_load(g, self.problem.f, geo=self.geo)
-        return solve_dirichlet(A, b, g, start, self.cfg.lin, disc=self.disc)
+        return solve_dirichlet(A, b, g, start, self.cfg.lin)
 
     def _solve_map(self, lin: LinearSolverSettings) -> None:
         """Re-solves ``state.xi`` on the current mesh at ``lin``'s tolerance,

@@ -253,7 +253,8 @@ class BasisEval:
 
 @dataclass(frozen=True)
 class TensorWeights:
-    """Positive weight grid of a tensor-product rational basis."""
+    """Positive, finite weight grid of a tensor-product rational basis
+    (ValueError otherwise)."""
 
     w: np.ndarray
 
@@ -261,6 +262,8 @@ class TensorWeights:
         w = np.ascontiguousarray(self.w, dtype=float)
         if w.ndim != 2:
             raise ValueError("weights must form a 2D grid")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("all weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("all weights must be strictly positive")
         w.flags.writeable = False

@@ -74,6 +74,23 @@ def test_no_function_takes_nodes_and_no_elimination_takes_a_discretization():
     assert list(inspect.signature(apply_dirichlet).parameters) == ["A", "b", "start"]
 
 
+def test_only_the_stiffness_and_its_callers_take_a_discretization():
+    # a Dirichlet solve takes its preconditioner's factors from the knot
+    # vectors, so only the stiffness, and the map solves that assemble one,
+    # take a discretization
+    takers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"mmiga.{name}")
+        for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if inspect.isfunction(obj) and "disc" in inspect.signature(obj).parameters:
+                takers.add(f"{obj.__module__}.{obj.__name__}")
+    assert takers == {"mmiga.assembly.assemble_weighted_stiffness",
+                      "mmiga.movemesh.init_logical_mesh", "mmiga.movemesh.solve_harmonic_map"}
+    from mmiga.assembly import solve_dirichlet
+
+    assert list(inspect.signature(solve_dirichlet).parameters) == ["A", "b", "g", "start", "lin"]
+
+
 def _load_tracing():
     """The benchmark's tracer, loaded from its file without touching it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)

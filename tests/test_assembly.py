@@ -387,7 +387,7 @@ def test_discretization_maps_match_the_box_construction_bit_for_bit(kv_u, kv_v, 
 def test_preconditioner_factors_once_per_knot_vector(monkeypatch):
     # each direction's eigendecomposition is a memo entry of its knot vector:
     # one eigh for a square mesh, one per knot vector otherwise, and none for
-    # a second discretization on the same knot vectors
+    # a second solve on the same knot vectors
     calls = []
     eigh = np.linalg.eigh
 
@@ -395,20 +395,24 @@ def test_preconditioner_factors_once_per_knot_vector(monkeypatch):
         calls.append(a.shape)
         return eigh(a)
 
+    def solve(g):
+        bc = lambda x, y: x - y
+        solve_dirichlet(assemble_weighted_stiffness(g), np.zeros(g.ndof), g, _cold(g, bc))
+
     monkeypatch.setattr(np.linalg, "eigh", counting)
     kv = make_open_knot_vector(3, 8, 3)
-    square = discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv))
+    square = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
+    solve(square)
     assert len(calls) == 1
-    assert square.fdm.U_u is square.fdm.U_v is kv.interior_eigen.U
-    assert square.fdm.nbytes == sum(a.nbytes for a in (square.fdm.U_u, square.fdm.eig,
-                                                       square.fdm.diag))
+    calls.clear()
+    solve(square)
+    assert calls == []
     g = _random_rational(3, 1, seed=8)
     assert g.kv_u is not g.kv_v
-    calls.clear()
-    discretization(g)
+    solve(g)
     assert len(calls) == 2
     calls.clear()
-    discretization(refit_from_node_targets(g, mesh_nodes(g) * 1.01))
+    solve(refit_from_node_targets(g, mesh_nodes(g) * 1.01))
     assert calls == []
 
 
@@ -461,8 +465,7 @@ def test_discretization_size_matches_memory_formula():
     scatter = sum(a.nbytes for a in (disc.scatter_u.data, disc.scatter_u.indices,
                                      disc.scatter_u.indptr))
     ints = 2 * nnz + 6 * 7 + 1
-    assert disc.nbytes == 8 * floats + 4 * ints + scatter + disc.fdm.nbytes
-    assert disc.fdm.U_u.shape == (g.shape[0] - 2,) * 2
+    assert disc.nbytes == 8 * floats + 4 * ints + scatter
     assert not disc.pairs_u.flags.writeable and not disc.gather.flags.writeable
     # knot-only data stays small: under 10 MB at 128 x 128 cubic elements
     kv = make_open_knot_vector(3, 128)
@@ -671,12 +674,25 @@ def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, m
         thinned.data[row][A.indices[row] == j] = 0.0
     thinned.eliminate_zeros()
     assert thinned.nnz == A.nnz - 2
-    u = solve_dirichlet(thinned, b, g, _cold(g, bc), LinearSolverSettings(tol=1e-12), disc=disc)
+    u = solve_dirichlet(thinned, b, g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
     direct = spsolve(thinned[I][:, I].tocsc(), b[I] - thinned[I] @ xb)
     assert np.linalg.norm(u.values[I] - direct) <= 1e-9 * np.linalg.norm(direct)
     with pytest.raises(ValueError, match="start field on grid"):
         apply_dirichlet(A, b, FieldCoefficients(np.zeros(g.ndof + g.shape[1]),
                                                 (g.shape[0] + 1, g.shape[1])))
+
+
+def test_dirichlet_refuses_a_right_hand_side_of_another_length():
+    # one entry per row of A: a short or a long b, or a 2D one, is an error
+    # and not a solve of some other system
+    g = _random_rational(3, 1, seed=61)
+    A, b = assemble_weighted_stiffness(g), assemble_load(g, lambda x, y: 1.0 + x * y)
+    start = _cold(g, lambda x, y: x + y)
+    for bad in (b[:-3], np.concatenate([b, np.ones(7)]), b[:, None]):
+        with pytest.raises(ValueError, match="right-hand side of shape"):
+            apply_dirichlet(A, bad, start)
+        with pytest.raises(ValueError, match="right-hand side of shape"):
+            solve_dirichlet(A, bad, g, start)
 
 
 def test_dirichlet_trace_interpolation_fourth_order():
@@ -701,10 +717,6 @@ def _reduced(g, f=lambda x, y: 1.0 + x * y, bc=lambda x, y: np.sin(x) * np.cos(y
     return apply_dirichlet(assemble_weighted_stiffness(g), assemble_load(g, f), _cold(g, bc))
 
 
-def _fdm(g):
-    return fast_diagonalization(g.kv_u, g.kv_v)
-
-
 @pytest.mark.parametrize("m", [8, 16])
 @pytest.mark.parametrize("mult", [1, 3])
 def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
@@ -712,7 +724,7 @@ def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
     # itself, so the preconditioned system is the identity up to rounding
     g = _identity(p=3, m=m, rect=Rectangle(-1, 1, -1, 1), mult=mult)
     red = _reduced(g)
-    _, it = cg_solve(red, red.rhs, tol=1e-12, precond=_fdm(g).preconditioner(red))
+    _, it = cg_solve(red, red.rhs, tol=1e-12, precond=fast_diagonalization(g.kv_u, g.kv_v, red))
     assert it <= 2
 
 
@@ -721,15 +733,15 @@ def test_fast_diagonalization_inverts_the_identity_geometry_laplacian(m, mult):
 @pytest.mark.parametrize("p", [2, 3])
 def test_fast_diagonalization_factors_are_the_generalized_eigenpairs(p, c0, m):
     # U^T M U = I and K U = M U L for the interior 1D stiffness K and mass M
-    # on the assembly Gauss rule; with the same knots in both directions the
-    # eigenvalue sums have L_i + L_i = 2 L_i on their diagonal
+    # on the assembly Gauss rule, whose diagonals are k and m; all read-only
     kv = make_open_knot_vector(p, m, p if c0 else 1)
-    fdm = fast_diagonalization(kv, kv)
+    eigen = kv.interior_eigen
     N, dN = (kv.gauss.D[der][:, 1:-1] for der in (0, 1))
     K = dN.T @ (kv.gauss.wts[:, None] * dN)
     M = N.T @ (kv.gauss.wts[:, None] * N)
-    U, lam = fdm.U_u, np.diag(fdm.eig) / 2
-    assert np.array_equal(fdm.U_v, U)
+    U, lam = eigen.U, eigen.lam
+    assert np.array_equal(eigen.k, np.diag(K)) and np.array_equal(eigen.m, np.diag(M))
+    assert not any(a.flags.writeable for a in (U, lam, eigen.k, eigen.m))
     assert np.abs(U.T @ M @ U - np.eye(len(lam))).max() <= 1e-13
     assert np.abs(K @ U - M @ U * lam).max() <= 1e-12 * np.abs(K).max()
 
@@ -754,7 +766,7 @@ def test_preconditioner_is_symmetric_positive_definite():
     g = _random_rational(3, 1, seed=31)
     red = _reduced(g)
     I = red.dofs.interior
-    apply = _fdm(g).preconditioner(red.A[I][:, I])
+    apply = fast_diagonalization(g.kv_u, g.kv_v, red.A[I][:, I])
     n = len(I)
     P = np.column_stack([apply(e) for e in np.eye(n)])
     assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))
@@ -763,21 +775,35 @@ def test_preconditioner_is_symmetric_positive_definite():
 
 
 def test_solves_with_and_without_discretization_are_bit_identical():
+    # a stiffness assembled on a given discretization solves to the same
+    # bits as one that built its own, and as the one-shot solve_poisson
     g = _random_rational(3, 3, seed=32)
-    disc = discretization(g)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
     u = solve_dirichlet(A, b, g, _cold(g, bc))
-    assert np.array_equal(solve_dirichlet(A, b, g, _cold(g, bc), disc=disc).values, u.values)
+    A_disc = assemble_weighted_stiffness(g, disc=discretization(g))
+    assert np.array_equal(solve_dirichlet(A_disc, b, g, _cold(g, bc)).values, u.values)
     assert np.array_equal(solve_poisson(g, f, bc).values, u.values)
-    with pytest.raises(ValueError, match="knots"):
-        solve_dirichlet(A, b, g, _cold(g, bc), disc=discretization(_mesh_3x4(p=3, mult=1)))
+
+
+def test_dirichlet_solve_builds_no_discretization(monkeypatch):
+    # the solve reads only the grid shape and the knot vectors' memo
+    # entries of its geometry: it runs with discretization() broken
+    g = _random_rational(3, 1, seed=33)
+    f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
+    A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
+    ref = solve_dirichlet(A, b, g, _cold(g, bc))
+
+    def broken(g):
+        raise AssertionError("a Dirichlet solve built a discretization")
+
+    monkeypatch.setattr(assembly, "discretization", broken)
+    assert np.array_equal(solve_dirichlet(A, b, g, _cold(g, bc)).values, ref.values)
 
 
 def test_map_solves_without_discretization_build_one_for_both_components(monkeypatch):
-    # the stiffness and both component solves share the one discretization
-    # the call builds, so its preconditioner factors are built once
-    from mmiga import assembly
+    # the stiffness builds the one discretization of the call, and neither
+    # component solve builds another
     from mmiga.movemesh import (
         MonitorSpec,
         init_logical_mesh,
@@ -790,12 +816,12 @@ def test_map_solves_without_discretization_build_one_for_both_components(monkeyp
     lin = LinearSolverSettings(tol=1e-10)
     built = []
 
-    def counting(kv_u, kv_v):
+    def counting(g):
         built.append(1)
-        return fdm(kv_u, kv_v)
+        return build(g)
 
-    fdm = assembly.fast_diagonalization
-    monkeypatch.setattr(assembly, "fast_diagonalization", counting)
+    build = assembly.discretization
+    monkeypatch.setattr(assembly, "discretization", counting)
     lm = init_logical_mesh(g, bm, lin)
     assert len(built) == 1
     u = FieldCoefficients(np.zeros(g.ndof), g.shape)

@@ -49,6 +49,16 @@ def test_identity_geometry_reproduces_the_affine_map():
         assert np.allclose(ev.jac, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geometry_rejects_non_finite_control_points(bad):
+    # a NaN net would assemble a NaN stiffness without an error
+    g = _identity()
+    cp = g.control_points.copy()
+    cp[1, 1, 0] = bad
+    with pytest.raises(ValueError, match="control points must be finite"):
+        NurbsGeometry(g.kv_u, g.kv_v, g.weights, cp)
+
+
 def test_identity_geometry_biunit_square():
     g = _identity(p=2, m=3, rect=Rectangle(-1, 1, -1, 1))
     ev = map_point(g, (0.5, 0.5))

@@ -237,6 +237,13 @@ def test_tensor_weights_reject_nonpositive():
         TensorWeights(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_weights_reject_non_finite(bad):
+    # NaN passes a test for w <= 0, so finiteness is checked on its own
+    with pytest.raises(ValueError, match="weights must be finite"):
+        TensorWeights(np.array([[1.0, bad], [1.0, 1.0]]))
+
+
 def _one_hot(kv_u, kv_v):
     """Coefficients that pick out every basis function: (n1, n2, n1 * n2)."""
     return np.eye(kv_u.n * kv_v.n).reshape(kv_u.n, kv_v.n, -1)

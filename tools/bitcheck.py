@@ -30,9 +30,10 @@ The battery, all on fixed inputs:
   the field given the geometry's evaluation; a refit to moved nodes;
   ``boundary_values``; the stiffness values, with no diffusion weight and
   with a random array of one, and the load vector;
-- the knot-only arrays of ``discretization`` on that net and on a square
-  C^0 net (p=3, m=16): ``gather``, ``indices``, ``indptr`` and the
-  preconditioner's ``U_u``, ``U_v``, ``eig`` and ``diag``.
+- the knot-only arrays on that net and on a square C^0 net (p=3, m=16):
+  the ``gather``, ``indices`` and ``indptr`` of ``discretization``, and the
+  preconditioner's 1D factors, the ``interior_eigen`` arrays ``U``,
+  ``lam``, ``k`` and ``m`` of each direction's knot vector.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def _discretizations(out: dict) -> None:
         disc = assembly.discretization(g)
         for name in ("gather", "indices", "indptr"):
             out[f"disc.{label}.{name}"] = getattr(disc, name)
-        for name in ("U_u", "U_v", "eig", "diag"):
-            out[f"disc.{label}.fdm.{name}"] = getattr(disc.fdm, name)
+        for d, kv in (("u", g.kv_u), ("v", g.kv_v)):
+            for name in ("U", "lam", "k", "m"):
+                out[f"disc.{label}.{d}.interior_eigen.{name}"] = getattr(kv.interior_eigen, name)
 
 
 def battery() -> dict:
