@@ -22,13 +22,11 @@ c = Gauss weight * det J * a. Each (alpha, beta) term is contracted one
 direction at a time against element-local 1D pair tables d^a N_i d^b N_i'
 by matmul, and summed over elements into band form: along u by a fixed 0/1
 scatter matrix, along v by adding each element's rows into the band
-through strided views. Only upper entries are formed; a fixed gather
-reads the CSR values out of the band, every lower entry from its mirror,
-so matrices are bit-symmetric and every sum runs in the same order on
-every run. With all weights equal, grad W = 0 and the terms in N itself
-are skipped. The CSR pattern holds the pairs of functions sharing an
-element, so on C^0 knots pairs with |i - i'| <= p that share none are not
-stored.
+through strided views. Only upper entries are formed, and the band is
+the matrix: it is stored by diagonals, each lower one the band entries of
+one offset and its upper mirror the same values, so matrices are
+bit-symmetric and every sum runs in the same order on every run. With all
+weights equal, grad W = 0 and the terms in N itself are skipped.
 
 The contraction runs one block of v element columns at a time
 (:func:`_blocks`), so besides the band no temporary is the size of the
@@ -46,18 +44,21 @@ so from an inner dimension of 16 (measured), so no wider product is cut.
 All but the metric terms depend only on the knots. The quadrature grid
 and each direction's 1D preconditioner factors live with the knot vectors,
 and a :class:`Discretization` (:func:`discretization`) holds the pair
-tables and the u scatter and gather maps, 7.2 MB at 128 x 128 elements
-of degree 3 with equal weights. Only the stiffness reads one: a single
-assembly builds one, and the moving-mesh loop builds one per run and
-passes it to every stiffness call.
+tables and the u scatter, 0.6 MB at 128 x 128 elements of degree 3 with
+equal weights. Only the stiffness reads one: a single assembly builds
+one, and the moving-mesh loop builds one per run and passes it to every
+stiffness call.
 
-The pattern is a tensor product of 1D lists: function i's list holds the
-offsets di of the functions sharing an element with it, and row (i, j)
-of the CSR pattern is the u list of i times the v list of j, u-major. The
-gather, ``indices`` and ``indptr`` are written from these lists a class of
-equal u lists at a time, with no temporary as long as the pattern's
-entries. Every stiffness matrix shares the read-only ``indices`` and
-``indptr`` of its discretization.
+A tensor-product space couples function (i, j) only to (i + di, j + dj)
+with |di| <= p_u and |dj| <= p_v, so the stiffness is a
+:class:`scipy.sparse.dia_matrix` of the (2 p_u + 1)(2 p_v + 1) diagonals
+of offset di n2 + dj in ascending order, fewer on coarse meshes, where two
+pairs share one (:func:`_diagonals`). Its product sums each row over
+ascending offsets, that is ascending columns, from 0, as a CSR product
+does; the zeros it stores, for pairs that share no element (on C^0
+knots, some with |i - i'| <= p) and for columns off the grid, add exact
+zeros, so a product has the bits of the CSR product over the pairs that
+share an element.
 
 Dirichlet data is imposed by eliminating boundary coefficients: the trace of
 the solution space on each edge is a univariate rational curve, so boundary
@@ -70,8 +71,8 @@ guess, so a run whose boundary stays put starts each solve from the last.
 The interior matrix A_II is not copied out of A: it is applied as the
 interior rows of A times a vector that is zero on the ring
 (:class:`ReducedSystem`), the bits of a product with the slice, since the
-ring columns multiply exact zeros and the CSR product sums each row in
-index order.
+ring columns multiply exact zeros and the product sums each row in
+ascending column order.
 
 The interior system is solved by CG preconditioned with fast
 diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964) and diagonal
@@ -300,13 +301,11 @@ class Discretization:
     them into band rows (i, i' - i);
     ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
     weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
-    weights are equal, each added into band row (j, j' - j + p).
-    ``gather`` reads the CSR values ``indices``/``indptr`` out of the band;
-    the three are written from the 1D lists of the pattern
-    (:func:`_csr_maps`), and every stiffness matrix built on the
-    discretization holds the read-only ``indices`` and ``indptr``
-    themselves. A Dirichlet solve reads none of it: its preconditioner's
-    factors are the knot vectors' (:func:`fast_diagonalization`).
+    weights are equal, each added into band row (j, j' - j + p). The band
+    is the matrix's diagonals (:func:`_diagonals`), so no map of the
+    pattern is kept. A Dirichlet solve reads none of it: its
+    preconditioner's factors are the knot vectors'
+    (:func:`fast_diagonalization`).
     """
 
     kv_u: KnotVector
@@ -315,16 +314,12 @@ class Discretization:
     pairs_u: np.ndarray
     scatter_u: sp.csr_matrix
     pairs_v: np.ndarray
-    gather: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: the weights, pair tables, u scatter, gather
-        map and CSR pattern. The Gauss grid's tables, which the knot vectors
-        hold, are not counted."""
-        arrays = [self.weights, self.pairs_u, self.pairs_v, self.gather, self.indices, self.indptr,
+        """Bytes held in arrays: the weights, pair tables and u scatter. The
+        Gauss grid's tables, which the knot vectors hold, are not counted."""
+        arrays = [self.weights, self.pairs_u, self.pairs_v,
                   self.scatter_u.data, self.scatter_u.indices, self.scatter_u.indptr]
         return sum(a.nbytes for a in arrays)
 
@@ -359,95 +354,6 @@ def _scatter(first, i, d, width, n):
                          shape=(n * width, len(rows)))
 
 
-def _shared(kv: KnotVector) -> np.ndarray:
-    """The (n, 2p + 1) mask of the pairs (i, i + d - p) of functions of
-    ``kv`` both nonzero on some element: row i's mask is its 1D list."""
-    p = kv.degree
-    first = np.asarray(kv.nonzero_spans) - p
-    mask = np.zeros((kv.n, 2 * p + 1), dtype=bool)
-    a = np.arange(p + 1)
-    mask[first[:, None, None] + a[:, None], a - a[:, None] + p] = True
-    return mask
-
-
-def _starts(lengths) -> np.ndarray:
-    """Where each of the lists of these lengths starts in their
-    concatenation, with the total length last."""
-    return np.concatenate([[0], np.cumsum(lengths)])
-
-
-def _kron_rows(mask_u, shifts, vstart, tables, dtype):
-    """Arrays over the entries of a tensor-product pattern, rows (i, j)
-    u-major, whose row (i, j) is the u list of row i, the entries set in
-    ``mask_u[i]``, times the v list of row j, u-major; ``vstart`` gives
-    where each v list starts in their concatenation. U rows with equal
-    masks have lists equal up to a shift: array k is ``shifts[k][i]`` plus
-    ``tables(i)[k]``, the (L, NV) values of row i's u entries against every
-    v entry, read in (j, u entry, v entry) order.
-
-    Each class of equal u rows is written from the table of its first row,
-    one run of equally spaced row blocks at a time through a strided view
-    of the result; two runs that meet share a row, written twice with the
-    same values. Only the results are allocated at full size: page faults
-    on fresh temporaries would cost more than the additions."""
-    lens, nv = np.diff(vstart), vstart[-1]
-    offsets = _starts(mask_u.sum(1) * nv)
-    out = [np.empty(offsets[-1], dtype) for _ in shifts]
-    classes, inverse = np.unique(mask_u, axis=0, return_inverse=True)
-    for c in range(len(classes)):
-        rows = np.flatnonzero(inverse.ravel() == c)
-        zs = tables(rows[0])
-        L = len(zs[0])
-        # entry (j, a, b) of a row's block is entry (a, vstart[j] + b) of its table
-        jj = np.repeat(np.arange(len(lens)), L * lens)
-        a, b = np.divmod(np.arange(L * nv) - L * vstart[jj], lens[jj])
-        blocks = [z.ravel()[a * nv + vstart[jj] + b].astype(dtype) for z in zs]
-        step = np.diff(offsets[rows])
-        cuts = np.flatnonzero(step[1:] != step[:-1]) + 1
-        for first, last in zip([0, *cuts], [*cuts, len(step)]):
-            run = rows[first:last + 1]
-            stride = step[first] if last > first else 0
-            for res, shift, block in zip(out, shifts, blocks):
-                size = res.itemsize
-                view = np.ndarray((len(run), len(block)), dtype, res, offsets[run[0]] * size,
-                                  (stride * size, size))
-                np.add(shift[run, None].astype(dtype), block, out=view)
-    return out
-
-
-def _csr_maps(kv_u: KnotVector, kv_v: KnotVector):
-    """The gather, CSR ``indices`` and ``indptr`` of the pairs sharing an
-    element, from the 1D lists of :func:`_shared`: entry (i, j),
-    (i + di, j + dj) is read from the band (n2, 2 p_v + 1, n1, p_u + 1)
-    when di > 0, or di = 0 and dj >= 0, and else from its mirror. Read-only,
-    int32 when every position fits."""
-    mask_u, mask_v = _shared(kv_u), _shared(kv_v)
-    (n1, p_u), (n2, p_v) = (len(mask_u), kv_u.degree), (len(mask_v), kv_v.degree)
-    # the v lists: where each starts, and the row j and offset dj of every entry
-    vstart = _starts(mask_v.sum(1))
-    j, dj = np.nonzero(mask_v)
-    dj = dj - p_v
-    size = n1 * n2 * (2 * p_u + 1) * (2 * p_v + 1)
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    # band rows of the v entries: upper (j, j + dj), its mirror, and the
-    # one an entry with di = 0 reads, indexed by sign(di) + 1
-    upper = j * (2 * p_v + 1) + dj + p_v
-    lower = (j + dj) * (2 * p_v + 1) + p_v - dj
-    band_v = n1 * (p_u + 1) * np.stack([lower, np.where(dj >= 0, upper, lower), upper])
-
-    def tables(i):
-        di = np.flatnonzero(mask_u[i]) - p_u
-        band_u = np.where(di >= 0, di, di * p_u)  # u band row less i (p_u + 1)
-        return band_u[:, None] + band_v[np.sign(di) + 1], di[:, None] * n2 + (j + dj)
-
-    rows = np.arange(n1)
-    gather, cols = _kron_rows(mask_u, (rows * (p_u + 1), rows * n2), vstart, tables, dtype)
-    indptr = _starts(np.outer(mask_u.sum(1), np.diff(vstart)).ravel()).astype(dtype)
-    for a in (gather, cols, indptr):
-        a.flags.writeable = False
-    return gather, cols, indptr
-
-
 def discretization(g: NurbsGeometry) -> Discretization:
     """Build the :class:`Discretization` of ``g``'s knots on the assembly
     quadrature, degree + 1 Gauss points per element direction."""
@@ -463,8 +369,7 @@ def discretization(g: NurbsGeometry) -> Discretization:
                               for al, be in terms], axis=1).transpose(0, 2, 1).copy()
     pairs_u.flags.writeable = pairs_v.flags.writeable = False
     scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v,
-                          *_csr_maps(g.kv_u, g.kv_v))
+    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v)
 
 
 def _first_bad_element(*masks):
@@ -554,7 +459,44 @@ def _band(disc: Discretization, g: NurbsGeometry, geo: GeometryGrid, wvals) -> n
             j, d = first[ev.start + r0], step[r0] if r1 - r0 > 1 else 1
             for a in range(p_v, -1, -1):
                 band[j + a:j + a + d * (r1 - r0):d, p_v - a:2 * p_v + 1 - a] += y[r0:r1, a]
-    return band.reshape(-1, m)
+    return band.reshape(disc.kv_v.n, 2 * p_v + 1, disc.kv_u.n, -1)
+
+
+def _diagonals(band: np.ndarray, w: np.ndarray) -> sp.dia_matrix:
+    """The matrix of the upper band (n2, 2 p_v + 1, n1, p_u + 1) of
+    :func:`_band`, by diagonals, each entry (k, l) scaled by w_k w_l unless
+    all weights ``w`` are equal.
+
+    Entry (i, j), (i + di, j + dj) lies on the diagonal of offset
+    o = di n2 + dj; the upper ones are those with di > 0, or di = 0 and
+    dj >= 0, the offsets in ascending order. Diagonal -o holds the band
+    entries of offset o indexed by row, and diagonal +o the same values
+    shifted by o, so the matrix is bit-symmetric. A row's entries of an
+    offset whose column is off the grid, and those of pairs that share no
+    element, are exact zeros. On coarse meshes (n2 <= 2 p_v) the pairs
+    (di, dj) and (di + 1, dj - n2) share an offset: their rows are disjoint,
+    each one zero where the other holds its entry, so they add into one
+    diagonal with the bits of either."""
+    n2, nv, n1, nu = band.shape
+    p_v, size = nv // 2, n1 * n2
+    # the first dj of each di: the upper offsets of a di are consecutive integers
+    dj0 = [0] + [-p_v] * (nu - 1)
+    upper = np.unique([di * n2 + dj for di in range(nu) for dj in range(dj0[di], p_v + 1)])
+    n_up = len(upper)
+    data = np.zeros((2 * n_up - 1, n1, n2))
+    lower = data[n_up - 1::-1]  # row r: the diagonal -upper[r]
+    for di in range(nu):
+        r = np.searchsorted(upper, di * n2 + dj0[di])
+        lower[r:r + p_v + 1 - dj0[di]] += band[:, p_v + dj0[di]:, :, di].transpose(1, 2, 0)
+    data = data.reshape(2 * n_up - 1, size)
+    lower = data[n_up - 1::-1]
+    if not _equal_weights(w):
+        w = w.ravel()
+        for r, o in enumerate(upper):
+            lower[r, :size - o] *= w[o:] * w[:size - o]
+    for r, o in enumerate(upper[1:], 1):
+        data[n_up - 1 + r, o:] = lower[r, :size - o]
+    return sp.dia_matrix((data, np.concatenate([-upper[::-1], upper[1:]])), shape=(size, size))
 
 
 def assemble_weighted_stiffness(
@@ -564,7 +506,8 @@ def assemble_weighted_stiffness(
     disc: Discretization | None = None,
     geo: GeometryGrid | None = None,
 ):
-    """Sparse symmetric matrix of the weighted diffusion form.
+    """Sparse symmetric matrix of the weighted diffusion form, stored by
+    diagonals (:class:`scipy.sparse.dia_matrix`, see :func:`_diagonals`).
 
     ``weight`` is the scalar coefficient at the quadrature points: None for 1,
     a callable w(x, y) of physical coordinates (vectorized), or an array over
@@ -574,9 +517,8 @@ def assemble_weighted_stiffness(
 
     ``disc`` (:func:`discretization`) must match ``g``'s knots and weights
     (ValueError otherwise); without it the call builds its own, with the
-    same bits. The matrix holds the discretization's read-only ``indices``
-    and ``indptr``, not copies. ``geo`` is ``g`` already evaluated with its
-    Jacobian on the quadrature grid, when the caller has it.
+    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
+    quadrature grid, when the caller has it.
     """
     if disc is None:
         disc = discretization(g)
@@ -593,12 +535,7 @@ def assemble_weighted_stiffness(
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    data = _band(disc, g, geo, wvals).ravel()[disc.gather]
-    if not _equal_weights(g.weights.w):
-        w = g.weights.w.ravel()
-        rows = np.repeat(np.arange(g.ndof), np.diff(disc.indptr))
-        data *= w[rows] * w[disc.indices]
-    return sp.csr_matrix((data, disc.indices, disc.indptr), shape=(g.ndof, g.ndof))
+    return _diagonals(_band(disc, g, geo, wvals), g.weights.w)
 
 
 def assemble_load(
@@ -643,8 +580,9 @@ class ReducedSystem:
 
     ``red @ x`` is the interior rows of ``A`` times the full-length vector
     that is ``x`` on the interior and zero on the ring: the bits of A_II x,
-    since the ring columns multiply exact zeros and the CSR product sums
-    each row in index order. ``diagonal()`` is the diagonal of A_II, so
+    since the ring columns multiply exact zeros and the product, by
+    diagonals as by CSR, sums each row in ascending column order.
+    ``diagonal()`` is the diagonal of A_II, so
     :func:`~mmiga.linalg.cg_solve` and :func:`fast_diagonalization` take
     the system as they would take A_II. The full-length vector is
     ``work``, one per system and zero on the ring, so a product allocates
@@ -652,7 +590,7 @@ class ReducedSystem:
     threads at once.
     """
 
-    A: sp.csr_matrix
+    A: sp.spmatrix
     rhs: np.ndarray
     dofs: DofMap
     work: np.ndarray = field(init=False, repr=False, compare=False)
@@ -735,12 +673,12 @@ def apply_dirichlet(A, b, start: FieldCoefficients) -> ReducedSystem:
 
     The reduced interior system is A_II x_I = b_I - A_IB x_B; its
     right-hand side is the interior entries of b - A x_B, with x_B the
-    start's ring, zero off the ring. A_II is not copied out of ``A``: the
-    :class:`ReducedSystem` applies it as the interior rows of ``A``. The
+    start's ring, zero off the ring. A_II is not copied out of ``A``, nor
+    ``A`` converted to another sparse format: the :class:`ReducedSystem`
+    applies A_II as the interior rows of ``A``. The
     start and ``b``, a 1D array, must each have one entry per row of ``A``
     (ValueError otherwise).
     """
-    A = A.tocsr()
     if start.values.size != A.shape[0]:
         raise ValueError(f"start field on grid {start.shape} does not match a matrix "
                          f"of {A.shape[0]} rows")

@@ -7,9 +7,10 @@ instead of chain rules, finite-difference stencils instead of Galerkin, and
 scipy direct solves instead of conjugate gradients.
 
 The exception is the whole-grid contractions at the end: the stiffness
-values and error norms exactly as the library computed them before it
-worked in blocks, every temporary the size of the whole quadrature grid.
-The blocked library must reproduce their bits.
+and error norms exactly as the library computed them before it worked in
+blocks, every temporary the size of the whole quadrature grid, and the
+stiffness in CSR form, as it was stored before it was stored by
+diagonals. The library must reproduce their bits.
 """
 
 import numpy as np
@@ -64,7 +65,7 @@ def greville_loop(kv):
 
 
 def csr_maps_4d(kv_u, kv_v):
-    """The gather, CSR ``indices`` and ``indptr`` of a discretization built
+    """The gather, CSR ``indices`` and ``indptr`` of the stiffness built
     over the whole (n1, n2, 2 p_u + 1, 2 p_v + 1) box of offsets and then
     compressed by the mask of the pairs that share an element: entry
     (i, j), (i + di, j + dj) is read from the band
@@ -405,13 +406,14 @@ def _weight_values(weight, geo):
     return np.asarray(weight, dtype=float)
 
 
-def stiffness_data_whole_grid(g, weight=None):
-    """The CSR values of ``assemble_weighted_stiffness(g, weight)``, with
-    every sum-factorisation stage over the whole Gauss grid at once: the
-    metric entries H of the whole grid (with the weight 1 as a grid of
-    ones), each term contracted along u and scattered into u band rows for
-    all v points, then all terms along v and one sparse product adding
-    every element into the v band rows."""
+def stiffness_whole_grid(g, weight=None):
+    """``assemble_weighted_stiffness(g, weight)`` as a CSR matrix of the
+    pairs that share an element, with every sum-factorisation stage over
+    the whole Gauss grid at once: the metric entries H of the whole grid
+    (with the weight 1 as a grid of ones), each term contracted along u and
+    scattered into u band rows for all v points, then all terms along v and
+    one sparse product adding every element into the v band rows; the
+    values are read out of the band by the maps of :func:`csr_maps_4d`."""
     from mmiga import assembly, geometry
 
     disc = assembly.discretization(g)
@@ -452,11 +454,12 @@ def stiffness_data_whole_grid(g, weight=None):
     rows = ((first[:, None] + iv) * (2 * p + 1) + jv - iv + p).ravel()
     scatter_v = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
                               shape=(g.kv_v.n * (2 * p + 1), len(rows)))
-    data = (scatter_v @ y.reshape(-1, m)).ravel()[disc.gather]
+    gather, cols, indptr = csr_maps_4d(g.kv_u, g.kv_v)
+    data = (scatter_v @ y.reshape(-1, m)).ravel()[gather]
     if rational:
         wf = w.ravel()
-        data *= wf[np.repeat(np.arange(g.ndof), np.diff(disc.indptr))] * wf[disc.indices]
-    return data
+        data *= wf[np.repeat(np.arange(g.ndof), np.diff(indptr))] * wf[cols]
+    return sp.csr_matrix((data, cols, indptr), shape=(g.ndof, g.ndof))
 
 
 def error_norms_whole_grid(g, u, exact):

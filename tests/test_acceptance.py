@@ -294,7 +294,7 @@ def test_criterion_8_property_suites():
     asym = (A - A.T).tocoo()
     checks["stiffness exactly symmetric"] = asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
     dm = dof_map(*g.shape)
-    A_ii = A[dm.interior][:, dm.interior]
+    A_ii = A.tocsr()[dm.interior][:, dm.interior]
     spd = all(
         (x := rng.normal(size=A_ii.shape[0])) @ (A_ii @ x) > 0 for _ in range(100)
     )

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmiga import assembly
@@ -46,12 +46,11 @@ from mmiga.splines import (
 
 from mmiga.postproc import ExactSolution, error_norms
 from oracles import (
-    csr_maps_4d,
     error_norms_whole_grid,
     grad_fd,
     hess_fd,
     shared_element_pattern,
-    stiffness_data_whole_grid,
+    stiffness_whole_grid,
 )
 
 
@@ -120,7 +119,7 @@ def test_bilinear_laplacian_interior_diagonal():
     A = assemble_weighted_stiffness(g)
     dm = dof_map(3, 3)
     k = dm.interior[0]
-    assert A[k, k] == pytest.approx(8.0 / 3.0, abs=1e-12)
+    assert A.diagonal()[k] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 def test_stiffness_exactly_symmetric():
@@ -250,18 +249,18 @@ def _same_bits(a, b) -> bool:
 
 @st.composite
 def _blocked_nets(draw):
-    """A perturbed net of degree 1-4 on 1-9 x 1-9 uniform elements, C^{p-1},
-    C^0 or with interior knots of mixed multiplicities 1 .. p, and equal or
-    random weights."""
-    p, kind = draw(st.integers(1, 4)), draw(st.sampled_from(["smooth", "C0", "mixed"]))
+    """A perturbed net of degrees 1-4, one per direction, on 1-9 x 1-9
+    uniform elements, C^{p-1}, C^0 or with interior knots of mixed
+    multiplicities 1 .. p, and equal or random weights."""
+    kind = draw(st.sampled_from(["smooth", "C0", "mixed"]))
 
-    def knots(m):
+    def knots(p, m):
         mults = [{"smooth": 1, "C0": p, "mixed": draw(st.integers(1, p))}[kind]
                  for _ in range(m - 1)]
         inner = np.repeat(np.arange(1, m) / m, mults)
         return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
 
-    kv_u, kv_v = knots(draw(st.integers(1, 9))), knots(draw(st.integers(1, 9)))
+    kv_u, kv_v = (knots(draw(st.integers(1, 4)), draw(st.integers(1, 9))) for _ in range(2))
     g0 = build_identity_geometry(Rectangle(0, 1, 0, 2), kv_u, kv_v)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     cp = g0.control_points.copy()
@@ -275,19 +274,46 @@ def _blocked_nets(draw):
 _BUDGETS = st.one_of(st.just(1), st.integers(2_000, 60_000), st.just(1 << 40))
 
 
+def _weight(g, kind):
+    """No diffusion weight, a random array of one on the Gauss grid, or a
+    callable one."""
+    shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
+    return {"none": None,
+            "array": np.random.default_rng(3).uniform(0.5, 2.0, shape),
+            "callable": lambda x, y: 1.0 + x * x + 0.5 * np.sin(5.0 * y)}[kind]
+
+
+_WEIGHT_KINDS = st.sampled_from(["none", "array", "callable"])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(g=_blocked_nets(), weight_kind=st.sampled_from(["none", "array", "callable"]),
-       budget=_BUDGETS)
+@given(g=_blocked_nets(), weight_kind=_WEIGHT_KINDS, budget=_BUDGETS)
 @example(g=_net(3, 1, "random", seed=1), weight_kind="array", budget=1)
 @example(g=_net(3, 3, "unit", seed=2), weight_kind="none", budget=30_000)
 def test_blocked_stiffness_has_the_bits_of_the_whole_grid_contraction(g, weight_kind, budget):
-    shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
-    weight = {"none": None,
-              "array": np.random.default_rng(3).uniform(0.5, 2.0, shape),
-              "callable": lambda x, y: 1.0 + x * x + 0.5 * np.sin(5.0 * y)}[weight_kind]
+    weight = _weight(g, weight_kind)
     with mock.patch.object(assembly, "_BLOCK_BYTES", budget):
         A = assemble_weighted_stiffness(g, weight)
-    assert _same_bits(A.data, stiffness_data_whole_grid(g, weight))
+    assert _same_bits(A.toarray(), stiffness_whole_grid(g, weight).toarray())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=_blocked_nets(), weight_kind=_WEIGHT_KINDS, seed=st.integers(0, 99))
+@example(g=_identity(p=3, m=2), weight_kind="callable", seed=0)
+@example(g=_net(3, 3, "random", seed=4), weight_kind="array", seed=1)
+def test_stiffness_by_diagonals_has_the_bits_of_the_csr_construction(g, weight_kind, seed):
+    # the matrix by diagonals against the CSR matrix of the pairs that share
+    # an element: the same entries, the products of CSR, bit-symmetric. On
+    # coarse meshes (n2 <= 2 p_v, such as 2 x 2 cubic elements) two pairs
+    # (di, dj) share an offset
+    weight = _weight(g, weight_kind)
+    A = assemble_weighted_stiffness(g, weight)
+    ref = stiffness_whole_grid(g, weight)
+    dense = A.toarray()
+    assert _same_bits(dense, ref.toarray()) and _same_bits(dense, dense.T)
+    assert np.all(np.diff(A.offsets) > 0)
+    x = np.random.default_rng(seed).normal(size=g.ndof)
+    assert _same_bits(A @ x, A.tocsr() @ x) and _same_bits(A @ x, ref @ x)
 
 
 _SINE = ExactSolution(lambda x, y: np.sin(x) * np.sin(y),
@@ -310,10 +336,11 @@ def test_blocked_error_norms_have_the_bits_of_the_whole_grid(g, budget, seed):
 def test_stiffness_and_error_norms_stay_near_the_matrix_in_memory():
     # p=3, 64 x 64 C^2 elements: above its inputs (the discretization and the
     # Gauss-grid geometry), the stiffness's traced peak is under 2x the
-    # matrix's own bytes (values, indices, row pointers), and that of the
-    # error norms under 4.5x. Blocks take 1.1x and 3.4x (the error norms
-    # keep their whole-grid contractions, 3.1x); whole-grid temporaries took
-    # 3.7x and 5.8x
+    # matrix's own bytes (diagonals and offsets), and that of the error
+    # norms under 13 float arrays over the error Gauss grid (320 x 320).
+    # The band and the diagonals take 1.6x; the error norms keep their
+    # whole-grid contractions, 10.6 arrays. Whole-grid temporaries took 3.7x
+    # the bytes of the matrix in CSR form and 18 arrays
     kv = make_open_knot_vector(3, 64)
     g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
     disc = discretization(g)
@@ -331,9 +358,10 @@ def test_stiffness_and_error_norms_stay_near_the_matrix_in_memory():
         errors = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    own = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    own = A.data.nbytes + A.offsets.nbytes
     assert stiffness < 2.0 * own, stiffness / own
-    assert errors < 4.5 * own, errors / own
+    grid = 8 * len(kv.error_gauss.pts) ** 2
+    assert errors < 13 * grid, errors / grid
 
 
 @pytest.mark.parametrize("weights", ["unit", "random"])
@@ -344,44 +372,20 @@ def test_stiffness_is_bit_symmetric_and_reproducible(p, mult, weights):
     A = assemble_weighted_stiffness(g, weight)
     assert (A != A.T).nnz == 0
     B = assemble_weighted_stiffness(g, weight)
-    for name in ("data", "indices", "indptr"):
+    for name in ("data", "offsets"):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stiffness_pattern_is_the_shared_element_pattern(p):
-    # on C^0 knots some pairs with |i - i'| <= p share no element: they are
-    # not stored
+    # on C^0 knots some pairs with |i - i'| <= p share no element: their
+    # entries are exact zeros, which the CSR form drops
     g = _net(p, p, "random", seed=50 + p)
-    A = assemble_weighted_stiffness(g)
+    A = assemble_weighted_stiffness(g).tocsr()
     S = shared_element_pattern(g.kv_u, g.kv_v)
     near = [np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= p for n in g.shape]
     assert S.nnz < np.kron(*near).sum()
     assert np.array_equal(A.indices, S.indices) and np.array_equal(A.indptr, S.indptr)
-
-
-@st.composite
-def _knot_vectors(draw):
-    """A knot vector of degree 1-4 on 1-5 elements, with jittered interior
-    breakpoints of multiplicities 1 .. p."""
-    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    breaks = [(k + draw(st.floats(-0.3, 0.3))) / m for k in range(1, m)]
-    mults = [draw(st.integers(1, p)) for _ in breaks]
-    return KnotVector(p, np.concatenate([np.zeros(p + 1), np.repeat(breaks, mults), np.ones(p + 1)]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(kv_u=_knot_vectors(), kv_v=_knot_vectors(), equal=st.booleans(), seed=st.integers(0, 99))
-def test_discretization_maps_match_the_box_construction_bit_for_bit(kv_u, kv_v, equal, seed):
-    # the CSR maps, written from the 1D lists, against the construction over
-    # the whole box of offsets
-    assume(kv_u.n != kv_v.n)
-    g0 = build_identity_geometry(Rectangle(0, 1, 0, 1), kv_u, kv_v)
-    w = np.full(g0.shape, 2.0) if equal else np.random.default_rng(seed).uniform(0.7, 1.4, g0.shape)
-    disc = discretization(NurbsGeometry(kv_u, kv_v, TensorWeights(w), g0.control_points))
-    for name, got, ref in zip(("gather", "indices", "indptr"),
-                              (disc.gather, disc.indices, disc.indptr), csr_maps_4d(kv_u, kv_v)):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 def test_preconditioner_factors_once_per_knot_vector(monkeypatch):
@@ -433,7 +437,7 @@ def test_stiffness_with_discretization_is_bit_identical(p, mult, weight_kind):
     for geom in (g, g2):
         A = assemble_weighted_stiffness(geom, weight)
         B = assemble_weighted_stiffness(geom, weight, disc=disc)
-        for name in ("data", "indices", "indptr"):
+        for name in ("data", "offsets"):
             a, b = getattr(A, name), getattr(B, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -452,38 +456,28 @@ def test_discretization_rejects_other_knots_weights_or_quadrature():
 
 def test_discretization_size_matches_memory_formula():
     # 3 x 4 cubic elements, 6 x 7 functions: 10 upper u pairs and 16 v pairs
-    # per element, 4 Gauss points per direction, 30 x 37 stored entries
+    # per element, 4 Gauss points per direction; the matrix stores 7 x 7
+    # diagonals of 42 entries, offsets di * 7 + dj
     g = _random_rational(3, 1, seed=6)
     disc = discretization(g)
     assert disc.pairs_u.shape == (4, 3, 10, 4)
     assert disc.pairs_v.shape == (4, 16, 9 * 4)
     assert disc.scatter_u.shape == (6 * 4, 3 * 10)
-    nnz = 30 * 37
-    assert assemble_weighted_stiffness(g, disc=disc).nnz == len(disc.gather) == nnz
-    assert disc.gather.dtype == disc.indices.dtype == np.int32
     floats = 6 * 7 + disc.pairs_u.size + disc.pairs_v.size
     scatter = sum(a.nbytes for a in (disc.scatter_u.data, disc.scatter_u.indices,
                                      disc.scatter_u.indptr))
-    ints = 2 * nnz + 6 * 7 + 1
-    assert disc.nbytes == 8 * floats + 4 * ints + scatter
-    assert not disc.pairs_u.flags.writeable and not disc.gather.flags.writeable
-    # knot-only data stays small: under 10 MB at 128 x 128 cubic elements
-    kv = make_open_knot_vector(3, 128)
-    assert discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)).nbytes < 10e6
-
-
-def test_stiffness_holds_the_read_only_pattern_of_its_discretization():
-    # no copy of the pattern per matrix: its values may be changed in place,
-    # its pattern not
-    g = _random_rational(3, 3, seed=8)
-    disc = discretization(g)
+    assert disc.nbytes == 8 * floats + scatter
+    assert not disc.pairs_u.flags.writeable and not disc.pairs_v.flags.writeable
     A = assemble_weighted_stiffness(g, disc=disc)
-    for name in ("indices", "indptr"):
-        got = getattr(A, name)
-        assert np.shares_memory(got, getattr(disc, name)) and not got.flags.writeable, name
-    A.data *= 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        A.indices[0] = 1
+    offsets = np.add.outer(7 * np.arange(-3, 4), np.arange(-3, 4)).ravel()
+    assert A.data.shape == (49, 42) and np.array_equal(A.offsets, offsets)
+    # 2 x 2 cubic elements, 5 x 5 functions: (di, dj) and (di + 1, dj - 5)
+    # share an offset, so the upper offsets are 0 .. 18
+    A = assemble_weighted_stiffness(_identity(p=3, m=2))
+    assert A.data.shape == (37, 25) and np.array_equal(A.offsets, np.arange(-18, 19))
+    # knot-only data stays small: under 1 MB at 128 x 128 cubic elements
+    kv = make_open_knot_vector(3, 128)
+    assert discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)).nbytes < 1e6
 
 
 def test_forms_take_a_shared_geometry_grid_bit_identically():
@@ -505,7 +499,7 @@ def test_interior_stiffness_spd():
     g = _perturbed(p=2, m=4, seed=4)
     A = assemble_weighted_stiffness(g)
     dm = dof_map(*g.shape)
-    A_ii = A[dm.interior][:, dm.interior]
+    A_ii = A.tocsr()[dm.interior][:, dm.interior]
     rng = np.random.default_rng(5)
     for _ in range(100):
         x = rng.normal(size=A_ii.shape[0])
@@ -635,7 +629,7 @@ def test_dirichlet_eliminates_the_ring_of_the_start_field():
     noisy[dm.interior] = rng.normal(size=len(dm.interior))
     noisy = FieldCoefficients(noisy, g.shape)
     red = apply_dirichlet(A, b, noisy)
-    A_ii = A[dm.interior][:, dm.interior]
+    A_ii = A.tocsr()[dm.interior][:, dm.interior]
     x = rng.normal(size=len(dm.interior))
     assert np.array_equal(red @ x, A_ii @ x) and np.array_equal(ref @ x, A_ii @ x)
     assert np.array_equal(red.rhs, ref.rhs)
@@ -660,20 +654,21 @@ def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, m
     b = assemble_load(g, lambda x, y: np.exp(x - y))
     I = dof_map(*g.shape).interior
     xb = boundary_values(g, bc)
-    ref = A[I][:, I]
+    C = A.tocsr()
+    ref = C[I][:, I]
     red = apply_dirichlet(A, b, _cold(g, bc))
     assert red.A is A
     for x in np.random.default_rng(p + mult).normal(size=(5, len(I))):
         assert np.array_equal(red @ x, ref @ x)
     assert np.array_equal(red.diagonal(), ref.diagonal())
-    assert np.array_equal(red.rhs, b[I] - A[I] @ xb)
-    thinned = A.copy()  # another pattern: one interior-interior pair not stored
+    assert np.array_equal(red.rhs, b[I] - C[I] @ xb)
+    thinned = C.copy()  # another pattern: one interior-interior pair not stored
     r = I[len(I) // 2]
     for i, j in ((r, r + 1), (r + 1, r)):
-        row = slice(A.indptr[i], A.indptr[i + 1])
-        thinned.data[row][A.indices[row] == j] = 0.0
+        row = slice(C.indptr[i], C.indptr[i + 1])
+        thinned.data[row][C.indices[row] == j] = 0.0
     thinned.eliminate_zeros()
-    assert thinned.nnz == A.nnz - 2
+    assert thinned.nnz == C.nnz - 2
     u = solve_dirichlet(thinned, b, g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
     direct = spsolve(thinned[I][:, I].tocsc(), b[I] - thinned[I] @ xb)
     assert np.linalg.norm(u.values[I] - direct) <= 1e-9 * np.linalg.norm(direct)
@@ -756,7 +751,7 @@ def test_preconditioned_solve_matches_a_direct_solve(p, mult):
     A = assemble_weighted_stiffness(g)
     red = _reduced(g, f, bc)
     I = red.dofs.interior
-    ref = spsolve(A[I][:, I].tocsc(), red.rhs)
+    ref = spsolve(A.tocsc()[I][:, I], red.rhs)
     u = solve_dirichlet(A, assemble_load(g, f), g, _cold(g, bc), LinearSolverSettings(tol=1e-12))
     x = u.values[I]
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -766,7 +761,7 @@ def test_preconditioner_is_symmetric_positive_definite():
     g = _random_rational(3, 1, seed=31)
     red = _reduced(g)
     I = red.dofs.interior
-    apply = fast_diagonalization(g.kv_u, g.kv_v, red.A[I][:, I])
+    apply = fast_diagonalization(g.kv_u, g.kv_v, red.A.tocsr()[I][:, I])
     n = len(I)
     P = np.column_stack([apply(e) for e in np.eye(n)])
     assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))

@@ -28,12 +28,12 @@ The battery, all on fixed inputs:
 - on a perturbed rational net, C^2 along u and C^0 along v: the geometry
   and a field on every fixed grid at orders 0-2 (the lattice at order 0),
   the field given the geometry's evaluation; a refit to moved nodes;
-  ``boundary_values``; the stiffness values, with no diffusion weight and
-  with a random array of one, and the load vector;
-- the knot-only arrays on that net and on a square C^0 net (p=3, m=16):
-  the ``gather``, ``indices`` and ``indptr`` of ``discretization``, and the
-  preconditioner's 1D factors, the ``interior_eigen`` arrays ``U``,
-  ``lam``, ``k`` and ``m`` of each direction's knot vector.
+  ``boundary_values``; the stiffness as a dense array, whatever its sparse
+  format, with no diffusion weight and with a random array of one, and the
+  load vector;
+- the preconditioner's 1D factors on that net and on a square C^0 net
+  (p=3, m=16): the ``interior_eigen`` arrays ``U``, ``lam``, ``k`` and
+  ``m`` of each direction's knot vector.
 """
 
 from __future__ import annotations
@@ -163,26 +163,23 @@ def _grids(out: dict) -> None:
     out["refit"] = geometry.refit_from_node_targets(g, targets).control_points
     out["boundary_values"] = assembly.boundary_values(g, lambda x, y: np.sin(3 * x) * np.exp(y))
     shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
-    out["stiffness"] = assembly.assemble_weighted_stiffness(g).data
+    out["stiffness"] = assembly.assemble_weighted_stiffness(g).toarray()
     out["stiffness.weighted"] = assembly.assemble_weighted_stiffness(
-        g, rng.uniform(0.5, 2.0, size=shape)).data
+        g, rng.uniform(0.5, 2.0, size=shape)).toarray()
     out["load"] = assembly.assemble_load(g, lambda x, y: np.cos(2 * x) * (1 + y * y))
 
 
-def _discretizations(out: dict) -> None:
+def _preconditioner_factors(out: dict) -> None:
     import numpy as np
 
-    from mmiga import assembly, geometry, splines
+    from mmiga import geometry, splines
 
     kv = splines.make_open_knot_vector(3, 16, 3)
     square = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 1), kv, kv)
     for label, g in (("rational", _rational_net(np.random.default_rng(7))), ("C0_m16", square)):
-        disc = assembly.discretization(g)
-        for name in ("gather", "indices", "indptr"):
-            out[f"disc.{label}.{name}"] = getattr(disc, name)
         for d, kv in (("u", g.kv_u), ("v", g.kv_v)):
             for name in ("U", "lam", "k", "m"):
-                out[f"disc.{label}.{d}.interior_eigen.{name}"] = getattr(kv.interior_eigen, name)
+                out[f"knots.{label}.{d}.interior_eigen.{name}"] = getattr(kv.interior_eigen, name)
 
 
 def battery() -> dict:
@@ -191,7 +188,7 @@ def battery() -> dict:
     _runs(out)
     _solves(out)
     _grids(out)
-    _discretizations(out)
+    _preconditioner_factors(out)
     return out
 
 
