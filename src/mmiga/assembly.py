@@ -41,13 +41,13 @@ BLAS kernels can round the last columns of a product differently from
 the same columns inside a wider one, and OpenBLAS 0.3.31 on AVX-512 does
 so from an inner dimension of 16 (measured), so no wider product is cut.
 
-All but the metric terms depend only on the knots. The quadrature grid
-and each direction's 1D preconditioner factors live with the knot vectors,
-and a :class:`Discretization` (:func:`discretization`) holds the pair
-tables and the u scatter, 0.6 MB at 128 x 128 elements of degree 3 with
-equal weights. Only the stiffness reads one: a single assembly builds
-one, and the moving-mesh loop builds one per run and passes it to every
-stiffness call.
+All but the metric terms depend only on the knots, and are per-direction
+memo entries of the knot vectors (:class:`~mmiga.splines.KnotVector`): the
+quadrature grid, the element pair tables and u scatter of the stiffness
+(``element_pairs``, 0.3 MB at 128 elements of degree 3), and the 1D
+preconditioner factors. Each is built on first use, once for a square
+mesh, whose two directions share a knot vector, and once per run of the
+moving-mesh loop, whose meshes share the knot vectors of the first.
 
 A tensor-product space couples function (i, j) only to (i + di, j + dj)
 with |di| <= p_u and |dj| <= p_v, so the stiffness is a
@@ -125,10 +125,8 @@ __all__ = [
     "FieldEval",
     "FieldGrid",
     "ReducedSystem",
-    "Discretization",
     "gauss_rule",
     "dof_map",
-    "discretization",
     "fast_diagonalization",
     "assemble_weighted_stiffness",
     "assemble_load",
@@ -218,25 +216,6 @@ def _blocks(n: int, item_bytes: int) -> list:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _element_tables(kv_u: KnotVector, kv_v: KnotVector):
-    """Per-element blocks of the B-spline values and first derivatives the
-    stiffness needs, read out of the knot vectors' ``gauss`` tables.
-
-    ``Lu[a][eu]`` is the (q_u, p+1) block of d^a N / du^a on element row
-    ``eu`` (its Gauss points against the p+1 functions nonzero there), and
-    likewise ``Lv`` along v; ``first_u``, ``first_v`` give the global index
-    of the first of those functions on each element. Returned as
-    ``((Lu, first_u), (Lv, first_v))``.
-    """
-    tables = []
-    for kv in (kv_u, kv_v):
-        first = np.asarray(kv.nonzero_spans) - kv.degree
-        rows = np.arange(len(kv.gauss.pts)).reshape(len(first), -1, 1)
-        cols = first[:, None, None] + np.arange(kv.degree + 1)
-        tables.append((np.stack([kv.gauss.D[a][rows, cols] for a in (0, 1)]), first))
-    return tables
-
-
 def _grid_blocks(x: np.ndarray, g: NurbsGeometry) -> np.ndarray:
     """Regroup a (nel_u * q_u, nel_v * q_v) quadrature grid of ``g`` into
     per-element flattened blocks of shape (nel_u, nel_v, q_u * q_v)."""
@@ -289,89 +268,6 @@ _PHI = ((1, 0), (0, 1), (0, 0))
 _TERMS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Discretization:
-    """The knot-only part of the stiffness assembly, built once by
-    :func:`discretization` and checked against the knots and weights of
-    each geometry passed with it.
-
-    The quadrature is the knot vectors' ``gauss`` memo entries. ``pairs_u``
-    holds the u pair tables d^a N_i d^b N_i' for i <= i',
-    (4, nel_u, (p+1)(p+2)/2, q_u) indexed by 2a + b, and ``scatter_u`` adds
-    them into band rows (i, i' - i);
-    ``pairs_v`` holds the v pair tables of the terms of :data:`_TERMS` the
-    weights use side by side, (nel_v, (p+1)^2, 9 q_v), or 4 q_v when all
-    weights are equal, each added into band row (j, j' - j + p). The band
-    is the matrix's diagonals (:func:`_diagonals`), so no map of the
-    pattern is kept. A Dirichlet solve reads none of it: its
-    preconditioner's factors are the knot vectors'
-    (:func:`fast_diagonalization`).
-    """
-
-    kv_u: KnotVector
-    kv_v: KnotVector
-    weights: np.ndarray
-    pairs_u: np.ndarray
-    scatter_u: sp.csr_matrix
-    pairs_v: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in arrays: the weights, pair tables and u scatter. The
-        Gauss grid's tables, which the knot vectors hold, are not counted."""
-        arrays = [self.weights, self.pairs_u, self.pairs_v,
-                  self.scatter_u.data, self.scatter_u.indices, self.scatter_u.indptr]
-        return sum(a.nbytes for a in arrays)
-
-    def check(self, g: NurbsGeometry) -> None:
-        """Raise ValueError unless ``g`` has the knots and weights this
-        discretization was built for."""
-        differ = [
-            name
-            for name, same in (
-                ("u knots", _same_knots(g.kv_u, self.kv_u)),
-                ("v knots", _same_knots(g.kv_v, self.kv_v)),
-                ("weights", np.array_equal(g.weights.w, self.weights)),
-            )
-            if not same
-        ]
-        if differ:
-            raise ValueError(
-                f"geometry does not match the discretization: {', '.join(differ)} differ"
-            )
-
-
-def _same_knots(a: KnotVector, b: KnotVector) -> bool:
-    return a.degree == b.degree and np.array_equal(a.knots, b.knots)
-
-
-def _scatter(first, i, d, width, n):
-    """0/1 matrix adding the pair (i[k], i[k] + d[k]) of local functions of
-    element e, entry e * len(i) + k, into band row (first[e] + i[k]) * width
-    + d[k] of an (n, width) band."""
-    rows = ((first[:, None] + i) * width + d).ravel()
-    return sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
-                         shape=(n * width, len(rows)))
-
-
-def discretization(g: NurbsGeometry) -> Discretization:
-    """Build the :class:`Discretization` of ``g``'s knots on the assembly
-    quadrature, degree + 1 Gauss points per element direction."""
-    (Lu, first_u), (Lv, first_v) = _element_tables(g.kv_u, g.kv_v)
-    n1, n2 = g.shape
-    p_u, p_v = g.kv_u.degree, g.kv_v.degree
-    iu, ju = np.triu_indices(p_u + 1)
-    pairs_u = np.stack([(Lu[a][:, :, iu] * Lu[b][:, :, ju]).transpose(0, 2, 1)
-                        for a in (0, 1) for b in (0, 1)])
-    iv, jv = np.divmod(np.arange((p_v + 1) ** 2), p_v + 1)
-    terms = _TERMS[:4] if _equal_weights(g.weights.w) else _TERMS
-    pairs_v = np.concatenate([Lv[_PHI[al][1]][:, :, iv] * Lv[_PHI[be][1]][:, :, jv]
-                              for al, be in terms], axis=1).transpose(0, 2, 1).copy()
-    pairs_u.flags.writeable = pairs_v.flags.writeable = False
-    scatter_u = _scatter(first_u, iu, ju - iu, p_u + 1, n1)
-    return Discretization(g.kv_u, g.kv_v, g.weights.w, pairs_u, scatter_u, pairs_v)
-
-
 def _first_bad_element(*masks):
     """Index of the first element, in (eu, ev) order, where any of the
     per-element masks is set, or None."""
@@ -421,36 +317,49 @@ def _metric(g: NurbsGeometry, geo: GeometryGrid, wvals, quotient, cols: slice):
     return H
 
 
-def _band(disc: Discretization, g: NurbsGeometry, geo: GeometryGrid, wvals) -> np.ndarray:
+def _band(g: NurbsGeometry, geo: GeometryGrid, wvals) -> np.ndarray:
     """The upper band (n2, 2 p_v + 1, n1, p_u + 1) of the form, one block
     of v element columns at a time (:func:`_blocks`), with the bits of the
     whole grid at once (see the module docstring).
 
-    A block takes its columns' metric entries (:func:`_metric`); contracts
-    each term of :data:`_TERMS` with the u pair tables and scatters it into
-    u band rows; contracts all terms at once with its elements' v pair
-    tables; and adds the result into the v band rows (j, j' - j + p_v).
-    Each band row sums its elements in ascending order, from 0: element e
-    adds its local row a into band row (first[e] + a, .), so a run of
-    elements whose first functions are equally spaced adds row a through
-    one strided view, and each run adds a = p_v, ..., 0 in turn."""
-    _, nel_u, n_pu, q_u = disc.pairs_u.shape
-    nel_v, _, tq_v = disc.pairs_v.shape
-    q_v = len(disc.kv_v.gauss.pts) // nel_v
-    p_v, m = disc.kv_v.degree, disc.scatter_u.shape[0]
-    first = np.asarray(disc.kv_v.nonzero_spans) - p_v
+    The 1D factors are the knot vectors' ``element_pairs`` memo entries
+    (:class:`~mmiga.splines.ElementPairs`): along u their upper pairs
+    i <= i', gathered per call into one table per (a, b), and along v the
+    full tables of the terms of :data:`_TERMS` the weights use side by
+    side, the memo's own array when all weights are equal. A block takes
+    its columns' metric entries (:func:`_metric`); contracts each term
+    with the u pair tables and scatters it into u band rows; contracts all
+    terms at once with its elements' v pair tables; and adds the result
+    into the v band rows (j, j' - j + p_v). Each band row sums its
+    elements in ascending order, from 0: element e adds its local row a
+    into band row (first[e] + a, .), so a run of elements whose first
+    functions are equally spaced adds row a through one strided view, and
+    each run adds a = p_v, ..., 0 in turn."""
+    pu, pv = g.kv_u.element_pairs, g.kv_v.element_pairs
+    nel_u, nel_v = len(pu.first), len(pv.first)
+    q_u, q_v = pu.tables.shape[2] // 4, pv.tables.shape[2] // 4
+    p_v, m = g.kv_v.degree, pu.scatter.shape[0]
+    iu, ju = np.triu_indices(g.kv_u.degree + 1)
+    tri = iu * (g.kv_u.degree + 1) + ju
+    pairs_u = np.ascontiguousarray(
+        pu.tables.reshape(nel_u, -1, 4, q_u)[:, tri].transpose(2, 0, 1, 3))
     quotient = _weight_quotient(g)
-    terms = _TERMS[:tq_v // q_v]
-    band = np.zeros((disc.kv_v.n, 2 * p_v + 1, m))
+    terms, pairs_v = _TERMS[:4], pv.tables
+    if quotient is not None:
+        terms = _TERMS
+        orders = [2 * _PHI[al][1] + _PHI[be][1] for al, be in terms]
+        pairs_v = pairs_v.reshape(nel_v, -1, 4, q_v)[:, :, orders].reshape(nel_v, -1, 9 * q_v)
+    tq_v, first = len(terms) * q_v, pv.first
+    band = np.zeros((g.kv_v.n, 2 * p_v + 1, m))
     for ev in _blocks(nel_v, tq_v * m * 8):
         H = _metric(g, geo, wvals, quotient, slice(ev.start * q_v, ev.stop * q_v))
         z = np.empty((ev.stop - ev.start, tq_v, m))
         for t, (al, be) in enumerate(terms):
             h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
-            x = disc.pairs_u[2 * _PHI[al][0] + _PHI[be][0]] @ h
-            xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
+            x = pairs_u[2 * _PHI[al][0] + _PHI[be][0]] @ h
+            xb = pu.scatter @ x.reshape(nel_u * len(tri), -1)
             z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, -1, q_v).transpose(1, 2, 0)
-        y = (disc.pairs_v[ev] @ z).reshape(len(z), p_v + 1, p_v + 1, m)
+        y = (pairs_v[ev] @ z).reshape(len(z), p_v + 1, p_v + 1, m)
         # a run ends after element k > 0 when its step to the next element
         # differs from the step before it
         step = np.diff(first[ev])
@@ -459,7 +368,7 @@ def _band(disc: Discretization, g: NurbsGeometry, geo: GeometryGrid, wvals) -> n
             j, d = first[ev.start + r0], step[r0] if r1 - r0 > 1 else 1
             for a in range(p_v, -1, -1):
                 band[j + a:j + a + d * (r1 - r0):d, p_v - a:2 * p_v + 1 - a] += y[r0:r1, a]
-    return band.reshape(disc.kv_v.n, 2 * p_v + 1, disc.kv_u.n, -1)
+    return band.reshape(g.kv_v.n, 2 * p_v + 1, g.kv_u.n, -1)
 
 
 def _diagonals(band: np.ndarray, w: np.ndarray) -> sp.dia_matrix:
@@ -503,7 +412,6 @@ def assemble_weighted_stiffness(
     g: NurbsGeometry,
     weight=None,
     *,
-    disc: Discretization | None = None,
     geo: GeometryGrid | None = None,
 ):
     """Sparse symmetric matrix of the weighted diffusion form, stored by
@@ -515,14 +423,11 @@ def assemble_weighted_stiffness(
     (the knot vectors' memo entries). It must be strictly
     positive; a nonpositive value aborts assembly naming the element.
 
-    ``disc`` (:func:`discretization`) must match ``g``'s knots and weights
-    (ValueError otherwise); without it the call builds its own, with the
-    same bits. ``geo`` is ``g`` already evaluated with its Jacobian on the
-    quadrature grid, when the caller has it.
+    The knot-only factors are the knot vectors' ``element_pairs`` memo
+    entries, built on the first call on them. ``geo`` is ``g`` already
+    evaluated with its Jacobian on the quadrature grid, when the caller
+    has it.
     """
-    if disc is None:
-        disc = discretization(g)
-    disc.check(g)
     geo = _gauss_geometry(g, geo)
     wvals = _resolve_weight(weight, geo, geo.det.shape)
 
@@ -535,7 +440,7 @@ def assemble_weighted_stiffness(
         what = "diffusion weight" if bad_w[bad] else "Jacobian determinant"
         raise AssemblyError(f"nonpositive {what} in element ({bad[0]}, {bad[1]})")
 
-    return _diagonals(_band(disc, g, geo, wvals), g.weights.w)
+    return _diagonals(_band(g, geo, wvals), g.weights.w)
 
 
 def assemble_load(
@@ -713,7 +618,7 @@ def solve_dirichlet(
 
     Of ``g`` the solve reads only its grid shape and its knot vectors,
     whose memo entries hold the preconditioner's 1D factors
-    (:func:`fast_diagonalization`); it builds no :class:`Discretization`."""
+    (:func:`fast_diagonalization`), not the stiffness's pair tables."""
     lin = lin or LinearSolverSettings()
     if start.shape != g.shape:
         raise ValueError(f"start field on grid {start.shape} does not match {g.shape}")
@@ -730,8 +635,9 @@ def solve_poisson(g: NurbsGeometry, f, bc,
                   lin: LinearSolverSettings | None = None) -> FieldCoefficients:
     """Galerkin solve of  -div(grad u) = f,  u = bc on the boundary, from a
     cold start. One evaluation of the geometry on the quadrature grid serves
-    both forms; repeated solves build it and a :class:`Discretization` for
-    the stiffness once and call the forms and :func:`solve_dirichlet`.
+    both forms; repeated solves on one geometry evaluate it once and call
+    the forms and :func:`solve_dirichlet`. The knot-only data are memo
+    entries of ``g``'s knot vectors, built by the first solve on them.
     """
     geo = eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
     A = assemble_weighted_stiffness(g, geo=geo)

@@ -85,7 +85,8 @@ def _case2_fields():
         # guard is numerically inert because sech^2 underflows there
         r = _tanh_radius(x, y)
         s = (TANH_RADIUS - r) / d
-        return (2.0 / d**2) * _sech2(s) * np.tanh(s) + _sech2(s) / (d * r)
+        sech2 = _sech2(s)
+        return (2.0 / d**2) * sech2 * np.tanh(s) + sech2 / (d * r)
 
     def du_dx(x, y):
         r = _tanh_radius(x, y)

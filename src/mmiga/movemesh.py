@@ -31,12 +31,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import (
-    Discretization,
     FieldCoefficients,
     assemble_load,
     assemble_weighted_stiffness,
     boundary_values,
-    discretization,
     eval_field_grid,
     solve_dirichlet,
 )
@@ -294,14 +292,13 @@ def init_logical_mesh(
     g0: NurbsGeometry,
     bmap: BoundaryMap,
     lin: LinearSolverSettings | None = None,
-    *,
-    disc: Discretization | None = None,
 ) -> LogicalMesh:
     """Reference logical mesh from the Laplace solve -lap(xi) = 0, xi = bmap
     on the boundary, from a cold start; the nodal values are frozen for the
-    whole run. ``disc`` goes to the stiffness assembly, which builds its
-    own without it; the solves read none."""
-    A = assemble_weighted_stiffness(g0, disc=disc)
+    whole run. One stiffness serves both components; its first assembly on
+    ``g0``'s knot vectors builds their element pair tables, which every
+    later mesh of a run on them reads."""
+    A = assemble_weighted_stiffness(g0)
     cold = tuple(FieldCoefficients(boundary_values(g0, bmap.component(k)), g0.shape)
                  for k in range(2))
     fields = _solve_components(A, g0, cold, lin)
@@ -357,7 +354,6 @@ def solve_harmonic_map(
     start: tuple[FieldCoefficients, FieldCoefficients],
     lin: LinearSolverSettings | None = None,
     *,
-    disc: Discretization | None = None,
     geo: GeometryGrid | None = None,
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Logical map from the variable-diffusion solve -div(grad(xi)/M) = 0.
@@ -367,17 +363,16 @@ def solve_harmonic_map(
     (:func:`~mmiga.assembly.solve_dirichlet`): its boundary ring is that
     component of the boundary map and its interior the first guess, as in
     the previous map or the reference fields of :func:`init_logical_mesh`.
-    ``disc`` goes to the stiffness assembly, which builds its own without
-    it; the solves read none. The monitor and the stiffness share one
-    evaluation of ``g`` with its Jacobian on the quadrature grid: ``geo``
-    when the caller has it (the PDE solve of the same mesh made one), else
-    a fresh one.
+    The monitor and the stiffness share one evaluation of ``g`` with its
+    Jacobian on the quadrature grid: ``geo`` when the caller has it (the
+    PDE solve of the same mesh made one), else a fresh one. The stiffness
+    reads its knot-only factors from ``g``'s knot vectors.
     """
     pts_u, pts_v = g.kv_u.gauss.pts, g.kv_v.gauss.pts
     if geo is None:
         geo = eval_geometry_grid(g, pts_u, pts_v, 1)
     m = monitor_grid(spec, g, u, pts_u, pts_v, geo=geo)
-    A = assemble_weighted_stiffness(g, 1.0 / m, disc=disc, geo=geo)
+    A = assemble_weighted_stiffness(g, 1.0 / m, geo=geo)
     return _solve_components(A, g, start, lin)
 
 
@@ -525,21 +520,19 @@ class _MoveMeshRun:
 
     Mesh moves change interior control points only, so the work that
     depends on knots, weights and the boundary ring alone is done once per
-    run: one :class:`~mmiga.assembly.Discretization` of ``g0`` (its build
-    time and size are logged at INFO) serves every stiffness assembly,
-    every Dirichlet solve takes its preconditioner's 1D factors from the
-    knot vectors' memo entries, factored on the first solve, and the
-    Dirichlet data are built once on ``g0``, as the rings of the cold
-    starts of the first PDE solve and of :func:`init_logical_mesh`. Every
-    Dirichlet solve returns the ring of its start field
+    run. Every mesh of the run shares the knot vectors of ``g0``, whose
+    memo entries hold the knot-only data, each built on first use only:
+    the basis tables of the fixed grids (assembly quadrature, Greville
+    nodes and refit collocation, error norms), the stiffness's element
+    pair tables and the preconditioner's 1D factors. The Dirichlet data
+    are built once on ``g0``, as the rings of the cold starts of the first
+    PDE solve and of :func:`init_logical_mesh`. Every Dirichlet solve
+    returns the ring of its start field
     (:func:`~mmiga.assembly.solve_dirichlet`), and every later solve starts
     from ``state.solution`` or ``state.xi``, so the data are carried from
     solve to solve. They hold bit for bit on every later mesh:
     :func:`update_mesh` rejects any movement of the boundary ring, so the
-    re-fit carries the ring of control points over unchanged. Every mesh of
-    the run shares the knot vectors of ``g0``, so the basis tables of the
-    fixed grids (assembly quadrature, Greville nodes and refit collocation,
-    error norms) are their memo entries, tabulated on first use only.
+    re-fit carries the ring of control points over unchanged.
     The quadrature-grid evaluation :func:`update_mesh` made of an accepted
     mesh serves the PDE and map solves on that mesh and the trace's
     ``min_jacobian``. The nodes of a mesh are evaluated where they are
@@ -581,11 +574,8 @@ class _MoveMeshRun:
                  cfg: MoveMeshConfig):
         self.problem, self.spec, self.cfg = problem, spec, cfg
         self.t_start = time.perf_counter()
-        self.disc = discretization(g0)
-        logger.info("discretization built in %.3f s, %d bytes",
-                    time.perf_counter() - self.t_start, self.disc.nbytes)
         bmap = make_boundary_map(_physical_rect(g0), cfg.logical)
-        lm = init_logical_mesh(g0, bmap, cfg.lin, disc=self.disc)
+        lm = init_logical_mesh(g0, bmap, cfg.lin)
         self.geo = eval_geometry_grid(g0, g0.kv_u.gauss.pts, g0.kv_v.gauss.pts, 1)
         u = self._poisson(g0, FieldCoefficients(boundary_values(g0, problem.bc), g0.shape))
         self.state = MoveMeshState(g0, u, lm.fields, lm, snapshots=[(0, g0, u)])
@@ -596,7 +586,7 @@ class _MoveMeshRun:
 
     def _poisson(self, g: NurbsGeometry, start: FieldCoefficients) -> FieldCoefficients:
         """The PDE solution on ``g`` (evaluated in ``geo``) from ``start``."""
-        A = assemble_weighted_stiffness(g, disc=self.disc, geo=self.geo)
+        A = assemble_weighted_stiffness(g, geo=self.geo)
         b = assemble_load(g, self.problem.f, geo=self.geo)
         return solve_dirichlet(A, b, g, start, self.cfg.lin)
 
@@ -604,8 +594,7 @@ class _MoveMeshRun:
         """Re-solves ``state.xi`` on the current mesh at ``lin``'s tolerance,
         from itself, and puts its max-norm defect at the nodes in ``xi_err``."""
         s = self.state
-        s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, s.xi, lin,
-                                  disc=self.disc, geo=self.geo)
+        s.xi = solve_harmonic_map(s.geometry, self.spec, s.solution, s.xi, lin, geo=self.geo)
         vals = _xi_at_nodes(s.geometry, s.xi)
         defect = s.logical_mesh.nodes - np.stack([vals[0].values, vals[1].values], axis=-1)
         self.xi_err = float(np.max(np.abs(defect)))

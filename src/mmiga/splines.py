@@ -32,8 +32,13 @@ asked for a higher derivative order than it holds grows to that order in
 place, keeping its arrays. The interior eigendecomposition of the 1D
 stiffness and mass on the assembly Gauss grid (:class:`InteriorEigen`), one
 direction's factors of the fast-diagonalisation preconditioner, is a memo
-entry too, so a square mesh, whose two directions share one knot vector,
-factors once.
+entry too, and so are the element pair tables of the sum-factorised
+stiffness (:class:`ElementPairs`): a square mesh, whose two directions share
+one knot vector, builds each once, and so does a moving-mesh run, whose
+meshes all share the knot vectors of the first.
+
+Two knot vectors are equal when their degrees and knots are; their memo
+entries take no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "KnotVector",
     "PointTables",
     "InteriorEigen",
+    "ElementPairs",
     "QuadratureRule",
     "BasisEval",
     "TensorWeights",
@@ -96,14 +103,36 @@ class InteriorEigen:
     m: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class ElementPairs:
+    """Products of one knot vector's B-splines on each element, at its
+    points of the ``gauss`` rule: the 1D factors of the sum-factorised
+    stiffness.
+
+    ``first[e]`` is the index of the first of the p + 1 functions nonzero
+    on element e. ``tables[e, (p+1) i + i', (2a + b) q + k]`` is
+    d^a N_{first[e]+i} d^b N_{first[e]+i'} at the element's k-th of q Gauss
+    points, for a, b in {0, 1}. ``scatter`` is the 0/1 matrix that adds the
+    upper pairs i <= i', taken in ``np.triu_indices(p + 1)`` order element
+    by element, into row (first[e] + i)(p + 1) + i' - i of a band of n rows
+    and p + 1 upper diagonals. All arrays, those of ``scatter`` too, are
+    read-only.
+    """
+
+    first: np.ndarray
+    tables: np.ndarray
+    scatter: sp.csr_matrix
+
+
+@dataclass(frozen=True, eq=False)
 class KnotVector:
     """Open knot vector with its polynomial degree.
 
     The basis tables of the fixed point sets below are memo entries: each
     is built on first use and kept, read-only, with this instance, and
     grows in place to the derivative orders asked of it (:meth:`tables`).
-    Two threads that race on an entry compute the same bits.
+    Two threads that race on an entry compute the same bits. Equality and
+    the hash are those of (degree, knots); the memo entries take no part.
 
     Parameters
     ----------
@@ -136,6 +165,14 @@ class KnotVector:
             _, counts = np.unique(interior, return_counts=True)
             if np.any(counts > p):
                 raise ValueError("interior knot multiplicity exceeds the degree")
+
+    def __eq__(self, other):
+        if not isinstance(other, KnotVector):
+            return NotImplemented
+        return self.degree == other.degree and np.array_equal(self.knots, other.knots)
+
+    def __hash__(self):
+        return hash((self.degree, tuple(self.knots.tolist())))
 
     @property
     def n(self) -> int:
@@ -214,6 +251,24 @@ class KnotVector:
         for a in (eigen.U, eigen.lam, eigen.k, eigen.m):
             a.flags.writeable = False
         return eigen
+
+    @cached_property
+    def element_pairs(self) -> ElementPairs:
+        """The :class:`ElementPairs` of the ``gauss`` rule."""
+        p, gauss = self.degree, self.gauss
+        first = np.asarray(self.nonzero_spans) - p
+        rows = np.arange(len(gauss.pts)).reshape(len(first), -1, 1)
+        L = [gauss.D[a][rows, first[:, None, None] + np.arange(p + 1)] for a in (0, 1)]
+        i, j = np.divmod(np.arange((p + 1) ** 2), p + 1)
+        tables = np.concatenate([L[a][:, :, i] * L[b][:, :, j] for a in (0, 1) for b in (0, 1)],
+                                axis=1).transpose(0, 2, 1).copy()
+        iu, ju = np.triu_indices(p + 1)
+        band_rows = ((first[:, None] + iu) * (p + 1) + ju - iu).ravel()
+        scatter = sp.csr_matrix((np.ones(len(band_rows)), (band_rows, np.arange(len(band_rows)))),
+                                shape=(self.n * (p + 1), len(band_rows)))
+        for a in (first, tables, scatter.data, scatter.indices, scatter.indptr):
+            a.flags.writeable = False
+        return ElementPairs(first, tables, scatter)
 
     def tables(self, pts, nders: int) -> PointTables:
         """The tables on ``pts`` with orders 0 .. ``nders``: the memo entry

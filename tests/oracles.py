@@ -271,11 +271,14 @@ def bilinear_interp(x, y, U, px, py):
 
 def move_mesh_reference(problem, g0, spec, cfg):
     """The outer loop of ``movemesh.move_mesh_solve`` written with the public
-    calls alone, none given a discretization or a geometry grid: every
-    solve builds its own stiffness blocks, merge plan and geometry grids,
-    its Dirichlet data are ``boundary_values`` of the mesh it runs on, and
-    the trace takes ``min_jacobian`` of each mesh afresh. Mesh wraps are
-    not handled.
+    calls alone, none given a geometry grid: every call evaluates its own
+    geometry grids, every solve's Dirichlet data are ``boundary_values`` of
+    the mesh it runs on, the first PDE solve is ``solve_poisson``, and the
+    trace takes ``min_jacobian`` of each mesh afresh. What the knots alone
+    fix is not rebuilt: the basis tables of the fixed grids, the
+    stiffness's element pair tables and the preconditioner's 1D factors
+    are memo entries of the knot vectors of ``g0``, which every mesh here
+    and in the run shares. Mesh wraps are not handled.
 
     The inner solves follow the loop's rule: each PDE and map solve starts
     from the interior of the previous one (the first PDE solve cold, the
@@ -406,6 +409,18 @@ def _weight_values(weight, geo):
     return np.asarray(weight, dtype=float)
 
 
+def _element_blocks(kv):
+    """The per-element blocks of the B-spline values and first derivatives
+    on the knot vector's ``gauss`` grid: ``L[a][e]`` is the (q, p+1) block
+    of d^a N on element e, its Gauss points against the p+1 functions
+    nonzero there, whose first has the index ``first[e]``. Returned as
+    ``(L, first)``."""
+    first = np.asarray(kv.nonzero_spans) - kv.degree
+    rows = np.arange(len(kv.gauss.pts)).reshape(len(first), -1, 1)
+    cols = first[:, None, None] + np.arange(kv.degree + 1)
+    return np.stack([kv.gauss.D[a][rows, cols] for a in (0, 1)]), first
+
+
 def stiffness_whole_grid(g, weight=None):
     """``assemble_weighted_stiffness(g, weight)`` as a CSR matrix of the
     pairs that share an element, with every sum-factorisation stage over
@@ -413,10 +428,12 @@ def stiffness_whole_grid(g, weight=None):
     (with the weight 1 as a grid of ones), each term contracted along u and
     scattered into u band rows for all v points, then all terms along v and
     one sparse product adding every element into the v band rows; the
-    values are read out of the band by the maps of :func:`csr_maps_4d`."""
+    values are read out of the band by the maps of :func:`csr_maps_4d`.
+    The element pair tables and the u scatter are built here from the knot
+    vectors' ``gauss`` tables (:func:`_element_blocks`), not read from the
+    ``element_pairs`` memo entries the library's stiffness reads."""
     from mmiga import assembly, geometry
 
-    disc = assembly.discretization(g)
     geo = geometry.eval_geometry_grid(g, g.kv_u.gauss.pts, g.kv_v.gauss.pts, 1)
     wvals = _weight_values(weight, geo)
     j00, j01, j10, j11 = (geo.jac[..., a, b] for a in (0, 1) for b in (0, 1))
@@ -436,22 +453,29 @@ def stiffness_whole_grid(g, weight=None):
         H[1, 2] = H[0, 1] * e_u + H[1, 1] * e_v
         H[2, 2] = H[0, 2] * e_u + H[1, 2] * e_v
 
-    _, nel_u, n_pu, q_u = disc.pairs_u.shape
-    nel_v, n_pv, _ = disc.pairs_v.shape
-    q_v = len(g.kv_v.gauss.pts) // nel_v
-    m = disc.scatter_u.shape[0]
-    terms = assembly._TERMS[:9 if rational else 4]
+    terms, phi = assembly._TERMS[:9 if rational else 4], assembly._PHI
+    (Lu, first_u), (Lv, first_v) = (_element_blocks(kv) for kv in (g.kv_u, g.kv_v))
+    nel_u, q_u, nu = Lu[0].shape
+    nel_v, q_v, nv = Lv[0].shape
+    iu, ju = np.triu_indices(nu)
+    pairs_u = np.stack([(Lu[a][:, :, iu] * Lu[b][:, :, ju]).transpose(0, 2, 1)
+                        for a in (0, 1) for b in (0, 1)])
+    iv, jv = np.divmod(np.arange(nv * nv), nv)
+    pairs_v = np.concatenate([Lv[phi[al][1]][:, :, iv] * Lv[phi[be][1]][:, :, jv]
+                              for al, be in terms], axis=1).transpose(0, 2, 1).copy()
+    rows = ((first_u[:, None] + iu) * nu + ju - iu).ravel()
+    scatter_u = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                              shape=(g.kv_u.n * nu, len(rows)))
+    m = scatter_u.shape[0]
     z = np.empty((nel_v, len(terms) * q_v, m))
     for t, (al, be) in enumerate(terms):
         h = H[min(al, be), max(al, be)].reshape(nel_u, q_u, -1)
-        x = disc.pairs_u[2 * assembly._PHI[al][0] + assembly._PHI[be][0]] @ h
-        xb = disc.scatter_u @ x.reshape(nel_u * n_pu, -1)
+        x = pairs_u[2 * phi[al][0] + phi[be][0]] @ h
+        xb = scatter_u @ x.reshape(nel_u * len(iu), -1)
         z[:, t * q_v:(t + 1) * q_v] = xb.reshape(m, nel_v, q_v).transpose(1, 2, 0)
-    y = disc.pairs_v[:, :, :len(terms) * q_v] @ z
+    y = pairs_v @ z
     p = g.kv_v.degree
-    first = np.asarray(g.kv_v.nonzero_spans) - p
-    iv, jv = np.divmod(np.arange(n_pv), p + 1)
-    rows = ((first[:, None] + iv) * (2 * p + 1) + jv - iv + p).ravel()
+    rows = ((first_v[:, None] + iv) * (2 * p + 1) + jv - iv + p).ravel()
     scatter_v = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
                               shape=(g.kv_v.n * (2 * p + 1), len(rows)))
     gather, cols, indptr = csr_maps_4d(g.kv_u, g.kv_v)

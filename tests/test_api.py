@@ -74,21 +74,22 @@ def test_no_function_takes_nodes_and_no_elimination_takes_a_discretization():
     assert list(inspect.signature(apply_dirichlet).parameters) == ["A", "b", "start"]
 
 
-def test_only_the_stiffness_and_its_callers_take_a_discretization():
-    # a Dirichlet solve takes its preconditioner's factors from the knot
-    # vectors, so only the stiffness, and the map solves that assemble one,
-    # take a discretization
+def test_no_function_takes_a_discretization():
+    # the stiffness reads its knot-only data from the memo entries of its
+    # geometry's knot vectors, so no function takes them as an argument, and
+    # a Dirichlet solve takes its preconditioner's factors from them too
     takers = set()
     for name in MODULES:
         module = importlib.import_module(f"mmiga.{name}")
         for obj in (getattr(module, n) for n in getattr(module, "__all__", ())):
             if inspect.isfunction(obj) and "disc" in inspect.signature(obj).parameters:
                 takers.add(f"{obj.__module__}.{obj.__name__}")
-    assert takers == {"mmiga.assembly.assemble_weighted_stiffness",
-                      "mmiga.movemesh.init_logical_mesh", "mmiga.movemesh.solve_harmonic_map"}
-    from mmiga.assembly import solve_dirichlet
+    assert takers == set()
+    from mmiga import assembly
 
-    assert list(inspect.signature(solve_dirichlet).parameters) == ["A", "b", "g", "start", "lin"]
+    assert not hasattr(assembly, "Discretization") and not hasattr(assembly, "discretization")
+    assert list(inspect.signature(assembly.solve_dirichlet).parameters) == [
+        "A", "b", "g", "start", "lin"]
 
 
 def _load_tracing():

@@ -14,7 +14,6 @@ from mmiga.assembly import (
     assemble_load,
     assemble_weighted_stiffness,
     boundary_values,
-    discretization,
     dof_map,
     eval_field,
     eval_field_grid,
@@ -334,23 +333,23 @@ def test_blocked_error_norms_have_the_bits_of_the_whole_grid(g, budget, seed):
 
 
 def test_stiffness_and_error_norms_stay_near_the_matrix_in_memory():
-    # p=3, 64 x 64 C^2 elements: above its inputs (the discretization and the
-    # Gauss-grid geometry), the stiffness's traced peak is under 2x the
-    # matrix's own bytes (diagonals and offsets), and that of the error
+    # p=3, 64 x 64 C^2 elements: above its inputs (the knot vector's memo
+    # entries and the Gauss-grid geometry), the stiffness's traced peak is
+    # under 2x the matrix's own bytes (diagonals and offsets), and that of the error
     # norms under 13 float arrays over the error Gauss grid (320 x 320).
     # The band and the diagonals take 1.6x; the error norms keep their
     # whole-grid contractions, 10.6 arrays. Whole-grid temporaries took 3.7x
     # the bytes of the matrix in CSR form and 18 arrays
     kv = make_open_knot_vector(3, 64)
     g = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
-    disc = discretization(g)
+    kv.element_pairs  # an input: the memo entry is built before tracing
     geo = eval_geometry_grid(g, kv.gauss.pts, kv.gauss.pts, 1)
     u = FieldCoefficients(np.random.default_rng(0).normal(size=g.ndof), g.shape)
     error_norms(g, u, _SINE)  # the knot vectors' memo tables, kept, grow here
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        A = assemble_weighted_stiffness(g, disc=disc, geo=geo)
+        A = assemble_weighted_stiffness(g, geo=geo)
         stiffness = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -420,64 +419,98 @@ def test_preconditioner_factors_once_per_knot_vector(monkeypatch):
     assert calls == []
 
 
+def _on_fresh_knot_vectors(g):
+    """``g`` on new knot vectors equal to its own, which hold no memo
+    entries yet."""
+    kv_u, kv_v = (KnotVector(kv.degree, kv.knots) for kv in (g.kv_u, g.kv_v))
+    return NurbsGeometry(kv_u, kv_v, g.weights, g.control_points)
+
+
 @pytest.mark.parametrize("weight_kind", ["none", "array", "callable"])
 @pytest.mark.parametrize("mult", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_stiffness_with_discretization_is_bit_identical(p, mult, weight_kind):
+    # the knot-only data are the knot vectors' element_pairs memo entries:
+    # a stiffness on knot vectors that hold them has the bits of one on
+    # fresh copies of the knot vectors, which build their own, and a second
+    # control net on the same knot vectors reads the same entries
     g = _random_rational(p, mult, seed=10 * p + mult)
-    disc = discretization(g)
-    # a second control net on the same knots and weights reuses it
     g2 = refit_from_node_targets(g, mesh_nodes(g) * 1.01)
+    fresh = [_on_fresh_knot_vectors(h) for h in (g, g2)]
     shape = (len(g.kv_u.gauss.pts), len(g.kv_v.gauss.pts))
     weight = {
         "none": None,
         "array": np.random.default_rng(1).uniform(0.5, 2.0, shape),
         "callable": lambda x, y: 1.0 + x * x + 0.5 * y,
     }[weight_kind]
-    for geom in (g, g2):
+    assemble_weighted_stiffness(g, weight)
+    pairs = (g.kv_u.element_pairs, g.kv_v.element_pairs)
+    for geom, copy in zip((g, g2), fresh):
         A = assemble_weighted_stiffness(geom, weight)
-        B = assemble_weighted_stiffness(geom, weight, disc=disc)
+        B = assemble_weighted_stiffness(copy, weight)
         for name in ("data", "offsets"):
             a, b = getattr(A, name), getattr(B, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert g2.kv_u.element_pairs is pairs[0] and g2.kv_v.element_pairs is pairs[1]
 
 
-def test_discretization_rejects_other_knots_weights_or_quadrature():
-    g = _random_rational(3, 1, seed=5)
-    disc = discretization(g)
-    other_knots = _mesh_3x4(p=3, mult=3)
-    other_weights = NurbsGeometry(g.kv_u, g.kv_v, TensorWeights(np.ones(g.shape)),
-                                  g.control_points)
-    with pytest.raises(ValueError, match="knots"):
-        assemble_weighted_stiffness(other_knots, disc=disc)
-    with pytest.raises(ValueError, match="weights"):
-        assemble_weighted_stiffness(other_weights, disc=disc)
+def _count_element_pairs(monkeypatch):
+    """The list of knot vectors whose ``element_pairs`` entry is built from
+    here on, one item per build."""
+    built = []
+    prop = KnotVector.__dict__["element_pairs"]
+    build = prop.func
+
+    def counting(kv):
+        built.append(kv)
+        return build(kv)
+
+    monkeypatch.setattr(prop, "func", counting)
+    return built
 
 
-def test_discretization_size_matches_memory_formula():
-    # 3 x 4 cubic elements, 6 x 7 functions: 10 upper u pairs and 16 v pairs
-    # per element, 4 Gauss points per direction; the matrix stores 7 x 7
-    # diagonals of 42 entries, offsets di * 7 + dj
+def test_element_pairs_are_built_once_per_knot_vector(monkeypatch):
+    # a square mesh's two directions share one knot vector and one entry;
+    # a mesh on two knot vectors builds one for each, and later stiffness
+    # assemblies on them build none
+    built = _count_element_pairs(monkeypatch)
+    kv = make_open_knot_vector(3, 5)
+    square = build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)
+    for _ in range(2):
+        assemble_weighted_stiffness(square)
+    assert len(built) == 1 and built[0] is kv
+    built.clear()
+    g = _random_rational(3, 1, seed=9)
+    for _ in range(2):
+        assemble_weighted_stiffness(g, lambda x, y: 1.0 + x)
+    assert len(built) == 2 and built[0] is g.kv_u and built[1] is g.kv_v
+
+
+def test_element_pairs_size_matches_memory_formula():
+    # 3 x 4 cubic elements, 6 x 7 functions: 16 pairs per element, 4 Gauss
+    # points per direction and 4 products d^a N d^b N each; 10 upper pairs
+    # per u element scatter into 6 band rows of 4; the matrix stores 7 x 7
+    # diagonals of 42 entries, offsets di * 7 + dj. Every array is read-only
     g = _random_rational(3, 1, seed=6)
-    disc = discretization(g)
-    assert disc.pairs_u.shape == (4, 3, 10, 4)
-    assert disc.pairs_v.shape == (4, 16, 9 * 4)
-    assert disc.scatter_u.shape == (6 * 4, 3 * 10)
-    floats = 6 * 7 + disc.pairs_u.size + disc.pairs_v.size
-    scatter = sum(a.nbytes for a in (disc.scatter_u.data, disc.scatter_u.indices,
-                                     disc.scatter_u.indptr))
-    assert disc.nbytes == 8 * floats + scatter
-    assert not disc.pairs_u.flags.writeable and not disc.pairs_v.flags.writeable
-    A = assemble_weighted_stiffness(g, disc=disc)
+    pu, pv = g.kv_u.element_pairs, g.kv_v.element_pairs
+    assert pu.tables.shape == (3, 16, 4 * 4) and pv.tables.shape == (4, 16, 4 * 4)
+    assert np.array_equal(pu.first, np.arange(3)) and np.array_equal(pv.first, np.arange(4))
+    assert pu.scatter.shape == (6 * 4, 3 * 10) and pu.scatter.nnz == 3 * 10
+    for e in (pu, pv):
+        arrays = (e.first, e.tables, e.scatter.data, e.scatter.indices, e.scatter.indptr)
+        assert not any(a.flags.writeable for a in arrays)
+    A = assemble_weighted_stiffness(g)
     offsets = np.add.outer(7 * np.arange(-3, 4), np.arange(-3, 4)).ravel()
     assert A.data.shape == (49, 42) and np.array_equal(A.offsets, offsets)
     # 2 x 2 cubic elements, 5 x 5 functions: (di, dj) and (di + 1, dj - 5)
     # share an offset, so the upper offsets are 0 .. 18
     A = assemble_weighted_stiffness(_identity(p=3, m=2))
     assert A.data.shape == (37, 25) and np.array_equal(A.offsets, np.arange(-18, 19))
-    # knot-only data stays small: under 1 MB at 128 x 128 cubic elements
-    kv = make_open_knot_vector(3, 128)
-    assert discretization(build_identity_geometry(Rectangle(0, 1, 0, 1), kv, kv)).nbytes < 1e6
+    # knot-only data stays small: under 1 MB at 128 x 128 cubic elements,
+    # where both directions share the one knot vector
+    e = make_open_knot_vector(3, 128).element_pairs
+    arrays = (e.first, e.tables, e.scatter.data, e.scatter.indices, e.scatter.indptr)
+    assert sum(a.nbytes for a in arrays) < 1e6
 
 
 def test_forms_take_a_shared_geometry_grid_bit_identically():
@@ -648,9 +681,8 @@ def test_reduced_system_is_the_interior_slice_of_the_discretization_pattern(p, m
     from scipy.sparse.linalg import spsolve
 
     g = _random_rational(p, mult, seed=60 + p + mult)
-    disc = discretization(g)
     bc = lambda x, y: np.sin(x) * np.cos(y)
-    A = assemble_weighted_stiffness(g, lambda x, y: 1.0 + x * y, disc=disc)
+    A = assemble_weighted_stiffness(g, lambda x, y: 1.0 + x * y)
     b = assemble_load(g, lambda x, y: np.exp(x - y))
     I = dof_map(*g.shape).interior
     xb = boundary_values(g, bc)
@@ -770,35 +802,36 @@ def test_preconditioner_is_symmetric_positive_definite():
 
 
 def test_solves_with_and_without_discretization_are_bit_identical():
-    # a stiffness assembled on a given discretization solves to the same
-    # bits as one that built its own, and as the one-shot solve_poisson
+    # a stiffness on knot vectors that already hold their memo entries
+    # solves to the same bits as one on fresh copies of the knot vectors,
+    # and as the one-shot solve_poisson
     g = _random_rational(3, 3, seed=32)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
     u = solve_dirichlet(A, b, g, _cold(g, bc))
-    A_disc = assemble_weighted_stiffness(g, disc=discretization(g))
-    assert np.array_equal(solve_dirichlet(A_disc, b, g, _cold(g, bc)).values, u.values)
+    fresh = _on_fresh_knot_vectors(g)
+    A_fresh = assemble_weighted_stiffness(fresh)
+    assert np.array_equal(solve_dirichlet(A_fresh, b, fresh, _cold(fresh, bc)).values, u.values)
     assert np.array_equal(solve_poisson(g, f, bc).values, u.values)
 
 
 def test_dirichlet_solve_builds_no_discretization(monkeypatch):
-    # the solve reads only the grid shape and the knot vectors' memo
-    # entries of its geometry: it runs with discretization() broken
+    # the solve reads only the grid shape and the knot vectors' preconditioner
+    # factors: on fresh knot vectors it builds no element pair tables
     g = _random_rational(3, 1, seed=33)
     f, bc = (lambda x, y: 1.0 + x * y), (lambda x, y: np.sin(x) * np.cos(y))
     A, b = assemble_weighted_stiffness(g), assemble_load(g, f)
     ref = solve_dirichlet(A, b, g, _cold(g, bc))
-
-    def broken(g):
-        raise AssertionError("a Dirichlet solve built a discretization")
-
-    monkeypatch.setattr(assembly, "discretization", broken)
-    assert np.array_equal(solve_dirichlet(A, b, g, _cold(g, bc)).values, ref.values)
+    fresh = _on_fresh_knot_vectors(g)
+    built = _count_element_pairs(monkeypatch)
+    assert np.array_equal(solve_dirichlet(A, b, fresh, _cold(fresh, bc)).values, ref.values)
+    assert built == []
 
 
 def test_map_solves_without_discretization_build_one_for_both_components(monkeypatch):
-    # the stiffness builds the one discretization of the call, and neither
-    # component solve builds another
+    # the first stiffness on a knot vector builds its element pair tables,
+    # one entry per knot vector, and neither component solve nor a later
+    # stiffness builds another
     from mmiga.movemesh import (
         MonitorSpec,
         init_logical_mesh,
@@ -809,16 +842,9 @@ def test_map_solves_without_discretization_build_one_for_both_components(monkeyp
     g = _random_rational(3, 1, seed=35)
     bm = make_boundary_map(Rectangle(0, 1, 0, 1), Rectangle(0, 1, 0, 1))
     lin = LinearSolverSettings(tol=1e-10)
-    built = []
-
-    def counting(g):
-        built.append(1)
-        return build(g)
-
-    build = assembly.discretization
-    monkeypatch.setattr(assembly, "discretization", counting)
+    built = _count_element_pairs(monkeypatch)
     lm = init_logical_mesh(g, bm, lin)
-    assert len(built) == 1
+    assert len(built) == 2 and built[0] is not built[1]
     u = FieldCoefficients(np.zeros(g.ndof), g.shape)
     solve_harmonic_map(g, MonitorSpec(), u, lm.fields, lin)
     assert len(built) == 2

@@ -8,7 +8,6 @@ from mmiga import cli
 from mmiga.assembly import (
     FieldCoefficients,
     boundary_values,
-    discretization,
     eval_field_grid,
     solve_poisson,
 )
@@ -538,10 +537,10 @@ def _moves(records):
                          ids=["gradient", "hessian", "gradient-smoothed", "combined",
                               "gradient-slow"])
 def test_move_mesh_matches_the_uncached_reference_loop(spec, n_accelerated, caplog):
-    # the run reuses one discretization, one set of Dirichlet vectors and
-    # each PDE solve's geometry grid; the reference rebuilds all of them on
-    # every call, and states the Anderson rule of the moves on its own;
-    # every figure must come out with the same bits
+    # the run reuses one set of Dirichlet vectors and each PDE solve's
+    # geometry grid; the reference rebuilds both on every call, and states
+    # the Anderson rule of the moves on its own; every figure must come out
+    # with the same bits
     prob = cli.manufacture_rhs("case2_tanh")
     kv = make_open_knot_vector(3, 8, 1)
     g0 = build_identity_geometry(prob.domain, kv, kv)
@@ -819,14 +818,32 @@ def test_a_run_repeats_its_bits_in_fresh_processes():
     assert all(float(tau) > 0 for tau in outs[0][1::3])  # every iteration moved the mesh
 
 
-def test_move_mesh_logs_the_discretization_build(caplog):
-    g = _identity(p=2, m=4)
-    with caplog.at_level(logging.INFO, logger="mmiga.movemesh"):
-        move_mesh_solve(TANH_PROBLEM, g, MonitorSpec("gradient", alpha=0.0))
-    lines = [r.getMessage() for r in caplog.records if "discretization" in r.getMessage()]
-    assert len(lines) == 1
-    assert lines[0].startswith("discretization built in ")
-    assert lines[0].endswith(f" s, {discretization(g).nbytes} bytes")
+def test_move_mesh_builds_the_element_pairs_once_per_knot_vector(monkeypatch):
+    # every mesh of a run shares the knot vectors of the first, so each
+    # builds its element_pairs memo entry on the first stiffness and no
+    # later assembly builds another
+    from mmiga import movemesh
+    from mmiga.splines import KnotVector
+
+    prop = KnotVector.__dict__["element_pairs"]
+    build, assemble = prop.func, movemesh.assemble_weighted_stiffness
+    built, assembled = [], []
+
+    def counting_build(kv):
+        built.append(kv)
+        return build(kv)
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(prop, "func", counting_build)
+    monkeypatch.setattr(movemesh, "assemble_weighted_stiffness", counting_assemble)
+    g = build_identity_geometry(UNIT, make_open_knot_vector(2, 6), make_open_knot_vector(2, 5))
+    state = move_mesh_solve(TANH_PROBLEM, g, MonitorSpec("gradient", alpha=0.1),
+                            MoveMeshConfig(max_outer=3))
+    assert len(state.trace) == 3 and len(assembled) >= 2 + 2 * 3
+    assert len(built) == 2 and built[0] is g.kv_u and built[1] is g.kv_v
 
 
 def test_each_outer_iteration_logs_its_move(caplog):

@@ -57,6 +57,21 @@ def test_knot_vector_rejects_decreasing():
         KnotVector(1, np.array([0, 0, 0.6, 0.4, 1, 1]))
 
 
+def test_knot_vectors_are_equal_and_hash_alike_by_degree_and_knots():
+    # distinct instances compare by value; memo entries take no part
+    kv = make_open_knot_vector(3, 4, 1)
+    same = KnotVector(3, kv.knots.copy())
+    assert kv == same and hash(kv) == hash(same)
+    kv.gauss, kv.element_pairs  # memo entries on one of the two only
+    assert kv == same and hash(kv) == hash(same) and len({kv, same}) == 1
+    assert KnotVector(1, [-0.0, 0, 1, 1]) == KnotVector(1, [0.0, 0, 1, 1])
+    assert hash(KnotVector(1, [-0.0, 0, 1, 1])) == hash(KnotVector(1, [0.0, 0, 1, 1]))
+    others = [make_open_knot_vector(2, 4, 1), make_open_knot_vector(3, 5, 1),
+              make_open_knot_vector(3, 4, 2)]
+    assert all(kv != o for o in others) and len({kv, *others}) == 4
+    assert kv != 3 and kv != "kv"
+
+
 def test_find_span_conventions():
     kv = KnotVector(1, np.array([0, 0, 0.5, 1, 1]))
     assert eval_basis(kv, 0.25).span == 1

@@ -31,6 +31,11 @@ The battery, all on fixed inputs:
   ``boundary_values``; the stiffness as a dense array, whatever its sparse
   format, with no diffusion weight and with a random array of one, and the
   load vector;
+- the stiffness, with no diffusion weight and with a callable one, on three
+  more perturbed nets: rational with degree 2 along u and 3 along v; 2 x 2
+  cubic elements, where two pairs of functions share one diagonal offset;
+  and a square net with equal weights of 1.7, whose two directions share
+  one knot vector;
 - the preconditioner's 1D factors on that net and on a square C^0 net
   (p=3, m=16): the ``interior_eigen`` arrays ``U``, ``lam``, ``k`` and
   ``m`` of each direction's knot vector.
@@ -169,6 +174,32 @@ def _grids(out: dict) -> None:
     out["load"] = assembly.assemble_load(g, lambda x, y: np.cos(2 * x) * (1 + y * y))
 
 
+def _stiffnesses(out: dict) -> None:
+    import numpy as np
+
+    from mmiga import assembly, geometry, splines
+
+    rng = np.random.default_rng(11)
+    square = splines.make_open_knot_vector(3, 5, 1)
+    nets = {
+        "mixed_degrees": (splines.make_open_knot_vector(2, 5, 1),
+                          splines.make_open_knot_vector(3, 4, 1), "random"),
+        "cubic_2x2": (splines.make_open_knot_vector(3, 2, 1),
+                      splines.make_open_knot_vector(3, 2, 1), "random"),
+        "square_equal": (square, square, "equal"),
+    }
+    for label, (kv_u, kv_v, weights) in nets.items():
+        g0 = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 1), kv_u, kv_v)
+        cp = g0.control_points.copy()
+        cp[1:-1, 1:-1] += 0.02 * rng.uniform(-1, 1, size=cp[1:-1, 1:-1].shape)
+        w = (rng.uniform(0.7, 1.4, size=g0.shape) if weights == "random"
+             else np.full(g0.shape, 1.7))
+        g = geometry.NurbsGeometry(kv_u, kv_v, splines.TensorWeights(w), cp)
+        out[f"stiffness.{label}"] = assembly.assemble_weighted_stiffness(g).toarray()
+        out[f"stiffness.{label}.weighted"] = assembly.assemble_weighted_stiffness(
+            g, lambda x, y: 1.0 + x * x + 0.5 * np.sin(3.0 * y)).toarray()
+
+
 def _preconditioner_factors(out: dict) -> None:
     import numpy as np
 
@@ -188,6 +219,7 @@ def battery() -> dict:
     _runs(out)
     _solves(out)
     _grids(out)
+    _stiffnesses(out)
     _preconditioner_factors(out)
     return out
 
