@@ -6,7 +6,6 @@ from .assembly import (
     assemble_load,
     assemble_weighted_stiffness,
     dof_map,
-    eval_field,
     eval_field_grid,
     solve_poisson,
 )
@@ -29,7 +28,6 @@ from .movemesh import (
     MoveMeshState,
     PoissonProblem,
     compute_movement,
-    eval_monitor,
     init_logical_mesh,
     make_boundary_map,
     move_mesh_solve,

@@ -122,7 +122,6 @@ __all__ = [
     "QuadratureRule",
     "DofMap",
     "FieldCoefficients",
-    "FieldEval",
     "FieldGrid",
     "ReducedSystem",
     "gauss_rule",
@@ -134,7 +133,6 @@ __all__ = [
     "apply_dirichlet",
     "solve_dirichlet",
     "solve_poisson",
-    "eval_field",
     "eval_field_grid",
 ]
 
@@ -655,13 +653,6 @@ class FieldGrid:
     hess: np.ndarray | None  # (Nu, Nv, 2, 2)
 
 
-@dataclass(frozen=True)
-class FieldEval:
-    value: float
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-
-
 def eval_field_grid(
     g: NurbsGeometry,
     u: FieldCoefficients,
@@ -743,12 +734,3 @@ def _field_grid(sums: dict, geo: GeometryGrid | None, nders: int) -> FieldGrid:
     )
     return FieldGrid(values, grad, hess)
 
-
-def eval_field(g: NurbsGeometry, u: FieldCoefficients, s, nders: int = 0) -> FieldEval:
-    """Point evaluation of a coefficient field; see :func:`eval_field_grid`."""
-    fg = eval_field_grid(g, u, [float(s[0])], [float(s[1])], nders=nders)
-    return FieldEval(
-        float(fg.values[0, 0]),
-        None if fg.grad is None else fg.grad[0, 0],
-        None if fg.hess is None else fg.hess[0, 0],
-    )

@@ -62,7 +62,6 @@ __all__ = [
     "PoissonProblem",
     "make_boundary_map",
     "init_logical_mesh",
-    "eval_monitor",
     "monitor_grid",
     "solve_harmonic_map",
     "compute_movement",
@@ -340,11 +339,6 @@ def _smooth_monitor(spec, g, u, pts_u, pts_v):
         )
     along_u = np.stack([np.interp(pts_u, gu, col) for col in nodal.T], axis=-1)
     return np.stack([np.interp(pts_v, gv, row) for row in along_u])
-
-
-def eval_monitor(spec: MonitorSpec, g: NurbsGeometry, u: FieldCoefficients, s) -> float:
-    """Monitor value at a single parametric point."""
-    return float(monitor_grid(spec, g, u, [float(s[0])], [float(s[1])])[0, 0])
 
 
 def solve_harmonic_map(

@@ -19,6 +19,7 @@ import numpy as np
 from .assembly import FieldCoefficients, _blocks, _field_grid, eval_field_grid
 from .geometry import (
     NurbsGeometry,
+    _blocked,
     _geometry_grid,
     _rational_rows,
     eval_geometry_grid,
@@ -74,12 +75,15 @@ def _error_cells(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution):
     """The per-element integrals of (u - u_h)^2 and |grad(u - u_h)|^2 on
     the error Gauss grid, each (nel_u, nel_v).
 
-    The geometry and the field are contracted with the grid's tables once,
-    on the whole grid; the rest, the quotient rule, the Jacobian and
-    gradient, the exact solution and the errors, runs one block of element
-    rows at a time (:func:`~mmiga.assembly._blocks`). Each of these steps is
-    elementwise and each element's sum lies in one block, so the cells have
-    the bits of the whole grid at once."""
+    The geometry and the field are contracted with the grid's v tables
+    once, on the whole grid; the rest, the u products, the quotient rule,
+    the Jacobian and gradient, the exact solution and the errors, runs one
+    group of element rows at a time (:func:`~mmiga.assembly._blocks`), in
+    whole blocks of the u tables when the grid is contracted by blocks
+    (:func:`~mmiga.geometry._spline_rows`), else from the whole-grid u
+    products. A block's u products have the bits they have among all
+    blocks, the other steps are elementwise, and each element's sum lies
+    in one group, so the cells have the bits of the whole grid at once."""
     quad = grid_basis(g.kv_u, g.kv_v, g.kv_u.error_gauss.pts, g.kv_v.error_gauss.pts, 1)
     geo_rows = _rational_rows(quad, g.weights, g.control_points, 1)
     field_rows = _rational_rows(quad, g.weights, u.grid[:, :, None], 1)
@@ -87,8 +91,11 @@ def _error_cells(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution):
     nel_v = len(g.kv_v.nonzero_spans)
     qu, qv = len(quad.u.pts) // nel_u, len(quad.v.pts) // nel_v
     l2_cells, h1_cells = np.empty((nel_u, nel_v)), np.empty((nel_u, nel_v))
+    # element rows go in whole blocks of the u tables, when the grid has them
+    step = quad.u.blocks[0].shape[1] // qu if _blocked(quad) else 1
     # a block's largest temporary is its Jacobian, 4 values a point
-    for eu in _blocks(nel_u, qu * len(quad.v.pts) * 4 * 8):
+    for group in _blocks(-(-nel_u // step), step * qu * len(quad.v.pts) * 4 * 8):
+        eu = slice(group.start * step, min(group.stop * step, nel_u))
         rows = slice(eu.start * qu, eu.stop * qu)
         geo = _geometry_grid(quad.u.pts[rows], quad.v.pts, geo_rows(rows), 1)
         fg = _field_grid(field_rows(rows), geo, 1)

@@ -29,12 +29,16 @@ another shares its knot vectors and so their tables. The memo entries hold
 the only copy of these point sets: :meth:`KnotVector.tables` recognises an
 entry by its point array, so evaluation takes points alone, and an entry
 asked for a higher derivative order than it holds grows to that order in
-place, keeping its arrays. The interior eigendecomposition of the 1D
-stiffness and mass on the assembly Gauss grid (:class:`InteriorEigen`), one
-direction's factors of the fast-diagonalisation preconditioner, is a memo
-entry too, and so are the element pair tables of the sum-factorised
-stiffness (:class:`ElementPairs`): a square mesh, whose two directions share
-one knot vector, builds each once, and so does a moving-mesh run, whose
+place, keeping its arrays. A point set of :data:`BLOCK_MIN_POINTS` or more
+points also has the block form of its tables (:class:`PointTables`), the
+nonzero windows of blocks of consecutive rows, read from the dense tables
+at the knot span of each point; grid evaluation multiplies those blocks.
+The interior eigendecomposition of the 1D stiffness and mass on the
+assembly Gauss grid (:class:`InteriorEigen`), one direction's factors of
+the fast-diagonalisation preconditioner, is a memo entry too, and so are
+the element pair tables of the sum-factorised stiffness
+(:class:`ElementPairs`): a square mesh, whose two directions share one
+knot vector, builds each once, and so does a moving-mesh run, whose
 meshes all share the knot vectors of the first.
 
 Two knot vectors are equal when their degrees and knots are; their memo
@@ -72,6 +76,10 @@ __all__ = [
 
 
 LINF_SAMPLES = 5  # per-direction samples per element of the max-norm lattice
+# the block form of a point set's tables (PointTables): blocks of about
+# BLOCK_ELEMENTS elements' worth of rows, on sets of BLOCK_MIN_POINTS or more
+BLOCK_ELEMENTS = 4
+BLOCK_MIN_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +88,22 @@ class PointTables:
 
     ``D[a]`` is ``basis_matrix(kv, pts, a)`` for a = 0 .. ``len(D) - 1``;
     ``wts`` are the Gauss weights when the points are a quadrature rule.
+
+    A set of at least :data:`BLOCK_MIN_POINTS` points also has the block
+    form of its tables (:func:`_block_layout`): its rows, in order, are cut
+    into blocks of R rows, :data:`BLOCK_ELEMENTS` elements' worth of points,
+    and ``blocks[a][b]`` is the R x W block of ``D[a]`` on the rows
+    b R .. (b + 1) R - 1, zero past the last point, and the columns
+    ``starts[b]`` .. ``starts[b]`` + W - 1, which hold every nonzero of
+    those rows. W is the widest window of any block. Smaller sets have
+    ``starts`` None and no ``blocks``.
     """
 
     pts: np.ndarray
     D: tuple
     wts: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    blocks: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,10 +218,12 @@ class KnotVector:
 
     def _grow(self, t: PointTables, nders: int) -> PointTables:
         """``t`` with its orders up to ``nders`` added, read-only."""
-        added = tuple(basis_matrix(self, t.pts, a) for a in range(len(t.D), nders + 1))
-        for a in added:
+        grown = _add_orders(self, t, nders)
+        for a in grown.D[len(t.D):] + grown.blocks[len(t.blocks):]:
             a.flags.writeable = False
-        return PointTables(t.pts, t.D + added, t.wts)
+        if grown.starts is not None:
+            grown.starts.flags.writeable = False
+        return grown
 
     @cached_property
     def gauss(self) -> PointTables:
@@ -274,9 +295,9 @@ class KnotVector:
         """The tables on ``pts`` with orders 0 .. ``nders``: the memo entry
         whose point array *is* ``pts``, else tabulated here. An entry that
         holds fewer orders grows in place: it is replaced by one with the
-        same ``pts``, ``D`` and ``wts`` arrays and the added orders, read-only,
-        appended. Points equal to a memo entry's but in another array are
-        tabulated: the bits are the same."""
+        same ``pts``, ``D``, ``wts``, ``starts`` and ``blocks`` arrays and the
+        added orders, read-only, appended. Points equal to a memo entry's
+        but in another array are tabulated: the bits are the same."""
         for name, t in list(vars(self).items()):
             if isinstance(t, PointTables) and t.pts is pts:
                 if nders >= len(t.D):
@@ -545,9 +566,53 @@ def basis_matrix(kv: KnotVector, pts: np.ndarray, der: int = 0) -> np.ndarray:
 
 
 def tabulate(kv: KnotVector, pts, nders: int) -> PointTables:
-    """The :class:`PointTables` of ``kv`` on ``pts``, orders 0 .. ``nders``."""
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    return PointTables(pts, tuple(basis_matrix(kv, pts, a) for a in range(nders + 1)))
+    """The :class:`PointTables` of ``kv`` on ``pts``, orders 0 .. ``nders``,
+    with their block form when there are enough points."""
+    return _add_orders(kv, PointTables(np.atleast_1d(np.asarray(pts, dtype=float)), ()), nders)
+
+
+def _block_layout(kv: KnotVector, spans: np.ndarray):
+    """The window starts, rows R and width W of the block form of the
+    tables of points in the knot spans ``spans`` (:class:`PointTables`), or
+    None for fewer than :data:`BLOCK_MIN_POINTS` points. R is
+    :data:`BLOCK_ELEMENTS` times the points per element, rounded down; a
+    block's rows are nonzero on the functions of their spans, first span
+    - p to last span, so W is the widest such window, and a window that
+    would run past the last function starts earlier."""
+    npts, p = len(spans), kv.degree
+    if npts < BLOCK_MIN_POINTS:
+        return None
+    rows = BLOCK_ELEMENTS * max(npts // len(kv.nonzero_spans), 1)
+    nblk = -(-npts // rows)
+    s = np.pad(spans, (0, nblk * rows - npts), mode="edge").reshape(nblk, rows)
+    first = s.min(axis=1) - p
+    width = int((s.max(axis=1) - first).max()) + 1
+    return np.minimum(first, kv.n - width), rows, width
+
+
+def _add_orders(kv: KnotVector, t: PointTables, nders: int) -> PointTables:
+    """``t`` with the orders len(t.D) .. ``nders`` added: dense tables by
+    :func:`basis_matrix`, and the block form's tables read from them at
+    the p + 1 columns of each point's knot span."""
+    spans, p = _find_spans(kv, t.pts), kv.degree
+    added = tuple(basis_matrix(kv, t.pts, a) for a in range(len(t.D), nders + 1))
+    if not t.D:
+        layout = _block_layout(kv, spans)
+    elif t.starts is not None:
+        layout = (t.starts, *t.blocks[0].shape[1:])
+    else:
+        layout = None
+    if layout is None:
+        return PointTables(t.pts, t.D + added, t.wts)
+    starts, rows, width = layout
+    i = np.arange(len(t.pts))[:, None]
+    cols = spans[:, None] - p + np.arange(p + 1)
+    blocks = []
+    for d in added:
+        b = np.zeros((len(starts) * rows, width))
+        b[i, cols - starts[i // rows]] = d[i, cols]
+        blocks.append(b.reshape(len(starts), rows, width))
+    return PointTables(t.pts, t.D + added, t.wts, starts, t.blocks + tuple(blocks))
 
 
 def rational_derivatives(num, wsum, nders: int) -> dict:

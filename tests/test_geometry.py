@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -315,6 +317,69 @@ def test_grid_sums_match_the_one_hot_oracle(p, c0, weights, nders, pts_u, pts_v,
         assert np.max(np.abs(vals - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), ab
 
 
+@st.composite
+def _open_knots(draw):
+    """An open knot vector of degree 1-4 with 0-7 interior breakpoints at
+    non-uniform positions, each of multiplicity 1 .. p."""
+    p = draw(st.integers(1, 4))
+    breaks = sorted(draw(st.lists(st.integers(1, 63), max_size=7, unique=True)))
+    inner = [b / 64 for b in breaks for _ in range(draw(st.integers(1, p)))]
+    return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
+
+
+# a fixed grid's own points, or any points: unsorted, repeated, single
+_BLOCK_POINTS = st.one_of(
+    st.sampled_from(["gauss", "error_gauss", "greville", "lattice", "corners"]),
+    st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.25]) | st.floats(0.0, 1.0),
+             min_size=1, max_size=12))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kv_u=_open_knots(), kv_v=_open_knots(), pts_u=_BLOCK_POINTS, pts_v=_BLOCK_POINTS,
+       nders=st.integers(0, 2), rational=st.booleans(), k=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+@example(kv_u=make_open_knot_vector(3, 8, 1), kv_v=make_open_knot_vector(2, 5, 2),
+         pts_u="lattice", pts_v=[0.5], nders=2, rational=True, k=2, seed=0)
+@example(kv_u=make_open_knot_vector(1, 3, 1), kv_v=make_open_knot_vector(4, 2, 4),
+         pts_u=[0.9, 0.1, 0.1, 1.0, 0.0], pts_v="error_gauss", nders=2, rational=False, k=1,
+         seed=1)
+def test_blocked_contraction_agrees_with_the_whole_product(kv_u, kv_v, pts_u, pts_v, nders,
+                                                           rational, k, seed):
+    # every point set gets the block form (no minimum count): each block's
+    # window holds every nonzero of its rows, and the contraction by blocks
+    # agrees with the one by whole tables to rounding
+    from mmiga import geometry, splines
+
+    nders = min(nders, kv_u.degree, kv_v.degree)
+    with mock.patch.object(splines, "BLOCK_MIN_POINTS", 1):
+        tu, tv = (kv.tables(getattr(kv, pts).pts if isinstance(pts, str) else
+                            np.asarray(pts, dtype=float), nders)
+                  for kv, pts in ((kv_u, pts_u), (kv_v, pts_v)))
+    for kv, t in ((kv_u, tu), (kv_v, tv)):
+        assert t.starts is not None and len(t.blocks) == len(t.D) >= nders + 1
+        nblk, rows, width = t.blocks[0].shape
+        for D, blocks in zip(t.D, t.blocks):
+            dense = np.zeros((nblk * rows, kv.n))
+            for b, start in enumerate(t.starts):
+                dense[b * rows:(b + 1) * rows, start:start + width] = blocks[b]
+            assert np.array_equal(dense[:len(t.pts)], D) and not dense[len(t.pts):].any()
+    blocked = geometry.GridBasis(tu, tv)
+    whole = geometry.GridBasis(*(splines.PointTables(t.pts, t.D) for t in (tu, tv)))
+    assert geometry._blocked(blocked) and not geometry._blocked(whole)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(kv_u.n, kv_v.n, k))
+    w = rng.uniform(0.5, 2.0, (kv_u.n, kv_v.n)) if rational else np.full((kv_u.n, kv_v.n), 1.3)
+    for got, want in ((geometry._spline_sums(blocked, coeffs, nders),
+                       geometry._spline_sums(whole, coeffs, nders)),
+                      (geometry._rational_sums(blocked, w, coeffs, nders),
+                       geometry._rational_sums(whole, w, coeffs, nders))):
+        assert sorted(got) == sorted(want)
+        for ab in want:
+            scale = np.max(np.abs(want[ab]))
+            assert got[ab].shape == want[ab].shape, ab
+            assert np.max(np.abs(got[ab] - want[ab])) <= 1e-14 * scale, ab
+
+
 @pytest.mark.parametrize("weights", ["unit", "equal", "random"])
 def test_evaluations_with_tables_give_the_same_bits(monkeypatch, weights):
     # on a memo entry's own point arrays evaluation reads the memo tables;
@@ -416,6 +481,28 @@ def test_geometries_on_the_same_knot_vectors_share_read_only_tables(monkeypatch)
             eval_geometry_grid(other, t.u.pts, t.v.pts, nders)
             eval_field_grid(other, u, t.u.pts, t.v.pts, nders)
     assert calls == []
+
+
+def test_a_refitted_geometry_reads_the_block_form_of_its_source():
+    g = _perturbed(p=3, m=20, scale=0.002)  # 80 Gauss points a direction: blocks
+    targets = mesh_nodes(g)
+    targets[1:-1, 1:-1] += 0.001
+    refit = refit_from_node_targets(g, targets)
+    assert fixed_basis(g, "gauss").u.starts is not None
+    for grid in FIXED_GRIDS:
+        src, new = fixed_basis(g, grid), fixed_basis(refit, grid)
+        for s, t in ((src.u, new.u), (src.v, new.v)):
+            assert t.starts is s.starts and len(t.blocks) == len(s.blocks), grid
+            assert all(a is b for a, b in zip(t.blocks, s.blocks)), grid
+            assert not any(a.flags.writeable for a in t.blocks), grid
+    # order 2 grows the block form in place too, for both geometries
+    old = fixed_basis(g, "gauss").u
+    eval_geometry_grid(refit, old.pts, old.pts, 2)
+    grown = fixed_basis(g, "gauss").u
+    assert grown is fixed_basis(refit, "gauss").u and len(grown.blocks) == 3
+    assert grown.starts is old.starts
+    assert grown.blocks[0] is old.blocks[0] and grown.blocks[1] is old.blocks[1]
+    assert not grown.blocks[2].flags.writeable
 
 
 def test_a_shared_knot_vector_tabulates_each_fixed_grid_once(monkeypatch):

@@ -30,7 +30,6 @@ from mmiga.movemesh import (
     MoveMeshConfig,
     PoissonProblem,
     compute_movement,
-    eval_monitor,
     init_logical_mesh,
     limit_movement,
     make_boundary_map,
@@ -171,8 +170,9 @@ def test_monitor_linear_field_gradient_kind():
     gu = greville_abscissae(g.kv_u)
     U, V = np.meshgrid(gu, gu, indexing="ij")
     u = FieldCoefficients.from_grid(U)  # interpolates u = x
-    val = eval_monitor(MonitorSpec("gradient", alpha=0.1), g, u, (0.4, 0.6))
-    assert val == pytest.approx(np.sqrt(1.1), abs=1e-10)
+    val = monitor_grid(MonitorSpec("gradient", alpha=0.1), g, u, [0.4], [0.6])
+    assert val.shape == (1, 1)
+    assert val[0, 0] == pytest.approx(np.sqrt(1.1), abs=1e-10)
 
 
 def test_monitor_kind_pins_its_parameters():
