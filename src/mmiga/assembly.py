@@ -65,7 +65,14 @@ the solution space on each edge is a univariate rational curve, so boundary
 coefficients follow from a 1D L2 projection of the boundary data onto that
 trace space, with the corner coefficients fixed by the data at the corners.
 Those coefficients depend only on the knots, the weights and the boundary
-ring of control points (:func:`boundary_values`). A Dirichlet solve takes
+ring of control points (:func:`boundary_values`). Each edge is evaluated in
+1D (Piegl & Tiller, The NURBS Book, sec. 4.4: on open knots an edge is the
+curve of its ring), from the ring and its knot vector's ``gauss`` tables,
+with the bits of a 2D grid evaluation on the edge wherever the basis
+across the edge is exactly 1 at its end: the quotient rule applies when
+any weight of the whole net differs, not only when the edge's do, and
+each product keeps the 2D one's orientation, D @ c along u and
+(c^T @ D^T)^T along v (:func:`_edge_coefficients`). A Dirichlet solve takes
 them as the boundary ring of its start field, whose interior is CG's first
 guess, so a run whose boundary stays put starts each solve from the last.
 The interior matrix A_II is not copied out of A: it is applied as the
@@ -116,7 +123,7 @@ from .geometry import (
     grid_basis,
 )
 from .linalg import LinearSolverSettings, banded_solve, cg_solve
-from .splines import KnotVector
+from .splines import KnotVector, rational_derivatives
 
 __all__ = [
     "QuadratureRule",
@@ -515,23 +522,41 @@ def _edge_coefficients(g: NurbsGeometry, axis: int, side: int, bc):
     """Boundary coefficients of one edge by L2 projection of the edge data.
 
     The edge runs along u at v = side (axis 0) or along v at u = side
-    (axis 1). The trace of the solution space there is spanned by the
-    rational basis R_i = N_i w_i / sum_j N_j w_j with the edge weights. The
-    two end coefficients take the data at the corners, so adjacent edges
-    agree; the others minimize the L2 misfit to ``bc`` along the true edge
-    curve F(t), with arc-length measure |F'(t)| dt on the assembly Gauss
-    grid along the edge (the ``gauss`` memo entry). Returns the index of
-    the edge in the coefficient grid and its coefficients.
+    (axis 1). On open knots it is the 1D rational curve of its ring of
+    control points and weights, and the trace of the solution space there
+    is spanned by the rational basis R_i = N_i w_i / sum_j N_j w_j with the
+    edge weights. The curve F(t) and its tangent are evaluated in 1D, from
+    the ring and the knot vector's ``gauss`` memo tables, with the bits of
+    the 2D grid evaluation on the edge: the quotient rule applies when any
+    weight of the whole net differs, as there, and each product keeps the
+    orientation of the 2D one, D @ c along u and (c^T @ D^T)^T along v.
+    (The 2D evaluation reads the ring through the basis at the parameter
+    across the edge, which on some knots rounds to 1 - 2^-53 on the end
+    function, as at u = 1 on 21 uniform elements; there the two differ at
+    rounding level, and the 1D edge is the ring's own curve.) The two end
+    coefficients take the data at the corners, so adjacent edges agree; the
+    others minimize the L2 misfit to ``bc`` along F, with arc-length
+    measure |F'(t)| dt on the Gauss grid along the edge. Returns the index
+    of the edge in the coefficient grid and its coefficients.
     """
     kv = (g.kv_u, g.kv_v)[axis]
     sl = (slice(None), -side) if axis == 0 else (-side, slice(None))
     w_edge = g.weights.w[sl]
-    corners = g.control_points[sl][[0, -1]]
+    ring = g.control_points[sl]
+    corners = ring[[0, -1]]
 
-    gauss, across = kv.gauss, np.array([float(side)])
-    geo = eval_geometry_grid(g, *((gauss.pts, across) if axis == 0 else (across, gauss.pts)), 1)
-    x = geo.points.reshape(-1, 2)
-    dmu = gauss.wts * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
+    gauss, rational = kv.gauss, not _equal_weights(g.weights.w)
+    c = (np.concatenate([w_edge[:, None] * ring, w_edge[:, None]], axis=1) if rational
+         else np.ascontiguousarray(ring))
+    if axis == 0:
+        sums = {(a, 0): gauss.D[a] @ c for a in (0, 1)}
+    else:
+        sums = {(a, 0): (c.T @ gauss.D[a].T).T for a in (0, 1)}
+    if rational:
+        sums = rational_derivatives({o: s[:, :2] for o, s in sums.items()},
+                                    {o: s[:, 2:] for o, s in sums.items()}, 1)
+    x, dx = sums[0, 0], sums[1, 0]
+    dmu = gauss.wts * np.hypot(dx[:, 0], dx[:, 1])
     bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(x))
     cvals = np.broadcast_to(np.asarray(bc(corners[:, 0], corners[:, 1]), dtype=float), 2)
     if not (np.all(np.isfinite(bvals)) and np.all(np.isfinite(cvals))):
@@ -558,7 +583,10 @@ def boundary_values(g: NurbsGeometry, bc) -> np.ndarray:
     The trace on each edge is a univariate rational curve that depends only
     on the knots, the weights and the boundary ring of control points; its
     coefficients come from a corner-constrained L2 projection of the edge
-    data (see :func:`_edge_coefficients`).
+    data (see :func:`_edge_coefficients`). Each edge is evaluated in 1D,
+    from its ring and the knot vector's ``gauss`` memo tables, so a call on
+    knot vectors that hold them tabulates nothing and contracts only the
+    ring.
     """
     xb = np.zeros(g.shape)
     for axis in (0, 1):
@@ -687,6 +715,22 @@ def eval_field_grid(
     return _field_grid(_rational_sums(tables, g.weights, u.grid[:, :, None], nders), geo, nders)
 
 
+def _physical_gradient(sums: dict, Fu: np.ndarray, Fv: np.ndarray, det: np.ndarray):
+    """The physical gradient (g_x, g_y) of a field from its
+    :func:`~mmiga.geometry.rational_grid_sums` ``sums``, by the chain rule
+    through the inverse of the geometry's Jacobian, whose columns are the
+    parametric derivatives ``Fu`` = dF/du and ``Fv`` = dF/dv, each (..., 2),
+    and whose determinant is ``det``; returned with the entries
+    (xi_x, xi_y, eta_x, eta_y) of J^-1. Every step is elementwise. A
+    vanishing determinant raises ZeroDivisionError."""
+    if np.any(np.abs(det) < 1e-300):
+        raise ZeroDivisionError("singular geometry Jacobian on evaluation grid")
+    inv = (Fv[..., 1] / det, -Fv[..., 0] / det, -Fu[..., 1] / det, Fu[..., 0] / det)
+    xi_x, xi_y, eta_x, eta_y = inv
+    du, dv = sums[1, 0][..., 0], sums[0, 1][..., 0]
+    return (du * xi_x + dv * eta_x, du * xi_y + dv * eta_y), inv
+
+
 def _field_grid(sums: dict, geo: GeometryGrid | None, nders: int) -> FieldGrid:
     """The :class:`FieldGrid` of a field's :func:`~mmiga.geometry.rational_grid_sums`
     on a grid, with the geometry ``geo`` evaluated there to order ``nders``
@@ -696,18 +740,8 @@ def _field_grid(sums: dict, geo: GeometryGrid | None, nders: int) -> FieldGrid:
     if nders == 0:
         return FieldGrid(values, None, None)
 
-    det = geo.det
-    if np.any(np.abs(det) < 1e-300):
-        raise ZeroDivisionError("singular geometry Jacobian on evaluation grid")
-    jac = geo.jac
-    xi_x = jac[..., 1, 1] / det
-    xi_y = -jac[..., 0, 1] / det
-    eta_x = -jac[..., 1, 0] / det
-    eta_y = jac[..., 0, 0] / det
-
-    du, dv = sums[1, 0][..., 0], sums[0, 1][..., 0]
-    gx = du * xi_x + dv * eta_x
-    gy = du * xi_y + dv * eta_y
+    (gx, gy), (xi_x, xi_y, eta_x, eta_y) = _physical_gradient(
+        sums, geo.jac[..., 0], geo.jac[..., 1], geo.det)
     grad = np.stack([gx, gy], axis=-1)
     if nders == 1:
         return FieldGrid(values, grad, None)

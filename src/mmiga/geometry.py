@@ -30,8 +30,8 @@ the points, not from the tables' nonzeros, with the tables, and a memo
 entry keeps it. On a grid with the block form in both directions, each
 direction's product multiplies each block by its window of coefficient
 rows only, all blocks in one batched matmul (:func:`_spline_rows`); other
-grids, the edge grids and single points among them, use the whole
-tables. A block's rows have the same bits whichever other blocks are
+grids, those with a short side and single points among them, use the
+whole tables. A block's rows have the same bits whichever other blocks are
 multiplied with it, so the error norms contract one group of element rows
 at a time. Against the whole product, the bits are kept in the cases
 measured (OpenBLAS 0.3.31) where the product's rows are a multiple of 8
@@ -334,6 +334,12 @@ def eval_geometry_grid(g: NurbsGeometry, pts_u, pts_v, nders: int = 1) -> Geomet
     return _geometry_grid(pts_u, pts_v, sums, nders)
 
 
+def _jacobian_det(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """det J of the map's parametric derivatives ``du`` = dF/du and
+    ``dv`` = dF/dv, each (..., 2)."""
+    return du[..., 0] * dv[..., 1] - dv[..., 0] * du[..., 1]
+
+
 def _geometry_grid(pts_u: np.ndarray, pts_v: np.ndarray, sums: dict, nders: int) -> GeometryGrid:
     """The :class:`GeometryGrid` of the :func:`rational_grid_sums` of the
     control points on pts_u x pts_v."""
@@ -341,7 +347,7 @@ def _geometry_grid(pts_u: np.ndarray, pts_v: np.ndarray, sums: dict, nders: int)
     if nders >= 1:
         du, dv = sums[1, 0], sums[0, 1]
         jac = np.stack([du, dv], axis=-1)  # (Nu, Nv, 2, 2)
-        det = du[..., 0] * dv[..., 1] - dv[..., 0] * du[..., 1]
+        det = _jacobian_det(du, dv)
     else:
         jac = det = None
     second = None

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FieldCoefficients, _blocks, _field_grid, eval_field_grid
+from .assembly import FieldCoefficients, _blocks, _physical_gradient, eval_field_grid
 from .geometry import (
     NurbsGeometry,
     _blocked,
-    _geometry_grid,
+    _jacobian_det,
     _rational_rows,
     eval_geometry_grid,
     fixed_basis,
@@ -77,13 +77,15 @@ def _error_cells(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution):
 
     The geometry and the field are contracted with the grid's v tables
     once, on the whole grid; the rest, the u products, the quotient rule,
-    the Jacobian and gradient, the exact solution and the errors, runs one
-    group of element rows at a time (:func:`~mmiga.assembly._blocks`), in
-    whole blocks of the u tables when the grid is contracted by blocks
-    (:func:`~mmiga.geometry._spline_rows`), else from the whole-grid u
-    products. A block's u products have the bits they have among all
-    blocks, the other steps are elementwise, and each element's sum lies
-    in one group, so the cells have the bits of the whole grid at once."""
+    det J and the gradient (:func:`~mmiga.assembly._physical_gradient`),
+    read from the sums with no stacked Jacobian or gradient, the exact
+    solution and the errors, runs one group of element rows at a time
+    (:func:`~mmiga.assembly._blocks`), in whole blocks of the u tables when
+    the grid is contracted by blocks (:func:`~mmiga.geometry._spline_rows`),
+    else from the whole-grid u products. A block's u products have the
+    bits they have among all blocks, the other steps are elementwise, and
+    each element's sum lies in one group, so the cells have the bits of the
+    whole grid at once."""
     quad = grid_basis(g.kv_u, g.kv_v, g.kv_u.error_gauss.pts, g.kv_v.error_gauss.pts, 1)
     geo_rows = _rational_rows(quad, g.weights, g.control_points, 1)
     field_rows = _rational_rows(quad, g.weights, u.grid[:, :, None], 1)
@@ -93,18 +95,20 @@ def _error_cells(g: NurbsGeometry, u: FieldCoefficients, exact: ExactSolution):
     l2_cells, h1_cells = np.empty((nel_u, nel_v)), np.empty((nel_u, nel_v))
     # element rows go in whole blocks of the u tables, when the grid has them
     step = quad.u.blocks[0].shape[1] // qu if _blocked(quad) else 1
-    # a block's largest temporary is its Jacobian, 4 values a point
+    # a block's largest temporaries are the map's first derivatives, 4
+    # values a point
     for group in _blocks(-(-nel_u // step), step * qu * len(quad.v.pts) * 4 * 8):
         eu = slice(group.start * step, min(group.stop * step, nel_u))
         rows = slice(eu.start * qu, eu.stop * qu)
-        geo = _geometry_grid(quad.u.pts[rows], quad.v.pts, geo_rows(rows), 1)
-        fg = _field_grid(field_rows(rows), geo, 1)
-        X, Y = geo.points[..., 0], geo.points[..., 1]
-        w2 = np.multiply.outer(quad.u.wts[rows], quad.v.wts) * geo.det
+        geo, field = geo_rows(rows), field_rows(rows)
+        det = _jacobian_det(geo[1, 0], geo[0, 1])
+        (gx, gy), _ = _physical_gradient(field, geo[1, 0], geo[0, 1], det)
+        X, Y = geo[0, 0][..., 0], geo[0, 0][..., 1]
+        w2 = np.multiply.outer(quad.u.wts[rows], quad.v.wts) * det
 
-        e_val = fg.values - exact.u(X, Y)
-        e_gx = fg.grad[..., 0] - exact.du_dx(X, Y)
-        e_gy = fg.grad[..., 1] - exact.du_dy(X, Y)
+        e_val = field[0, 0][..., 0] - exact.u(X, Y)
+        e_gx = gx - exact.du_dx(X, Y)
+        e_gy = gy - exact.du_dy(X, Y)
         cells = (-1, qu, nel_v, qv)
         l2_cells[eu] = (e_val * e_val * w2).reshape(cells).sum(axis=(1, 3))
         h1_cells[eu] = ((e_gx * e_gx + e_gy * e_gy) * w2).reshape(cells).sum(axis=(1, 3))

@@ -625,11 +625,16 @@ def rational_derivatives(num, wsum, nders: int) -> dict:
     a + b <= nders, built from lower orders up:
 
         R^(a,b) = (A^(a,b) - sum_{(c,d) != (0,0)} C(a,c) C(b,d) W^(c,d) R^(a-c,b-d)) / W^(0,0)
+
+    Orders that ``num`` lacks are skipped, so a curve passes the orders
+    (a, 0) only; an order given needs every lower one it is built from.
     """
     out = {}
     for total in range(nders + 1):
         for a in range(total + 1):
             b = total - a
+            if (a, b) not in num:
+                continue
             acc = num[a, b]
             for c in range(a + 1):
                 for d in range(b + 1):

@@ -10,7 +10,9 @@ The exception is the whole-grid contractions at the end: the stiffness
 and error norms exactly as the library computed them before it worked in
 blocks, every temporary the size of the whole quadrature grid, and the
 stiffness in CSR form, as it was stored before it was stored by
-diagonals. The library must reproduce their bits.
+diagonals; and the Dirichlet data with each edge evaluated as a 2D grid,
+as the library computed it before it evaluated edges in 1D. The library
+must reproduce their bits.
 """
 
 import numpy as np
@@ -517,3 +519,40 @@ def error_norms_whole_grid(g, u, exact):
                   np.hypot(anti[..., 0], anti[..., 1]).max()))
     return postproc.ErrorReport(float(np.sqrt(l2_cells.sum())), float(np.sqrt(h1_cells.sum())),
                                 linf, np.sqrt(l2_cells), g.ndof, h)
+
+
+def boundary_values_edge_grid(g, bc):
+    """``boundary_values(g, bc)`` with each edge evaluated as a 2D grid: the
+    geometry map on the edge's Gauss points times the one parameter across
+    the edge, by ``eval_geometry_grid``, which tabulates the basis at that
+    parameter and contracts the whole control net. The corner-constrained
+    projection is the library's. Returned as a plain array."""
+    from mmiga import geometry
+    from mmiga.linalg import banded_solve
+
+    xb = np.zeros(g.shape)
+    for axis in (0, 1):
+        for side in (0, 1):
+            kv = (g.kv_u, g.kv_v)[axis]
+            sl = (slice(None), -side) if axis == 0 else (-side, slice(None))
+            w_edge = g.weights.w[sl]
+            corners = g.control_points[sl][[0, -1]]
+            gauss, across = kv.gauss, np.array([float(side)])
+            grid = (gauss.pts, across) if axis == 0 else (across, gauss.pts)
+            geo = geometry.eval_geometry_grid(g, *grid, 1)
+            x = geo.points.reshape(-1, 2)
+            dmu = gauss.wts * np.hypot(*geo.jac[..., axis].reshape(-1, 2).T)
+            bvals = np.broadcast_to(np.asarray(bc(x[:, 0], x[:, 1]), dtype=float), len(x))
+            cvals = np.broadcast_to(np.asarray(bc(corners[:, 0], corners[:, 1]), dtype=float), 2)
+            N = gauss.D[0]
+            R = N * w_edge / (N @ w_edge)[:, None]
+            M = (R * dmu[:, None]).T @ R
+            rhs = R.T @ (dmu * bvals)
+            coef = np.empty(kv.n)
+            coef[[0, -1]] = cvals
+            if kv.n > 2:
+                inner = slice(1, -1)
+                rhs_inner = rhs[inner] - M[inner][:, [0, -1]] @ cvals
+                coef[inner] = banded_solve(M[inner, inner], rhs_inner)
+            xb[sl] = coef
+    return xb.ravel()

@@ -25,6 +25,7 @@ from mmiga.errors import AssemblyError, BreakdownError
 from mmiga.geometry import (
     NurbsGeometry,
     Rectangle,
+    boundary_mask,
     build_identity_geometry,
     eval_geometry_grid,
     fixed_basis,
@@ -37,6 +38,7 @@ from mmiga.linalg import LinearSolverSettings, cg_solve
 from mmiga.splines import (
     KnotVector,
     TensorWeights,
+    basis_matrix,
     element_quadrature_1d,
     greville_abscissae,
     make_open_knot_vector,
@@ -44,6 +46,7 @@ from mmiga.splines import (
 
 from mmiga.postproc import ExactSolution, error_norms
 from oracles import (
+    boundary_values_edge_grid,
     error_norms_whole_grid,
     grad_fd,
     hess_fd,
@@ -246,19 +249,23 @@ def _same_bits(a, b) -> bool:
 
 
 @st.composite
+def _uniform_knots(draw, kind):
+    """An open knot vector of degree 1-4 on 1-9 uniform elements, C^{p-1}
+    ("smooth"), C^0 or with interior knots of mixed multiplicities 1 .. p."""
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    mults = [{"smooth": 1, "C0": p, "mixed": draw(st.integers(1, p))}[kind]
+             for _ in range(m - 1)]
+    inner = np.repeat(np.arange(1, m) / m, mults)
+    return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
+
+
+@st.composite
 def _blocked_nets(draw):
     """A perturbed net of degrees 1-4, one per direction, on 1-9 x 1-9
     uniform elements, C^{p-1}, C^0 or with interior knots of mixed
     multiplicities 1 .. p, and equal or random weights."""
     kind = draw(st.sampled_from(["smooth", "C0", "mixed"]))
-
-    def knots(p, m):
-        mults = [{"smooth": 1, "C0": p, "mixed": draw(st.integers(1, p))}[kind]
-                 for _ in range(m - 1)]
-        inner = np.repeat(np.arange(1, m) / m, mults)
-        return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
-
-    kv_u, kv_v = (knots(draw(st.integers(1, 4)), draw(st.integers(1, 9))) for _ in range(2))
+    kv_u, kv_v = draw(_uniform_knots(kind)), draw(_uniform_knots(kind))
     g0 = build_identity_geometry(Rectangle(0, 1, 0, 2), kv_u, kv_v)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     cp = g0.control_points.copy()
@@ -755,6 +762,83 @@ def test_dirichlet_trace_interpolation_fourth_order():
         errs.append(np.max(np.abs(vals - bc(pts[:, 0], pts[:, 1]))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] > 3.5
+
+
+def _edge_data(x, y):
+    return np.sin(3.0 * x) * np.exp(y)
+
+
+def _edge_net(kv_u, kv_v, weights, seed):
+    """A net on ``kv_u``, ``kv_v`` with every control point moved, the ring
+    too, so the edges are curves, and equal weights of 1.3 ("equal"),
+    random ones ("random") or random ones inside a ring of 1.3
+    ("equal_on_ring")."""
+    g0 = build_identity_geometry(Rectangle(0, 1, 0, 2), kv_u, kv_v)
+    rng = np.random.default_rng(seed)
+    cp = g0.control_points + 0.03 * rng.uniform(-1, 1, size=g0.control_points.shape)
+    w = np.full(g0.shape, 1.3) if weights == "equal" else rng.uniform(0.7, 1.4, g0.shape)
+    if weights == "equal_on_ring":
+        w[boundary_mask(g0.shape)] = 1.3
+    return NurbsGeometry(kv_u, kv_v, TensorWeights(w), cp)
+
+
+@st.composite
+def _edge_nets(draw):
+    kind = draw(st.sampled_from(["smooth", "C0", "mixed"]))
+    kv_u, kv_v = draw(_uniform_knots(kind)), draw(_uniform_knots(kind))
+    weights = draw(st.sampled_from(["equal", "random", "equal_on_ring"]))
+    return _edge_net(kv_u, kv_v, weights, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=_edge_nets())
+@example(g=_edge_net(make_open_knot_vector(1, 1), make_open_knot_vector(3, 4, 2), "random", 0))
+@example(g=_edge_net(make_open_knot_vector(2, 5), make_open_knot_vector(4, 3, 4),
+                     "equal_on_ring", 1))
+def test_boundary_values_have_the_bits_of_the_edge_grid_evaluation(g):
+    # each edge evaluated in 1D from its ring has the bits of the whole net
+    # evaluated on the edge as a 2D grid; this holds where the basis at the
+    # parameter across the edge is exactly 1 on the end function, as it is on
+    # these uniform knots (see the next test for knots where it is not).
+    # The quotient rule runs when the net's weights differ anywhere, also
+    # when the ring's are all equal
+    assert np.array_equal(boundary_values(g, _edge_data), boundary_values_edge_grid(g, _edge_data))
+
+
+def test_boundary_values_read_the_ring_where_the_edge_grid_rounds():
+    # on 21 uniform elements the basis at u = 1 rounds to 1 - 2^-53 on the
+    # last function, so the 2D grid evaluation of the edge u = 1 scales the
+    # ring by it; the 1D edge reads the ring as it is. The other three edges
+    # keep their bits, and that one moves at rounding level
+    kv_u = make_open_knot_vector(3, 21)
+    g = _edge_net(kv_u, make_open_knot_vector(2, 7), "random", 5)
+    assert basis_matrix(kv_u, np.ones(1))[0, -1] == 1.0 - 2.0 ** -53
+    got = boundary_values(g, _edge_data).reshape(g.shape)
+    ref = boundary_values_edge_grid(g, _edge_data).reshape(g.shape)
+    for edge in ((slice(None), 0), (slice(None), -1), 0):
+        assert np.array_equal(got[edge], ref[edge])
+    assert np.max(np.abs(got[-1] - ref[-1])) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_warm_boundary_values_tabulate_nothing(monkeypatch):
+    # each edge reads its knot vector's gauss tables: once they are built, a
+    # call tabulates no basis
+    from mmiga import splines
+
+    g = _edge_net(make_open_knot_vector(3, 6), make_open_knot_vector(2, 4, 2), "random", 2)
+    boundary_values(g, _edge_data)
+    calls = []
+
+    def counting(real):
+        def count(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return count
+
+    for name in ("basis_matrix", "tabulate"):
+        monkeypatch.setattr(splines, name, counting(getattr(splines, name)))
+    boundary_values(g, _edge_data)
+    assert calls == []
 
 
 # ------------------------------------------------------------ preconditioner

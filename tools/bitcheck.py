@@ -13,8 +13,8 @@ arrays (and floats) of equal shape, the worst such leaf of a nested result;
 where the two results differ in length, or in a leaf that is not a float
 array, both lengths or both values are printed instead.
 
-The battery, 144 keys on fixed inputs (a comparison of two trees takes
-about 5 s):
+The battery, 146 keys on fixed inputs (a comparison of two trees takes
+about 4 s):
 
 - moving-mesh runs on case2_tanh: the benchmark's ``case2_converge`` run
   (p=3, m=32, gradient monitor, to the stop tolerance); the Hessian,
@@ -39,9 +39,13 @@ about 5 s):
   cubic elements, where two pairs of functions share one diagonal offset;
   and a square net with equal weights of 1.7, whose two directions share
   one knot vector;
-- the preconditioner's 1D factors on that net and on a square C^0 net
-  (p=3, m=16): the ``interior_eigen`` arrays ``U``, ``lam``, ``k`` and
-  ``m`` of each direction's knot vector.
+- ``boundary_values`` on two perturbed nets whose rings move too, so
+  their edges are curves, both with random weights: a non-square one of
+  degree 2 along u and 3 along v, and one whose ring weights are all
+  equal, so the quotient rule runs on edges of equal weights;
+- the preconditioner's 1D factors on the first perturbed rational net
+  and on a square C^0 net (p=3, m=16): the ``interior_eigen`` arrays
+  ``U``, ``lam``, ``k`` and ``m`` of each direction's knot vector.
 """
 
 from __future__ import annotations
@@ -204,6 +208,29 @@ def _stiffnesses(out: dict) -> None:
             g, lambda x, y: 1.0 + x * x + 0.5 * np.sin(3.0 * y)).toarray()
 
 
+def _edges(out: dict) -> None:
+    import numpy as np
+
+    from mmiga import assembly, geometry, splines
+
+    rng = np.random.default_rng(13)
+    nets = {
+        "mixed_degrees": (splines.make_open_knot_vector(2, 7, 1),
+                          splines.make_open_knot_vector(3, 4, 2)),
+        "equal_on_ring": (splines.make_open_knot_vector(3, 5, 1),
+                          splines.make_open_knot_vector(3, 6, 3)),
+    }
+    for label, (kv_u, kv_v) in nets.items():
+        g0 = geometry.build_identity_geometry(geometry.Rectangle(0, 1, 0, 2), kv_u, kv_v)
+        cp = g0.control_points + 0.03 * rng.uniform(-1, 1, size=g0.control_points.shape)
+        w = rng.uniform(0.7, 1.4, size=g0.shape)
+        if label == "equal_on_ring":
+            w[geometry.boundary_mask(g0.shape)] = 1.3
+        g = geometry.NurbsGeometry(kv_u, kv_v, splines.TensorWeights(w), cp)
+        out[f"boundary_values.{label}"] = assembly.boundary_values(
+            g, lambda x, y: np.sin(3 * x) * np.exp(y))
+
+
 def _preconditioner_factors(out: dict) -> None:
     import numpy as np
 
@@ -224,6 +251,7 @@ def battery() -> dict:
     _solves(out)
     _grids(out)
     _stiffnesses(out)
+    _edges(out)
     _preconditioner_factors(out)
     return out
 
